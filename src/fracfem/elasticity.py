@@ -49,8 +49,8 @@ class BoundaryCondition:
       - "fracture_pressure": pressure applied as +-p*n on the plus/minus
         faces of one fracture.
 
-    ``ramp`` holds per-load-step scale factors; when absent the run fills in
-    proportional ramping.
+    ``ramp`` holds per-load-step scale factors; when absent the run ramps
+    proportionally, step k of n at (k+1)/n.
     """
 
     kind: str
@@ -63,9 +63,13 @@ class BoundaryCondition:
     pressure: float | None = None
     ramp: list | None = None
 
-    def scale(self, step, default=1.0):
-        if step is None or self.ramp is None:
-            return default
+    def scale(self, step, n_steps=1):
+        """Load factor of step ``step`` (0-based) of ``n_steps``; steps past
+        the end hold the last factor, and ``step=None`` means full load."""
+        if step is None:
+            return 1.0
+        if self.ramp is None:
+            return min(step + 1, n_steps) / n_steps
         if step >= len(self.ramp):
             return self.ramp[-1]
         return self.ramp[step]
@@ -158,7 +162,7 @@ def _resolve_edges(mesh, bc):
     return edges
 
 
-def assemble_loads(mesh, bcs, step=None, body_force=None):
+def assemble_loads(mesh, bcs, step=None, body_force=None, n_steps=1):
     """Consistent nodal load vector for all Neumann-type conditions.
 
     Edge tractions use 2-point Gauss along each boundary segment (exact here
@@ -171,7 +175,7 @@ def assemble_loads(mesh, bcs, step=None, body_force=None):
 
     for bc in bcs:
         if bc.kind == "neumann":
-            t = np.asarray(bc.traction, dtype=float) * bc.scale(step)
+            t = np.asarray(bc.traction, dtype=float) * bc.scale(step, n_steps)
             for a, b in _resolve_edges(mesh, bc):
                 L = float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a])))
                 fa = fb = 0.0
@@ -182,7 +186,7 @@ def assemble_loads(mesh, bcs, step=None, body_force=None):
                 F[2 * a : 2 * a + 2] += fa * t
                 F[2 * b : 2 * b + 2] += fb * t
         elif bc.kind == "fracture_pressure":
-            p = float(bc.pressure) * bc.scale(step)
+            p = float(bc.pressure) * bc.scale(step, n_steps)
             if not 0 <= bc.fracture < len(mesh.chains):
                 raise ConfigError(
                     f"fracture_pressure bc references unknown fracture "
@@ -219,7 +223,7 @@ def assemble_loads(mesh, bcs, step=None, body_force=None):
     return F
 
 
-def dirichlet_constraints(mesh, bcs, step=None):
+def dirichlet_constraints(mesh, bcs, step=None, n_steps=1):
     """(dof indices, prescribed values) for all Dirichlet conditions.
 
     Conflicting prescriptions on the same dof raise; repeated identical ones
@@ -238,7 +242,7 @@ def dirichlet_constraints(mesh, bcs, step=None):
     for bc in bcs:
         if bc.kind != "dirichlet":
             continue
-        s = bc.scale(step)
+        s = bc.scale(step, n_steps)
         if bc.nodes is not None:
             node_ids = list(bc.nodes)
             bad = [n for n in node_ids if not 0 <= n < mesh.n_nodes]

@@ -173,12 +173,27 @@ def _edge_key(a, b):
     return (a, b) if a < b else (b, a)
 
 
-def _edge_counts(elements):
-    counts = {}
-    for tri in elements:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            counts[_edge_key(a, b)] = counts.get(_edge_key(a, b), 0) + 1
-    return counts
+def _edge_table(elements):
+    """Undirected element edges as (keys, counts, base).
+
+    Edge (lo, hi) with lo < hi is the int64 key ``lo * base + hi``; keys are
+    sorted and unique, so their order is the lexicographic order of the
+    node pairs, and ``counts`` gives the number of adjacent elements.
+    """
+    tri = np.asarray(elements, dtype=np.int64).reshape(-1, 3)
+    base = int(tri.max()) + 1 if tri.size else 1
+    a = tri.ravel()
+    b = tri[:, [1, 2, 0]].ravel()
+    keys, counts = np.unique(
+        np.minimum(a, b) * base + np.maximum(a, b), return_counts=True
+    )
+    return keys, counts, base
+
+
+def _edge_keys(edges, base):
+    """Keys of an (n, 2) node-pair array in the encoding of _edge_table."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return e.min(axis=1) * base + e.max(axis=1)
 
 
 def _validate(mesh, area_tol_rel=1e-12):
@@ -190,25 +205,24 @@ def _validate(mesh, area_tol_rel=1e-12):
         raise MeshFormatError(
             f"element {bad[0]} has non-positive area (nodes must be CCW)"
         )
-    edges = _edge_counts(mesh.elements)
+    keys, _, base = _edge_table(mesh.elements)
     for frac in mesh.fractures:
         if len(frac.nodes) < 2:
             raise NonConformingPathError(f"fracture {frac.id} has fewer than 2 nodes")
-        for a, b in zip(frac.nodes[:-1], frac.nodes[1:]):
-            if _edge_key(a, b) not in edges:
-                raise NonConformingPathError(
-                    f"fracture {frac.id}: segment {a}-{b} is not a mesh edge"
-                )
+        seg = np.column_stack([frac.nodes[:-1], frac.nodes[1:]]).astype(np.int64)
+        known = ((seg >= 0) & (seg < base)).all(axis=1)
+        bad = np.flatnonzero(~(known & np.isin(_edge_keys(seg, base), keys)))
+        if bad.size:
+            a, b = seg[bad[0]]
+            raise NonConformingPathError(
+                f"fracture {frac.id}: segment {a}-{b} is not a mesh edge"
+            )
 
 
 def _boundary_nodes(elements):
-    counts = _edge_counts(elements)
-    out = set()
-    for (a, b), c in counts.items():
-        if c == 1:
-            out.add(a)
-            out.add(b)
-    return out
+    keys, counts, base = _edge_table(elements)
+    single = keys[counts == 1]
+    return set(np.union1d(single // base, single % base).tolist())
 
 
 def _mark_through_going(mesh):
@@ -861,11 +875,12 @@ def external_boundary_edges(mesh):
     """
     if mesh.split_done and mesh.fractures and not mesh.chains:
         raise ValueError("build_contact_pairs must run before boundary queries")
-    counts = _edge_counts(mesh.elements)
-    faces = fracture_face_edges(mesh) if mesh.chains else set()
-    edges = [e for e, c in counts.items() if c == 1 and e not in faces]
-    edges.sort()
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+    keys, counts, base = _edge_table(mesh.elements)
+    single = keys[counts == 1]
+    if mesh.chains:
+        faces = _edge_keys(list(fracture_face_edges(mesh)), base)
+        single = single[~np.isin(single, faces)]
+    return np.column_stack([single // base, single % base])
 
 
 def select_boundary_edges(mesh, side, tol=1e-9):
@@ -886,10 +901,5 @@ def select_boundary_edges(mesh, side, tol=1e-9):
         "bottom": (1, lo[1]),
         "top": (1, hi[1]),
     }[side]
-    keep = []
-    for a, b in edges:
-        if abs(mesh.nodes[a, axis] - value) <= t and abs(
-            mesh.nodes[b, axis] - value
-        ) <= t:
-            keep.append((a, b))
-    return np.array(keep, dtype=np.int64).reshape(-1, 2)
+    on_side = np.abs(mesh.nodes[edges, axis] - value) <= t
+    return edges[on_side.all(axis=1)]

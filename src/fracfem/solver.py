@@ -136,17 +136,18 @@ def _full_residual(K, blocks, F, U, lam):
     return ru, rlam
 
 
-def build_system(mesh, mat, fric, bcs, state, step=None, K=None):
+def build_system(mesh, mat, fric, bcs, state, step=None, K=None, n_steps=1):
     """Assemble the reduced saddle system for the current states/iterate.
 
     The caller must have written the prescribed Dirichlet values into
     ``state.U`` beforehand (then the fixed increments are identically zero
-    and elimination is a plain row/column restriction).
+    and elimination is a plain row/column restriction).  ``step`` of
+    ``n_steps`` selects the load level (see ``BoundaryCondition.scale``).
     """
     if K is None:
         K = assemble_stiffness(mesh, mat)
-    F = assemble_loads(mesh, bcs, step=step)
-    fixed, fixed_vals = dirichlet_constraints(mesh, bcs, step=step)
+    F = assemble_loads(mesh, bcs, step=step, n_steps=n_steps)
+    fixed, fixed_vals = dirichlet_constraints(mesh, bcs, step=step, n_steps=n_steps)
     blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
 
     n2 = 2 * mesh.n_nodes
@@ -204,36 +205,93 @@ def build_preconditioner(sys):
     return Preconditioner(a=norms[: sys.n_disp], b=norms[sys.n_disp :])
 
 
-def linear_solve(sys, pc, config=None):
+def _same_bits(a, b):
+    """True when two arrays hold bit-identical contents."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    kind = f"u{a.dtype.itemsize}"
+    return bool(np.array_equal(a.view(kind), b.view(kind)))
+
+
+class FactorCache:
+    """The last LU factorization of a run, reused while the Jacobian repeats.
+
+    A solve is served from the cache only when its ``J`` (``indptr``,
+    ``indices`` and ``data``) and its row scaling are bit-identical to the
+    ones last factored; that happens when the contact-state assignment is
+    unchanged across a Newton iteration or a load step.  On a miss the old
+    factor is released before the new one is computed, so at most one
+    factorization is alive at a time.  ``J`` is kept by reference: a
+    Jacobian handed to the cache must not be modified in place afterwards.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.J = self.diag = self.Jbar = self.absJ = self.lu = None
+
+    def _hit(self, J, diag):
+        return self.lu is not None and all(
+            _same_bits(a, b)
+            for a, b in (
+                (J.indptr, self.J.indptr),
+                (J.indices, self.J.indices),
+                (J.data, self.J.data),
+                (diag, self.diag),
+            )
+        )
+
+    def factor(self, J, pc):
+        """Make the cache hold the factorization of ``pc``-scaled ``J``."""
+        diag = pc.diag
+        if self._hit(J, diag):
+            return
+        self.clear()
+        Jbar = pc.apply_matrix(J).tocsc()
+        try:
+            # minimum degree on the pattern of A + A^T: the saddle pattern is
+            # nearly symmetric, and this ordering needs a third of the fill
+            # of SuperLU's default COLAMD
+            lu = spla.splu(Jbar, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+        absJ = Jbar.copy()
+        absJ.data = np.abs(absJ.data)
+        self.J, self.diag, self.Jbar, self.absJ, self.lu = J, diag, Jbar, absJ, lu
+
+
+def linear_solve(sys, pc, config=None, cache=None):
     """Solve J dx = -R through the row-scaled system.
 
-    The direct path must reach a 1e-10 backward error on the
-    row-equilibrated system (equivalent to the relative-residual contract
-    whenever that quantity is evaluable in double precision); the iterative
+    The direct path factors ``Jbar = diag(1/pc) J`` with SuperLU under a
+    minimum-degree ordering of ``Jbar + Jbar^T``, then refines iteratively
+    until the backward error on the row-equilibrated system reaches 1e-10
+    (equivalent to the relative-residual contract whenever that quantity is
+    evaluable in double precision).  With a :class:`FactorCache` the
+    factorization is reused while ``J`` and the row scaling stay
+    bit-identical; without one every call factors afresh.  The iterative
     path uses GMRES at the configured tolerance and reports the iteration
     count on failure.
     """
     rnorm = float(np.linalg.norm(sys.R))
     if rnorm == 0.0:
         return np.zeros_like(sys.R)
-    Jbar = pc.apply_matrix(sys.J).tocsc()
     rhs = -pc.apply_vector(sys.R)
 
     method = "direct" if config is None else config.linear_solver
     if method == "direct":
-        try:
-            lu = spla.splu(Jbar)
-            dx = lu.solve(rhs)
-        except RuntimeError as exc:
-            raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+        if cache is None:
+            cache = FactorCache()
+        cache.factor(sys.J, pc)
+        Jbar, absJ, lu = cache.Jbar, cache.absJ, cache.lu
+        dx = lu.solve(rhs)
         # Accuracy control on the row-equilibrated system, where every row
         # is O(1): the backward error |Jbar dx - rhs| / (|rhs| + |Jbar||dx|).
         # Dividing the raw residual by |R| alone is not evaluable below the
         # cancellation floor once a state change makes the solution jump
         # much larger than the residual; iterative refinement with the same
         # factorization recovers the digits a single pass loses.
-        absJ = Jbar.copy()
-        absJ.data = np.abs(absJ.data)
         rhs_norm = float(np.linalg.norm(rhs))
 
         def backward_error(v):
@@ -256,6 +314,7 @@ def linear_solve(sys, pc, config=None):
             )
         return dx
 
+    Jbar = pc.apply_matrix(sys.J).tocsc()
     count = {"it": 0}
 
     def cb(_):
@@ -332,14 +391,15 @@ def _cautious_update(mesh, states, proposed, U, lam, fric, seen):
     return None
 
 
-def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None):
+def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None, cache=None):
     """Monolithic-updated active-set loop for one load step.
 
     Inner Newton iterations run until the residual 2-norm drops below the
     tolerance, then all pair states are reclassified against the converged
     iterate; any change re-enters Newton.  Failure modes (iteration caps,
     divergence, state cycling) return a non-converged SolutionState with
-    diagnostics, never a silent success.
+    diagnostics, never a silent success.  ``cache`` carries the last
+    factorization over from earlier calls (a fresh one is used when absent).
     """
     n2 = 2 * mesh.n_nodes
     m2 = 2 * mesh.n_pairs
@@ -354,7 +414,10 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None):
 
     if K is None:
         K = assemble_stiffness(mesh, mat)
-    fixed, fixed_vals = dirichlet_constraints(mesh, bcs, step=step)
+    if cache is None:
+        cache = FactorCache()
+    n_steps = cfg.n_load_steps
+    fixed, fixed_vals = dirichlet_constraints(mesh, bcs, step=step, n_steps=n_steps)
     U[fixed] = fixed_vals
 
     result = SolutionState(U=U, lam=lam, states=states, step=step or 0)
@@ -363,7 +426,9 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None):
 
     for loop in range(1, cfg.max_state_loops + 1):
         result.state_loops = loop
-        sys = build_system(mesh, mat, fric, bcs, result, step=step, K=K)
+        sys = build_system(
+            mesh, mat, fric, bcs, result, step=step, K=K, n_steps=n_steps
+        )
         rnorm0 = None
         phase_ok = False
         # After a state change the fresh constraint rows can sit below the
@@ -387,7 +452,7 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None):
                 return result
             try:
                 pc = build_preconditioner(sys)
-                dx = linear_solve(sys, pc, cfg)
+                dx = linear_solve(sys, pc, cfg, cache=cache)
             except (SingularRowError, LinearSolveError) as exc:
                 result.message = str(exc)
                 return result
@@ -427,12 +492,19 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None):
 
 
 def run_load_steps(mesh, mat, fric, bcs, cfg):
-    """Sequential proportional load steps, each warm-started from the last."""
+    """Sequential proportional load steps, each warm-started from the last.
+
+    One :class:`FactorCache` spans all steps, so a step whose Jacobian
+    repeats the previous solve's reuses its factorization.
+    """
     K = assemble_stiffness(mesh, mat)
+    cache = FactorCache()
     results = []
     warm = None
     for step in range(cfg.n_load_steps):
-        res = newton_loop(mesh, mat, fric, bcs, cfg, warm=warm, step=step, K=K)
+        res = newton_loop(
+            mesh, mat, fric, bcs, cfg, warm=warm, step=step, K=K, cache=cache
+        )
         res.step = step
         results.append(res)
         if not res.converged:
@@ -442,12 +514,12 @@ def run_load_steps(mesh, mat, fric, bcs, cfg):
     return results
 
 
-def reaction_forces(mesh, mat, fric, bcs, result, step=None, K=None):
+def reaction_forces(mesh, mat, fric, bcs, result, step=None, K=None, n_steps=1):
     """Residual at the Dirichlet dofs = negated support reactions."""
     if K is None:
         K = assemble_stiffness(mesh, mat)
-    F = assemble_loads(mesh, bcs, step=step)
-    fixed, _ = dirichlet_constraints(mesh, bcs, step=step)
+    F = assemble_loads(mesh, bcs, step=step, n_steps=n_steps)
+    fixed, _ = dirichlet_constraints(mesh, bcs, step=step, n_steps=n_steps)
     blocks = assemble_contact_blocks(mesh, result.states, fric, fixed_dofs=fixed)
     ru, _ = _full_residual(K, blocks, F, result.U, result.lam)
     return fixed, ru[fixed]

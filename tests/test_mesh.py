@@ -341,3 +341,125 @@ class TestBoundaryQueries:
         top = select_boundary_edges(m, "top")
         assert len(top) == 4
         assert np.allclose(m.nodes[top.ravel()][:, 1], 2.0)
+
+
+# Reference boundary queries: the per-element dict loops the edge table
+# replaced, kept verbatim so the vectorized versions are checked against
+# them edge for edge, order included.
+def _ref_edge_key(a, b):
+    return (a, b) if a < b else (b, a)
+
+
+def _ref_edge_counts(elements):
+    counts = {}
+    for tri in elements:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            counts[_ref_edge_key(a, b)] = counts.get(_ref_edge_key(a, b), 0) + 1
+    return counts
+
+
+def _ref_boundary_nodes(elements):
+    out = set()
+    for (a, b), c in _ref_edge_counts(elements).items():
+        if c == 1:
+            out.add(a)
+            out.add(b)
+    return out
+
+
+def _ref_external_boundary_edges(mesh):
+    from fracfem.mesh import fracture_face_edges
+
+    counts = _ref_edge_counts(mesh.elements)
+    faces = fracture_face_edges(mesh) if mesh.chains else set()
+    edges = [e for e, c in counts.items() if c == 1 and e not in faces]
+    edges.sort()
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _ref_select(mesh, edges, side, tol=1e-9):
+    lo = mesh.nodes.min(axis=0)
+    hi = mesh.nodes.max(axis=0)
+    t = tol * max(hi[0] - lo[0], hi[1] - lo[1])
+    axis, value = {
+        "left": (0, lo[0]),
+        "right": (0, hi[0]),
+        "bottom": (1, lo[1]),
+        "top": (1, hi[1]),
+    }[side]
+    keep = []
+    for a, b in edges:
+        if abs(mesh.nodes[a, axis] - value) <= t and abs(
+            mesh.nodes[b, axis] - value
+        ) <= t:
+            keep.append((a, b))
+    return np.array(keep, dtype=np.int64).reshape(-1, 2)
+
+
+def _file_mesh(tmp_path):
+    mesh = generate_rect_mesh(
+        4.0, 4.0, 8, 8, fractures=[(1.0, 2.0, 3.0, 2.0), (2.0, 1.0, 2.0, 3.0)]
+    )
+    path = tmp_path / "cross.msh"
+    save_mesh(mesh, path)
+    return built(load_mesh(path))
+
+
+class TestEdgeTable:
+    def assert_matches_reference(self, mesh):
+        from fracfem.mesh import _boundary_nodes
+
+        assert _boundary_nodes(mesh.elements) == _ref_boundary_nodes(mesh.elements)
+        ref = _ref_external_boundary_edges(mesh)
+        got = external_boundary_edges(mesh)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ref)
+        for side in ("left", "right", "bottom", "top"):
+            sel = select_boundary_edges(mesh, side)
+            assert sel.dtype == np.int64 and sel.shape[1] == 2
+            np.testing.assert_array_equal(sel, _ref_select(mesh, ref, side))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["inclined-crack", "shear-throughgoing", "sneddon",
+         "crossing-single", "crossing-multi"],
+    )
+    def test_preset_meshes(self, name):
+        from fracfem import presets
+        from fracfem.config import build_mesh
+
+        self.assert_matches_reference(build_mesh(presets.get(name)))
+
+    def test_file_mesh(self, tmp_path):
+        self.assert_matches_reference(_file_mesh(tmp_path))
+
+    def test_query_before_split_and_after_pairs(self):
+        raw = generate_rect_mesh(
+            2.0, 2.0, 8, 8, fractures=[(0.0, 1.0, 2.0, 1.0)]
+        )
+        self.assert_matches_reference(raw)
+        before = external_boundary_edges(raw)
+        assert len(before) == 32  # unsplit: the fracture is interior
+        split = split_fractures(raw)
+        with pytest.raises(ValueError, match="build_contact_pairs"):
+            external_boundary_edges(split)
+        m = build_contact_pairs(split)
+        self.assert_matches_reference(m)
+        after = external_boundary_edges(m)
+        # splitting the through-going path renumbers one end of the edges
+        # beside its endpoints; the fracture faces are not external
+        assert len(after) == 32
+        assert after.max() >= raw.n_nodes
+        np.testing.assert_array_equal(external_boundary_edges(raw), before)
+
+    def test_non_conforming_segment_rejected_by_table(self):
+        m = generate_rect_mesh(1.0, 1.0, 2, 2)
+        bad = Mesh(nodes=m.nodes, elements=m.elements,
+                   fractures=[FracturePath(id=0, nodes=[0, 8])])
+        with pytest.raises(NonConformingPathError, match="0-8"):
+            split_fractures(bad)
+        beyond = Mesh(nodes=m.nodes, elements=m.elements,
+                      fractures=[FracturePath(id=0, nodes=[2, 13])])
+        # key 2*9 + 13 would alias the real edge 3-4 without the range check
+        with pytest.raises(NonConformingPathError, match="2-13"):
+            split_fractures(beyond)

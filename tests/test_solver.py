@@ -9,10 +9,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracfem import solver
 from fracfem.contact import FrictionParams, PairState, StateKind
 from fracfem.elasticity import BoundaryCondition, MaterialParams
 from fracfem.mesh import build_contact_pairs, generate_rect_mesh, split_fractures
 from fracfem.solver import (
+    FactorCache,
     LinearSolveError,
     Preconditioner,
     SaddleSystem,
@@ -346,6 +348,32 @@ class TestLoadSteps:
         ref = np.linalg.norm(one.U)
         assert np.linalg.norm(four[-1].U - one.U) <= 1e-8 * ref
 
+    def test_default_ramp_is_proportional(self, monkeypatch):
+        mesh, cfg = small_inclined_setup()
+        assert all(bc.ramp is None for bc in cfg.bcs)
+        assert [cfg.bcs[0].scale(k, 4) for k in range(4)] == [0.25, 0.5, 0.75, 1.0]
+        one = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
+                             SolverConfig(n_load_steps=1))[-1]
+        loads = {}
+        real = solver.assemble_loads
+
+        def record(mesh_, bcs_, step=None, **kw):
+            F = real(mesh_, bcs_, step=step, **kw)
+            loads[step] = F
+            return F
+
+        monkeypatch.setattr(solver, "assemble_loads", record)
+        four = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
+                              SolverConfig(n_load_steps=4))
+        assert all(r.converged for r in four)
+        full = real(mesh, cfg.bcs)
+        assert np.abs(full).max() > 0.0
+        for k, factor in enumerate([0.25, 0.5, 0.75, 1.0]):
+            np.testing.assert_allclose(loads[k], factor * full, rtol=1e-14,
+                                       atol=1e-14 * np.abs(full).max())
+        ref = np.linalg.norm(one.U)
+        assert np.linalg.norm(four[-1].U - one.U) <= 1e-8 * ref
+
     def test_increasing_shear_series_monotone_slip(self):
         # embedded horizontal fracture under constant compression and
         # stepwise increasing shear: the peak slip never decreases
@@ -391,3 +419,92 @@ class TestLoadSteps:
         assert not res[0].converged
         assert res[0].message.startswith("step 0")
         assert len(res) == 1
+
+
+class TestFactorCache:
+    """The factorization is reused exactly while J and its scaling repeat."""
+
+    @staticmethod
+    def count_splu(monkeypatch):
+        calls = []
+        real = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("permc_spec"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        return calls
+
+    @staticmethod
+    def ramped_run():
+        mesh, cfg = small_inclined_setup()
+        return run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
+                              SolverConfig(n_load_steps=4))
+
+    def test_one_factorization_per_distinct_jacobian(self, monkeypatch):
+        calls = self.count_splu(monkeypatch)
+        keys = []
+        real = solver.linear_solve
+
+        def record(sys, pc, *args, **kwargs):
+            keys.append(b"|".join(
+                a.tobytes() for a in
+                (sys.J.indptr, sys.J.indices, sys.J.data, pc.diag)
+            ))
+            return real(sys, pc, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "linear_solve", record)
+        results = self.ramped_run()
+        assert all(r.converged for r in results)
+        distinct = sum(1 for k, key in enumerate(keys)
+                       if k == 0 or key != keys[k - 1])
+        assert len(keys) == sum(r.newton_iters for r in results)
+        assert len(calls) == distinct < len(keys)
+        assert set(calls) == {"MMD_AT_PLUS_A"}
+
+    def test_reuse_is_bit_identical_to_refactoring(self, monkeypatch):
+        cached = self.ramped_run()
+        calls = self.count_splu(monkeypatch)
+        monkeypatch.setattr(FactorCache, "_hit", lambda self, J, diag: False)
+        fresh = self.ramped_run()
+        assert len(calls) == sum(r.newton_iters for r in fresh)
+        for a, b in zip(cached, fresh):
+            np.testing.assert_array_equal(a.U, b.U)
+            np.testing.assert_array_equal(a.lam, b.lam)
+
+    def test_changed_row_scaling_is_not_served_from_cache(self, monkeypatch):
+        mesh, cfg = small_inclined_setup()
+        sys = make_system(mesh, cfg)
+        row_norm = build_preconditioner(sys)
+        identity = Preconditioner(a=np.ones(sys.n_disp), b=np.ones(sys.n_lam))
+        calls = self.count_splu(monkeypatch)
+        cache = FactorCache()
+        scaled = linear_solve(sys, row_norm, cache=cache)
+        assert len(calls) == 1
+        again = linear_solve(sys, row_norm, cache=cache)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(again, scaled)
+        plain = linear_solve(sys, identity, cache=cache)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(cache.diag, identity.diag)
+        back = linear_solve(sys, row_norm, cache=cache)
+        assert len(calls) == 3
+        np.testing.assert_array_equal(back, scaled)
+        np.testing.assert_array_equal(
+            plain, linear_solve(sys, identity, cache=FactorCache())
+        )
+
+    def test_changed_jacobian_values_are_not_served_from_cache(self, monkeypatch):
+        mesh, cfg = small_inclined_setup()
+        sys = make_system(mesh, cfg)
+        pc = build_preconditioner(sys)
+        calls = self.count_splu(monkeypatch)
+        cache = FactorCache()
+        linear_solve(sys, pc, cache=cache)
+        J2 = sys.J.copy()
+        J2.data[0] = np.nextafter(J2.data[0], np.inf)  # one ulp, same pattern
+        sys2 = SaddleSystem(**{**sys.__dict__, "J": J2})
+        linear_solve(sys2, pc, cache=cache)
+        assert len(calls) == 2
+        assert cache.J is J2
