@@ -51,7 +51,6 @@ from .oracles import (
     sneddon_opening,
 )
 from .solver import (
-    Preconditioner,
     SaddleSystem,
     SolutionState,
     SolverConfig,

@@ -131,10 +131,6 @@ def main(argv=None):
         prog="fracfem",
         description="2D frictional contact on fractured media",
     )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads (only 1 is implemented; >1 falls back to serial)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run a YAML configuration")
@@ -153,8 +149,6 @@ def main(argv=None):
     p.set_defaults(func=cmd_mesh_info)
 
     args = parser.parse_args(argv)
-    if args.threads > 1:
-        print("note: parallel assembly is not implemented; running serially")
     try:
         return args.func(args)
     except (ConfigError, MeshFormatError, NonConformingPathError, OSError) as exc:

@@ -152,15 +152,15 @@ def _parse_solver(raw):
     raw = raw or {}
     if not isinstance(raw, dict):
         raise ConfigError("solver: must be a mapping")
+    unknown = set(raw) - {"newton_tol", "max_newton", "max_state_loops", "n_load_steps"}
+    if unknown:
+        raise ConfigError(f"solver: unknown keys {sorted(unknown)}")
     try:
         return SolverConfig(
             newton_tol=float(raw.get("newton_tol", 1e-4)),
             max_newton=int(raw.get("max_newton", 50)),
             max_state_loops=int(raw.get("max_state_loops", 20)),
             n_load_steps=int(raw.get("n_load_steps", 1)),
-            linear_solver=raw.get("linear_solver", "direct"),
-            iterative_tol=float(raw.get("iterative_tol", 1e-10)),
-            iterative_maxiter=int(raw.get("iterative_maxiter", 5000)),
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
@@ -250,9 +250,6 @@ def serialize_config(config):
             "max_newton": config.solver.max_newton,
             "max_state_loops": config.solver.max_state_loops,
             "n_load_steps": config.solver.n_load_steps,
-            "linear_solver": config.solver.linear_solver,
-            "iterative_tol": config.solver.iterative_tol,
-            "iterative_maxiter": config.solver.iterative_maxiter,
         },
         "outputs": list(config.outputs),
     }

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import external_boundary_edges, select_boundary_edges
+from .mesh import select_boundary_edges
 
 
 class ConfigError(ValueError):
@@ -115,13 +115,6 @@ def _b_matrices(mesh):
     return B, areas
 
 
-def element_stiffness(mesh, elem_id, D):
-    """6x6 stiffness of one triangle: area * B^T D B."""
-    B, areas = _b_matrices(mesh)
-    Be = B[elem_id]
-    return areas[elem_id] * (Be.T @ D @ Be)
-
-
 def assemble_stiffness(mesh, mat):
     """Global sparse stiffness, 2 dofs per node, deterministic scatter-add."""
     D = plane_strain_D(mat)
@@ -162,7 +155,7 @@ def _resolve_edges(mesh, bc):
     return edges
 
 
-def assemble_loads(mesh, bcs, step=None, body_force=None, n_steps=1):
+def assemble_loads(mesh, bcs, step=None, n_steps=1):
     """Consistent nodal load vector for all Neumann-type conditions.
 
     Edge tractions use 2-point Gauss along each boundary segment (exact here
@@ -210,16 +203,6 @@ def assemble_loads(mesh, bcs, step=None, body_force=None, n_steps=1):
         else:
             raise ConfigError(f"unknown bc kind {bc.kind!r}")
 
-    if body_force is not None:
-        f = np.asarray(body_force, dtype=float)
-        x = mesh.nodes[mesh.elements]
-        areas = 0.5 * np.abs(
-            (x[:, 1, 0] - x[:, 0, 0]) * (x[:, 2, 1] - x[:, 0, 1])
-            - (x[:, 2, 0] - x[:, 0, 0]) * (x[:, 1, 1] - x[:, 0, 1])
-        )
-        for e, tri in enumerate(mesh.elements):
-            for n in tri:
-                F[2 * n : 2 * n + 2] += f * areas[e] / 3.0
     return F
 
 
@@ -260,23 +243,3 @@ def dirichlet_constraints(mesh, bcs, step=None, n_steps=1):
     vals = np.array([fixed[i] for i in idx])
     return idx, vals
 
-
-def validate_bc_targets(mesh, bcs):
-    """Dirichlet and Neumann boundary-edge sets must not overlap."""
-    dir_edges = set()
-    neu_edges = set()
-    for bc in bcs:
-        if bc.side is None:
-            continue
-        edges = {tuple(sorted(e)) for e in select_boundary_edges(mesh, bc.side)}
-        if bc.kind == "dirichlet":
-            dir_edges |= edges
-        elif bc.kind == "neumann":
-            neu_edges |= edges
-    overlap = dir_edges & neu_edges
-    if overlap:
-        raise ConfigError(
-            f"Dirichlet and Neumann edge sets overlap on {len(overlap)} edges"
-        )
-    _ = external_boundary_edges(mesh)
-    return True

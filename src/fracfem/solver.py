@@ -47,16 +47,11 @@ class SolverConfig:
     max_newton: int = 50
     max_state_loops: int = 20
     n_load_steps: int = 1
-    linear_solver: str = "direct"  # "direct" | "iterative"
-    iterative_tol: float = 1e-10
-    iterative_maxiter: int = 5000
     state_tol: StateTolerances = field(default_factory=StateTolerances)
 
     def __post_init__(self):
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
-        if self.linear_solver not in ("direct", "iterative"):
-            raise ValueError(f"unknown linear solver {self.linear_solver!r}")
 
 
 @dataclass
@@ -79,28 +74,24 @@ class SolutionState:
 class SaddleSystem:
     """Reduced block-2x2 Jacobian and residual at one iterate.
 
-    Displacement dofs come first (Dirichlet rows/columns eliminated), then
-    the multiplier dofs.  The multiplier unknowns are carried
-    nondimensionalized as lam/mult_scale with the multiplier equations
-    scaled by mult_scale (a symmetric constant scaling by the elastic
-    modulus): tractions in Pa against displacements in meters would
+    Displacement dofs come first (Dirichlet rows/columns eliminated; ``free``
+    lists the kept ones), then the multiplier dofs.  The multiplier unknowns
+    are carried nondimensionalized as lam/mult_scale with the multiplier
+    equations scaled by mult_scale (a symmetric constant scaling by the
+    elastic modulus): tractions in Pa against displacements in meters would
     otherwise leave the assembled Jacobian with a condition number around
     1e13 that no row equilibration can repair.  All public quantities stay
     physical; only this system and its increments live in the scaled
-    variable.  ``K``, ``blocks`` and ``F`` are kept for residual
-    re-evaluation and reaction-force queries.
+    variable.  ``blocks`` are the contact blocks ``J`` was built from; the
+    Newton loop re-forms ``R`` from them after each solve.
     """
 
     J: sp.csr_matrix
     R: np.ndarray
     free: np.ndarray
-    fixed: np.ndarray
-    fixed_vals: np.ndarray
     n_disp: int
     n_lam: int
-    K: sp.csr_matrix
     blocks: object
-    F: np.ndarray
     mult_scale: float = 1.0
     # residual in physical units (forces / gap integrals); the convergence
     # norm lives here because the scaled multiplier rows of R have a
@@ -108,56 +99,40 @@ class SaddleSystem:
     R_phys: np.ndarray | None = None
 
 
-@dataclass
-class Preconditioner:
-    """Left row scaling: diagonal inverse 2-norms of the Jacobian rows.
+def step_data(mesh, bcs, step, n_steps):
+    """(F, fixed, fixed_vals, free) of load step ``step`` of ``n_steps``.
 
-    ``a`` covers the displacement-equation rows (stiffness + coupling),
-    ``b`` the multiplier-equation rows.
+    The load vector, the Dirichlet dofs with their values and the free dofs
+    stay the same for every state loop of a load step, so they are built
+    once per step (see ``BoundaryCondition.scale`` for the load level).
     """
-
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def diag(self):
-        return np.concatenate([self.a, self.b])
-
-    def apply_matrix(self, J):
-        return sp.diags(1.0 / self.diag) @ J
-
-    def apply_vector(self, R):
-        return R / self.diag
+    fixed, fixed_vals = dirichlet_constraints(mesh, bcs, step=step, n_steps=n_steps)
+    F = assemble_loads(mesh, bcs, step=step, n_steps=n_steps)
+    free = np.setdiff1d(np.arange(2 * mesh.n_nodes, dtype=np.int64), fixed)
+    return F, fixed, fixed_vals, free
 
 
-def _full_residual(K, blocks, F, U, lam):
+def _reduced_residual(K, blocks, F, U, lam, free, s):
+    """(scaled, physical) residual on the free dofs and the multipliers."""
     ru_c, rlam = contact_residuals(blocks, U, lam)
-    ru = K @ U + ru_c - F
-    return ru, rlam
+    ru = (K @ U + ru_c - F)[free]
+    return np.concatenate([ru, s * rlam]), np.concatenate([ru, rlam])
 
 
-def build_system(mesh, mat, fric, bcs, state, step=None, K=None, n_steps=1):
+def build_system(mesh, mat, fric, state, K, F, fixed, free):
     """Assemble the reduced saddle system for the current states/iterate.
 
-    The caller must have written the prescribed Dirichlet values into
-    ``state.U`` beforehand (then the fixed increments are identically zero
-    and elimination is a plain row/column restriction).  ``step`` of
-    ``n_steps`` selects the load level (see ``BoundaryCondition.scale``).
+    ``F``, ``fixed`` and ``free`` come from :func:`step_data`.  The caller
+    must have written the prescribed Dirichlet values into ``state.U``
+    beforehand (then the fixed increments are identically zero and
+    elimination is a plain row/column restriction).
     """
-    if K is None:
-        K = assemble_stiffness(mesh, mat)
-    F = assemble_loads(mesh, bcs, step=step, n_steps=n_steps)
-    fixed, fixed_vals = dirichlet_constraints(mesh, bcs, step=step, n_steps=n_steps)
     blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
 
     n2 = 2 * mesh.n_nodes
     m2 = 2 * mesh.n_pairs
-    free = np.setdiff1d(np.arange(n2, dtype=np.int64), fixed)
-
     s = mat.E  # multiplier nondimensionalization (see SaddleSystem docs)
-    ru, rlam = _full_residual(K, blocks, F, state.U, state.lam)
-    R = np.concatenate([ru[free], s * rlam])
-    R_phys = np.concatenate([ru[free], rlam])
+    R, R_phys = _reduced_residual(K, blocks, F, state.U, state.lam, free, s)
 
     if m2:
         J_full = sp.bmat(
@@ -173,13 +148,9 @@ def build_system(mesh, mat, fric, bcs, state, step=None, K=None, n_steps=1):
         J=J,
         R=R,
         free=free,
-        fixed=fixed,
-        fixed_vals=fixed_vals,
         n_disp=free.size,
         n_lam=m2,
-        K=K,
         blocks=blocks,
-        F=F,
         mult_scale=s,
         R_phys=R_phys,
     )
@@ -194,7 +165,11 @@ def _dof_description(sys, row):
 
 
 def build_preconditioner(sys):
-    """Row 2-norms of the assembled Jacobian; zero rows are an error."""
+    """Row 2-norms of the assembled Jacobian, the left scaling of the solve.
+
+    Returns one vector over all rows (displacement rows, then multiplier
+    rows); a zero row is an error.
+    """
     sq = sys.J.multiply(sys.J)
     norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
     zero = np.where(norms == 0.0)[0]
@@ -202,7 +177,7 @@ def build_preconditioner(sys):
         raise SingularRowError(
             f"zero Jacobian row: {_dof_description(sys, int(zero[0]))}"
         )
-    return Preconditioner(a=norms[: sys.n_disp], b=norms[sys.n_disp :])
+    return norms
 
 
 def _same_bits(a, b):
@@ -243,12 +218,11 @@ class FactorCache:
         )
 
     def factor(self, J, pc):
-        """Make the cache hold the factorization of ``pc``-scaled ``J``."""
-        diag = pc.diag
-        if self._hit(J, diag):
+        """Make the cache hold the factorization of ``diag(1/pc) J``."""
+        if self._hit(J, pc):
             return
         self.clear()
-        Jbar = pc.apply_matrix(J).tocsc()
+        Jbar = (sp.diags(1.0 / pc) @ J).tocsc()
         try:
             # minimum degree on the pattern of A + A^T: the saddle pattern is
             # nearly symmetric, and this ordering needs a third of the fill
@@ -258,83 +232,55 @@ class FactorCache:
             raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
         absJ = Jbar.copy()
         absJ.data = np.abs(absJ.data)
-        self.J, self.diag, self.Jbar, self.absJ, self.lu = J, diag, Jbar, absJ, lu
+        self.J, self.diag, self.Jbar, self.absJ, self.lu = J, pc, Jbar, absJ, lu
 
 
-def linear_solve(sys, pc, config=None, cache=None):
-    """Solve J dx = -R through the row-scaled system.
+def linear_solve(sys, pc, cache=None):
+    """Solve J dx = -R through the row-scaled system with SuperLU.
 
-    The direct path factors ``Jbar = diag(1/pc) J`` with SuperLU under a
-    minimum-degree ordering of ``Jbar + Jbar^T``, then refines iteratively
-    until the backward error on the row-equilibrated system reaches 1e-10
-    (equivalent to the relative-residual contract whenever that quantity is
-    evaluable in double precision).  With a :class:`FactorCache` the
-    factorization is reused while ``J`` and the row scaling stay
-    bit-identical; without one every call factors afresh.  The iterative
-    path uses GMRES at the configured tolerance and reports the iteration
-    count on failure.
+    SuperLU is the only linear solver.  It factors ``Jbar = diag(1/pc) J``
+    under a minimum-degree ordering of ``Jbar + Jbar^T``, then refines
+    iteratively until the backward error on the row-equilibrated system
+    reaches 1e-10 (equivalent to the relative-residual contract whenever
+    that quantity is evaluable in double precision); a larger error raises
+    :class:`LinearSolveError`.  With a :class:`FactorCache` the
+    factorization is reused while ``J`` and the row scaling ``pc`` stay
+    bit-identical; without one every call factors afresh.
     """
-    rnorm = float(np.linalg.norm(sys.R))
-    if rnorm == 0.0:
+    if float(np.linalg.norm(sys.R)) == 0.0:
         return np.zeros_like(sys.R)
-    rhs = -pc.apply_vector(sys.R)
+    rhs = -sys.R / pc
 
-    method = "direct" if config is None else config.linear_solver
-    if method == "direct":
-        if cache is None:
-            cache = FactorCache()
-        cache.factor(sys.J, pc)
-        Jbar, absJ, lu = cache.Jbar, cache.absJ, cache.lu
-        dx = lu.solve(rhs)
-        # Accuracy control on the row-equilibrated system, where every row
-        # is O(1): the backward error |Jbar dx - rhs| / (|rhs| + |Jbar||dx|).
-        # Dividing the raw residual by |R| alone is not evaluable below the
-        # cancellation floor once a state change makes the solution jump
-        # much larger than the residual; iterative refinement with the same
-        # factorization recovers the digits a single pass loses.
-        rhs_norm = float(np.linalg.norm(rhs))
+    if cache is None:
+        cache = FactorCache()
+    cache.factor(sys.J, pc)
+    Jbar, absJ, lu = cache.Jbar, cache.absJ, cache.lu
+    dx = lu.solve(rhs)
+    # Accuracy control on the row-equilibrated system, where every row is
+    # O(1): the backward error |Jbar dx - rhs| / (|rhs| + |Jbar||dx|).
+    # Dividing the raw residual by |R| alone is not evaluable below the
+    # cancellation floor once a state change makes the solution jump much
+    # larger than the residual; iterative refinement with the same
+    # factorization recovers the digits a single pass loses.
+    rhs_norm = float(np.linalg.norm(rhs))
 
-        def backward_error(v):
-            denom = rhs_norm + float(np.linalg.norm(absJ @ np.abs(v)))
-            return float(np.linalg.norm(Jbar @ v - rhs)) / denom
+    def backward_error(v):
+        denom = rhs_norm + float(np.linalg.norm(absJ @ np.abs(v)))
+        return float(np.linalg.norm(Jbar @ v - rhs)) / denom
 
-        rel = backward_error(dx)
-        for _ in range(10):
-            if not np.isfinite(rel) or rel <= 2e-16:
-                break
-            cand = dx - lu.solve(Jbar @ dx - rhs)
-            cand_rel = backward_error(cand)
-            if not cand_rel < rel:
-                break
-            dx, rel = cand, cand_rel
-        if not np.isfinite(rel) or rel > 1e-10:
-            raise LinearSolveError(
-                f"direct solve backward error {rel:.3e} exceeds 1e-10 "
-                "(structurally singular system?)"
-            )
-        return dx
-
-    Jbar = pc.apply_matrix(sys.J).tocsc()
-    count = {"it": 0}
-
-    def cb(_):
-        count["it"] += 1
-
-    dx, info = spla.gmres(
-        Jbar,
-        rhs,
-        rtol=config.iterative_tol,
-        atol=0.0,
-        restart=200,
-        maxiter=config.iterative_maxiter,
-        callback=cb,
-        callback_type="pr_norm",
-    )
-    if info != 0:
-        rel = float(np.linalg.norm(sys.J @ dx + sys.R)) / rnorm
+    rel = backward_error(dx)
+    for _ in range(10):
+        if not np.isfinite(rel) or rel <= 2e-16:
+            break
+        cand = dx - lu.solve(Jbar @ dx - rhs)
+        cand_rel = backward_error(cand)
+        if not cand_rel < rel:
+            break
+        dx, rel = cand, cand_rel
+    if not np.isfinite(rel) or rel > 1e-10:
         raise LinearSolveError(
-            f"GMRES did not converge after {count['it']} iterations "
-            f"(relative residual {rel:.3e})"
+            f"direct solve backward error {rel:.3e} exceeds 1e-10 "
+            "(structurally singular system?)"
         )
     return dx
 
@@ -416,8 +362,7 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None, cache=N
         K = assemble_stiffness(mesh, mat)
     if cache is None:
         cache = FactorCache()
-    n_steps = cfg.n_load_steps
-    fixed, fixed_vals = dirichlet_constraints(mesh, bcs, step=step, n_steps=n_steps)
+    F, fixed, fixed_vals, free = step_data(mesh, bcs, step, cfg.n_load_steps)
     U[fixed] = fixed_vals
 
     result = SolutionState(U=U, lam=lam, states=states, step=step or 0)
@@ -426,9 +371,7 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None, cache=N
 
     for loop in range(1, cfg.max_state_loops + 1):
         result.state_loops = loop
-        sys = build_system(
-            mesh, mat, fric, bcs, result, step=step, K=K, n_steps=n_steps
-        )
+        sys = build_system(mesh, mat, fric, result, K, F, fixed, free)
         rnorm0 = None
         phase_ok = False
         # After a state change the fresh constraint rows can sit below the
@@ -452,17 +395,17 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None, cache=N
                 return result
             try:
                 pc = build_preconditioner(sys)
-                dx = linear_solve(sys, pc, cfg, cache=cache)
+                dx = linear_solve(sys, pc, cache=cache)
             except (SingularRowError, LinearSolveError) as exc:
                 result.message = str(exc)
                 return result
-            U[sys.free] += dx[: sys.n_disp]
+            U[free] += dx[: sys.n_disp]
             lam += sys.mult_scale * dx[sys.n_disp :]
             lam[sys.blocks.pinned] = 0.0  # identity rows solve to exactly 0
             result.newton_iters += 1
-            ru, rlam = _full_residual(K, sys.blocks, sys.F, U, lam)
-            sys.R = np.concatenate([ru[sys.free], sys.mult_scale * rlam])
-            sys.R_phys = np.concatenate([ru[sys.free], rlam])
+            sys.R, sys.R_phys = _reduced_residual(
+                K, sys.blocks, F, U, lam, free, sys.mult_scale
+            )
         if not phase_ok:
             result.message = f"max_newton={cfg.max_newton} exceeded"
             return result
@@ -518,11 +461,10 @@ def reaction_forces(mesh, mat, fric, bcs, result, step=None, K=None, n_steps=1):
     """Residual at the Dirichlet dofs = negated support reactions."""
     if K is None:
         K = assemble_stiffness(mesh, mat)
-    F = assemble_loads(mesh, bcs, step=step, n_steps=n_steps)
-    fixed, _ = dirichlet_constraints(mesh, bcs, step=step, n_steps=n_steps)
+    F, fixed, _, _ = step_data(mesh, bcs, step, n_steps)
     blocks = assemble_contact_blocks(mesh, result.states, fric, fixed_dofs=fixed)
-    ru, _ = _full_residual(K, blocks, F, result.U, result.lam)
-    return fixed, ru[fixed]
+    ru_c, _ = contact_residuals(blocks, result.U, result.lam)
+    return fixed, (K @ result.U + ru_c - F)[fixed]
 
 
 def wall_timed(fn, *args, **kwargs):

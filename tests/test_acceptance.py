@@ -11,7 +11,11 @@ import pytest
 from fracfem import presets
 from fracfem.config import build_mesh
 from fracfem.contact import StateKind, mohr_coulomb_tau_c, pair_kinematics
-from fracfem.elasticity import assemble_loads, dirichlet_constraints
+from fracfem.elasticity import (
+    assemble_loads,
+    assemble_stiffness,
+    dirichlet_constraints,
+)
 from fracfem.export import fracture_profiles, max_penetration
 from fracfem.oracles import (
     inclined_crack_slip,
@@ -28,6 +32,7 @@ from fracfem.solver import (
     linear_solve,
     reaction_forces,
     run_load_steps,
+    step_data,
     wall_timed,
 )
 
@@ -194,24 +199,24 @@ class TestCriterion4KKTConsistency:
 
 class TestCriterion5Preconditioner:
     def test_row_norms_and_solution_invariance(self, inclined):
-        from fracfem.solver import Preconditioner
+        import scipy.sparse as sp
 
         config, mesh, _, _ = inclined
         U = np.zeros(2 * mesh.n_nodes)
         lam = np.zeros(2 * mesh.n_pairs)
-        fixed, vals = dirichlet_constraints(mesh, config.bcs)
+        F, fixed, vals, free = step_data(mesh, config.bcs, None, 1)
         U[fixed] = vals
         state = SolutionState(U=U, lam=lam, states=initial_states(mesh))
-        sys = build_system(mesh, config.material, config.friction,
-                           config.bcs, state)
+        K = assemble_stiffness(mesh, config.material)
+        sys = build_system(mesh, config.material, config.friction, state,
+                           K, F, fixed, free)
         pc = build_preconditioner(sys)
-        Jbar = pc.apply_matrix(sys.J)
+        Jbar = sp.diags(1.0 / pc) @ sys.J
         norms = np.sqrt(np.asarray(Jbar.multiply(Jbar).sum(axis=1)).ravel())
         norm_dev = np.abs(norms - 1.0).max()
 
-        scaled = linear_solve(sys, pc, config.solver)
-        identity = Preconditioner(a=np.ones(sys.n_disp), b=np.ones(sys.n_lam))
-        unscaled = linear_solve(sys, identity, config.solver)
+        scaled = linear_solve(sys, pc)
+        unscaled = linear_solve(sys, np.ones(sys.n_disp + sys.n_lam))
         sol_dev = np.linalg.norm(scaled - unscaled) / np.linalg.norm(unscaled)
         ok = norm_dev <= 1e-12 and sol_dev <= 1e-8
         assert report(
@@ -338,8 +343,6 @@ class TestCriterion8PatchAndEquilibrium:
         )
 
     def test_force_balance_all_presets(self, runs):
-        from fracfem.elasticity import assemble_stiffness
-
         worst = 0.0
         for name, (config, mesh, results, _) in runs.items():
             state = results[-1]

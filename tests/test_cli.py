@@ -52,7 +52,6 @@ class TestParseConfig:
         cfg = parse_config(write_yaml(tmp_path, MINIMAL))
         assert cfg.solver.newton_tol == 1e-4
         assert cfg.solver.n_load_steps == 1
-        assert cfg.solver.linear_solver == "direct"
         assert cfg.material == MaterialParams(E=25e9, nu=0.25)
         assert cfg.friction.friction_angle == pytest.approx(math.radians(30.0))
 
@@ -68,6 +67,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(write_yaml(tmp_path, bad))
         assert "friction" in str(err.value)
+
+    def test_unknown_solver_key_named(self, tmp_path):
+        # a removed solver option must fail loudly, not run the default
+        bad = dict(MINIMAL, solver={"linear_solver": "iterative"})
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_yaml(tmp_path, bad))
+        assert "linear_solver" in str(err.value)
 
     def test_preset_name_expands(self, tmp_path):
         cfg = parse_config(write_yaml(tmp_path, {"preset": "inclined-crack"}))
@@ -328,12 +334,6 @@ class TestRunAndCli:
         path = write_yaml(tmp_path, bad)
         assert main(["run", str(path)]) == 2
         assert "material.nu" in capsys.readouterr().err
-
-    def test_cli_threads_note(self, tmp_path, capsys):
-        path = write_yaml(tmp_path, MINIMAL)
-        main(["--threads", "4", "run", str(path), "--out",
-              str(tmp_path / "o2")])
-        assert "serial" in capsys.readouterr().out
 
 
 class TestCrossingProfileExport:
