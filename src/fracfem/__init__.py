@@ -13,12 +13,12 @@ from .contact import (
     PairKinematics,
     PairState,
     StateKind,
-    StateTolerances,
     assemble_contact_blocks,
     classify_state,
     contact_residuals,
-    jump_displacement,
     mohr_coulomb_tau_c,
+    pair_jumps,
+    pair_kinematics,
 )
 from .config import RunConfig, build_mesh, parse_config, save_config, serialize_config
 from .elasticity import (

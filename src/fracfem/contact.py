@@ -23,8 +23,9 @@ is always pinned to zero and they classify as active (normal constraint) or
 open only.
 
 Every constraint row is collocated at its pair and weighted by the pair's
-tributary arc length (half of each adjacent segment, i.e. the row-sum
-lumping of a piecewise-linear multiplier interpolation along the fracture).
+``weight``, set when the pairs are built: for a regular pair its tributary
+arc length (half of each adjacent segment, i.e. the row-sum lumping of a
+piecewise-linear multiplier interpolation along the fracture).
 Tributaries truncate at unduplicated crack tips and at intersections, where
 the crossing-pair point constraints take over.
 """
@@ -34,6 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,32 +100,25 @@ class PairState:
         return PairState(StateKind.SLIP, int(sign))
 
 
-@dataclass(frozen=True)
-class StateTolerances:
-    """Hysteresis tolerances for state changes.
-
-    ``open_tension``: any lam_n above this opens (0 = strict sign test).
-    ``slip_rel``: relative band below tau_c still classified as slip, which
-    keeps converged slip pairs from chattering back to stick.
-    ``sign_eps``: tangential jumps below this fall back to the trial traction
-    sign.
-    ``gap_noise``: re-engagement dead band (meters); a separated pair only
-    re-enters contact once its trial gap drops below -gap_noise.  Exactly at
-    the degenerate KKT corner (zero traction, zero gap) the state is
-    indeterminate and roundoff would otherwise flip it every loop.
-    """
-
-    open_tension: float = 0.0
-    slip_rel: float = 1e-8
-    sign_eps: float = 1e-12
-    gap_noise: float = 1e-12
+# Hysteresis tolerances of the state rules in :func:`classify_state`.
+# Any lam_n above OPEN_TENSION opens (0 = strict sign test).
+OPEN_TENSION = 0.0
+# Relative band below tau_c still classified as slip, which keeps converged
+# slip pairs from chattering back to stick.
+SLIP_REL = 1e-8
+# Tangential jumps below SIGN_EPS fall back to the trial traction sign.
+SIGN_EPS = 1e-12
+# Re-engagement dead band (meters); a separated pair only re-enters contact
+# once its trial gap drops below -GAP_NOISE.  Exactly at the degenerate KKT
+# corner (zero traction, zero gap) the state is indeterminate and roundoff
+# would otherwise flip it every loop.
+GAP_NOISE = 1e-12
 
 
 @dataclass
 class PairKinematics:
     """Per-pair jump, multipliers and gap at one iterate."""
 
-    jump_global: np.ndarray
     jump_n: float
     jump_t: float
     lam_n: float
@@ -135,25 +130,66 @@ class PairKinematics:
         return self.gap0 + self.jump_n
 
 
-def jump_displacement(pair, U):
-    """Kinematic part only: global and local jump of one pair."""
-    p, m = pair.node_plus, pair.node_minus
-    jump = U[2 * p : 2 * p + 2] - U[2 * m : 2 * m + 2]
-    return PairKinematics(
-        jump_global=jump,
-        jump_n=float(jump @ pair.normal),
-        jump_t=float(jump @ pair.tangent),
-        lam_n=0.0,
-        lam_t=0.0,
-        gap0=pair.gap0,
+class _PairArrays(NamedTuple):
+    """Pair data as arrays, one row per pair in id order."""
+
+    dofs: np.ndarray  # (n_cp, 4): x, y dofs of the plus node, then the minus node
+    normal: np.ndarray  # (n_cp, 2)
+    tangent: np.ndarray  # (n_cp, 2)
+    weight: np.ndarray
+    gap0: np.ndarray
+    crossing: np.ndarray  # bool
+
+
+def _pair_arrays(pairs):
+    nodes = np.array([(p.node_plus, p.node_minus) for p in pairs], dtype=np.int64)
+    dofs = (2 * nodes.reshape(-1, 2))[:, [0, 0, 1, 1]] + [0, 1, 0, 1]
+    return _PairArrays(
+        dofs=dofs,
+        normal=np.array([p.normal for p in pairs], dtype=float).reshape(-1, 2),
+        tangent=np.array([p.tangent for p in pairs], dtype=float).reshape(-1, 2),
+        weight=np.array([p.weight for p in pairs], dtype=float),
+        gap0=np.array([p.gap0 for p in pairs], dtype=float),
+        crossing=np.array([p.is_crossing_pair for p in pairs], dtype=bool),
+    )
+
+
+def pair_jumps(mesh, U):
+    """(jump_n, jump_t) arrays of every pair: ``[u]·n`` and ``[u]·t`` with
+    ``[u] = u_plus - u_minus``, each as ``dx*nx + dy*ny``."""
+    a = _pair_arrays(mesh.pairs)
+    dx = U[a.dofs[:, 0]] - U[a.dofs[:, 2]]
+    dy = U[a.dofs[:, 1]] - U[a.dofs[:, 3]]
+    return (
+        dx * a.normal[:, 0] + dy * a.normal[:, 1],
+        dx * a.tangent[:, 0] + dy * a.tangent[:, 1],
     )
 
 
 def pair_kinematics(pair, U, lam):
-    kin = jump_displacement(pair, U)
-    kin.lam_n = float(lam[2 * pair.id])
-    kin.lam_t = float(lam[2 * pair.id + 1])
-    return kin
+    """Kinematics of one pair, with the arithmetic of :func:`pair_jumps`."""
+    p, m = 2 * pair.node_plus, 2 * pair.node_minus
+    dx, dy = U[p] - U[m], U[p + 1] - U[m + 1]
+    (nx, ny), (tx, ty) = pair.normal, pair.tangent
+    return PairKinematics(
+        jump_n=float(dx * nx + dy * ny),
+        jump_t=float(dx * tx + dy * ty),
+        lam_n=float(lam[2 * pair.id]),
+        lam_t=float(lam[2 * pair.id + 1]),
+        gap0=pair.gap0,
+    )
+
+
+def all_pair_kinematics(mesh, U, lam):
+    """:class:`PairKinematics` of every pair, jumps from :func:`pair_jumps`."""
+    jn, jt = pair_jumps(mesh, U)
+    return [
+        PairKinematics(n, t, ln, lt, pair.gap0)
+        for pair, n, t, ln, lt in zip(
+            mesh.pairs, jn.tolist(), jt.tolist(),
+            lam[0::2].tolist(), lam[1::2].tolist(),
+        )
+    ]
 
 
 def mohr_coulomb_tau_c(lam_n, fric):
@@ -161,7 +197,7 @@ def mohr_coulomb_tau_c(lam_n, fric):
     return fric.cohesion - lam_n * fric.tan_phi
 
 
-def classify_state(kin, fric, tol=StateTolerances(), current=None, crossing=False):
+def classify_state(kin, fric, current=None, crossing=False):
     """Contact state of one pair from its current iterate.
 
     Order of tests: tension demanded -> open; an open pair with a positive
@@ -171,15 +207,15 @@ def classify_state(kin, fric, tol=StateTolerances(), current=None, crossing=Fals
     """
     if current is None:
         current = PairState.stick()
-    if kin.lam_n > tol.open_tension:
+    if kin.lam_n > OPEN_TENSION:
         return PairState.open_()
-    if current.kind is StateKind.OPEN and kin.trial_gap > -tol.gap_noise:
+    if current.kind is StateKind.OPEN and kin.trial_gap > -GAP_NOISE:
         return PairState.open_()
     if crossing:
         return PairState.stick()
     tau_c = mohr_coulomb_tau_c(kin.lam_n, fric)
-    if abs(kin.lam_t) >= tau_c * (1.0 - tol.slip_rel):
-        if abs(kin.jump_t) >= tol.sign_eps:
+    if abs(kin.lam_t) >= tau_c * (1.0 - SLIP_REL):
+        if abs(kin.jump_t) >= SIGN_EPS:
             sign = 1 if kin.jump_t > 0 else -1
         elif kin.lam_t != 0.0:
             sign = 1 if kin.lam_t > 0 else -1
@@ -189,14 +225,11 @@ def classify_state(kin, fric, tol=StateTolerances(), current=None, crossing=Fals
     return PairState.stick()
 
 
-def classify_all(mesh, states, U, lam, fric, tol=StateTolerances()):
-    out = []
-    for pair, st in zip(mesh.pairs, states):
-        kin = pair_kinematics(pair, U, lam)
-        out.append(
-            classify_state(kin, fric, tol, current=st, crossing=pair.is_crossing_pair)
-        )
-    return out
+def classify_all(mesh, states, U, lam, fric):
+    return [
+        classify_state(kin, fric, current=st, crossing=pair.is_crossing_pair)
+        for pair, st, kin in zip(mesh.pairs, states, all_pair_kinematics(mesh, U, lam))
+    ]
 
 
 @dataclass
@@ -221,160 +254,94 @@ class ContactBlocks:
     pinned: np.ndarray  # multiplier dofs held at exactly zero (identity rows)
 
 
-class _Coo:
-    def __init__(self):
-        self.rows = []
-        self.cols = []
-        self.vals = []
-
-    def add(self, r, c, v):
-        self.rows.append(r)
-        self.cols.append(c)
-        self.vals.append(v)
-
-    def matrix(self, shape):
-        return sp.coo_matrix(
-            (self.vals, (self.rows, self.cols)), shape=shape
-        ).tocsr()
-
-
-def _add_pair_entries(coo, row, direction, coef, plus, minus, transpose=False):
-    """Scatter coef * direction^T * (u_plus - u_minus) into a sparse row
-    (or column when ``transpose``)."""
-    for node, s in ((plus, 1.0), (minus, -1.0)):
-        for comp in (0, 1):
-            v = coef * s * direction[comp]
-            if transpose:
-                coo.add(2 * node + comp, row, v)
-            else:
-                coo.add(row, 2 * node + comp, v)
-
-
-def fully_fixed_pairs(mesh, fixed_dofs):
-    """Pairs whose four displacement dofs are all Dirichlet-prescribed.
-
-    Such pairs carry no contact equations: their jump is part of the data,
-    and their multiplier columns would vanish from the reduced system and
-    make it singular.  Their multipliers are pinned to zero instead; the
-    interface force there is absorbed by the support reactions.
-    """
-    if fixed_dofs is None or len(fixed_dofs) == 0:
-        return frozenset()
-    fixed = set(int(d) for d in fixed_dofs)
-    out = set()
-    for pair in mesh.pairs:
-        dofs = (
-            2 * pair.node_plus, 2 * pair.node_plus + 1,
-            2 * pair.node_minus, 2 * pair.node_minus + 1,
-        )
-        if all(d in fixed for d in dofs):
-            out.add(pair.id)
-    return frozenset(out)
-
-
-def tributary_weights(mesh):
-    """Arc length owned by each regular pair: half of every adjacent
-    segment (the row sum of the 1D linear-hat mass matrix)."""
-    trib = np.zeros(mesh.n_pairs)
-    for chain in mesh.chains:
-        for ca, cb in zip(chain[:-1], chain[1:]):
-            L = cb.eta - ca.eta
-            if ca.pair is not None:
-                trib[ca.pair] += 0.5 * L
-            if cb.pair is not None:
-                trib[cb.pair] += 0.5 * L
-    return trib
+def _coupling(rows, dofs, vec):
+    """COO triplets of ``vec^T (u_plus - u_minus)`` in multiplier row
+    ``rows[k]``, one row per pair, over the pair's four ``dofs``."""
+    return (
+        np.repeat(rows, 4),
+        dofs.ravel(),
+        np.concatenate([vec, -vec], axis=1).ravel(),
+    )
 
 
 def assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
     """Assemble all contact rows/columns for the given state assignment.
 
-    Every active pair carries pointwise constraint rows weighted by its
-    tributary arc length (the row-sum lumping of the linear multiplier
-    interpolation along each fracture).  Lumping keeps the closure exact at
-    every pair node; a consistent mass coupling would only enforce the gap
-    in the weighted-average sense and trades visible interpenetration
-    between neighbouring pairs wherever the jump field kinks (crack tips,
-    crossings).  Crossing pairs add their diagonal point rows the same way.
-    Pairs between fully prescribed nodes get identity rows (see
-    :func:`fully_fixed_pairs`).
+    Every closed pair carries pointwise constraint rows weighted by its
+    ``weight``: the tributary arc length for regular pairs (the row-sum
+    lumping of the linear multiplier interpolation along each fracture), a
+    quarter of the two adjacent segments for crossing pairs.  Lumping keeps
+    the closure exact at every pair node; a consistent mass coupling would
+    only enforce the gap in the weighted-average sense and trades visible
+    interpenetration between neighbouring pairs wherever the jump field
+    kinks (crack tips, crossings).
+
+    Pairs whose four displacement dofs are all in ``fixed_dofs`` carry no
+    contact equations: their jump is part of the data, and their multiplier
+    columns would vanish from the reduced system and make it singular.
+    Their multipliers are pinned to zero instead; the interface force there
+    is absorbed by the support reactions.
     """
     if len(states) != mesh.n_pairs:
         raise ValueError("one state per contact pair required")
-    inactive = fully_fixed_pairs(mesh, fixed_dofs)
+    a = _pair_arrays(mesh.pairs)
     n2 = 2 * mesh.n_nodes
     m2 = 2 * mesh.n_pairs
-    C = _Coo()
-    B = _Coo()
-    Dmat = _Coo()
-    g = np.zeros(m2)
-    f_slip = np.zeros(n2)
     tan_phi = fric.tan_phi
-    trib = tributary_weights(mesh)
+    sign = np.array([st.sign for st in states], dtype=np.int64)
+    is_open = np.array([st.kind is StateKind.OPEN for st in states], dtype=bool)
+    fixed = np.zeros(n2, dtype=bool)
+    if fixed_dofs is not None:
+        fixed[np.asarray(fixed_dofs, dtype=np.int64)] = True
+    inactive = fixed[a.dofs].all(axis=1)
 
-    for pair, st in zip(mesh.pairs, states):
-        if pair.is_crossing_pair or pair.id in inactive:
-            continue
-        if st.kind is StateKind.OPEN:
-            continue
-        w = trib[pair.id]
-        row_n = 2 * pair.id
-        nodes = (pair.node_plus, pair.node_minus)
-        _add_pair_entries(C, row_n, pair.normal, w, *nodes)
-        _add_pair_entries(B, row_n, pair.normal, w, *nodes, transpose=True)
-        g[row_n] += pair.gap0 * w
-        if st.kind is StateKind.STICK:
-            _add_pair_entries(C, row_n + 1, pair.tangent, w, *nodes)
-            _add_pair_entries(B, row_n + 1, pair.tangent, w, *nodes, transpose=True)
-        else:  # slip: friction enters through the normal multiplier column
-            _add_pair_entries(
-                B, row_n, -st.sign * tan_phi * pair.tangent, w, *nodes,
-                transpose=True,
-            )
-            if fric.cohesion != 0.0:
-                coh = fric.cohesion * st.sign * w
-                f_slip[2 * pair.node_plus : 2 * pair.node_plus + 2] += (
-                    coh * pair.tangent
-                )
-                f_slip[2 * pair.node_minus : 2 * pair.node_minus + 2] -= (
-                    coh * pair.tangent
-                )
+    closed_mask = ~inactive & ~is_open  # pairs with a normal constraint row
+    regular = closed_mask & ~a.crossing  # closed pairs with a tangential law
+    closed = np.flatnonzero(closed_mask)
+    stick = np.flatnonzero(regular & (sign == 0))
+    slip = np.flatnonzero(regular & (sign != 0))
+    slip_t = 2 * slip + 1
+    w = a.weight[:, None]
 
-    pinned = np.zeros(m2, dtype=bool)
-    for pair, st in zip(mesh.pairs, states):
-        row_n = 2 * pair.id
-        row_t = row_n + 1
-        if pair.id in inactive:
-            Dmat.add(row_n, row_n, 1.0)
-            Dmat.add(row_t, row_t, 1.0)
-            pinned[row_n] = pinned[row_t] = True
-        elif pair.is_crossing_pair:
-            if st.kind is StateKind.OPEN:
-                Dmat.add(row_n, row_n, 1.0)
-                pinned[row_n] = True
-            else:
-                w = pair.weight
-                _add_pair_entries(C, row_n, pair.normal, w, pair.node_plus, pair.node_minus)
-                _add_pair_entries(
-                    B, row_n, pair.normal, w, pair.node_plus, pair.node_minus,
-                    transpose=True,
-                )
-                g[row_n] += w * pair.gap0
-            Dmat.add(row_t, row_t, 1.0)  # no point friction at the crossing
-            pinned[row_t] = True
-        elif st.kind is StateKind.OPEN:
-            Dmat.add(row_n, row_n, 1.0)
-            Dmat.add(row_t, row_t, 1.0)
-            pinned[row_n] = pinned[row_t] = True
-        elif st.kind is StateKind.SLIP:
-            Dmat.add(row_t, row_n, st.sign * tan_phi)
-            Dmat.add(row_t, row_t, 1.0)
-            g[row_t] = -st.sign * fric.cohesion
+    rows, cols, vals = _coupling(
+        np.concatenate([2 * closed, 2 * stick + 1]),
+        a.dofs[np.concatenate([closed, stick])],
+        np.concatenate([w[closed] * a.normal[closed], w[stick] * a.tangent[stick]]),
+    )
+    # slip: friction enters through the normal multiplier column
+    f_rows, f_cols, f_vals = _coupling(
+        2 * slip,
+        a.dofs[slip],
+        w[slip] * (((-sign[slip]) * tan_phi)[:, None] * a.tangent[slip]),
+    )
+
+    g = np.zeros(m2)
+    g[2 * closed] += a.gap0[closed] * a.weight[closed]
+    g[slip_t] = -sign[slip] * fric.cohesion
+    f_slip = np.zeros(n2)
+    if fric.cohesion != 0.0:
+        coh = (fric.cohesion * sign[slip]) * a.weight[slip]
+        _, dofs, loads = _coupling(slip, a.dofs[slip], coh[:, None] * a.tangent[slip])
+        np.add.at(f_slip, dofs, loads)  # in pair order, as nodes may repeat
+
+    # identity rows: open and fully fixed pairs, and the tangential
+    # multiplier of every crossing pair (no point friction at a crossing)
+    pinned = np.column_stack([~closed_mask, ~regular]).ravel()
+    ident = np.flatnonzero(pinned)
+    D_rows = np.concatenate([ident, slip_t, slip_t])
+    D_cols = np.concatenate([ident, slip_t, slip_t - 1])
+    D_vals = np.concatenate(
+        [np.ones(ident.size + slip_t.size), sign[slip] * tan_phi]
+    )
 
     return ContactBlocks(
-        C=C.matrix((m2, n2)),
-        B_up=B.matrix((n2, m2)),
-        D=Dmat.matrix((m2, m2)),
+        C=sp.coo_matrix((vals, (rows, cols)), shape=(m2, n2)).tocsr(),
+        B_up=sp.coo_matrix(
+            (np.concatenate([vals, f_vals]),
+             (np.concatenate([cols, f_cols]), np.concatenate([rows, f_rows]))),
+            shape=(n2, m2),
+        ).tocsr(),
+        D=sp.coo_matrix((D_vals, (D_rows, D_cols)), shape=(m2, m2)).tocsr(),
         g=g,
         f_slip=f_slip,
         pinned=pinned,

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .contact import pair_kinematics
+from .contact import all_pair_kinematics
 from .elasticity import element_stresses
 
 VTK_HEADER = "# vtk DataFile Version 3.0"
@@ -34,8 +34,8 @@ def fracture_profiles(mesh, state):
     out = {f.id: [] for f in mesh.fractures}
     crossing_seen = {}
     lengths = {f.id: mesh.chains[f.id][-1].eta for f in mesh.fractures}
-    for pair, st in zip(mesh.pairs, state.states):
-        kin = pair_kinematics(pair, state.U, state.lam)
+    kins = all_pair_kinematics(mesh, state.U, state.lam)
+    for pair, st, kin in zip(mesh.pairs, state.states, kins):
         eta = pair.arc_coord
         if pair.is_crossing_pair:
             k = crossing_seen.get((pair.fracture, pair.arc_coord), 0)
@@ -131,8 +131,5 @@ def write_summary(path, summary):
 
 def max_penetration(mesh, state):
     """Most negative trial gap over all pairs (0 if nothing penetrates)."""
-    worst = 0.0
-    for pair in mesh.pairs:
-        kin = pair_kinematics(pair, state.U, state.lam)
-        worst = min(worst, kin.trial_gap)
-    return worst
+    kins = all_pair_kinematics(mesh, state.U, state.lam)
+    return min([0.0, *(kin.trial_gap for kin in kins)])

@@ -61,9 +61,10 @@ class ContactPair:
     """Matched plus/minus duplicate nodes with their local frame.
 
     ``normal`` points from the minus face to the plus face and is fixed for
-    the whole simulation.  ``weight`` is the tributary arc length of a
-    crossing pair's point constraint (0 for regular pairs, whose tributaries
-    come from their adjacent chain segments).
+    the whole simulation.  ``weight`` scales the pair's constraint rows: a
+    regular pair's tributary arc length (half of each adjacent chain
+    segment), a quarter of the two adjacent segments for a crossing pair's
+    point constraint.
     """
 
     id: int
@@ -241,7 +242,8 @@ def load_mesh(path):
     """Read the line-oriented text mesh format.
 
     Sections NODES/ELEMENTS/FRACTURES followed by END; ``#`` starts a
-    comment.  Fractures are registered but not split.
+    comment.  Fractures are registered but not split.  The ``k`` fracture
+    ids must be 0..k-1, each once; fractures are stored in id order.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.readlines()
@@ -315,7 +317,7 @@ def load_mesh(path):
     except (IndexError, ValueError):
         raise MeshFormatError("FRACTURES needs a count", ln) from None
 
-    fractures = []
+    fractures = [None] * n_frac  # ids index the per-fracture chains
     for _ in range(n_frac):
         ln, f = next_line()
         try:
@@ -324,11 +326,15 @@ def load_mesh(path):
             path = [int(t) for t in f[2 : 2 + length]]
         except (IndexError, ValueError):
             raise MeshFormatError("fracture line must be 'id len node...'", ln) from None
+        if not 0 <= fid < n_frac:
+            raise MeshFormatError(f"fracture id {fid} out of range", ln)
+        if fractures[fid] is not None:
+            raise MeshFormatError(f"duplicate fracture id {fid}", ln)
         if len(path) != length:
             raise MeshFormatError(f"fracture {fid}: expected {length} nodes", ln)
         if any(not 0 <= n < n_nodes for n in path):
             raise MeshFormatError(f"fracture {fid} references unknown node", ln)
-        fractures.append(FracturePath(id=fid, nodes=path))
+        fractures[fid] = FracturePath(id=fid, nodes=path)
 
     next_line("END")
 
@@ -756,6 +762,9 @@ def build_contact_pairs(mesh):
         xy = mesh.nodes[path]
         seg_len = np.hypot(*(xy[1:] - xy[:-1]).T)
         etas = np.concatenate([[0.0], np.cumsum(seg_len)])
+        # tributary arc length: half of the segment before, then after
+        half = 0.5 * np.diff(etas)
+        trib = np.concatenate([[0.0], half]) + np.concatenate([half, [0.0]])
         chain = []
         for k, nid in enumerate(path):
             eta = float(etas[k])
@@ -777,6 +786,7 @@ def build_contact_pairs(mesh):
                         normal=normal,
                         tangent=rot_minus90(normal),
                         gap0=frac.gap0,
+                        weight=float(trib[k]),
                     )
                 )
                 p, m = mesh.plus_map[nid], mesh.minus_map[nid]

@@ -10,7 +10,7 @@ update of displacements and multipliers in one algebraic block).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,12 +19,11 @@ import scipy.sparse.linalg as spla
 from .contact import (
     PairState,
     StateKind,
-    StateTolerances,
+    all_pair_kinematics,
     assemble_contact_blocks,
     classify_all,
     contact_residuals,
     mohr_coulomb_tau_c,
-    pair_kinematics,
 )
 from .elasticity import (
     assemble_loads,
@@ -47,11 +46,13 @@ class SolverConfig:
     max_newton: int = 50
     max_state_loops: int = 20
     n_load_steps: int = 1
-    state_tol: StateTolerances = field(default_factory=StateTolerances)
 
     def __post_init__(self):
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
+        for name in ("max_newton", "max_state_loops", "n_load_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 @dataclass
@@ -292,22 +293,21 @@ def initial_states(mesh):
 
 def _ranked_flips(mesh, states, proposed, U, lam, fric):
     """Proposed state changes ranked by a dimensionless violation score."""
-    kins = {}
+    flips = [
+        (pair.id, st, new, kin)
+        for pair, st, new, kin in zip(
+            mesh.pairs, states, proposed, all_pair_kinematics(mesh, U, lam)
+        )
+        if new != st
+    ]
     lam_ref = 1.0
     gap_ref = 1e-12
-    for pair, st, new in zip(mesh.pairs, states, proposed):
-        if new == st:
-            continue
-        kin = pair_kinematics(pair, U, lam)
-        kins[pair.id] = kin
+    for _, _, _, kin in flips:
         lam_ref = max(lam_ref, abs(kin.lam_n), abs(kin.lam_t))
         gap_ref = max(gap_ref, abs(kin.trial_gap))
 
     scored = []
-    for pair, st, new in zip(mesh.pairs, states, proposed):
-        if new == st:
-            continue
-        kin = kins[pair.id]
+    for pid, st, new, kin in flips:
         if new.kind is StateKind.OPEN:
             score = kin.lam_n / lam_ref
         elif st.kind is StateKind.OPEN:
@@ -315,7 +315,7 @@ def _ranked_flips(mesh, states, proposed, U, lam, fric):
         else:
             tau = mohr_coulomb_tau_c(kin.lam_n, fric)
             score = abs(abs(kin.lam_t) - tau) / lam_ref
-        scored.append((score, pair.id))
+        scored.append((score, pid))
     scored.sort(key=lambda t: (-t[0], t[1]))
     return scored
 
@@ -410,7 +410,7 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None, cache=N
             result.message = f"max_newton={cfg.max_newton} exceeded"
             return result
 
-        proposal = classify_all(mesh, states, U, lam, fric, cfg.state_tol)
+        proposal = classify_all(mesh, states, U, lam, fric)
         if proposal == states:
             result.converged = True
             return result

@@ -1,6 +1,7 @@
 """Config parsing, result export, CLI surface."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -25,7 +26,7 @@ from fracfem.export import (
     fracture_profiles,
 )
 from fracfem.mesh import generate_rect_mesh, save_mesh
-from fracfem.solver import SolutionState, run_load_steps
+from fracfem.solver import SolutionState, SolverConfig, run_load_steps
 
 MINIMAL = {
     "mesh": {
@@ -160,6 +161,26 @@ class TestParseConfig:
         })
         with pytest.raises(ConfigError):
             config_from_dict(bad)
+
+    @pytest.mark.parametrize("key", ["n_load_steps", "max_state_loops", "max_newton"])
+    def test_solver_count_below_one_rejected(self, tmp_path, capsys, key):
+        bad = dict(MINIMAL, solver={key: 0})
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(bad)
+        assert key in str(err.value)
+        path = write_yaml(tmp_path, bad)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_every_solver_field_roundtrips(self):
+        # a SolverConfig field that serialize_config drops, or that
+        # config_from_dict cannot read, is one no config can set
+        base = config_from_dict(MINIMAL)
+        for f in dataclasses.fields(SolverConfig):
+            assert f.default is not dataclasses.MISSING, f.name
+            solver = dataclasses.replace(base.solver, **{f.name: f.default * 3})
+            cfg = dataclasses.replace(base, solver=solver)
+            assert config_from_dict(serialize_config(cfg)).solver == solver, f.name
 
     def test_roundtrip(self, tmp_path):
         cfg = config_from_dict(MINIMAL)

@@ -1,32 +1,34 @@
 """Jump kinematics, state classification, contact block assembly."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracfem import presets
+from fracfem.config import build_mesh
 from fracfem.contact import (
+    ContactBlocks,
     FrictionParams,
     PairKinematics,
     PairState,
     StateKind,
-    StateTolerances,
     assemble_contact_blocks,
     classify_state,
     contact_residuals,
-    fully_fixed_pairs,
-    jump_displacement,
     mohr_coulomb_tau_c,
+    pair_jumps,
     pair_kinematics,
-    tributary_weights,
 )
 from fracfem.mesh import build_contact_pairs, generate_rect_mesh, split_fractures
+from fracfem.solver import step_data
 
 SQRT2 = math.sqrt(2.0)
 FRIC30 = FrictionParams(cohesion=0.0, friction_angle=math.radians(30.0))
-TOL = StateTolerances()
 
 
 def built(mesh):
@@ -42,8 +44,7 @@ def horizontal_mesh(nx=2):
 
 def kin(jump_n=0.0, jump_t=0.0, lam_n=0.0, lam_t=0.0, gap0=0.0):
     return PairKinematics(
-        jump_global=np.zeros(2), jump_n=jump_n, jump_t=jump_t,
-        lam_n=lam_n, lam_t=lam_t, gap0=gap0,
+        jump_n=jump_n, jump_t=jump_t, lam_n=lam_n, lam_t=lam_t, gap0=gap0,
     )
 
 
@@ -51,9 +52,8 @@ class TestJumpDisplacement:
     def test_rigid_translation_zero_jump(self):
         mesh = horizontal_mesh()
         U = np.tile([0.123, -0.456], mesh.n_nodes)
-        for pair in mesh.pairs:
-            k = jump_displacement(pair, U)
-            np.testing.assert_allclose(k.jump_global, 0.0, atol=1e-15)
+        for jump in pair_jumps(mesh, U):
+            np.testing.assert_allclose(jump, 0.0, atol=1e-15)
 
     @given(
         tx=st.floats(min_value=-1.0, max_value=1.0),
@@ -63,17 +63,16 @@ class TestJumpDisplacement:
     def test_any_translation_zero_jump(self, tx, ty):
         mesh = horizontal_mesh()
         U = np.tile([tx, ty], mesh.n_nodes)
-        for pair in mesh.pairs:
-            k = jump_displacement(pair, U)
-            assert abs(k.jump_n) < 1e-15
-            assert abs(k.jump_t) < 1e-15
+        jump_n, jump_t = pair_jumps(mesh, U)
+        assert np.all(np.abs(jump_n) < 1e-15)
+        assert np.all(np.abs(jump_t) < 1e-15)
 
     def test_axis_aligned_frame(self):
         mesh = horizontal_mesh()
         pair = mesh.pairs[0]
         U = np.zeros(2 * mesh.n_nodes)
         U[2 * pair.node_plus + 1] = 1e-3
-        k = jump_displacement(pair, U)
+        k = pair_kinematics(pair, U, np.zeros(2 * mesh.n_pairs))
         assert k.jump_n == pytest.approx(1e-3)
         assert k.jump_t == pytest.approx(0.0, abs=1e-18)
 
@@ -84,7 +83,7 @@ class TestJumpDisplacement:
         pair = mesh.pairs[1]
         U = np.zeros(2 * mesh.n_nodes)
         U[2 * pair.node_plus] = 1e-3  # jump (1e-3, 0)
-        k = jump_displacement(pair, U)
+        k = pair_kinematics(pair, U, np.zeros(2 * mesh.n_pairs))
         assert k.jump_n == pytest.approx(-SQRT2 / 2 * 1e-3, rel=1e-12)
         assert k.jump_t == pytest.approx(SQRT2 / 2 * 1e-3, rel=1e-12)
 
@@ -124,49 +123,49 @@ class TestMohrCoulomb:
 
 class TestClassifyState:
     def test_tension_opens(self):
-        st_ = classify_state(kin(lam_n=1.0, lam_t=99e6), FRIC30, TOL)
+        st_ = classify_state(kin(lam_n=1.0, lam_t=99e6), FRIC30)
         assert st_.kind is StateKind.OPEN
 
     def test_compressed_below_bound_sticks(self):
-        st_ = classify_state(kin(lam_n=-10e6, lam_t=3e6), FRIC30, TOL)
+        st_ = classify_state(kin(lam_n=-10e6, lam_t=3e6), FRIC30)
         assert st_ == PairState.stick()
 
     def test_at_bound_slips_with_jump_sign(self):
         st_ = classify_state(kin(lam_n=-10e6, lam_t=6e6, jump_t=1e-6),
-                             FRIC30, TOL)
+                             FRIC30)
         assert st_ == PairState.slip(+1)
 
     def test_sign_falls_back_to_trial_traction(self):
         st_ = classify_state(kin(lam_n=-10e6, lam_t=-6e6, jump_t=0.0),
-                             FRIC30, TOL)
+                             FRIC30)
         assert st_ == PairState.slip(-1)
 
     def test_final_fallback_positive(self):
         fric = FrictionParams(cohesion=0.0, friction_angle=0.3)
-        st_ = classify_state(kin(lam_n=0.0, lam_t=0.0), fric, TOL)
+        st_ = classify_state(kin(lam_n=0.0, lam_t=0.0), fric)
         assert st_ == PairState.slip(+1)
 
     def test_open_persists_with_positive_gap(self):
         st_ = classify_state(
-            kin(jump_n=1e-6), FRIC30, TOL, current=PairState.open_()
+            kin(jump_n=1e-6), FRIC30, current=PairState.open_()
         )
         assert st_.kind is StateKind.OPEN
 
     def test_open_reengages_beyond_noise_band(self):
         st_ = classify_state(
-            kin(jump_n=-1e-6), FRIC30, TOL, current=PairState.open_()
+            kin(jump_n=-1e-6), FRIC30, current=PairState.open_()
         )
         assert st_.kind is not StateKind.OPEN
 
     def test_open_survives_noise_level_penetration(self):
         st_ = classify_state(
-            kin(jump_n=-1e-15), FRIC30, TOL, current=PairState.open_()
+            kin(jump_n=-1e-15), FRIC30, current=PairState.open_()
         )
         assert st_.kind is StateKind.OPEN
 
     def test_crossing_pairs_never_slip(self):
         st_ = classify_state(
-            kin(lam_n=-1e6, lam_t=99e6), FRIC30, TOL, crossing=True
+            kin(lam_n=-1e6, lam_t=99e6), FRIC30, crossing=True
         )
         assert st_ == PairState.stick()
 
@@ -197,9 +196,8 @@ class TestAssembleBlocks:
         mass = np.array([[L / 3, L / 6], [L / 6, L / 3]])
         expected_trib = {0.0: mass[0].sum(), 0.5: 2 * mass[0].sum(),
                          1.0: mass[0].sum()}
-        trib = tributary_weights(mesh)
         for pair in mesh.pairs:
-            assert trib[pair.id] == pytest.approx(expected_trib[pair.arc_coord])
+            assert pair.weight == pytest.approx(expected_trib[pair.arc_coord])
         states = [PairState.stick() for _ in mesh.pairs]
         blocks = assemble_contact_blocks(mesh, states, FRIC30)
         C = blocks.C.toarray()
@@ -252,11 +250,10 @@ class TestAssembleBlocks:
         fric = FrictionParams(cohesion=1e6, friction_angle=math.radians(30.0))
         states = [PairState.slip(+1) for _ in mesh.pairs]
         blocks = assemble_contact_blocks(mesh, states, fric)
-        trib = tributary_weights(mesh)
         for pair in mesh.pairs:
             f_plus = blocks.f_slip[2 * pair.node_plus : 2 * pair.node_plus + 2]
             np.testing.assert_allclose(
-                f_plus, fric.cohesion * trib[pair.id] * pair.tangent,
+                f_plus, fric.cohesion * pair.weight * pair.tangent,
                 rtol=1e-12,
             )
 
@@ -267,9 +264,8 @@ class TestAssembleBlocks:
         )
         states = [PairState.stick() for _ in mesh.pairs]
         blocks = assemble_contact_blocks(mesh, states, FRIC30)
-        trib = tributary_weights(mesh)
         for pair in mesh.pairs:
-            assert blocks.g[2 * pair.id] == pytest.approx(1e-3 * trib[pair.id])
+            assert blocks.g[2 * pair.id] == pytest.approx(1e-3 * pair.weight)
             assert blocks.g[2 * pair.id + 1] == 0.0
 
     def test_crossing_pair_rows(self):
@@ -301,9 +297,10 @@ class TestAssembleBlocks:
             2 * pair.node_plus, 2 * pair.node_plus + 1,
             2 * pair.node_minus, 2 * pair.node_minus + 1,
         ])
-        assert fully_fixed_pairs(mesh, fixed) == {pair.id}
         states = [PairState.stick() for _ in mesh.pairs]
         blocks = assemble_contact_blocks(mesh, states, FRIC30, fixed_dofs=fixed)
+        fully_fixed = np.flatnonzero(blocks.pinned.reshape(-1, 2).all(axis=1))
+        assert fully_fixed.tolist() == [pair.id]
         C = blocks.C.toarray()
         D = blocks.D.toarray()
         assert np.all(C[2 * pair.id] == 0.0)
@@ -339,3 +336,247 @@ class TestContactResiduals:
         k = pair_kinematics(mesh.pairs[1], np.zeros(2 * mesh.n_nodes), lam)
         assert k.lam_n == 2.0
         assert k.lam_t == 3.0
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-pair loop assembly that the array assembly replaced,
+# kept verbatim (names prefixed with _ref) to pin the new one bit for bit.
+# ---------------------------------------------------------------------------
+
+class _ref_Coo:
+    def __init__(self):
+        self.rows = []
+        self.cols = []
+        self.vals = []
+
+    def add(self, r, c, v):
+        self.rows.append(r)
+        self.cols.append(c)
+        self.vals.append(v)
+
+    def matrix(self, shape):
+        return sp.coo_matrix(
+            (self.vals, (self.rows, self.cols)), shape=shape
+        ).tocsr()
+
+
+def _ref_add_pair_entries(coo, row, direction, coef, plus, minus, transpose=False):
+    """Scatter coef * direction^T * (u_plus - u_minus) into a sparse row
+    (or column when ``transpose``)."""
+    for node, s in ((plus, 1.0), (minus, -1.0)):
+        for comp in (0, 1):
+            v = coef * s * direction[comp]
+            if transpose:
+                coo.add(2 * node + comp, row, v)
+            else:
+                coo.add(row, 2 * node + comp, v)
+
+
+def _ref_fully_fixed_pairs(mesh, fixed_dofs):
+    """Pairs whose four displacement dofs are all Dirichlet-prescribed.
+
+    Such pairs carry no contact equations: their jump is part of the data,
+    and their multiplier columns would vanish from the reduced system and
+    make it singular.  Their multipliers are pinned to zero instead; the
+    interface force there is absorbed by the support reactions.
+    """
+    if fixed_dofs is None or len(fixed_dofs) == 0:
+        return frozenset()
+    fixed = set(int(d) for d in fixed_dofs)
+    out = set()
+    for pair in mesh.pairs:
+        dofs = (
+            2 * pair.node_plus, 2 * pair.node_plus + 1,
+            2 * pair.node_minus, 2 * pair.node_minus + 1,
+        )
+        if all(d in fixed for d in dofs):
+            out.add(pair.id)
+    return frozenset(out)
+
+
+def _ref_tributary_weights(mesh):
+    """Arc length owned by each regular pair: half of every adjacent
+    segment (the row sum of the 1D linear-hat mass matrix)."""
+    trib = np.zeros(mesh.n_pairs)
+    for chain in mesh.chains:
+        for ca, cb in zip(chain[:-1], chain[1:]):
+            L = cb.eta - ca.eta
+            if ca.pair is not None:
+                trib[ca.pair] += 0.5 * L
+            if cb.pair is not None:
+                trib[cb.pair] += 0.5 * L
+    return trib
+
+
+def _ref_assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
+    if len(states) != mesh.n_pairs:
+        raise ValueError("one state per contact pair required")
+    inactive = _ref_fully_fixed_pairs(mesh, fixed_dofs)
+    n2 = 2 * mesh.n_nodes
+    m2 = 2 * mesh.n_pairs
+    C = _ref_Coo()
+    B = _ref_Coo()
+    Dmat = _ref_Coo()
+    g = np.zeros(m2)
+    f_slip = np.zeros(n2)
+    tan_phi = fric.tan_phi
+    trib = _ref_tributary_weights(mesh)
+
+    for pair, st in zip(mesh.pairs, states):
+        if pair.is_crossing_pair or pair.id in inactive:
+            continue
+        if st.kind is StateKind.OPEN:
+            continue
+        w = trib[pair.id]
+        row_n = 2 * pair.id
+        nodes = (pair.node_plus, pair.node_minus)
+        _ref_add_pair_entries(C, row_n, pair.normal, w, *nodes)
+        _ref_add_pair_entries(B, row_n, pair.normal, w, *nodes, transpose=True)
+        g[row_n] += pair.gap0 * w
+        if st.kind is StateKind.STICK:
+            _ref_add_pair_entries(C, row_n + 1, pair.tangent, w, *nodes)
+            _ref_add_pair_entries(B, row_n + 1, pair.tangent, w, *nodes, transpose=True)
+        else:  # slip: friction enters through the normal multiplier column
+            _ref_add_pair_entries(
+                B, row_n, -st.sign * tan_phi * pair.tangent, w, *nodes,
+                transpose=True,
+            )
+            if fric.cohesion != 0.0:
+                coh = fric.cohesion * st.sign * w
+                f_slip[2 * pair.node_plus : 2 * pair.node_plus + 2] += (
+                    coh * pair.tangent
+                )
+                f_slip[2 * pair.node_minus : 2 * pair.node_minus + 2] -= (
+                    coh * pair.tangent
+                )
+
+    pinned = np.zeros(m2, dtype=bool)
+    for pair, st in zip(mesh.pairs, states):
+        row_n = 2 * pair.id
+        row_t = row_n + 1
+        if pair.id in inactive:
+            Dmat.add(row_n, row_n, 1.0)
+            Dmat.add(row_t, row_t, 1.0)
+            pinned[row_n] = pinned[row_t] = True
+        elif pair.is_crossing_pair:
+            if st.kind is StateKind.OPEN:
+                Dmat.add(row_n, row_n, 1.0)
+                pinned[row_n] = True
+            else:
+                w = pair.weight
+                _ref_add_pair_entries(C, row_n, pair.normal, w, pair.node_plus, pair.node_minus)
+                _ref_add_pair_entries(
+                    B, row_n, pair.normal, w, pair.node_plus, pair.node_minus,
+                    transpose=True,
+                )
+                g[row_n] += w * pair.gap0
+            Dmat.add(row_t, row_t, 1.0)  # no point friction at the crossing
+            pinned[row_t] = True
+        elif st.kind is StateKind.OPEN:
+            Dmat.add(row_n, row_n, 1.0)
+            Dmat.add(row_t, row_t, 1.0)
+            pinned[row_n] = pinned[row_t] = True
+        elif st.kind is StateKind.SLIP:
+            Dmat.add(row_t, row_n, st.sign * tan_phi)
+            Dmat.add(row_t, row_t, 1.0)
+            g[row_t] = -st.sign * fric.cohesion
+
+    return ContactBlocks(
+        C=C.matrix((m2, n2)),
+        B_up=B.matrix((n2, m2)),
+        D=Dmat.matrix((m2, m2)),
+        g=g,
+        f_slip=f_slip,
+        pinned=pinned,
+    )
+
+
+PRESET_NAMES = ["inclined-crack", "shear-throughgoing", "sneddon",
+                "crossing-single", "crossing-multi"]
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_mesh(name):
+    """A preset's mesh and the Dirichlet dofs of its first load step."""
+    config = presets.get(name)
+    mesh = build_mesh(config)
+    fixed = step_data(mesh, config.bcs, 0, config.solver.n_load_steps)[1]
+    return mesh, fixed
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    kind = f"u{a.dtype.itemsize}"
+    np.testing.assert_array_equal(a.view(kind), b.view(kind))
+
+
+def _random_states(rng, n):
+    choices = (PairState.stick(), PairState.slip(1), PairState.slip(-1),
+               PairState.open_())
+    return [choices[k] for k in rng.integers(0, 4, size=n)]
+
+
+class TestArrayAssemblyMatchesLoops:
+    @pytest.mark.parametrize("cohesion", [0.0, 2e5])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_blocks_bit_identical(self, name, cohesion):
+        mesh, fixed = _preset_mesh(name)
+        fric = FrictionParams(cohesion=cohesion, friction_angle=math.radians(30.0))
+        rng = np.random.default_rng(PRESET_NAMES.index(name))
+        self.assert_matches_reference(mesh, fixed, fric, rng)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_blocks_bit_identical_partly_fixed_pairs(self, name):
+        # every third pair fully fixed, every third only on its plus node
+        mesh, fixed = _preset_mesh(name)
+        fric = FrictionParams(cohesion=2e5, friction_angle=math.radians(30.0))
+        extra = [
+            d
+            for p in mesh.pairs
+            for d in (2 * p.node_plus, 2 * p.node_plus + 1,
+                      2 * p.node_minus, 2 * p.node_minus + 1)[: 4 - 2 * (p.id % 3)]
+        ]
+        fixed = np.union1d(fixed, np.array(extra, dtype=np.int64))
+        rng = np.random.default_rng(10 + PRESET_NAMES.index(name))
+        self.assert_matches_reference(mesh, fixed, fric, rng)
+
+    @staticmethod
+    def assert_matches_reference(mesh, fixed, fric, rng):
+        assignments = [[PairState.stick()] * mesh.n_pairs,
+                       [PairState.open_()] * mesh.n_pairs]
+        assignments += [_random_states(rng, mesh.n_pairs) for _ in range(20)]
+        for states in assignments:
+            got = assemble_contact_blocks(mesh, states, fric, fixed_dofs=fixed)
+            ref = _ref_assemble_contact_blocks(mesh, states, fric, fixed_dofs=fixed)
+            for field in ("C", "B_up", "D"):
+                a, b = getattr(got, field), getattr(ref, field)
+                assert a.format == b.format == "csr" and a.shape == b.shape
+                for part in ("indptr", "indices", "data"):
+                    _assert_same_bits(getattr(a, part), getattr(b, part))
+            for field in ("g", "f_slip", "pinned"):
+                _assert_same_bits(getattr(got, field), getattr(ref, field))
+
+    def test_fully_fixed_pairs_of_presets(self):
+        mesh, fixed = _preset_mesh("shear-throughgoing")
+        assert len(_ref_fully_fixed_pairs(mesh, fixed)) == 2
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_regular_weights_are_reference_tributaries(self, name):
+        mesh, _ = _preset_mesh(name)
+        trib = _ref_tributary_weights(mesh)
+        regular = [p for p in mesh.pairs if not p.is_crossing_pair]
+        _assert_same_bits(
+            np.array([p.weight for p in regular]),
+            trib[[p.id for p in regular]],
+        )
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_jumps_match_pair_kinematics(self, name):
+        mesh, _ = _preset_mesh(name)
+        rng = np.random.default_rng(7)
+        U = rng.standard_normal(2 * mesh.n_nodes) * 1e-3
+        lam = rng.standard_normal(2 * mesh.n_pairs) * 1e6
+        jump_n, jump_t = pair_jumps(mesh, U)
+        kins = [pair_kinematics(p, U, lam) for p in mesh.pairs]
+        _assert_same_bits(jump_n, np.array([k.jump_n for k in kins]))
+        _assert_same_bits(jump_t, np.array([k.jump_t for k in kins]))

@@ -134,6 +134,36 @@ class TestMeshFile:
             load_mesh(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "fracture_lines, message, line",
+        [("FRACTURES 1\n3 2 0 2\n", "fracture id 3 out of range", 10),
+         ("FRACTURES 2\n0 2 0 2\n0 2 0 2\n", "duplicate fracture id 0", 11)],
+    )
+    def test_bad_fracture_id(self, tmp_path, fracture_lines, message, line):
+        # ids index the per-fracture chains, so they must be 0..k-1, once each
+        path = tmp_path / "bad.msh"
+        path.write_text(
+            "NODES 4\n0 0 0\n1 1 0\n2 1 1\n3 0 1\n"
+            "ELEMENTS 2\n0 0 1 2\n1 0 2 3\n" + fracture_lines + "END\n"
+        )
+        with pytest.raises(MeshFormatError, match=message) as err:
+            load_mesh(path)
+        assert err.value.line == line
+
+    def test_fractures_stored_in_id_order(self, tmp_path):
+        mesh = generate_rect_mesh(
+            4.0, 4.0, 8, 8, fractures=[(1.0, 1.0, 1.0, 3.0), (2.0, 2.0, 3.0, 2.0)]
+        )
+        path = tmp_path / "two.msh"
+        save_mesh(mesh, path)
+        lines = path.read_text().splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("FRACTURES"))
+        lines[at + 1], lines[at + 2] = lines[at + 2], lines[at + 1]
+        path.write_text("".join(lines))
+        back = load_mesh(path)
+        assert [f.id for f in back.fractures] == [0, 1]
+        assert [f.nodes for f in back.fractures] == [f.nodes for f in mesh.fractures]
+
     def test_cw_element_rejected(self, tmp_path):
         path = tmp_path / "cw.msh"
         path.write_text(
