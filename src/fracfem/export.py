@@ -1,4 +1,4 @@
-"""Result export: per-fracture profile CSVs and legacy ASCII VTK fields."""
+"""Result export: per-fracture profile CSVs and legacy binary VTK fields."""
 
 from __future__ import annotations
 
@@ -7,10 +7,13 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .contact import all_pair_kinematics
+import numpy as np
+
+from .contact import all_pair_kinematics, pair_jumps
 from .elasticity import element_stresses
 
 VTK_HEADER = "# vtk DataFile Version 3.0"
+_VTK_TRIANGLE = 5  # VTK cell type id of a linear triangle
 
 # Two crossing pairs of one fracture share the same arc coordinate; the CSV
 # keeps eta strictly increasing by nudging them apart by this fraction of the
@@ -81,42 +84,43 @@ def export_profiles(state, mesh, base_path):
 
 
 def export_field(state, mesh, mat, path):
-    """Legacy-VTK ASCII unstructured grid with displacements and stresses.
+    """Legacy-VTK binary unstructured grid with displacements and stresses.
 
-    Duplicated fracture nodes are written as distinct points, so the jumps
-    are visible in any standard viewer.
+    Sections POINTS, CELLS, CELL_TYPES, POINT_DATA displacement and
+    CELL_DATA stress, each an ASCII header line followed by one big-endian
+    payload (``float64`` values, ``int32`` ids) and a newline.  Duplicated
+    fracture nodes are written as distinct points, so the jumps are visible
+    in any standard viewer.
     """
+    n, m = mesh.n_nodes, mesh.n_elements
+    if max(n, 4 * m) > np.iinfo(np.int32).max:
+        raise ValueError(
+            f"mesh with {n} nodes and {m} elements does not fit the int32 "
+            "ids of legacy VTK"
+        )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    U = state.U
-    stresses = element_stresses(mesh, mat, U)
-    szz = mat.nu * (stresses[:, 0] + stresses[:, 1])  # plane strain
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{VTK_HEADER}\n")
-        fh.write("fracfem displacement and stress field\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_nodes} double\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{float(x)!r} {float(y)!r} 0.0\n")
-        fh.write(f"CELLS {mesh.n_elements} {4 * mesh.n_elements}\n")
-        for tri in mesh.elements:
-            fh.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n")
-        fh.write(f"CELL_TYPES {mesh.n_elements}\n")
-        for _ in range(mesh.n_elements):
-            fh.write("5\n")
-        fh.write(f"POINT_DATA {mesh.n_nodes}\n")
-        fh.write("VECTORS displacement double\n")
-        for i in range(mesh.n_nodes):
-            fh.write(f"{float(U[2 * i])!r} {float(U[2 * i + 1])!r} 0.0\n")
-        fh.write(f"CELL_DATA {mesh.n_elements}\n")
-        fh.write("TENSORS stress double\n")
-        for e in range(mesh.n_elements):
-            sxx, syy, sxy = (float(v) for v in stresses[e])
-            fh.write(f"{sxx!r} {sxy!r} 0.0\n")
-            fh.write(f"{sxy!r} {syy!r} 0.0\n")
-            fh.write(f"0.0 0.0 {float(szz[e])!r}\n\n")
+    sxx, syy, sxy = element_stresses(mesh, mat, state.U).T
+    szz = mat.nu * (sxx + syy)  # plane strain
+    zn, zm = np.zeros(n), np.zeros(m)
+    sections = [
+        (f"POINTS {n} double", np.column_stack([mesh.nodes, zn]), ">f8"),
+        (f"CELLS {m} {4 * m}", np.column_stack([np.full(m, 3), mesh.elements]), ">i4"),
+        (f"CELL_TYPES {m}", np.full(m, _VTK_TRIANGLE), ">i4"),
+        (f"POINT_DATA {n}\nVECTORS displacement double",
+         np.column_stack([state.U.reshape(n, 2), zn]), ">f8"),
+        (f"CELL_DATA {m}\nTENSORS stress double",
+         np.column_stack([sxx, sxy, zm, sxy, syy, zm, zm, zm, szz]), ">f8"),
+    ]
+    with open(path, "wb") as fh:
+        fh.write(
+            f"{VTK_HEADER}\nfracfem displacement and stress field\nBINARY\n"
+            "DATASET UNSTRUCTURED_GRID\n".encode("ascii")
+        )
+        for header, values, dtype in sections:
+            fh.write(f"{header}\n".encode("ascii"))
+            fh.write(values.astype(dtype).tobytes())
+            fh.write(b"\n")
     return path
 
 
@@ -131,5 +135,6 @@ def write_summary(path, summary):
 
 def max_penetration(mesh, state):
     """Most negative trial gap over all pairs (0 if nothing penetrates)."""
-    kins = all_pair_kinematics(mesh, state.U, state.lam)
-    return min([0.0, *(kin.trial_gap for kin in kins)])
+    jump_n, _ = pair_jumps(mesh, state.U)
+    gap0 = np.array([p.gap0 for p in mesh.pairs], dtype=float)
+    return min([0.0, *(gap0 + jump_n).tolist()])

@@ -400,34 +400,21 @@ def generate_rect_mesh(width, height, nx, ny, fractures=(), pattern="diagonal"):
     def center(i, j):
         return n_corner + j * nx + i
 
-    nodes = np.empty(
-        (n_corner + (nx * ny if pattern == "crossed" else 0), 2)
-    )
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            nodes[corner(i, j)] = (i * hx, j * hy)
-    if pattern == "crossed":
-        for j in range(ny):
-            for i in range(nx):
-                nodes[center(i, j)] = ((i + 0.5) * hx, (j + 0.5) * hy)
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            n00 = corner(i, j)
-            n10 = corner(i + 1, j)
-            n01 = corner(i, j + 1)
-            n11 = corner(i + 1, j + 1)
-            if pattern == "diagonal":
-                tris.append((n00, n10, n11))
-                tris.append((n00, n11, n01))
-            else:
-                c = center(i, j)
-                tris.append((n00, n10, c))
-                tris.append((n10, n11, c))
-                tris.append((n11, n01, c))
-                tris.append((n01, n00, c))
-    elements = np.array(tris, dtype=np.int64)
+    xs, ys = np.meshgrid(np.arange(nx + 1) * hx, np.arange(ny + 1) * hy)
+    nodes = [np.column_stack([xs.ravel(), ys.ravel()])]
+    ids = np.arange(n_corner).reshape(ny + 1, nx + 1)
+    n00, n10 = ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel()
+    n01, n11 = ids[1:, :-1].ravel(), ids[1:, 1:].ravel()
+    if pattern == "diagonal":
+        cell_tris = [(n00, n10, n11), (n00, n11, n01)]
+    else:
+        xc, yc = np.meshgrid((np.arange(nx) + 0.5) * hx, (np.arange(ny) + 0.5) * hy)
+        nodes.append(np.column_stack([xc.ravel(), yc.ravel()]))
+        c = n_corner + np.arange(nx * ny)
+        cell_tris = [(n00, n10, c), (n10, n11, c), (n11, n01, c), (n01, n00, c)]
+    nodes = np.vstack(nodes)
+    # (cell, triangle, vertex) in row-major cell order
+    elements = np.stack([np.column_stack(t) for t in cell_tris], axis=1).reshape(-1, 3)
 
     snap_tol = 1e-8 * min(hx, hy)
 
@@ -551,12 +538,16 @@ def _lattice_path(a, b, nx, ny, hx, hy, pattern, corner, center, fid):
 # node splitting
 # ---------------------------------------------------------------------------
 
-def _node_elements(mesh):
-    incid = [[] for _ in range(mesh.n_nodes)]
-    for e, tri in enumerate(mesh.elements):
-        for n in tri:
-            incid[n].append(e)
-    return incid
+def _node_elements(elements, n_nodes):
+    """Node-to-element incidence in CSR form, as (ptr, elem).
+
+    The elements around node ``n`` are ``elem[ptr[n]:ptr[n + 1]]``, in
+    ascending order (a stable sort of the connectivity keeps element order).
+    """
+    flat = np.asarray(elements).ravel()
+    ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n_nodes), out=ptr[1:])
+    return ptr, np.argsort(flat, kind="stable") // 3
 
 
 def _sector_side(p, dir_next, dir_prev, h_local):
@@ -644,7 +635,7 @@ def split_fractures(mesh):
                 )
         crossing_nodes[nid] = sorted(uses)
 
-    incid = _node_elements(mesh)
+    ptr, elem = _node_elements(mesh.elements, mesh.n_nodes)
     new_nodes = [mesh.nodes]
     elements = mesh.elements.copy()
     next_id = mesh.n_nodes
@@ -674,7 +665,7 @@ def split_fractures(mesh):
             h_local = max(np.hypot(*d_next), np.hypot(*d_prev))
             side_of = _sector_side(mesh.nodes[nid], d_next, d_prev, h_local)
             minus_id = alloc(mesh.nodes[nid])
-            for e in incid[nid]:
+            for e in elem[ptr[nid] : ptr[nid + 1]]:
                 if side_of(centroids[e]) < 0:
                     elements[e][elements[e] == nid] = minus_id
             plus_map[nid] = nid
@@ -692,7 +683,7 @@ def split_fractures(mesh):
             )
         quadrants = {}
         elems_by_quadrant = {}
-        for e in incid[nid]:
+        for e in elem[ptr[nid] : ptr[nid + 1]]:
             key = (classifiers[0](centroids[e]), classifiers[1](centroids[e]))
             elems_by_quadrant.setdefault(key, []).append(e)
         if len(elems_by_quadrant) != 4:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from fracfem.config import (
     save_config,
     serialize_config,
 )
-from fracfem.elasticity import ConfigError, MaterialParams
+from fracfem.elasticity import ConfigError, MaterialParams, element_stresses
 from fracfem.export import (
     VTK_HEADER,
     export_field,
     export_profiles,
     fracture_profiles,
+    max_penetration,
 )
 from fracfem.mesh import generate_rect_mesh, save_mesh
 from fracfem.solver import SolutionState, SolverConfig, run_load_steps
@@ -40,6 +42,41 @@ MINIMAL = {
         {"kind": "dirichlet", "side": "bottom", "ux": 0.0, "uy": 0.0},
     ],
 }
+
+
+def read_vtk(path):
+    """Read a legacy binary VTK unstructured grid.
+
+    Returns the ASCII header lines and a dict of flat native-order arrays
+    keyed by section (POINTS, CELLS, CELL_TYPES) or by data name.  Every
+    payload must be followed by exactly one newline.
+    """
+    raw = path.read_bytes()
+    pos, lines, data, n_data = 0, [], {}, None
+    while pos < len(raw):
+        end = raw.index(b"\n", pos)
+        lines.append(raw[pos:end].decode("ascii"))
+        pos = end + 1
+        key, *args = lines[-1].split()
+        if key in ("POINT_DATA", "CELL_DATA"):
+            n_data = int(args[0])
+        if key == "POINTS":
+            name, dtype, size = key, ">f8", 3 * int(args[0])
+        elif key == "CELLS":
+            name, dtype, size = key, ">i4", int(args[1])
+        elif key == "CELL_TYPES":
+            name, dtype, size = key, ">i4", int(args[0])
+        elif key in ("VECTORS", "TENSORS"):
+            name, dtype = args[0], ">f8"
+            size = (3 if key == "VECTORS" else 9) * n_data
+        else:
+            continue
+        values = np.frombuffer(raw, dtype=dtype, count=size, offset=pos)
+        data[name] = values.astype(values.dtype.newbyteorder("="))
+        pos += values.nbytes
+        assert raw[pos:pos + 1] == b"\n", f"no newline after {name}"
+        pos += 1
+    return lines, data
 
 
 def write_yaml(tmp_path, data, name="run.yaml"):
@@ -262,27 +299,19 @@ class TestExports:
         state = SolutionState(U=np.zeros(8), lam=np.zeros(0), states=[])
         path = export_field(state, mesh, MaterialParams(E=1e9, nu=0.25),
                             tmp_path / "f.vtk")
-        lines = path.read_text().splitlines()
+        lines, data = read_vtk(path)
         assert lines[0] == "# vtk DataFile Version 3.0"
         assert "DATASET UNSTRUCTURED_GRID" in lines
         assert "POINTS 4 double" in lines
         assert "CELLS 2 8" in lines
-        assert lines.count("5") >= 2  # triangle cell type
+        assert list(data["CELL_TYPES"]).count(5) >= 2  # triangle cell type
 
     def test_vtk_shows_jump_as_split_points(self, tmp_path):
         cfg, mesh, res = self._solved()
         path = export_field(res, mesh, cfg.material, tmp_path / "j.vtk")
-        text = path.read_text().splitlines()
-        i = text.index(f"POINTS {mesh.n_nodes} double")
-        pts = np.array(
-            [[float(v) for v in text[i + 1 + k].split()]
-             for k in range(mesh.n_nodes)]
-        )
-        j = text.index("VECTORS displacement double")
-        disp = np.array(
-            [[float(v) for v in text[j + 1 + k].split()]
-             for k in range(mesh.n_nodes)]
-        )
+        _, data = read_vtk(path)
+        pts = data["POINTS"].reshape(mesh.n_nodes, 3)
+        disp = data["displacement"].reshape(mesh.n_nodes, 3)
         pair = mesh.pairs[0]
         np.testing.assert_allclose(pts[pair.node_plus], pts[pair.node_minus])
         jump_file = disp[pair.node_plus] - disp[pair.node_minus]
@@ -292,6 +321,77 @@ class TestExports:
         )
         np.testing.assert_allclose(jump_file[:2], jump_state, rtol=1e-12)
         assert np.linalg.norm(jump_state) > 0.0
+
+    def test_vtk_round_trip_is_bit_exact(self, tmp_path):
+        cfg = presets.crossing_single()
+        mesh = build_mesh(cfg)
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
+                             cfg.solver)[-1]
+        assert res.converged
+        path = export_field(res, mesh, cfg.material, tmp_path / "field.vtk")
+        lines, data = read_vtk(path)
+
+        n, m = mesh.n_nodes, mesh.n_elements
+        header = [
+            VTK_HEADER, "fracfem displacement and stress field", "BINARY",
+            "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double",
+            f"CELLS {m} {4 * m}", f"CELL_TYPES {m}", f"POINT_DATA {n}",
+            "VECTORS displacement double", f"CELL_DATA {m}",
+            "TENSORS stress double",
+        ]
+        assert lines == header
+        # header lines, one newline closing each of the 5 payloads, payloads
+        payload = 8 * 3 * n + 4 * 4 * m + 4 * m + 8 * 3 * n + 8 * 9 * m
+        assert path.stat().st_size == (
+            sum(len(h) + 1 for h in header) + 5 + payload
+        )
+
+        def bits(a):
+            return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+        zn, zm = np.zeros(n), np.zeros(m)
+        np.testing.assert_array_equal(
+            bits(data["POINTS"]), bits(np.column_stack([mesh.nodes, zn]).ravel())
+        )
+        cells = data["CELLS"].reshape(m, 4)
+        assert (cells[:, 0] == 3).all()
+        np.testing.assert_array_equal(cells[:, 1:], mesh.elements)
+        assert (data["CELL_TYPES"] == 5).all() and data["CELL_TYPES"].size == m
+        np.testing.assert_array_equal(
+            bits(data["displacement"]),
+            bits(np.column_stack([res.U.reshape(n, 2), zn]).ravel()),
+        )
+        sxx, syy, sxy = element_stresses(mesh, cfg.material, res.U).T
+        szz = cfg.material.nu * (sxx + syy)
+        tensors = np.column_stack([sxx, sxy, zm, sxy, syy, zm, zm, zm, szz])
+        np.testing.assert_array_equal(bits(data["stress"]), bits(tensors.ravel()))
+        assert np.abs(szz).max() > 0.0
+
+    def test_max_penetration_equals_per_pair_trial_gaps(self):
+        from fracfem.contact import pair_kinematics
+
+        cfg, mesh, res = self._solved()
+        rng = np.random.default_rng(7)
+        values = []
+        for U in (res.U, *rng.standard_normal((6, res.U.size))):
+            state = SolutionState(U=U, lam=res.lam, states=res.states)
+            ref = min([0.0, *(pair_kinematics(p, U, res.lam).trial_gap
+                              for p in mesh.pairs)])
+            values.append(max_penetration(mesh, state))
+            assert repr(values[-1]) == repr(ref)
+        assert min(values) < 0.0
+        bare = build_mesh(dataclasses.replace(cfg, fractures=[]))
+        assert bare.n_pairs == 0
+        empty = SolutionState(U=np.zeros(2 * bare.n_nodes), lam=np.zeros(0),
+                              states=[])
+        assert repr(max_penetration(bare, empty)) == "0.0"
+
+    @pytest.mark.parametrize("n_nodes, n_elements", [(2**31, 1), (4, 2**29)])
+    def test_vtk_rejects_ids_beyond_int32(self, tmp_path, n_nodes, n_elements):
+        mesh = SimpleNamespace(n_nodes=n_nodes, n_elements=n_elements)
+        with pytest.raises(ValueError, match="int32"):
+            export_field(None, mesh, None, tmp_path / "big.vtk")
+        assert not (tmp_path / "big.vtk").exists()
 
 
 class TestRunAndCli:

@@ -493,3 +493,84 @@ class TestEdgeTable:
         # key 2*9 + 13 would alias the real edge 3-4 without the range check
         with pytest.raises(NonConformingPathError, match="2-13"):
             split_fractures(beyond)
+
+
+# Reference structured generator and node-element incidence: the per-cell
+# loops that array operations replaced, kept verbatim so the new versions are
+# checked against them entry for entry, order included.
+def _ref_rect_nodes_elements(width, height, nx, ny, pattern="diagonal"):
+    hx = width / nx
+    hy = height / ny
+
+    n_corner = (nx + 1) * (ny + 1)
+
+    def corner(i, j):
+        return j * (nx + 1) + i
+
+    def center(i, j):
+        return n_corner + j * nx + i
+
+    nodes = np.empty(
+        (n_corner + (nx * ny if pattern == "crossed" else 0), 2)
+    )
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            nodes[corner(i, j)] = (i * hx, j * hy)
+    if pattern == "crossed":
+        for j in range(ny):
+            for i in range(nx):
+                nodes[center(i, j)] = ((i + 0.5) * hx, (j + 0.5) * hy)
+
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            n00 = corner(i, j)
+            n10 = corner(i + 1, j)
+            n01 = corner(i, j + 1)
+            n11 = corner(i + 1, j + 1)
+            if pattern == "diagonal":
+                tris.append((n00, n10, n11))
+                tris.append((n00, n11, n01))
+            else:
+                c = center(i, j)
+                tris.append((n00, n10, c))
+                tris.append((n10, n11, c))
+                tris.append((n11, n01, c))
+                tris.append((n01, n00, c))
+    elements = np.array(tris, dtype=np.int64)
+    return nodes, elements
+
+
+def _ref_node_elements(mesh):
+    incid = [[] for _ in range(mesh.n_nodes)]
+    for e, tri in enumerate(mesh.elements):
+        for n in tri:
+            incid[n].append(e)
+    return incid
+
+
+class TestArrayGeneratorMatchesLoops:
+    @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
+    @pytest.mark.parametrize(
+        "width, height, nx, ny",
+        [(1.0, 1.0, 1, 1), (3.0, 2.0, 3, 5), (7.3, 1.1, 7, 2),
+         (12.0, 12.0, 120, 120), (10.0, 10.0, 50, 50)],
+    )
+    def test_nodes_and_elements_equal(self, width, height, nx, ny, pattern):
+        nodes, elements = _ref_rect_nodes_elements(width, height, nx, ny, pattern)
+        m = generate_rect_mesh(width, height, nx, ny, pattern=pattern)
+        assert np.array_equal(m.nodes, nodes)
+        assert np.array_equal(m.elements, elements)
+        assert m.nodes.dtype == nodes.dtype
+        assert m.elements.dtype == elements.dtype
+
+    def test_csr_incidence_equals_lists_on_crossing_multi(self):
+        from fracfem import presets
+        from fracfem.config import build_mesh
+        from fracfem.mesh import _node_elements
+
+        mesh = build_mesh(presets.crossing_multi())
+        assert mesh.intersections
+        ptr, elem = _node_elements(mesh.elements, mesh.n_nodes)
+        got = [elem[ptr[n] : ptr[n + 1]].tolist() for n in range(mesh.n_nodes)]
+        assert got == _ref_node_elements(mesh)
