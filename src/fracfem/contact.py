@@ -28,6 +28,12 @@ arc length (half of each adjacent segment, i.e. the row-sum lumping of a
 piecewise-linear multiplier interpolation along the fracture).
 Tributaries truncate at unduplicated crack tips and at intersections, where
 the crossing-pair point constraints take over.
+
+The pair data (dofs, frames, weights, initial gaps, crossing mask) are
+arrays built once per mesh (``Mesh.pair_arrays``).  Jumps, block assembly
+and the state update are array passes over them: the state rules are one
+array function, which ``classify_all`` applies to every pair and
+``classify_state`` to a single one.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,7 +105,7 @@ class PairState:
         return PairState(StateKind.SLIP, int(sign))
 
 
-# Hysteresis tolerances of the state rules in :func:`classify_state`.
+# Hysteresis tolerances of the state rules in :func:`_state_rule`.
 # Any lam_n above OPEN_TENSION opens (0 = strict sign test).
 OPEN_TENSION = 0.0
 # Relative band below tau_c still classified as slip, which keeps converged
@@ -130,34 +135,10 @@ class PairKinematics:
         return self.gap0 + self.jump_n
 
 
-class _PairArrays(NamedTuple):
-    """Pair data as arrays, one row per pair in id order."""
-
-    dofs: np.ndarray  # (n_cp, 4): x, y dofs of the plus node, then the minus node
-    normal: np.ndarray  # (n_cp, 2)
-    tangent: np.ndarray  # (n_cp, 2)
-    weight: np.ndarray
-    gap0: np.ndarray
-    crossing: np.ndarray  # bool
-
-
-def _pair_arrays(pairs):
-    nodes = np.array([(p.node_plus, p.node_minus) for p in pairs], dtype=np.int64)
-    dofs = (2 * nodes.reshape(-1, 2))[:, [0, 0, 1, 1]] + [0, 1, 0, 1]
-    return _PairArrays(
-        dofs=dofs,
-        normal=np.array([p.normal for p in pairs], dtype=float).reshape(-1, 2),
-        tangent=np.array([p.tangent for p in pairs], dtype=float).reshape(-1, 2),
-        weight=np.array([p.weight for p in pairs], dtype=float),
-        gap0=np.array([p.gap0 for p in pairs], dtype=float),
-        crossing=np.array([p.is_crossing_pair for p in pairs], dtype=bool),
-    )
-
-
 def pair_jumps(mesh, U):
     """(jump_n, jump_t) arrays of every pair: ``[u]·n`` and ``[u]·t`` with
     ``[u] = u_plus - u_minus``, each as ``dx*nx + dy*ny``."""
-    a = _pair_arrays(mesh.pairs)
+    a = mesh.pair_arrays
     dx = U[a.dofs[:, 0]] - U[a.dofs[:, 2]]
     dy = U[a.dofs[:, 1]] - U[a.dofs[:, 3]]
     return (
@@ -180,56 +161,57 @@ def pair_kinematics(pair, U, lam):
     )
 
 
-def all_pair_kinematics(mesh, U, lam):
-    """:class:`PairKinematics` of every pair, jumps from :func:`pair_jumps`."""
-    jn, jt = pair_jumps(mesh, U)
-    return [
-        PairKinematics(n, t, ln, lt, pair.gap0)
-        for pair, n, t, ln, lt in zip(
-            mesh.pairs, jn.tolist(), jt.tolist(),
-            lam[0::2].tolist(), lam[1::2].tolist(),
-        )
-    ]
-
-
 def mohr_coulomb_tau_c(lam_n, fric):
     """Critical shear traction c - lam_n * tan(phi) (compression negative)."""
     return fric.cohesion - lam_n * fric.tan_phi
 
 
-def classify_state(kin, fric, current=None, crossing=False):
-    """Contact state of one pair from its current iterate.
+def _state_rule(jump_n, jump_t, lam_n, lam_t, gap0, crossing, was_open, fric):
+    """Next state of each pair as (opens mask, slip sign) arrays.
 
     Order of tests: tension demanded -> open; an open pair with a positive
     trial gap stays open; otherwise slip if the tangential multiplier reaches
     the Mohr-Coulomb bound, else stick.  Crossing pairs only switch between
-    open and (normal-)active.
+    open and (normal-)active.  ``sign`` is +-1 on slip pairs and 0 elsewhere;
+    it follows the tangential jump, below SIGN_EPS the trial traction, and
+    is +1 when both vanish.
     """
-    if current is None:
-        current = PairState.stick()
-    if kin.lam_n > OPEN_TENSION:
-        return PairState.open_()
-    if current.kind is StateKind.OPEN and kin.trial_gap > -GAP_NOISE:
-        return PairState.open_()
-    if crossing:
-        return PairState.stick()
-    tau_c = mohr_coulomb_tau_c(kin.lam_n, fric)
-    if abs(kin.lam_t) >= tau_c * (1.0 - SLIP_REL):
-        if abs(kin.jump_t) >= SIGN_EPS:
-            sign = 1 if kin.jump_t > 0 else -1
-        elif kin.lam_t != 0.0:
-            sign = 1 if kin.lam_t > 0 else -1
-        else:
-            sign = 1
-        return PairState.slip(sign)
-    return PairState.stick()
+    opens = (lam_n > OPEN_TENSION) | (was_open & (gap0 + jump_n > -GAP_NOISE))
+    tau_c = mohr_coulomb_tau_c(lam_n, fric)
+    slips = ~(opens | crossing) & (np.abs(lam_t) >= tau_c * (1.0 - SLIP_REL))
+    cue = np.where(
+        np.abs(jump_t) >= SIGN_EPS, jump_t, np.where(lam_t != 0.0, lam_t, 1.0)
+    )
+    return opens, np.where(cue > 0, 1, -1) * slips
+
+
+# _STATES[code + 1]: code -1/+1 slips with that sign, 0 sticks, 2 is open
+_STATES = (PairState.slip(-1), PairState.stick(), PairState.slip(1), PairState.open_())
+
+
+def _pair_states(opens, sign):
+    return [_STATES[c] for c in (np.where(opens, 2, sign) + 1).tolist()]
+
+
+def classify_state(kin, fric, current=None, crossing=False):
+    """Contact state of one pair from its current iterate, by the rule
+    :func:`classify_all` applies to all pairs (``current`` defaults to
+    stick)."""
+    was_open = current is not None and current.kind is StateKind.OPEN
+    values = np.array([[kin.jump_n, kin.jump_t, kin.lam_n, kin.lam_t, kin.gap0]])
+    rule = _state_rule(*values.T, np.array([crossing]), np.array([was_open]), fric)
+    return _pair_states(*rule)[0]
 
 
 def classify_all(mesh, states, U, lam, fric):
-    return [
-        classify_state(kin, fric, current=st, crossing=pair.is_crossing_pair)
-        for pair, st, kin in zip(mesh.pairs, states, all_pair_kinematics(mesh, U, lam))
-    ]
+    """Next state of every pair from the iterate ``U``, ``lam``."""
+    a = mesh.pair_arrays
+    was_open = np.array([st.kind is StateKind.OPEN for st in states], dtype=bool)
+    jump_n, jump_t = pair_jumps(mesh, U)
+    rule = _state_rule(
+        jump_n, jump_t, lam[0::2], lam[1::2], a.gap0, a.crossing, was_open, fric
+    )
+    return _pair_states(*rule)
 
 
 @dataclass
@@ -284,7 +266,7 @@ def assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
     """
     if len(states) != mesh.n_pairs:
         raise ValueError("one state per contact pair required")
-    a = _pair_arrays(mesh.pairs)
+    a = mesh.pair_arrays
     n2 = 2 * mesh.n_nodes
     m2 = 2 * mesh.n_pairs
     tan_phi = fric.tan_phi

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contact import all_pair_kinematics, pair_jumps
+from .contact import pair_jumps
 from .elasticity import element_stresses
 
 VTK_HEADER = "# vtk DataFile Version 3.0"
@@ -37,8 +37,9 @@ def fracture_profiles(mesh, state):
     out = {f.id: [] for f in mesh.fractures}
     crossing_seen = {}
     lengths = {f.id: mesh.chains[f.id][-1].eta for f in mesh.fractures}
-    kins = all_pair_kinematics(mesh, state.U, state.lam)
-    for pair, st, kin in zip(mesh.pairs, state.states, kins):
+    jumps = pair_jumps(mesh, state.U)
+    columns = [c.tolist() for c in (*jumps, state.lam[0::2], state.lam[1::2])]
+    for pair, st, *values in zip(mesh.pairs, state.states, *columns):
         eta = pair.arc_coord
         if pair.is_crossing_pair:
             k = crossing_seen.get((pair.fracture, pair.arc_coord), 0)
@@ -46,15 +47,7 @@ def fracture_profiles(mesh, state):
             nudge = _CROSSING_ETA_NUDGE * max(lengths[pair.fracture], 1.0)
             eta += -nudge if k == 0 else nudge
         out[pair.fracture].append(
-            FractureProfileRecord(
-                fracture=pair.fracture,
-                eta=eta,
-                jump_n=kin.jump_n,
-                jump_t=kin.jump_t,
-                lam_n=kin.lam_n,
-                lam_t=kin.lam_t,
-                state=st.label,
-            )
+            FractureProfileRecord(pair.fracture, eta, *values, st.label)
         )
     for records in out.values():
         records.sort(key=lambda r: r.eta)
@@ -136,5 +129,4 @@ def write_summary(path, summary):
 def max_penetration(mesh, state):
     """Most negative trial gap over all pairs (0 if nothing penetrates)."""
     jump_n, _ = pair_jumps(mesh, state.U)
-    gap0 = np.array([p.gap0 for p in mesh.pairs], dtype=float)
-    return min([0.0, *(gap0 + jump_n).tolist()])
+    return min([0.0, *(mesh.pair_arrays.gap0 + jump_n).tolist()])

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,7 +110,17 @@ class Intersection:
     node: int
     fractures: tuple
     quadrants: dict
-    pair_ids: list = field(default_factory=list)
+
+
+class PairArrays(NamedTuple):
+    """Pair data as arrays, one row per pair in id order."""
+
+    dofs: np.ndarray  # (n_cp, 4): x, y dofs of the plus node, then the minus node
+    normal: np.ndarray  # (n_cp, 2)
+    tangent: np.ndarray  # (n_cp, 2)
+    weight: np.ndarray
+    gap0: np.ndarray
+    crossing: np.ndarray  # bool
 
 
 @dataclass
@@ -142,6 +154,22 @@ class Mesh:
     @property
     def n_pairs(self):
         return len(self.pairs)
+
+    @cached_property
+    def pair_arrays(self):
+        """:class:`PairArrays` of ``pairs``, built once: a built mesh is
+        immutable, and :func:`build_contact_pairs` returns a new ``Mesh``."""
+        pairs = self.pairs
+        nodes = np.array([(p.node_plus, p.node_minus) for p in pairs], dtype=np.int64)
+        dofs = (2 * nodes.reshape(-1, 2))[:, [0, 0, 1, 1]] + [0, 1, 0, 1]
+        return PairArrays(
+            dofs=dofs,
+            normal=np.array([p.normal for p in pairs], dtype=float).reshape(-1, 2),
+            tangent=np.array([p.tangent for p in pairs], dtype=float).reshape(-1, 2),
+            weight=np.array([p.weight for p in pairs], dtype=float),
+            gap0=np.array([p.gap0 for p in pairs], dtype=float),
+            crossing=np.array([p.is_crossing_pair for p in pairs], dtype=bool),
+        )
 
     def signed_areas(self):
         x = self.nodes[self.elements]
@@ -211,8 +239,13 @@ def _validate(mesh, area_tol_rel=1e-12):
         if len(frac.nodes) < 2:
             raise NonConformingPathError(f"fracture {frac.id} has fewer than 2 nodes")
         seg = np.column_stack([frac.nodes[:-1], frac.nodes[1:]]).astype(np.int64)
+        seg_keys = _edge_keys(seg, base)
+        # sorted search in the unique keys; no edge sorts past the last key
+        pos = np.searchsorted(keys, seg_keys)
+        edge = pos < keys.size
+        edge[edge] = keys[pos[edge]] == seg_keys[edge]
         known = ((seg >= 0) & (seg < base)).all(axis=1)
-        bad = np.flatnonzero(~(known & np.isin(_edge_keys(seg, base), keys)))
+        bad = np.flatnonzero(~(known & edge))
         if bad.size:
             a, b = seg[bad[0]]
             raise NonConformingPathError(
@@ -786,9 +819,7 @@ def build_contact_pairs(mesh):
                 chain.append(ChainNode(eta, None, nid, nid, nid, nid, "tip"))
         chains.append(chain)
 
-    out = replace(mesh, pairs=pairs, chains=chains)
-    # keep intersection records pointing at the new pair list
-    return out
+    return replace(mesh, pairs=pairs, chains=chains)
 
 
 def _crossing_chain_node(mesh, frac, rec, path, k, eta, seg_len, pairs):
@@ -841,7 +872,6 @@ def _crossing_chain_node(mesh, frac, rec, path, k, eta, seg_len, pairs):
                 weight=weight,
             )
         )
-        rec.pair_ids.append(pid)
     return node
 
 

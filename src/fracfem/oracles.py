@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import FrictionParams
+from .contact import FrictionParams, pair_kinematics
 from .elasticity import MaterialParams
 
 
@@ -127,11 +127,9 @@ def sif_components(mesh, state, fracture_id, tip, mat):
     r = abs(pair.arc_coord - eta_tip)
     if r <= 0.0:
         raise ValueError("tip pair coincides with the tip node")
-    jump = state.U[2 * pair.node_plus : 2 * pair.node_plus + 2] - state.U[
-        2 * pair.node_minus : 2 * pair.node_minus + 2
-    ]
-    du_n = max(float(jump @ pair.normal), 0.0)
-    du_t = abs(float(jump @ pair.tangent))
+    kin = pair_kinematics(pair, state.U, state.lam)
+    du_n = max(kin.jump_n, 0.0)
+    du_t = abs(kin.jump_t)
     kappa = 3.0 - 4.0 * mat.nu
     coef = mat.G / (kappa + 1.0) * math.sqrt(2.0 * math.pi / r)
     return coef * du_n, coef * du_t

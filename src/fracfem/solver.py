@@ -19,11 +19,11 @@ import scipy.sparse.linalg as spla
 from .contact import (
     PairState,
     StateKind,
-    all_pair_kinematics,
     assemble_contact_blocks,
     classify_all,
     contact_residuals,
     mohr_coulomb_tau_c,
+    pair_jumps,
 )
 from .elasticity import (
     assemble_loads,
@@ -292,32 +292,27 @@ def initial_states(mesh):
 
 
 def _ranked_flips(mesh, states, proposed, U, lam, fric):
-    """Proposed state changes ranked by a dimensionless violation score."""
-    flips = [
-        (pair.id, st, new, kin)
-        for pair, st, new, kin in zip(
-            mesh.pairs, states, proposed, all_pair_kinematics(mesh, U, lam)
-        )
-        if new != st
-    ]
-    lam_ref = 1.0
-    gap_ref = 1e-12
-    for _, _, _, kin in flips:
-        lam_ref = max(lam_ref, abs(kin.lam_n), abs(kin.lam_t))
-        gap_ref = max(gap_ref, abs(kin.trial_gap))
+    """Proposed state changes ranked by a dimensionless violation score.
 
-    scored = []
-    for pid, st, new, kin in flips:
-        if new.kind is StateKind.OPEN:
-            score = kin.lam_n / lam_ref
-        elif st.kind is StateKind.OPEN:
-            score = -kin.trial_gap / gap_ref
-        else:
-            tau = mohr_coulomb_tau_c(kin.lam_n, fric)
-            score = abs(abs(kin.lam_t) - tau) / lam_ref
-        scored.append((score, pid))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return scored
+    Returns ``(score, pair id)`` tuples, highest score first, ties by id.
+    """
+    ids = np.flatnonzero([new != st for st, new in zip(states, proposed)])
+    jump_n, _ = pair_jumps(mesh, U)
+    trial_gap = (mesh.pair_arrays.gap0 + jump_n)[ids]
+    lam_n, lam_t = lam[0::2][ids], lam[1::2][ids]
+    lam_ref = np.abs(np.concatenate([lam_n, lam_t])).max(initial=1.0)
+    gap_ref = np.abs(trial_gap).max(initial=1e-12)
+
+    to_open = np.array([proposed[i].kind is StateKind.OPEN for i in ids], dtype=bool)
+    from_open = np.array([states[i].kind is StateKind.OPEN for i in ids], dtype=bool)
+    tau = mohr_coulomb_tau_c(lam_n, fric)
+    score = np.where(
+        to_open,
+        lam_n / lam_ref,
+        np.where(from_open, -trial_gap / gap_ref, np.abs(np.abs(lam_t) - tau) / lam_ref),
+    )
+    order = np.lexsort((ids, -score))
+    return list(zip(score[order].tolist(), ids[order].tolist()))
 
 
 def _cautious_update(mesh, states, proposed, U, lam, fric, seen):

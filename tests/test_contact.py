@@ -12,12 +12,17 @@ from hypothesis import strategies as st
 from fracfem import presets
 from fracfem.config import build_mesh
 from fracfem.contact import (
+    GAP_NOISE,
+    OPEN_TENSION,
+    SIGN_EPS,
+    SLIP_REL,
     ContactBlocks,
     FrictionParams,
     PairKinematics,
     PairState,
     StateKind,
     assemble_contact_blocks,
+    classify_all,
     classify_state,
     contact_residuals,
     mohr_coulomb_tau_c,
@@ -580,3 +585,144 @@ class TestArrayAssemblyMatchesLoops:
         kins = [pair_kinematics(p, U, lam) for p in mesh.pairs]
         _assert_same_bits(jump_n, np.array([k.jump_n for k in kins]))
         _assert_same_bits(jump_t, np.array([k.jump_t for k in kins]))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-pair state rule and loop that the array rule replaced,
+# kept verbatim (names prefixed with _ref) to pin the new one state for state.
+# ---------------------------------------------------------------------------
+
+def _ref_all_pair_kinematics(mesh, U, lam):
+    """:class:`PairKinematics` of every pair, jumps from :func:`pair_jumps`."""
+    jn, jt = pair_jumps(mesh, U)
+    return [
+        PairKinematics(n, t, ln, lt, pair.gap0)
+        for pair, n, t, ln, lt in zip(
+            mesh.pairs, jn.tolist(), jt.tolist(),
+            lam[0::2].tolist(), lam[1::2].tolist(),
+        )
+    ]
+
+
+def _ref_classify_state(kin, fric, current=None, crossing=False):
+    """Contact state of one pair from its current iterate.
+
+    Order of tests: tension demanded -> open; an open pair with a positive
+    trial gap stays open; otherwise slip if the tangential multiplier reaches
+    the Mohr-Coulomb bound, else stick.  Crossing pairs only switch between
+    open and (normal-)active.
+    """
+    if current is None:
+        current = PairState.stick()
+    if kin.lam_n > OPEN_TENSION:
+        return PairState.open_()
+    if current.kind is StateKind.OPEN and kin.trial_gap > -GAP_NOISE:
+        return PairState.open_()
+    if crossing:
+        return PairState.stick()
+    tau_c = mohr_coulomb_tau_c(kin.lam_n, fric)
+    if abs(kin.lam_t) >= tau_c * (1.0 - SLIP_REL):
+        if abs(kin.jump_t) >= SIGN_EPS:
+            sign = 1 if kin.jump_t > 0 else -1
+        elif kin.lam_t != 0.0:
+            sign = 1 if kin.lam_t > 0 else -1
+        else:
+            sign = 1
+        return PairState.slip(sign)
+    return PairState.stick()
+
+
+def _ref_classify_all(mesh, states, U, lam, fric):
+    return [
+        _ref_classify_state(kin, fric, current=st, crossing=pair.is_crossing_pair)
+        for pair, st, kin in zip(mesh.pairs, states, _ref_all_pair_kinematics(mesh, U, lam))
+    ]
+
+
+def _straddling_iterate(mesh, fric, rng, u_scale):
+    """Random ``U``, ``lam`` whose pairs straddle every branch of the rule.
+
+    Tangential multipliers scatter around the Coulomb bound and a fifth sit
+    exactly on its slip threshold; a tenth of the pairs carry no jump at all
+    (so the sign falls back to ``lam_t``), and half of those also have
+    ``lam_n = lam_t = 0``.  ``u_scale`` near GAP_NOISE and SIGN_EPS puts the
+    trial gaps and tangential jumps on both sides of those bands.
+    """
+    n = mesh.n_pairs
+    U = rng.standard_normal(2 * mesh.n_nodes) * u_scale
+    lam_n = rng.uniform(-2e7, 2e6, n)
+    lam_n[rng.random(n) < 0.05] = 0.0
+    sign = rng.choice([-1.0, 1.0], n)
+    threshold = mohr_coulomb_tau_c(lam_n, fric) * (1.0 - SLIP_REL)
+    lam_t = sign * threshold * rng.uniform(0.9, 1.1, n)
+    tie = rng.random(n) < 0.2
+    lam_t[tie] = (sign * threshold)[tie]
+    lam_t[rng.random(n) < 0.05] = 0.0
+    still = rng.random(n) < 0.1
+    U[mesh.pair_arrays.dofs[still]] = 0.0
+    both = still & (rng.random(n) < 0.5)
+    lam_n[both] = lam_t[both] = 0.0
+    lam = np.column_stack([lam_n, lam_t]).ravel()
+    return U, lam
+
+
+class TestArrayClassifierMatchesRule:
+    @pytest.mark.parametrize("cohesion", [0.0, 2e5])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_classify_all_equals_per_pair_rule(self, name, cohesion):
+        mesh, _ = _preset_mesh(name)
+        fric = FrictionParams(cohesion=cohesion, friction_angle=math.radians(30.0))
+        rng = np.random.default_rng(20 + PRESET_NAMES.index(name))
+        seen = set()
+        for u_scale in (0.0, 1e-13, 1e-12, 3e-12, 1e-6) * 4:
+            U, lam = _straddling_iterate(mesh, fric, rng, u_scale)
+            states = _random_states(rng, mesh.n_pairs)
+            got = classify_all(mesh, states, U, lam, fric)
+            assert got == _ref_classify_all(mesh, states, U, lam, fric)
+            seen |= self.branches(mesh, states, U, lam, fric)
+        expected = {"tie", "gap in band", "gap beyond band", "tiny jump lam_t<0",
+                    "tiny jump lam_t>0"}
+        if cohesion == 0.0:
+            expected.add("tiny jump lam_t=0")
+        assert expected <= seen
+
+    @staticmethod
+    def branches(mesh, states, U, lam, fric):
+        """Which edge cases of the rule these inputs reach on regular pairs."""
+        out = set()
+        kins = _ref_all_pair_kinematics(mesh, U, lam)
+        for pair, st, kin in zip(mesh.pairs, states, kins):
+            if pair.is_crossing_pair or kin.lam_n > OPEN_TENSION:
+                continue
+            if st.kind is StateKind.OPEN:
+                in_band = kin.trial_gap > -GAP_NOISE
+                out.add("gap in band" if in_band else "gap beyond band")
+                continue
+            threshold = mohr_coulomb_tau_c(kin.lam_n, fric) * (1.0 - SLIP_REL)
+            if abs(kin.lam_t) == threshold:
+                out.add("tie")
+            if abs(kin.lam_t) >= threshold and abs(kin.jump_t) < SIGN_EPS:
+                rel = "<" if kin.lam_t < 0 else ">" if kin.lam_t > 0 else "="
+                out.add(f"tiny jump lam_t{rel}0")
+        return out
+
+    @given(
+        jump_n=st.floats(-3e-12, 3e-12),
+        jump_t=st.floats(-3e-12, 3e-12),
+        lam_n=st.floats(-1e7, 1e6),
+        lam_t=st.floats(-1e7, 1e7),
+        gap0=st.sampled_from([0.0, 1e-12, -1e-12, 1e-3]),
+        current=st.sampled_from([None, PairState.stick(), PairState.slip(1),
+                                 PairState.slip(-1), PairState.open_()]),
+        crossing=st.booleans(),
+        cohesion=st.sampled_from([0.0, 2e5]),
+    )
+    @settings(max_examples=300)
+    def test_classify_state_equals_per_pair_rule(
+        self, jump_n, jump_t, lam_n, lam_t, gap0, current, crossing, cohesion
+    ):
+        fric = FrictionParams(cohesion=cohesion, friction_angle=math.radians(30.0))
+        k = kin(jump_n, jump_t, lam_n, lam_t, gap0)
+        assert classify_state(k, fric, current, crossing) == _ref_classify_state(
+            k, fric, current, crossing
+        )

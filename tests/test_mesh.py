@@ -1,5 +1,6 @@
 """Mesh generation, file round-trips, node splitting, contact pairs."""
 
+import copy
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from fracfem.mesh import (
     AmbiguousSideError,
     FracturePath,
+    FractureSpec,
     Mesh,
     MeshFormatError,
     NonConformingPathError,
@@ -27,6 +29,14 @@ SQRT2 = math.sqrt(2.0)
 
 def built(mesh):
     return build_contact_pairs(split_fractures(mesh))
+
+
+def _pair_fields(mesh):
+    """Every pair's fields as plain values (frames as lists)."""
+    return [
+        {**vars(p), "normal": p.normal.tolist(), "tangent": p.tangent.tolist()}
+        for p in mesh.pairs
+    ]
 
 
 class TestGenerator:
@@ -311,7 +321,34 @@ class TestContactPairs:
         assert kinds.count("crossing") == 2
         assert kinds[0] == "tip" and kinds[-1] == "tip"
         for rec in built_mesh.intersections:
-            assert len(rec.pair_ids) == 4
+            copies = set(rec.quadrants.values())
+            at_node = [
+                p for p in built_mesh.pairs
+                if p.is_crossing_pair and {p.node_plus, p.node_minus} <= copies
+            ]
+            assert len(at_node) == 4
+
+    def test_building_pairs_twice_leaves_split_mesh_unchanged(self):
+        from fracfem import presets
+        from fracfem.config import build_mesh
+
+        cfg = presets.get("crossing-multi")
+        g = cfg.generator
+        split = split_fractures(
+            generate_rect_mesh(
+                g["width"], g["height"], g["nx"], g["ny"],
+                fractures=[FractureSpec(**f) for f in cfg.fractures],
+                pattern=g["pattern"],
+            )
+        )
+        records = copy.deepcopy(split.intersections)
+        assert len(records) == 3
+        first = build_contact_pairs(split)
+        second = build_contact_pairs(split)
+        assert split.intersections == records
+        assert first.intersections == records
+        assert _pair_fields(first) == _pair_fields(second)
+        assert _pair_fields(first) == _pair_fields(build_mesh(cfg))
 
     def test_crossing_registers_four_flagged_pairs(self):
         m = built(
@@ -493,6 +530,26 @@ class TestEdgeTable:
         # key 2*9 + 13 would alias the real edge 3-4 without the range check
         with pytest.raises(NonConformingPathError, match="2-13"):
             split_fractures(beyond)
+
+    def test_non_edge_past_the_last_key_rejected(self):
+        # square split along 0-1: nodes 2 and 3 are the two highest ids and
+        # not joined, so the key of 2-3 sorts after every edge key
+        nodes = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        elements = np.array([[0, 2, 1], [0, 1, 3]])
+        for path, name in (([2, 3], "2-3"), ([3, 2], "3-2")):
+            bad = Mesh(nodes=nodes, elements=elements,
+                       fractures=[FracturePath(id=0, nodes=path)])
+            with pytest.raises(NonConformingPathError, match=name):
+                split_fractures(bad)
+
+    def test_fracture_on_mesh_without_elements_rejected(self, tmp_path):
+        path = tmp_path / "empty.msh"
+        path.write_text(
+            "NODES 3\n0 0 0\n1 1 0\n2 1 1\nELEMENTS 0\n"
+            "FRACTURES 1\n0 2 0 1\nEND\n"
+        )
+        with pytest.raises(NonConformingPathError, match="0-1"):
+            load_mesh(path)
 
 
 # Reference structured generator and node-element incidence: the per-cell

@@ -1,5 +1,6 @@
 """Saddle system assembly, preconditioning, Newton/active-set loop."""
 
+import functools
 import json
 import math
 import os
@@ -15,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfem import solver
-from fracfem.contact import FrictionParams, PairState, StateKind
+from fracfem.contact import (
+    FrictionParams,
+    PairKinematics,
+    PairState,
+    StateKind,
+    mohr_coulomb_tau_c,
+    pair_jumps,
+)
 from fracfem.elasticity import (
     BoundaryCondition,
     MaterialParams,
@@ -501,3 +509,127 @@ def test_benchmark_tracer_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failures"] == []
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-pair flip ranking that the array ranking replaced, kept
+# verbatim (names prefixed with _ref) to pin the new one bit for bit.
+# ---------------------------------------------------------------------------
+
+def _ref_all_pair_kinematics(mesh, U, lam):
+    """:class:`PairKinematics` of every pair, jumps from :func:`pair_jumps`."""
+    jn, jt = pair_jumps(mesh, U)
+    return [
+        PairKinematics(n, t, ln, lt, pair.gap0)
+        for pair, n, t, ln, lt in zip(
+            mesh.pairs, jn.tolist(), jt.tolist(),
+            lam[0::2].tolist(), lam[1::2].tolist(),
+        )
+    ]
+
+
+def _ref_ranked_flips(mesh, states, proposed, U, lam, fric):
+    """Proposed state changes ranked by a dimensionless violation score."""
+    flips = [
+        (pair.id, st, new, kin)
+        for pair, st, new, kin in zip(
+            mesh.pairs, states, proposed, _ref_all_pair_kinematics(mesh, U, lam)
+        )
+        if new != st
+    ]
+    lam_ref = 1.0
+    gap_ref = 1e-12
+    for _, _, _, kin in flips:
+        lam_ref = max(lam_ref, abs(kin.lam_n), abs(kin.lam_t))
+        gap_ref = max(gap_ref, abs(kin.trial_gap))
+
+    scored = []
+    for pid, st, new, kin in flips:
+        if new.kind is StateKind.OPEN:
+            score = kin.lam_n / lam_ref
+        elif st.kind is StateKind.OPEN:
+            score = -kin.trial_gap / gap_ref
+        else:
+            tau = mohr_coulomb_tau_c(kin.lam_n, fric)
+            score = abs(abs(kin.lam_t) - tau) / lam_ref
+        scored.append((score, pid))
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    return scored
+
+
+@functools.lru_cache(maxsize=None)
+def _solved(name):
+    """A preset's mesh, friction and final converged load step."""
+    from fracfem import presets
+    from fracfem.config import build_mesh
+
+    cfg = presets.get(name)
+    mesh = build_mesh(cfg)
+    res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)[-1]
+    assert res.converged
+    return mesh, cfg.friction, res
+
+
+_STATE_CHOICES = (PairState.stick(), PairState.slip(1), PairState.slip(-1),
+                  PairState.open_())
+
+
+def _random_flips(rng, states, share):
+    """``states`` with a random ``share`` of pairs moved to another state."""
+    out = list(states)
+    for i in np.flatnonzero(rng.random(len(states)) < share):
+        out[i] = rng.choice([s for s in _STATE_CHOICES if s != states[i]])
+    return out
+
+
+def _bits(scored):
+    return [(float(score).hex(), pid) for score, pid in scored]
+
+
+class TestTabuWalk:
+    @pytest.mark.parametrize("name", ["crossing-multi", "inclined-crack"])
+    def test_ranked_flips_match_reference(self, name):
+        mesh, fric, res = _solved(name)
+        rng = np.random.default_rng(3)
+        cases = []
+        for share in (0.0, 0.05, 0.3, 1.0):
+            for _ in range(10):
+                states = (res.states if rng.random() < 0.5
+                          else [rng.choice(_STATE_CHOICES) for _ in mesh.pairs])
+                cases.append((states, _random_flips(rng, states, share)))
+        # ties: every open pair re-engages at the same zero trial gap
+        cases.append(([PairState.open_()] * mesh.n_pairs,
+                      [PairState.stick()] * mesh.n_pairs))
+        for U in (res.U, np.zeros_like(res.U)):
+            for states, proposed in cases:
+                got = solver._ranked_flips(mesh, states, proposed, U, res.lam, fric)
+                ref = _ref_ranked_flips(mesh, states, proposed, U, res.lam, fric)
+                assert _bits(got) == _bits(ref)
+                assert len(got) == sum(a != b for a, b in zip(states, proposed))
+
+    def test_cautious_update_takes_best_unvisited_single_flip(self):
+        mesh, fric, res = _solved("crossing-multi")
+        rng = np.random.default_rng(4)
+        states = list(res.states)
+        proposed = _random_flips(rng, states, 0.2)
+        ranked = solver._ranked_flips(mesh, states, proposed, res.U, res.lam, fric)
+        assert len(ranked) >= 3
+
+        def flipped(pid):
+            out = list(states)
+            out[pid] = proposed[pid]
+            return tuple(out)
+
+        seen = {tuple(states), flipped(ranked[0][1]), flipped(ranked[1][1])}
+        out = solver._cautious_update(
+            mesh, states, proposed, res.U, res.lam, fric, seen
+        )
+        diff = [i for i, (a, b) in enumerate(zip(states, out)) if a != b]
+        assert diff == [ranked[2][1]]
+        assert out[diff[0]] == proposed[diff[0]]
+        assert tuple(out) not in seen
+
+        seen |= {flipped(pid) for _, pid in ranked}
+        assert solver._cautious_update(
+            mesh, states, proposed, res.U, res.lam, fric, seen
+        ) is None
