@@ -119,7 +119,12 @@ def assemble_stiffness(mesh, mat):
     """Global sparse stiffness, 2 dofs per node, deterministic scatter-add."""
     D = plane_strain_D(mat)
     B, areas = _b_matrices(mesh)
-    Ke = np.einsum("eki,kl,elj->eij", B, D, B) * areas[:, None, None]
+    # B^T D B summed over the nonzero entries of D, in the order (k outer,
+    # l inner) and with the operand order of einsum("eki,kl,elj->eij")
+    Ke = np.zeros((mesh.n_elements, 6, 6))
+    for k, l in zip(*np.nonzero(D)):
+        Ke += (B[:, k, :, None] * D[k, l]) * B[:, l, None, :]
+    Ke *= areas[:, None, None]
 
     dofs = np.empty((mesh.n_elements, 6), dtype=np.int64)
     dofs[:, 0::2] = 2 * mesh.elements
@@ -129,6 +134,7 @@ def assemble_stiffness(mesh, mat):
     n = 2 * mesh.n_nodes
     K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     K.sum_duplicates()
+    K.eliminate_zeros()  # exact zeros (e.g. cancelled shear terms) add fill
     return K
 
 

@@ -21,7 +21,7 @@ copies, instantiated once per fracture with that fracture's frame, are the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -79,6 +79,16 @@ class ContactPair:
     is_crossing_pair: bool = False
     gap0: float = 0.0
     weight: float = 0.0
+
+    def __eq__(self, other):
+        # field by field: the generated __eq__ compares the frame arrays as
+        # a tuple, which raises on their elementwise truth value
+        if not isinstance(other, ContactPair):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
 
 
 @dataclass

@@ -189,15 +189,125 @@ def _same_bits(a, b):
     return bool(np.array_equal(a.view(kind), b.view(kind)))
 
 
-class FactorCache:
-    """The last LU factorization of a run, reused while the Jacobian repeats.
+class _Base:
+    """A fresh factorization ``lu`` of ``diag(1/pc) J`` and the columns of
+    ``J^-1`` computed from it so far: ``cols[:, i] = J^-1 e_dofs[i]``."""
 
-    A solve is served from the cache only when its ``J`` (``indptr``,
-    ``indices`` and ``data``) and its row scaling are bit-identical to the
-    ones last factored; that happens when the contact-state assignment is
-    unchanged across a Newton iteration or a load step.  On a miss the old
-    factor is released before the new one is computed, so at most one
-    factorization is alive at a time.  ``J`` is kept by reference: a
+    def __init__(self, J, pc, free, lu):
+        self.J, self.pc, self.free, self.lu = J, pc, free, lu
+        self.dofs = np.empty(0, dtype=np.int64)
+        self.cols = np.empty((J.shape[0], 0))
+
+    def solve(self, y):
+        """``J^-1 y`` for a vector or a block of columns."""
+        return self.lu.solve(y / (self.pc if y.ndim == 1 else self.pc[:, None]))
+
+    def border(self, J, pc, free):
+        """A :class:`_Bordered` solver of ``J``, or None when ``J`` differs
+        from the base in the displacement block, in shape or in ``free``,
+        not at all, or in more multiplier rows and columns than fit the
+        dense-column budget."""
+        n = J.shape[0]
+        if J.shape != self.J.shape or not _same_bits(free, self.free):
+            return None
+        diff = (J - self.J).tocoo()
+        nd = free.size
+        if np.any((diff.row < nd) & (diff.col < nd)):
+            return None
+        R = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
+        new = np.setdiff1d(R, self.dofs)
+        # dense columns (cached J^-1 columns plus the J_NR solves) may take
+        # a quarter of the memory of the factor itself
+        budget = self.lu.nnz / 4
+        if R.size == 0 or n * (self.dofs.size + new.size) > budget:
+            return None
+        in_R = np.zeros(n, dtype=bool)
+        in_R[R] = True
+        JR = J[:, R].tocoo()  # J_NR: its entries in rows outside R
+        keep = ~in_R[JR.row]
+        nz = np.unique(JR.col[keep])  # positions in R of nonzero J_NR columns
+        if n * (self.dofs.size + new.size + nz.size) > budget:
+            return None
+
+        if new.size:
+            E = np.zeros((n, new.size))
+            E[new, np.arange(new.size)] = 1.0
+            self.cols = np.hstack([self.cols, self.solve(E)])
+            self.dofs = np.concatenate([self.dofs, new])
+        order = np.argsort(self.dofs)
+        Z = self.cols[:, order[np.searchsorted(self.dofs, R, sorter=order)]]
+        J_NR = np.zeros((n, nz.size))
+        J_NR[JR.row[keep], np.searchsorted(nz, JR.col[keep])] = JR.data[keep]
+        rows = J[R].tocoo()
+        out = ~in_R[rows.col]
+        J_RN = sp.csr_matrix(
+            (rows.data[out], (rows.row[out], rows.col[out])), shape=(R.size, n)
+        )
+        try:
+            return _Bordered(self, pc, R, Z, J_NR, nz, J_RN, J[R][:, R].toarray())
+        except np.linalg.LinAlgError:
+            return None
+
+
+class _Bordered:
+    """Solves ``diag(1/pc) J x = r`` for a ``J`` that equals the base's
+    Jacobian ``J0`` outside the multiplier rows and columns ``R``.
+
+    With ``N`` the other dofs, ``A = J_NN`` is a block of ``J0`` too, and
+    ``A^-1 v = y_N - Z_N T^-1 y_R`` with ``y = J0^-1 [v; 0]``, ``Z = J0^-1
+    E_R`` and ``T = Z_R``.  ``J x = b`` is then solved by block elimination
+    on ``R`` through the Schur complement ``S = J_RR - J_RN A^-1 J_NR``:
+    one base solve and a few dense products per call.  Vectors of length
+    ``n`` stand for their ``N`` part with zeros at ``R``; ``J_NR`` holds only
+    its nonzero columns, at positions ``nz`` of ``R``.
+    """
+
+    def __init__(self, base, pc, R, Z, J_NR, nz, J_RN, J_RR):
+        self.base, self.pc, self.R, self.Z, self.J_RN = base, pc, R, Z, J_RN
+        self.T = Z[R]
+        self.nz = nz
+        self.W = self._a_inv(base.solve(J_NR))  # A^-1 J_NR
+        self.S = J_RR.copy()
+        self.S[:, nz] -= J_RN @ self.W
+        # np.linalg.solve raises LinAlgError on a singular T (just above) or
+        # S (here), so that solve() cannot
+        np.linalg.solve(self.S, np.zeros(R.size))
+
+    def _a_inv(self, y):
+        """``A^-1 v`` from ``y = J0^-1 v`` (``v`` zero at ``R``)."""
+        out = y - self.Z @ np.linalg.solve(self.T, y[self.R])
+        out[self.R] = 0.0
+        return out
+
+    def solve(self, r):
+        b = r * self.pc
+        v = b.copy()
+        v[self.R] = 0.0
+        u = self._a_inv(self.base.solve(v))
+        x_R = np.linalg.solve(self.S, b[self.R] - self.J_RN @ u)
+        x = u - self.W @ x_R[self.nz]
+        x[self.R] = x_R
+        return x
+
+
+class FactorCache:
+    """The last fresh LU factorization of a run (the base), reused while the
+    Jacobian repeats and bordered when only a few multiplier rows change.
+
+    A solve is served as is when its ``J`` (``indptr``, ``indices`` and
+    ``data``) and its row scaling are bit-identical to the last ones; that
+    happens when the contact-state assignment is unchanged across a Newton
+    iteration or a load step.  On a miss, ``J`` is compared with the base's
+    Jacobian ``J0``.  When they differ only in the rows and columns of a set
+    ``R`` of multiplier dofs (the pairs whose state flipped since the base),
+    with the same shape and free dofs, ``J`` is solved by bordering the base
+    on ``R`` (see :class:`_Bordered`).  The columns ``J0^-1 e_k`` the
+    update needs are kept per dof while the base lives, so a later loop
+    reuses the earlier loops' columns.  The update is taken only while its dense
+    columns (cached, new and one per nonzero column of ``J_NR``) times the
+    number of unknowns stay within a quarter of the base factor's nonzeros;
+    otherwise the base is released and ``J`` is factored afresh, so at most
+    one factorization is alive at a time.  ``J`` is kept by reference: a
     Jacobian handed to the cache must not be modified in place afterwards.
     """
 
@@ -205,7 +315,12 @@ class FactorCache:
         self.clear()
 
     def clear(self):
-        self.J = self.diag = self.Jbar = self.absJ = self.lu = None
+        self.J = self.diag = self.Jbar = self.absJ = self.lu = self.base = None
+
+    @property
+    def bordered(self):
+        """True when the current solver borders the base."""
+        return isinstance(self.lu, _Bordered)
 
     def _hit(self, J, diag):
         return self.lu is not None and all(
@@ -218,43 +333,31 @@ class FactorCache:
             )
         )
 
-    def factor(self, J, pc):
-        """Make the cache hold the factorization of ``diag(1/pc) J``."""
+    def factor(self, J, pc, free):
+        """Make ``lu.solve`` solve ``diag(1/pc) J x = r``."""
         if self._hit(J, pc):
             return
-        self.clear()
+        self.Jbar = self.absJ = None  # free the old ones before the new
+        lu = None if self.base is None else self.base.border(J, pc, free)
+        if lu is None:
+            self.clear()
         Jbar = (sp.diags(1.0 / pc) @ J).tocsc()
-        try:
-            # minimum degree on the pattern of A + A^T: the saddle pattern is
-            # nearly symmetric, and this ordering needs a third of the fill
-            # of SuperLU's default COLAMD
-            lu = spla.splu(Jbar, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+        if lu is None:
+            try:
+                # minimum degree on the pattern of A + A^T: the saddle pattern
+                # is nearly symmetric, and this ordering needs a third of the
+                # fill of SuperLU's default COLAMD
+                lu = spla.splu(Jbar, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+            self.base = _Base(J, pc, free, lu)
         absJ = Jbar.copy()
         absJ.data = np.abs(absJ.data)
         self.J, self.diag, self.Jbar, self.absJ, self.lu = J, pc, Jbar, absJ, lu
 
 
-def linear_solve(sys, pc, cache=None):
-    """Solve J dx = -R through the row-scaled system with SuperLU.
-
-    SuperLU is the only linear solver.  It factors ``Jbar = diag(1/pc) J``
-    under a minimum-degree ordering of ``Jbar + Jbar^T``, then refines
-    iteratively until the backward error on the row-equilibrated system
-    reaches 1e-10 (equivalent to the relative-residual contract whenever
-    that quantity is evaluable in double precision); a larger error raises
-    :class:`LinearSolveError`.  With a :class:`FactorCache` the
-    factorization is reused while ``J`` and the row scaling ``pc`` stay
-    bit-identical; without one every call factors afresh.
-    """
-    if float(np.linalg.norm(sys.R)) == 0.0:
-        return np.zeros_like(sys.R)
-    rhs = -sys.R / pc
-
-    if cache is None:
-        cache = FactorCache()
-    cache.factor(sys.J, pc)
+def _refined_solve(cache, rhs):
+    """(dx, backward error) of ``Jbar dx = rhs`` with the cache's solver."""
     Jbar, absJ, lu = cache.Jbar, cache.absJ, cache.lu
     dx = lu.solve(rhs)
     # Accuracy control on the row-equilibrated system, where every row is
@@ -278,6 +381,36 @@ def linear_solve(sys, pc, cache=None):
         if not cand_rel < rel:
             break
         dx, rel = cand, cand_rel
+    return dx, rel
+
+
+def linear_solve(sys, pc, cache=None):
+    """Solve J dx = -R through the row-scaled system with SuperLU.
+
+    SuperLU is the only linear solver.  It factors ``Jbar = diag(1/pc) J``
+    under a minimum-degree ordering of ``Jbar + Jbar^T``, then refines
+    iteratively until the backward error on the row-equilibrated system
+    reaches 1e-10 (equivalent to the relative-residual contract whenever
+    that quantity is evaluable in double precision); a larger error raises
+    :class:`LinearSolveError`.  With a :class:`FactorCache` the
+    factorization is reused while ``J`` and the row scaling ``pc`` stay
+    bit-identical, and bordered while ``J`` differs from it in a few
+    multiplier rows and columns; without one every call factors afresh.  A
+    bordered solve that misses the contract is repeated on a fresh
+    factorization, so only a fresh factorization raises.
+    """
+    if float(np.linalg.norm(sys.R)) == 0.0:
+        return np.zeros_like(sys.R)
+    rhs = -sys.R / pc
+
+    if cache is None:
+        cache = FactorCache()
+    cache.factor(sys.J, pc, sys.free)
+    dx, rel = _refined_solve(cache, rhs)
+    if cache.bordered and not rel <= 1e-10:
+        cache.clear()
+        cache.factor(sys.J, pc, sys.free)
+        dx, rel = _refined_solve(cache, rhs)
     if not np.isfinite(rel) or rel > 1e-10:
         raise LinearSolveError(
             f"direct solve backward error {rel:.3e} exceeds 1e-10 "

@@ -19,6 +19,7 @@ from fracfem.config import (
     save_config,
     serialize_config,
 )
+from fracfem.contact import StateKind
 from fracfem.elasticity import ConfigError, MaterialParams, element_stresses
 from fracfem.export import (
     VTK_HEADER,
@@ -307,12 +308,18 @@ class TestExports:
         assert list(data["CELL_TYPES"]).count(5) >= 2  # triangle cell type
 
     def test_vtk_shows_jump_as_split_points(self, tmp_path):
-        cfg, mesh, res = self._solved()
+        # a slipping pair of the coarse inclined crack: its jump is physical
+        # (about 3e-4 m), not the roundoff left on a sticking pair
+        cfg = presets.inclined_crack(k_hops=10, nx=16)
+        mesh = build_mesh(cfg)
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
+                             cfg.solver)[-1]
+        pair = mesh.pairs[mesh.n_pairs // 2]
+        assert res.converged and res.states[pair.id].kind is StateKind.SLIP
         path = export_field(res, mesh, cfg.material, tmp_path / "j.vtk")
         _, data = read_vtk(path)
         pts = data["POINTS"].reshape(mesh.n_nodes, 3)
         disp = data["displacement"].reshape(mesh.n_nodes, 3)
-        pair = mesh.pairs[0]
         np.testing.assert_allclose(pts[pair.node_plus], pts[pair.node_minus])
         jump_file = disp[pair.node_plus] - disp[pair.node_minus]
         jump_state = (
@@ -320,7 +327,7 @@ class TestExports:
             - res.U[2 * pair.node_minus : 2 * pair.node_minus + 2]
         )
         np.testing.assert_allclose(jump_file[:2], jump_state, rtol=1e-12)
-        assert np.linalg.norm(jump_state) > 0.0
+        assert np.linalg.norm(jump_state) > 1e-9
 
     def test_vtk_round_trip_is_bit_exact(self, tmp_path):
         cfg = presets.crossing_single()

@@ -1,15 +1,21 @@
 """Plane-strain CST assembly, loads, Dirichlet handling."""
 
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fracfem import presets
+from fracfem.config import build_mesh
 from fracfem.elasticity import (
     BoundaryCondition,
     ConfigError,
     MaterialParams,
+    _b_matrices,
     assemble_loads,
     assemble_stiffness,
     dirichlet_constraints,
@@ -130,6 +136,54 @@ class TestAssemble:
         K = assemble_stiffness(mesh, MaterialParams(E=25e9, nu=0.25))
         asym = np.abs((K - K.T).toarray()).max()
         assert asym <= 1e-9 * np.abs(K.toarray()).max()
+
+
+def _ref_stiffness(mesh, mat):
+    """The einsum assembly the term loop replaced, verbatim: it keeps the
+    exact zeros that cancelled element terms leave in the pattern."""
+    D = plane_strain_D(mat)
+    B, areas = _b_matrices(mesh)
+    Ke = np.einsum("eki,kl,elj->eij", B, D, B) * areas[:, None, None]
+
+    dofs = np.empty((mesh.n_elements, 6), dtype=np.int64)
+    dofs[:, 0::2] = 2 * mesh.elements
+    dofs[:, 1::2] = 2 * mesh.elements + 1
+    rows = np.repeat(dofs, 6, axis=1).ravel()
+    cols = np.tile(dofs, (1, 6)).ravel()
+    n = 2 * mesh.n_nodes
+    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    K.sum_duplicates()
+    return K
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_stiffness(name):
+    """(assembled K, reference K) of a preset's mesh."""
+    cfg = presets.get(name)
+    mesh = build_mesh(cfg)
+    return assemble_stiffness(mesh, cfg.material), _ref_stiffness(mesh, cfg.material)
+
+
+@pytest.mark.parametrize("name", sorted(presets.PRESETS))
+class TestPresetStiffness:
+    def test_no_stored_zeros(self, name):
+        K, _ = _preset_stiffness(name)
+        assert np.count_nonzero(K.data) == K.nnz
+
+    def test_equals_einsum_assembly_bit_for_bit(self, name):
+        K, ref = _preset_stiffness(name)
+        ref = ref.copy()
+        ref.eliminate_zeros()
+        for a, b in ((K.indptr, ref.indptr), (K.indices, ref.indices),
+                     (K.data.view(np.uint64), ref.data.view(np.uint64))):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_reference_assembly_stores_zeros_on_sneddon():
+    """The zeros the assembly drops exist: cancelled shear terms of the
+    structured lattice."""
+    K, ref = _preset_stiffness("sneddon")
+    assert ref.nnz - np.count_nonzero(ref.data) == ref.nnz - K.nnz > 0
 
 
 def built(mesh):

@@ -1,6 +1,7 @@
 """Mesh generation, file round-trips, node splitting, contact pairs."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -29,14 +30,6 @@ SQRT2 = math.sqrt(2.0)
 
 def built(mesh):
     return build_contact_pairs(split_fractures(mesh))
-
-
-def _pair_fields(mesh):
-    """Every pair's fields as plain values (frames as lists)."""
-    return [
-        {**vars(p), "normal": p.normal.tolist(), "tangent": p.tangent.tolist()}
-        for p in mesh.pairs
-    ]
 
 
 class TestGenerator:
@@ -347,8 +340,24 @@ class TestContactPairs:
         second = build_contact_pairs(split)
         assert split.intersections == records
         assert first.intersections == records
-        assert _pair_fields(first) == _pair_fields(second)
-        assert _pair_fields(first) == _pair_fields(build_mesh(cfg))
+        assert first.pairs == second.pairs
+        assert first.pairs == build_mesh(cfg).pairs
+
+    def test_pair_equality_compares_every_field(self):
+        m = built(generate_rect_mesh(4.0, 4.0, 8, 8,
+                                     fractures=[(1, 2, 3, 2)]))
+        pair = m.pairs[1]
+        same = dataclasses.replace(pair, normal=pair.normal.copy(),
+                                   tangent=pair.tangent.copy())
+        assert pair == same and not pair != same
+        assert m.pairs == [dataclasses.replace(p) for p in m.pairs]
+        assert pair != m.pairs[2]
+        assert pair != dataclasses.replace(pair, normal=-pair.normal)
+        assert pair != dataclasses.replace(pair, tangent=pair.tangent[::-1])
+        assert pair != dataclasses.replace(pair, weight=2.0 * pair.weight)
+        assert pair != dataclasses.replace(pair, is_crossing_pair=True)
+        assert pair != (pair.id, pair.node_plus, pair.node_minus)
+        assert m.pairs != m.pairs[:-1]
 
     def test_crossing_registers_four_flagged_pairs(self):
         m = built(

@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfem import solver
+from fracfem import presets, solver
 from fracfem.contact import (
     FrictionParams,
     PairKinematics,
@@ -57,8 +57,6 @@ def built(mesh):
 
 def small_inclined_setup(sigma=10e6, pressure=0.0):
     """Coarse version of the 45-degree crack benchmark."""
-    from fracfem import presets
-
     cfg = presets.inclined_crack(sigma=sigma, pressure=pressure,
                                  k_hops=10, nx=16)
     from fracfem.config import build_mesh
@@ -495,6 +493,123 @@ class TestFactorCache:
         assert cache.J is J2
 
 
+def _backward_error(cache, dx, rhs):
+    """The contract's backward error of ``dx`` on the row-scaled system."""
+    denom = np.linalg.norm(rhs) + np.linalg.norm(cache.absJ @ np.abs(dx))
+    return np.linalg.norm(cache.Jbar @ dx - rhs) / denom
+
+
+OPEN, SLIP = PairState.open_(), PairState.slip(1)
+
+
+class TestBorderedUpdate:
+    """Few flipped pairs are solved by bordering the cached factorization."""
+
+    @staticmethod
+    def flipped(states, changes):
+        out = list(states)
+        for i, state in changes.items():
+            out[i] = state
+        return out
+
+    def setup_base(self, monkeypatch):
+        """(mesh, splu calls, cache holding the all-stick base, system
+        builder from states) on the coarse inclined crack."""
+        mesh, cfg = small_inclined_setup()
+        calls = TestFactorCache.count_splu(monkeypatch)
+        cache = FactorCache()
+        base = make_system(mesh, cfg)
+        linear_solve(base, build_preconditioner(base), cache=cache)
+        assert len(calls) == 1 and not cache.bordered
+        return mesh, calls, cache, lambda states: make_system(mesh, cfg, states)
+
+    @pytest.mark.parametrize("name, count", [("crossing-multi", 2), ("sneddon", 2)])
+    def test_factorizations_per_run(self, name, count):
+        *_, zeros = _solved(name)
+        assert len(zeros) == count
+
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    def test_factored_matrices_hold_no_stored_zeros(self, name):
+        *_, zeros = _solved(name)
+        assert zeros and not any(zeros)
+
+    def test_bordered_solve_matches_fresh_factorization(self, monkeypatch):
+        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        stick = initial_states(mesh)
+        sys = system(self.flipped(stick, {2: OPEN, 4: SLIP}))
+        pc = build_preconditioner(sys)
+        dx = linear_solve(sys, pc, cache=cache)
+        assert cache.bordered and len(calls) == 1
+        # open pair 2 changes both its rows; slip pair 4 its tangential row
+        # and its normal column (friction), the one column with J_NR entries
+        nd = sys.n_disp
+        np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9]))
+        np.testing.assert_array_equal(cache.lu.nz, [2])
+        fresh = linear_solve(sys, pc)
+        assert len(calls) == 2
+        assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
+
+        # one more pair opens: the base keeps its columns and solves for
+        # two more, then for the one nonzero J_NR column
+        cols = cache.base.cols.copy()
+        sys = system(self.flipped(stick, {2: OPEN, 4: SLIP, 6: OPEN}))
+        pc = build_preconditioner(sys)
+        blocks = []
+        real = solver._Base.solve
+
+        def solve(self, y):
+            if y.ndim == 2:
+                blocks.append(y.shape[1])
+            return real(self, y)
+
+        monkeypatch.setattr(solver._Base, "solve", solve)
+        dx = linear_solve(sys, pc, cache=cache)
+        assert cache.bordered and len(calls) == 2
+        assert blocks == [2, 1]
+        np.testing.assert_array_equal(cache.base.dofs, nd + np.array([4, 5, 8, 9, 12, 13]))
+        np.testing.assert_array_equal(cache.base.cols[:, :4], cols)
+        fresh = linear_solve(sys, pc)
+        assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
+
+    def test_changed_displacement_block_refactors(self, monkeypatch):
+        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        sys = system(self.flipped(initial_states(mesh), {2: OPEN}))
+        J = sys.J.copy()
+        J.data[0] = np.nextafter(J.data[0], np.inf)  # one ulp in K_ff
+        sys = SaddleSystem(**{**sys.__dict__, "J": J})
+        pc = build_preconditioner(sys)
+        dx = linear_solve(sys, pc, cache=cache)
+        assert len(calls) == 2 and not cache.bordered
+        np.testing.assert_array_equal(dx, linear_solve(sys, pc))
+
+    def test_update_over_budget_refactors(self, monkeypatch):
+        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        sys = system([SLIP] * mesh.n_pairs)
+        # every tangential row and normal column changes
+        assert sys.J.shape[0] * 2 * mesh.n_pairs > cache.base.lu.nnz / 4
+        pc = build_preconditioner(sys)
+        dx = linear_solve(sys, pc, cache=cache)
+        assert len(calls) == 2 and not cache.bordered
+        assert cache.base.J is sys.J and cache.base.dofs.size == 0
+        np.testing.assert_array_equal(dx, linear_solve(sys, pc))
+
+    @pytest.mark.parametrize("bad", [1.0, np.nan])
+    def test_bordered_miss_falls_back_to_one_fresh_factorization(
+        self, monkeypatch, bad
+    ):
+        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        monkeypatch.setattr(solver._Bordered, "solve",
+                            lambda self, r: np.full_like(r, bad))
+        sys = system(self.flipped(initial_states(mesh), {2: OPEN}))
+        pc = build_preconditioner(sys)
+        dx = linear_solve(sys, pc, cache=cache)
+        assert len(calls) == 2 and not cache.bordered
+        assert cache.base.J is sys.J
+        np.testing.assert_array_equal(dx, linear_solve(sys, pc))
+
+
 def test_benchmark_tracer_runs(tmp_path):
     """The benchmark worker wraps solver functions by name; a traced run of
     one workload must still pass its own checks."""
@@ -559,15 +674,26 @@ def _ref_ranked_flips(mesh, states, proposed, U, lam, fric):
 
 @functools.lru_cache(maxsize=None)
 def _solved(name):
-    """A preset's mesh, friction and final converged load step."""
-    from fracfem import presets
+    """A preset's mesh, friction and final converged load step, and the
+    stored zeros of every matrix its run hands to splu."""
     from fracfem.config import build_mesh
 
     cfg = presets.get(name)
     mesh = build_mesh(cfg)
-    res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)[-1]
+    zeros = []
+    real = spla.splu
+
+    def counting(A, *args, **kwargs):
+        zeros.append(A.nnz - np.count_nonzero(A.data))
+        return real(A, *args, **kwargs)
+
+    spla.splu = counting
+    try:
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)[-1]
+    finally:
+        spla.splu = real
     assert res.converged
-    return mesh, cfg.friction, res
+    return mesh, cfg.friction, res, zeros
 
 
 _STATE_CHOICES = (PairState.stick(), PairState.slip(1), PairState.slip(-1),
@@ -589,7 +715,7 @@ def _bits(scored):
 class TestTabuWalk:
     @pytest.mark.parametrize("name", ["crossing-multi", "inclined-crack"])
     def test_ranked_flips_match_reference(self, name):
-        mesh, fric, res = _solved(name)
+        mesh, fric, res, _ = _solved(name)
         rng = np.random.default_rng(3)
         cases = []
         for share in (0.0, 0.05, 0.3, 1.0):
@@ -608,7 +734,7 @@ class TestTabuWalk:
                 assert len(got) == sum(a != b for a, b in zip(states, proposed))
 
     def test_cautious_update_takes_best_unvisited_single_flip(self):
-        mesh, fric, res = _solved("crossing-multi")
+        mesh, fric, res, _ = _solved("crossing-multi")
         rng = np.random.default_rng(4)
         states = list(res.states)
         proposed = _random_flips(rng, states, 0.2)
