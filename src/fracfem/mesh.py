@@ -181,6 +181,14 @@ class Mesh:
             crossing=np.array([p.is_crossing_pair for p in pairs], dtype=bool),
         )
 
+    @cached_property
+    def boundary_edges(self):
+        """Read-only :func:`external_boundary_edges` of this mesh, built once
+        like ``pair_arrays``; :func:`select_boundary_edges` filters it."""
+        edges = external_boundary_edges(self)
+        edges.flags.writeable = False
+        return edges
+
     def signed_areas(self):
         x = self.nodes[self.elements]
         return 0.5 * (
@@ -235,7 +243,9 @@ def _edge_keys(edges, base):
     return e.min(axis=1) * base + e.max(axis=1)
 
 
-def _validate(mesh, area_tol_rel=1e-12):
+def _validate(mesh, table, area_tol_rel=1e-12):
+    """Check element orientation and that every fracture segment is an edge
+    of ``table``, the :func:`_edge_table` of ``mesh.elements``."""
     span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
     scale = max(float(np.hypot(*span)), 1.0)
     areas = mesh.signed_areas()
@@ -244,7 +254,7 @@ def _validate(mesh, area_tol_rel=1e-12):
         raise MeshFormatError(
             f"element {bad[0]} has non-positive area (nodes must be CCW)"
         )
-    keys, _, base = _edge_table(mesh.elements)
+    keys, _, base = table
     for frac in mesh.fractures:
         if len(frac.nodes) < 2:
             raise NonConformingPathError(f"fracture {frac.id} has fewer than 2 nodes")
@@ -263,14 +273,19 @@ def _validate(mesh, area_tol_rel=1e-12):
             )
 
 
-def _boundary_nodes(elements):
-    keys, counts, base = _edge_table(elements)
+def _boundary_nodes(table):
+    """Nodes on single-adjacency edges of an :func:`_edge_table`."""
+    keys, counts, base = table
     single = keys[counts == 1]
     return set(np.union1d(single // base, single % base).tolist())
 
 
-def _mark_through_going(mesh):
-    boundary = _boundary_nodes(mesh.elements)
+def _check_and_mark(mesh):
+    """Validate a freshly read or generated mesh and mark its through-going
+    fractures, from one edge table."""
+    table = _edge_table(mesh.elements)
+    _validate(mesh, table)
+    boundary = _boundary_nodes(table)
     for frac in mesh.fractures:
         frac.is_through_going = (
             frac.nodes[0] in boundary and frac.nodes[-1] in boundary
@@ -382,8 +397,7 @@ def load_mesh(path):
     next_line("END")
 
     mesh = Mesh(nodes=nodes, elements=elements, fractures=fractures)
-    _validate(mesh)
-    _mark_through_going(mesh)
+    _check_and_mark(mesh)
     return mesh
 
 
@@ -490,8 +504,7 @@ def generate_rect_mesh(width, height, nx, ny, fractures=(), pattern="diagonal"):
         paths.append(FracturePath(id=k, nodes=path, gap0=spec.gap0))
 
     mesh = Mesh(nodes=nodes, elements=elements, fractures=paths)
-    _validate(mesh)
-    _mark_through_going(mesh)
+    _check_and_mark(mesh)
     return mesh
 
 
@@ -647,7 +660,8 @@ def split_fractures(mesh):
     """
     if mesh.split_done:
         raise ValueError("fractures already split")
-    _validate(mesh)
+    table = _edge_table(mesh.elements)
+    _validate(mesh, table)
 
     usage = {}
     for frac in mesh.fractures:
@@ -660,7 +674,7 @@ def split_fractures(mesh):
             )
 
     frac_by_id = {f.id: f for f in mesh.fractures}
-    boundary = _boundary_nodes(mesh.elements)
+    boundary = _boundary_nodes(table)
 
     crossing_nodes = {}
     for nid, uses in usage.items():
@@ -931,7 +945,7 @@ def select_boundary_edges(mesh, side, tol=1e-9):
         raise ValueError(
             f"unknown boundary side {side!r}; expected one of {sorted(sides)}"
         )
-    edges = external_boundary_edges(mesh)
+    edges = mesh.boundary_edges
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)
     span = max(hi[0] - lo[0], hi[1] - lo[1])

@@ -10,7 +10,7 @@ update of displacements and multipliers in one algebraic block).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,8 +109,9 @@ def step_data(mesh, bcs, step, n_steps):
     """
     fixed, fixed_vals = dirichlet_constraints(mesh, bcs, step=step, n_steps=n_steps)
     F = assemble_loads(mesh, bcs, step=step, n_steps=n_steps)
-    free = np.setdiff1d(np.arange(2 * mesh.n_nodes, dtype=np.int64), fixed)
-    return F, fixed, fixed_vals, free
+    is_free = np.ones(2 * mesh.n_nodes, dtype=bool)
+    is_free[fixed] = False
+    return F, fixed, fixed_vals, np.flatnonzero(is_free)
 
 
 def _reduced_residual(K, blocks, F, U, lam, free, s):
@@ -120,37 +121,39 @@ def _reduced_residual(K, blocks, F, U, lam, free, s):
     return np.concatenate([ru, s * rlam]), np.concatenate([ru, rlam])
 
 
-def build_system(mesh, mat, fric, state, K, F, fixed, free):
+def build_system(mesh, mat, fric, state, K, F, fixed, free, K_ff=None):
     """Assemble the reduced saddle system for the current states/iterate.
 
-    ``F``, ``fixed`` and ``free`` come from :func:`step_data`.  The caller
-    must have written the prescribed Dirichlet values into ``state.U``
-    beforehand (then the fixed increments are identically zero and
-    elimination is a plain row/column restriction).
+    ``F``, ``fixed`` and ``free`` come from :func:`step_data`; ``K_ff`` is
+    ``K[free][:, free]`` (sliced here when not given).  The caller must have
+    written the prescribed Dirichlet values into ``state.U`` beforehand
+    (then the fixed increments are identically zero and elimination is a
+    plain row/column restriction).
     """
     blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
 
-    n2 = 2 * mesh.n_nodes
-    m2 = 2 * mesh.n_pairs
     s = mat.E  # multiplier nondimensionalization (see SaddleSystem docs)
     R, R_phys = _reduced_residual(K, blocks, F, state.U, state.lam, free, s)
 
-    if m2:
-        J_full = sp.bmat(
-            [[K, s * blocks.B_up], [s * blocks.C, (s * s) * blocks.D]],
+    if K_ff is None:
+        K_ff = K[free][:, free]
+    if mesh.n_pairs:
+        J = sp.bmat(
+            [
+                [K_ff, s * blocks.B_up[free]],
+                [s * blocks.C[:, free], (s * s) * blocks.D],
+            ],
             format="csr",
         )
     else:
-        J_full = K.tocsr()
-    keep = np.concatenate([free, n2 + np.arange(m2, dtype=np.int64)])
-    J = J_full[keep][:, keep].tocsr()
+        J = K_ff
 
     return SaddleSystem(
         J=J,
         R=R,
         free=free,
         n_disp=free.size,
-        n_lam=m2,
+        n_lam=2 * mesh.n_pairs,
         blocks=blocks,
         mult_scale=s,
         R_phys=R_phys,
@@ -189,6 +192,81 @@ def _same_bits(a, b):
     return bool(np.array_equal(a.view(kind), b.view(kind)))
 
 
+class SystemCache:
+    """The parts of the saddle system that outlive one state loop.
+
+    ``K``, its free block ``K[free][:, free]`` (sliced once per distinct
+    ``free``), and the last system built with its row norms ``pc``.  A state
+    loop whose state assignment and Dirichlet dofs equal those of that
+    system reuses its contact blocks, ``J`` and ``pc`` and re-forms only the
+    residual, so the load steps of a ramp that keep their states assemble
+    nothing.  One cache serves one run: mesh, material and friction must not
+    change under it.
+    """
+
+    def __init__(self, K):
+        self.K = K
+        self.free = self.K_ff = None
+        self.states = self.fixed = self.sys = self.pc = None
+
+    def _repeats(self, states, fixed):
+        """True when the last system was built for ``states`` and ``fixed``."""
+        return (
+            self.sys is not None
+            and states == self.states
+            and _same_bits(fixed, self.fixed)
+        )
+
+    def system(self, mesh, mat, fric, state, F, fixed, free):
+        """The :class:`SaddleSystem` of ``state``, as :func:`build_system`
+        returns it."""
+        if self._repeats(state.states, fixed):
+            blocks, s = self.sys.blocks, self.sys.mult_scale
+            R, R_phys = _reduced_residual(
+                self.K, blocks, F, state.U, state.lam, free, s
+            )
+            return replace(self.sys, R=R, R_phys=R_phys)
+        if self.free is None or not _same_bits(free, self.free):
+            self.free, self.K_ff = free, self.K[free][:, free]
+        self.sys = build_system(
+            mesh, mat, fric, state, self.K, F, fixed, free, K_ff=self.K_ff
+        )
+        self.states, self.fixed, self.pc = list(state.states), fixed, None
+        return self.sys
+
+    def preconditioner(self):
+        """:func:`build_preconditioner` of the last system, built once."""
+        if self.pc is None:
+            self.pc = build_preconditioner(self.sys)
+        return self.pc
+
+
+def _row_scaled(J, pc):
+    """``diag(1/pc) J`` of a CSR ``J`` in CSC, without stored zeros (the
+    contact blocks store some); row by row on a copy of ``J``."""
+    Jbar = J.copy()
+    Jbar.data *= np.repeat(1.0 / pc, np.diff(J.indptr))
+    Jbar.eliminate_zeros()
+    return Jbar.tocsc()
+
+
+def _changed_rows(J, J0, start):
+    """Rows from ``start`` on in which the canonical CSR matrices ``J`` and
+    ``J0`` differ in value (stored zeros do not count), as row numbers."""
+    A, B = J[start:], J0[start:]  # copies
+    A.eliminate_zeros()
+    B.eliminate_zeros()
+    la, lb = np.diff(A.indptr), np.diff(B.indptr)
+    changed = la != lb
+    # entries of the rows of equal length, compared position by position
+    row = np.repeat(np.arange(la.size), la)
+    k = np.flatnonzero(~changed[row])
+    kb = B.indptr[row[k]] + (k - A.indptr[row[k]])
+    differs = (A.indices[k] != B.indices[kb]) | (A.data[k] != B.data[kb])
+    changed[row[k[differs]]] = True
+    return start + np.flatnonzero(changed)
+
+
 class _Base:
     """A fresh factorization ``lu`` of ``diag(1/pc) J`` and the columns of
     ``J^-1`` computed from it so far: ``cols[:, i] = J^-1 e_dofs[i]``."""
@@ -210,15 +288,20 @@ class _Base:
         n = J.shape[0]
         if J.shape != self.J.shape or not _same_bits(free, self.free):
             return None
-        diff = (J - self.J).tocoo()
         nd = free.size
+        # dense columns (cached J^-1 columns plus the J_NR solves) may take
+        # a quarter of the memory of the factor itself
+        budget = self.lu.nnz / 4
+        # the changed multiplier rows belong to R: when they alone overflow
+        # the budget, J - J0 is not worth forming
+        rows = _changed_rows(J, self.J, nd)
+        if n * (self.dofs.size + np.setdiff1d(rows, self.dofs).size) > budget:
+            return None
+        diff = (J - self.J).tocoo()
         if np.any((diff.row < nd) & (diff.col < nd)):
             return None
         R = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
         new = np.setdiff1d(R, self.dofs)
-        # dense columns (cached J^-1 columns plus the J_NR solves) may take
-        # a quarter of the memory of the factor itself
-        budget = self.lu.nnz / 4
         if R.size == 0 or n * (self.dofs.size + new.size) > budget:
             return None
         in_R = np.zeros(n, dtype=bool)
@@ -341,7 +424,7 @@ class FactorCache:
         lu = None if self.base is None else self.base.border(J, pc, free)
         if lu is None:
             self.clear()
-        Jbar = (sp.diags(1.0 / pc) @ J).tocsc()
+        Jbar = _row_scaled(J, pc)
         if lu is None:
             try:
                 # minimum degree on the pattern of A + A^T: the saddle pattern
@@ -465,15 +548,19 @@ def _cautious_update(mesh, states, proposed, U, lam, fric, seen):
     return None
 
 
-def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None, cache=None):
+def newton_loop(
+    mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None, cache=None
+):
     """Monolithic-updated active-set loop for one load step.
 
     Inner Newton iterations run until the residual 2-norm drops below the
     tolerance, then all pair states are reclassified against the converged
     iterate; any change re-enters Newton.  Failure modes (iteration caps,
     divergence, state cycling) return a non-converged SolutionState with
-    diagnostics, never a silent success.  ``cache`` carries the last
-    factorization over from earlier calls (a fresh one is used when absent).
+    diagnostics, never a silent success.  ``systems`` (a
+    :class:`SystemCache`) and ``cache`` (a :class:`FactorCache`) carry the
+    last system and factorization over from earlier calls of the same run
+    (fresh ones are used when absent).
     """
     n2 = 2 * mesh.n_nodes
     m2 = 2 * mesh.n_pairs
@@ -486,8 +573,8 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None, cache=N
         lam = np.zeros(m2)
         states = initial_states(mesh)
 
-    if K is None:
-        K = assemble_stiffness(mesh, mat)
+    if systems is None:
+        systems = SystemCache(assemble_stiffness(mesh, mat))
     if cache is None:
         cache = FactorCache()
     F, fixed, fixed_vals, free = step_data(mesh, bcs, step, cfg.n_load_steps)
@@ -499,7 +586,7 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None, cache=N
 
     for loop in range(1, cfg.max_state_loops + 1):
         result.state_loops = loop
-        sys = build_system(mesh, mat, fric, result, K, F, fixed, free)
+        sys = systems.system(mesh, mat, fric, result, F, fixed, free)
         rnorm0 = None
         phase_ok = False
         # After a state change the fresh constraint rows can sit below the
@@ -522,8 +609,7 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None, cache=N
                 )
                 return result
             try:
-                pc = build_preconditioner(sys)
-                dx = linear_solve(sys, pc, cache=cache)
+                dx = linear_solve(sys, systems.preconditioner(), cache=cache)
             except (SingularRowError, LinearSolveError) as exc:
                 result.message = str(exc)
                 return result
@@ -532,7 +618,7 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None, cache=N
             lam[sys.blocks.pinned] = 0.0  # identity rows solve to exactly 0
             result.newton_iters += 1
             sys.R, sys.R_phys = _reduced_residual(
-                K, sys.blocks, F, U, lam, free, sys.mult_scale
+                systems.K, sys.blocks, F, U, lam, free, sys.mult_scale
             )
         if not phase_ok:
             result.message = f"max_newton={cfg.max_newton} exceeded"
@@ -565,16 +651,18 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, K=None, cache=N
 def run_load_steps(mesh, mat, fric, bcs, cfg):
     """Sequential proportional load steps, each warm-started from the last.
 
-    One :class:`FactorCache` spans all steps, so a step whose Jacobian
-    repeats the previous solve's reuses its factorization.
+    One :class:`SystemCache` and one :class:`FactorCache` span all steps, so
+    a step that keeps the previous step's state assignment reuses its
+    system and its factorization.
     """
-    K = assemble_stiffness(mesh, mat)
+    systems = SystemCache(assemble_stiffness(mesh, mat))
     cache = FactorCache()
     results = []
     warm = None
     for step in range(cfg.n_load_steps):
         res = newton_loop(
-            mesh, mat, fric, bcs, cfg, warm=warm, step=step, K=K, cache=cache
+            mesh, mat, fric, bcs, cfg, warm=warm, step=step, systems=systems,
+            cache=cache,
         )
         res.step = step
         results.append(res)

@@ -483,9 +483,10 @@ def _file_mesh(tmp_path):
 
 class TestEdgeTable:
     def assert_matches_reference(self, mesh):
-        from fracfem.mesh import _boundary_nodes
+        from fracfem.mesh import _boundary_nodes, _edge_table
 
-        assert _boundary_nodes(mesh.elements) == _ref_boundary_nodes(mesh.elements)
+        table = _edge_table(mesh.elements)
+        assert _boundary_nodes(table) == _ref_boundary_nodes(mesh.elements)
         ref = _ref_external_boundary_edges(mesh)
         got = external_boundary_edges(mesh)
         assert got.dtype == np.int64
@@ -527,6 +528,61 @@ class TestEdgeTable:
         assert len(after) == 32
         assert after.max() >= raw.n_nodes
         np.testing.assert_array_equal(external_boundary_edges(raw), before)
+
+    @staticmethod
+    def count_tables(monkeypatch):
+        import fracfem.mesh
+
+        calls = []
+        real = fracfem.mesh._edge_table
+
+        def counting(elements):
+            calls.append(len(elements))
+            return real(elements)
+
+        monkeypatch.setattr(fracfem.mesh, "_edge_table", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["inclined-crack", "crossing-multi"])
+    def test_one_table_per_mesh_stage(self, monkeypatch, name):
+        from fracfem import presets
+        from fracfem.config import build_mesh
+
+        calls = self.count_tables(monkeypatch)
+        mesh = build_mesh(presets.get(name))
+        # generation, then splitting (which renumbers element nodes)
+        assert len(calls) == 2
+        for side in ("left", "right", "bottom", "top", "top"):
+            select_boundary_edges(mesh, side)
+        assert len(calls) == 3  # the boundary edges, once per built mesh
+        assert mesh.boundary_edges is mesh.boundary_edges
+        assert not mesh.boundary_edges.flags.writeable
+        np.testing.assert_array_equal(mesh.boundary_edges,
+                                      external_boundary_edges(mesh))
+
+    def test_one_table_per_file_mesh_stage(self, monkeypatch, tmp_path):
+        mesh = generate_rect_mesh(
+            4.0, 4.0, 8, 8, fractures=[(0.0, 2.0, 4.0, 2.0), (2.0, 1.0, 2.0, 3.0)]
+        )
+        path = tmp_path / "line.msh"
+        save_mesh(mesh, path)
+        calls = self.count_tables(monkeypatch)
+        loaded = load_mesh(path)
+        assert len(calls) == 1
+        assert [f.is_through_going for f in loaded.fractures] == [True, False]
+        split_fractures(loaded)
+        assert len(calls) == 2
+
+    def test_bad_hand_built_mesh_rejected_by_split(self):
+        m = generate_rect_mesh(1.0, 1.0, 2, 2)
+        clockwise = Mesh(nodes=m.nodes, elements=m.elements[:, ::-1].copy(),
+                         fractures=[FracturePath(id=0, nodes=[0, 4])])
+        with pytest.raises(MeshFormatError, match="non-positive area"):
+            split_fractures(clockwise)
+        short = Mesh(nodes=m.nodes, elements=m.elements,
+                     fractures=[FracturePath(id=0, nodes=[4])])
+        with pytest.raises(NonConformingPathError, match="fewer than 2"):
+            split_fractures(short)
 
     def test_non_conforming_segment_rejected_by_table(self):
         m = generate_rect_mesh(1.0, 1.0, 2, 2)

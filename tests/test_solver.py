@@ -1,5 +1,6 @@
 """Saddle system assembly, preconditioning, Newton/active-set loop."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -37,6 +38,7 @@ from fracfem.solver import (
     SingularRowError,
     SolutionState,
     SolverConfig,
+    SystemCache,
     build_preconditioner,
     build_system,
     initial_states,
@@ -595,6 +597,49 @@ class TestBorderedUpdate:
         assert cache.base.J is sys.J and cache.base.dofs.size == 0
         np.testing.assert_array_equal(dx, linear_solve(sys, pc))
 
+    def test_over_budget_miss_forms_no_difference(self, monkeypatch):
+        # sneddon's second loop changes 38 multiplier rows against a budget
+        # of about 20 dense columns: rejected before J - J0 is formed
+        from fracfem.config import build_mesh
+
+        cfg = presets.get("sneddon")
+        mesh = build_mesh(cfg)
+        calls = TestFactorCache.count_splu(monkeypatch)
+        subs, borders = [], []
+        _counted(monkeypatch, sp.csr_matrix, "__sub__", subs)
+        _counted(monkeypatch, solver, "_changed_rows", borders,
+                 lambda J, J0, start: J.shape[0] - start)
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        assert res[-1].converged
+        assert len(calls) == 2 and not subs
+        assert borders == [2 * mesh.n_pairs]
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_changed_rows_are_the_rows_of_the_difference(self, seed):
+        # random patterns with stored zeros of both signs: a row counts
+        # only where J - J0 keeps an entry
+        rng = np.random.default_rng(seed)
+        n, start = 10, int(rng.integers(0, 10))
+        values = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, n))
+
+        pattern = rng.random((n, n)) < 0.6
+
+        def csr(dense, stored):
+            rows, cols = np.nonzero(stored)
+            return sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=(n, n))
+
+        # a few values and a few stored positions change
+        changed = values.copy()
+        hit = rng.random((n, n)) < 0.05
+        changed[hit] = rng.choice([0.0, -0.0, 1.0, 3.0], size=hit.sum())
+        J = csr(changed, pattern ^ (rng.random((n, n)) < 0.03))
+        J0 = csr(values, pattern)
+        assert J.has_canonical_format and J0.has_canonical_format
+        diff = (J - J0).tocoo()
+        ref = np.unique(diff.row[diff.row >= start])
+        np.testing.assert_array_equal(solver._changed_rows(J, J0, start), ref)
+
     @pytest.mark.parametrize("bad", [1.0, np.nan])
     def test_bordered_miss_falls_back_to_one_fresh_factorization(
         self, monkeypatch, bad
@@ -608,6 +653,252 @@ class TestBorderedUpdate:
         assert len(calls) == 2 and not cache.bordered
         assert cache.base.J is sys.J
         np.testing.assert_array_equal(dx, linear_solve(sys, pc))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the saddle Jacobian as it was built before K's free block was
+# sliced once per run, kept verbatim to pin the sliced construction bit for bit.
+# ---------------------------------------------------------------------------
+
+def _ref_saddle_J(mesh, mat, blocks, K, free):
+    n2 = 2 * mesh.n_nodes
+    m2 = 2 * mesh.n_pairs
+    s = mat.E
+    if m2:
+        J_full = sp.bmat(
+            [[K, s * blocks.B_up], [s * blocks.C, (s * s) * blocks.D]],
+            format="csr",
+        )
+    else:
+        J_full = K.tocsr()
+    keep = np.concatenate([free, n2 + np.arange(m2, dtype=np.int64)])
+    return J_full[keep][:, keep].tocsr()
+
+
+def _same_csr(a, b):
+    """Same ``indptr``, ``indices`` and data bits."""
+    return (
+        a.shape == b.shape
+        and solver._same_bits(a.indptr, b.indptr)
+        and solver._same_bits(a.indices, b.indices)
+        and solver._same_bits(a.data, b.data)
+    )
+
+
+def _state_mixes(n_pairs, rng):
+    """All stick, all slip with both signs, and a random stick/slip/open
+    mix that holds every state."""
+    mix = [_STATE_CHOICES[i] for i in rng.integers(0, 4, n_pairs)]
+    for i, state in enumerate(_STATE_CHOICES[: min(4, n_pairs)]):
+        mix[i] = state
+    return {
+        "stick": [PairState.stick()] * n_pairs,
+        "slip": [PairState.slip(1 if i % 2 else -1) for i in range(n_pairs)],
+        "mix": mix,
+    }
+
+
+@functools.lru_cache(maxsize=1)  # the tests below run preset by preset
+def _preset_systems(name):
+    """{mix: SaddleSystem} of a preset at U = 0 under :func:`_state_mixes`,
+    with the mesh, config, stiffness and step data they were built from."""
+    from fracfem.config import build_mesh
+
+    cfg = presets.get(name)
+    mesh = build_mesh(cfg)
+    K = assemble_stiffness(mesh, cfg.material)
+    F, fixed, vals, free = step_data(mesh, cfg.bcs, None, 1)
+    U = np.zeros(2 * mesh.n_nodes)
+    U[fixed] = vals
+    systems = {}
+    for mix, states in _state_mixes(mesh.n_pairs, np.random.default_rng(5)).items():
+        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), states=states)
+        systems[mix] = build_system(mesh, cfg.material, cfg.friction, st_, K, F,
+                                    fixed, free)
+    return mesh, cfg, K, (F, fixed, free, U), systems
+
+
+class TestSlicedAssembly:
+    """J from K's free block and the sliced contact blocks, and the row
+    scaling, equal the constructions they replaced bit for bit."""
+
+    @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    def test_J_equals_full_bmat_then_restriction(self, name, mix):
+        mesh, cfg, K, (F, fixed, free, U), systems = _preset_systems(name)
+        sys = systems[mix]
+        ref = _ref_saddle_J(mesh, cfg.material, sys.blocks, K, free)
+        assert _same_csr(sys.J, ref)
+        # through the run's cache, with K's free block sliced once
+        cache = SystemCache(K)
+        st_ = SolutionState(U=U, lam=np.zeros(sys.n_lam),
+                            states=_state_mixes(mesh.n_pairs,
+                                                np.random.default_rng(5))[mix])
+        got = cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed, free)
+        assert _same_csr(got.J, ref)
+        assert _same_csr(cache.K_ff, K[free][:, free])
+        np.testing.assert_array_equal(got.R, sys.R)
+
+    @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    def test_row_scaling_equals_diagonal_product(self, name, mix):
+        *_, systems = _preset_systems(name)
+        J = systems[mix].J
+        pc = build_preconditioner(systems[mix])
+        before = J.copy()
+        got = solver._row_scaled(J, pc)
+        ref = (sp.diags(1.0 / pc) @ J).tocsc()
+        assert got.format == "csc" and _same_csr(got, ref)
+        assert np.count_nonzero(got.data) == got.nnz
+        assert _same_csr(J, before)  # J itself is left alone
+
+    def test_stored_zeros_reach_the_scaling(self):
+        # the eliminated zeros are real: sneddon's mixed J stores some
+        *_, systems = _preset_systems("sneddon")
+        J = systems["mix"].J
+        assert np.count_nonzero(J.data) < J.nnz
+        got = solver._row_scaled(J, build_preconditioner(systems["mix"]))
+        assert got.nnz == np.count_nonzero(J.data)
+
+    def test_free_dofs_equal_set_difference(self):
+        mesh, cfg = small_inclined_setup()
+        _, fixed, _, free = step_data(mesh, cfg.bcs, None, 1)
+        ref = np.setdiff1d(np.arange(2 * mesh.n_nodes, dtype=np.int64), fixed)
+        assert free.dtype == ref.dtype
+        np.testing.assert_array_equal(free, ref)
+
+
+def _ramp():
+    """The 8-step proportional ramp of the inclined crack."""
+    from fracfem.config import build_mesh
+
+    n = 8
+    cfg = presets.inclined_crack(n_load_steps=n)
+    ramp = [(k + 1) / n for k in range(n)]
+    cfg.bcs = [dataclasses.replace(bc, ramp=ramp) for bc in cfg.bcs]
+    return build_mesh(cfg), cfg
+
+
+def _counted(monkeypatch, owner, attr, calls, record=lambda *a, **kw: None):
+    real = getattr(owner, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+
+
+class TestSystemReuse:
+    """A load step or state loop that repeats the last state assignment and
+    Dirichlet set reuses the last system instead of building it."""
+
+    @staticmethod
+    def run(mesh, cfg):
+        return run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+
+    @staticmethod
+    def assert_same_runs(a, b):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x.converged and y.converged
+            assert solver._same_bits(x.U, y.U)
+            assert solver._same_bits(x.lam, y.lam)
+            assert x.states == y.states
+            assert (x.newton_iters, x.state_loops) == (y.newton_iters, y.state_loops)
+
+    def test_blocks_and_row_norms_once_per_assignment(self, monkeypatch):
+        mesh, cfg = _ramp()
+        blocks, norms, loops = [], [], []
+        _counted(monkeypatch, solver, "assemble_contact_blocks", blocks,
+                 lambda mesh, states, *a, **kw: tuple(states))
+        _counted(monkeypatch, solver, "build_preconditioner", norms)
+        _counted(monkeypatch, solver, "classify_all", loops,
+                 lambda mesh, states, *a: tuple(states))
+        results = self.run(mesh, cfg)
+        assert sum(r.state_loops for r in results) == len(loops) == 9
+        # all stick, then all slip for the rest of the ramp
+        distinct = [s for k, s in enumerate(loops) if k == 0 or s != loops[k - 1]]
+        assert len(distinct) == 2
+        assert blocks == distinct
+        assert len(norms) == 2
+
+    def test_boundary_edge_table_once_per_mesh(self, monkeypatch):
+        import fracfem.mesh
+
+        mesh, cfg = _ramp()
+        tables, queries = [], []
+        _counted(monkeypatch, fracfem.mesh, "_edge_table", tables)
+        _counted(monkeypatch, fracfem.elasticity, "select_boundary_edges", queries)
+        self.run(mesh, cfg)
+        assert len(queries) == 16  # 2 sides, every step
+        assert len(tables) == 1
+        assert not mesh.boundary_edges.flags.writeable
+
+    def test_equals_run_without_reuse(self, monkeypatch):
+        mesh, cfg = _ramp()
+        reused = self.run(mesh, cfg)
+        blocks = []
+        _counted(monkeypatch, solver, "assemble_contact_blocks", blocks)
+        monkeypatch.setattr(SystemCache, "_repeats", lambda self, st, fx: False)
+        built_ = self.run(mesh, cfg)
+        assert len(blocks) == sum(r.state_loops for r in built_) == 9
+        self.assert_same_runs(reused, built_)
+
+    def test_changed_dirichlet_set_rebuilds(self, monkeypatch):
+        # from step 4 on, the bottom-right corner is held horizontally too
+        mesh, cfg = _ramp()
+        corner = int(np.argmax(mesh.nodes[:, 0] - mesh.nodes[:, 1]))
+        real = solver.dirichlet_constraints
+
+        def more_fixed(mesh_, bcs, step=None, n_steps=1):
+            fixed, vals = real(mesh_, bcs, step=step, n_steps=n_steps)
+            if step >= 4:
+                fixed, vals = np.append(fixed, 2 * corner), np.append(vals, 0.0)
+                order = np.argsort(fixed)
+                fixed, vals = fixed[order], vals[order]
+            return fixed, vals
+
+        monkeypatch.setattr(solver, "dirichlet_constraints", more_fixed)
+        steps = []
+        real_build = solver.build_system
+
+        def build(mesh_, mat, fric, state, *args, **kwargs):
+            steps.append(state.step)
+            return real_build(mesh_, mat, fric, state, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "build_system", build)
+        reused = self.run(mesh, cfg)
+        assert steps == [0, 0, 4]
+        monkeypatch.setattr(SystemCache, "_repeats", lambda self, st, fx: False)
+        built_ = self.run(mesh, cfg)
+        self.assert_same_runs(reused, built_)
+        assert reused[3].U[2 * corner] != 0.0 == reused[4].U[2 * corner]
+
+    def test_system_cache_keys_on_states_and_fixed(self):
+        mesh, cfg = small_inclined_setup()
+        F, fixed, vals, free = step_data(mesh, cfg.bcs, None, 1)
+        U = np.zeros(2 * mesh.n_nodes)
+        U[fixed] = vals
+        cache = SystemCache(assemble_stiffness(mesh, cfg.material))
+
+        def system(states, fixed_, free_):
+            st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), states=states)
+            return cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed_, free_)
+
+        stick = initial_states(mesh)
+        first = system(stick, fixed, free)
+        pc = cache.preconditioner()
+        again = system(list(stick), fixed.copy(), free)
+        assert again.J is first.J and again.blocks is first.blocks
+        assert cache.preconditioner() is pc
+        slip = system([PairState.slip(1)] * mesh.n_pairs, fixed, free)
+        assert slip.J is not first.J and cache.pc is None
+        K_ff = cache.K_ff
+        more = np.sort(np.append(fixed, free[0]))
+        other = system([PairState.slip(1)] * mesh.n_pairs, more, free[1:])
+        assert other.J is not slip.J and cache.K_ff is not K_ff
+        assert other.n_disp == free.size - 1
 
 
 def test_benchmark_tracer_runs(tmp_path):
