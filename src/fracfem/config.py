@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .contact import FrictionParams
-from .elasticity import BoundaryCondition, ConfigError, MaterialParams
+from .elasticity import BoundaryCondition, ConfigError, MaterialParams, is_integer_id
 from .mesh import (
     FractureSpec,
     build_contact_pairs,
@@ -116,11 +116,24 @@ def _parse_bc(raw, idx):
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    nodes, fracture = raw.get("nodes"), raw.get("fracture")
+    if nodes is not None:
+        try:
+            nodes = list(nodes)
+        except TypeError:
+            raise ConfigError(f"{path}.nodes: must be a list of node ids") from None
+        bad = [n for n in nodes if not is_integer_id(n)]
+        if bad:
+            raise ConfigError(f"{path}.nodes: node ids must be integers, got {bad}")
+    if fracture is not None and not is_integer_id(fracture):
+        raise ConfigError(
+            f"{path}.fracture: fracture id must be an integer, got {fracture!r}"
+        )
     bc = BoundaryCondition(
         kind=kind,
         side=raw.get("side"),
-        nodes=list(raw["nodes"]) if raw.get("nodes") is not None else None,
-        fracture=raw.get("fracture"),
+        nodes=nodes,
+        fracture=fracture,
         ux=None if raw.get("ux") is None else float(raw["ux"]),
         uy=None if raw.get("uy") is None else float(raw["uy"]),
         traction=(

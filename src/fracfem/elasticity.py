@@ -88,8 +88,9 @@ def plane_strain_D(mat):
     )
 
 
-def _b_matrices(mesh):
-    """Strain-displacement matrices (m, 3, 6) and areas for all elements."""
+def _gradients(mesh):
+    """Shape-function gradients ``b = dN/dx``, ``c = dN/dy`` of all elements,
+    (3, m) with the element index last, and the element areas."""
     x = mesh.nodes[mesh.elements]  # (m, 3, 2)
     x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
     areas = 0.5 * (
@@ -99,39 +100,49 @@ def _b_matrices(mesh):
     if np.any(areas <= 0.0):
         bad = int(np.argmax(areas <= 0.0))
         raise ValueError(f"element {bad} is degenerate (area {areas[bad]})")
-    b = np.stack(
-        [x1[:, 1] - x2[:, 1], x2[:, 1] - x0[:, 1], x0[:, 1] - x1[:, 1]], axis=1
-    )
-    c = np.stack(
-        [x2[:, 0] - x1[:, 0], x0[:, 0] - x2[:, 0], x1[:, 0] - x0[:, 0]], axis=1
-    )
-    m = mesh.n_elements
-    B = np.zeros((m, 3, 6))
-    B[:, 0, 0::2] = b
-    B[:, 1, 1::2] = c
-    B[:, 2, 0::2] = c
-    B[:, 2, 1::2] = b
-    B /= (2.0 * areas)[:, None, None]
+    b = np.stack([x1[:, 1] - x2[:, 1], x2[:, 1] - x0[:, 1], x0[:, 1] - x1[:, 1]])
+    c = np.stack([x2[:, 0] - x1[:, 0], x0[:, 0] - x2[:, 0], x1[:, 0] - x0[:, 0]])
+    two_a = 2.0 * areas
+    return b / two_a, c / two_a, areas
+
+
+def _b_matrices(mesh):
+    """Strain-displacement matrices (m, 3, 6) and areas for all elements."""
+    b, c, areas = _gradients(mesh)
+    B = np.zeros((mesh.n_elements, 3, 6))
+    B[:, 0, 0::2] = b.T
+    B[:, 1, 1::2] = c.T
+    B[:, 2, 0::2] = c.T
+    B[:, 2, 1::2] = b.T
     return B, areas
 
 
 def assemble_stiffness(mesh, mat):
     """Global sparse stiffness, 2 dofs per node, deterministic scatter-add."""
     D = plane_strain_D(mat)
-    B, areas = _b_matrices(mesh)
-    # B^T D B summed over the nonzero entries of D, in the order (k outer,
-    # l inner) and with the operand order of einsum("eki,kl,elj->eij")
-    Ke = np.zeros((mesh.n_elements, 6, 6))
-    for k, l in zip(*np.nonzero(D)):
-        Ke += (B[:, k, :, None] * D[k, l]) * B[:, l, None, :]
-    Ke *= areas[:, None, None]
+    b, c, areas = _gradients(mesh)
+    m, n = mesh.n_elements, 2 * mesh.n_nodes
+    # B^T D B as four 3x3 blocks (x/y rows, x/y columns): each entry is the
+    # sum of the two nonzero terms of einsum("eki,kl,elj->eij", B, D, B),
+    # with its operand order and in its order (k outer, l inner).  The
+    # blocks are formed with the element index last (long inner loops) and
+    # written through a transposed view of the element-major ``Ke``.
+    bi, ci = b[:, None, :], c[:, None, :]
+    bj, cj = b[None, :, :], c[None, :, :]
+    Ke = np.empty((m, 3, 2, 3, 2))  # (element, node, x/y, node, x/y)
+    blocks = Ke.transpose(2, 4, 1, 3, 0)  # (x/y, x/y, node, node, element)
+    blocks[0, 0] = ((bi * D[0, 0]) * bj + (ci * D[2, 2]) * cj) * areas
+    blocks[0, 1] = ((bi * D[0, 1]) * cj + (ci * D[2, 2]) * bj) * areas
+    blocks[1, 0] = ((ci * D[1, 0]) * bj + (bi * D[2, 2]) * cj) * areas
+    blocks[1, 1] = ((ci * D[1, 1]) * cj + (bi * D[2, 2]) * bj) * areas
 
-    dofs = np.empty((mesh.n_elements, 6), dtype=np.int64)
-    dofs[:, 0::2] = 2 * mesh.elements
-    dofs[:, 1::2] = 2 * mesh.elements + 1
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    dofs = np.empty((m, 3, 2), dtype=index)
+    dofs[:, :, 0] = 2 * mesh.elements
+    dofs[:, :, 1] = 2 * mesh.elements + 1
+    dofs = dofs.reshape(m, 6)
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
-    n = 2 * mesh.n_nodes
     K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     K.sum_duplicates()
     K.eliminate_zeros()  # exact zeros (e.g. cancelled shear terms) add fill
@@ -149,6 +160,11 @@ def element_stresses(mesh, mat, U):
     return strains @ D.T
 
 
+def is_integer_id(value):
+    """True for a Python or NumPy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _resolve_edges(mesh, bc):
     if bc.side is None:
         raise ConfigError(f"bc of kind {bc.kind!r} needs a 'side' edge selector")
@@ -161,6 +177,24 @@ def _resolve_edges(mesh, bc):
     return edges
 
 
+# 2-point Gauss abscissae on [0, 1]
+_GAUSS = (0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0)))
+
+
+def _edge_loads(F, mesh, edges, t):
+    """Add the consistent loads of the constant traction ``t`` on ``edges``
+    to ``F``: per edge and Gauss point, ``w = L/2`` times the linear shape
+    functions, summed and scattered in edge order."""
+    d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
+    w = 0.5 * np.hypot(d[:, 0], d[:, 1])
+    g1, g2 = _GAUSS
+    fa = w * (1.0 - g1) + w * (1.0 - g2)
+    fb = w * g1 + w * g2
+    dofs = (2 * edges)[:, [0, 0, 1, 1]] + [0, 1, 0, 1]
+    vals = np.column_stack([fa * t[0], fa * t[1], fb * t[0], fb * t[1]])
+    np.add.at(F, dofs.ravel(), vals.ravel())
+
+
 def assemble_loads(mesh, bcs, step=None, n_steps=1):
     """Consistent nodal load vector for all Neumann-type conditions.
 
@@ -170,21 +204,17 @@ def assemble_loads(mesh, bcs, step=None, n_steps=1):
     tips the two contributions land on the same node and cancel.
     """
     F = np.zeros(2 * mesh.n_nodes)
-    gauss = (0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0)))
 
     for bc in bcs:
         if bc.kind == "neumann":
             t = np.asarray(bc.traction, dtype=float) * bc.scale(step, n_steps)
-            for a, b in _resolve_edges(mesh, bc):
-                L = float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a])))
-                fa = fb = 0.0
-                for xi in gauss:
-                    w = 0.5 * L
-                    fa += w * (1.0 - xi)
-                    fb += w * xi
-                F[2 * a : 2 * a + 2] += fa * t
-                F[2 * b : 2 * b + 2] += fb * t
+            _edge_loads(F, mesh, _resolve_edges(mesh, bc), t)
         elif bc.kind == "fracture_pressure":
+            if not is_integer_id(bc.fracture):
+                raise ConfigError(
+                    f"fracture_pressure bc needs an integer fracture id, "
+                    f"got {bc.fracture!r}"
+                )
             p = float(bc.pressure) * bc.scale(step, n_steps)
             if not 0 <= bc.fracture < len(mesh.chains):
                 raise ConfigError(
@@ -212,40 +242,66 @@ def assemble_loads(mesh, bcs, step=None, n_steps=1):
     return F
 
 
+def _dirichlet_nodes(mesh, bc):
+    """Node ids (int64) a Dirichlet condition prescribes, in its order."""
+    if bc.nodes is None:
+        return np.unique(_resolve_edges(mesh, bc))
+    node_ids = list(bc.nodes)
+    bad = [n for n in node_ids if not is_integer_id(n)]
+    if bad:
+        raise ConfigError(f"dirichlet bc references non-integer nodes {bad}")
+    bad = [n for n in node_ids if not 0 <= n < mesh.n_nodes]
+    if bad:
+        raise ConfigError(f"dirichlet bc references unknown nodes {bad}")
+    return np.array(node_ids, dtype=np.int64)
+
+
+def _merge_prescriptions(dofs, vals):
+    """Sorted unique dofs and the last value given to each, from
+    prescriptions in the order they were made.  Two consecutive values for
+    one dof that differ beyond roundoff raise; the first such pair in that
+    order is reported."""
+    order = np.argsort(dofs, kind="stable")
+    dofs, vals = dofs[order], vals[order]
+    prev, cur = vals[:-1], vals[1:]
+    bad = (dofs[1:] == dofs[:-1]) & (
+        np.abs(prev - cur) > 1e-12 * np.maximum(1.0, np.abs(cur))
+    )
+    if bad.any():
+        k = np.flatnonzero(bad)
+        k = k[np.argmin(order[k + 1])]
+        raise ConfigError(
+            f"conflicting Dirichlet values for dof {int(dofs[k])}: "
+            f"{float(prev[k])} vs {float(cur[k])}"
+        )
+    last = np.ones(dofs.size, dtype=bool)
+    last[:-1] = dofs[1:] != dofs[:-1]
+    return dofs[last], vals[last]
+
+
 def dirichlet_constraints(mesh, bcs, step=None, n_steps=1):
     """(dof indices, prescribed values) for all Dirichlet conditions.
 
     Conflicting prescriptions on the same dof raise; repeated identical ones
-    (e.g. a corner shared by two sides) are fine.
+    (e.g. a corner shared by two sides) are fine.  Errors are reported in bc
+    order: a bc whose nodes cannot be resolved raises only after the
+    conditions before it have been checked against each other.
     """
-    fixed = {}
-
-    def set_dof(dof, val):
-        if dof in fixed and abs(fixed[dof] - val) > 1e-12 * max(1.0, abs(val)):
-            raise ConfigError(
-                f"conflicting Dirichlet values for dof {dof}: "
-                f"{fixed[dof]} vs {val}"
-            )
-        fixed[dof] = val
-
+    dofs, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     for bc in bcs:
         if bc.kind != "dirichlet":
             continue
         s = bc.scale(step, n_steps)
-        if bc.nodes is not None:
-            node_ids = list(bc.nodes)
-            bad = [n for n in node_ids if not 0 <= n < mesh.n_nodes]
-            if bad:
-                raise ConfigError(f"dirichlet bc references unknown nodes {bad}")
-        else:
-            node_ids = sorted({int(n) for e in _resolve_edges(mesh, bc) for n in e})
-        for n in node_ids:
-            if bc.ux is not None:
-                set_dof(2 * n, bc.ux * s)
-            if bc.uy is not None:
-                set_dof(2 * n + 1, bc.uy * s)
-
-    idx = np.array(sorted(fixed), dtype=np.int64)
-    vals = np.array([fixed[i] for i in idx])
-    return idx, vals
-
+        try:
+            nodes = _dirichlet_nodes(mesh, bc)
+        except ConfigError:
+            # a conflict among the bcs before this one is reported first
+            _merge_prescriptions(np.concatenate(dofs), np.concatenate(vals))
+            raise
+        # per node, its prescribed components (x, then y) in node order
+        comps = [(k, v * s) for k, v in enumerate((bc.ux, bc.uy)) if v is not None]
+        offsets = np.array([k for k, _ in comps], dtype=np.int64)
+        values = np.array([v for _, v in comps], dtype=float)
+        dofs.append((2 * nodes[:, None] + offsets).ravel())
+        vals.append(np.tile(values, nodes.size))
+    return _merge_prescriptions(np.concatenate(dofs), np.concatenate(vals))

@@ -23,11 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+BOUNDARY_SIDES = ("left", "right", "bottom", "top")
+# boundary-side tolerance, relative to the larger span of the bounding box
+SIDE_TOL = 1e-9
 
 
 class MeshFormatError(ValueError):
@@ -188,6 +192,27 @@ class Mesh:
         edges = external_boundary_edges(self)
         edges.flags.writeable = False
         return edges
+
+    @cached_property
+    def boundary_sides(self):
+        """Read-only mapping of each side of the bounding box (left, right,
+        bottom, top) to its ``boundary_edges``, built once per mesh;
+        :func:`select_boundary_edges` reads it."""
+        edges = self.boundary_edges
+        lo = self.nodes.min(axis=0)
+        hi = self.nodes.max(axis=0)
+        t = SIDE_TOL * max(hi[0] - lo[0], hi[1] - lo[1])
+        sides = {}
+        for side, axis, value in (
+            ("left", 0, lo[0]),
+            ("right", 0, hi[0]),
+            ("bottom", 1, lo[1]),
+            ("top", 1, hi[1]),
+        ):
+            on_side = np.abs(self.nodes[edges, axis] - value) <= t
+            sides[side] = edges[on_side.all(axis=1)]
+            sides[side].flags.writeable = False
+        return MappingProxyType(sides)
 
     def signed_areas(self):
         x = self.nodes[self.elements]
@@ -938,23 +963,12 @@ def external_boundary_edges(mesh):
     return np.column_stack([single // base, single % base])
 
 
-def select_boundary_edges(mesh, side, tol=1e-9):
-    """Boundary edges on one side of the bounding box (left/right/bottom/top)."""
-    sides = {"left", "right", "bottom", "top"}
-    if side not in sides:
+def select_boundary_edges(mesh, side):
+    """Boundary edges on one side of the bounding box (left/right/bottom/top):
+    those whose nodes lie within ``SIDE_TOL`` times the box's larger span of
+    that side.  The result is read-only."""
+    if side not in BOUNDARY_SIDES:
         raise ValueError(
-            f"unknown boundary side {side!r}; expected one of {sorted(sides)}"
+            f"unknown boundary side {side!r}; expected one of {sorted(BOUNDARY_SIDES)}"
         )
-    edges = mesh.boundary_edges
-    lo = mesh.nodes.min(axis=0)
-    hi = mesh.nodes.max(axis=0)
-    span = max(hi[0] - lo[0], hi[1] - lo[1])
-    t = tol * span
-    axis, value = {
-        "left": (0, lo[0]),
-        "right": (0, hi[0]),
-        "bottom": (1, lo[1]),
-        "top": (1, hi[1]),
-    }[side]
-    on_side = np.abs(mesh.nodes[edges, axis] - value) <= t
-    return edges[on_side.all(axis=1)]
+    return mesh.boundary_sides[side]

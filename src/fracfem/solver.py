@@ -377,21 +377,24 @@ class FactorCache:
     """The last fresh LU factorization of a run (the base), reused while the
     Jacobian repeats and bordered when only a few multiplier rows change.
 
-    A solve is served as is when its ``J`` (``indptr``, ``indices`` and
-    ``data``) and its row scaling are bit-identical to the last ones; that
-    happens when the contact-state assignment is unchanged across a Newton
-    iteration or a load step.  On a miss, ``J`` is compared with the base's
-    Jacobian ``J0``.  When they differ only in the rows and columns of a set
-    ``R`` of multiplier dofs (the pairs whose state flipped since the base),
-    with the same shape and free dofs, ``J`` is solved by bordering the base
-    on ``R`` (see :class:`_Bordered`).  The columns ``J0^-1 e_k`` the
-    update needs are kept per dof while the base lives, so a later loop
-    reuses the earlier loops' columns.  The update is taken only while its dense
-    columns (cached, new and one per nonzero column of ``J_NR``) times the
-    number of unknowns stay within a quarter of the base factor's nonzeros;
-    otherwise the base is released and ``J`` is factored afresh, so at most
-    one factorization is alive at a time.  ``J`` is kept by reference: a
-    Jacobian handed to the cache must not be modified in place afterwards.
+    A solve is served as is when its ``J`` and its row scaling ``pc`` are
+    the same objects as the last ones: :class:`SystemCache` hands back the
+    same ``J`` and ``pc`` while the contact-state assignment and the
+    Dirichlet set repeat, across Newton iterations and load steps.  A copy
+    of ``J``, however equal, is a miss.  On a miss, ``J`` is compared with
+    the base's Jacobian ``J0``.  When they differ only in the rows and
+    columns of a set ``R`` of multiplier dofs (the pairs whose state flipped
+    since the base), with the same shape and free dofs, ``J`` is solved by
+    bordering the base on ``R`` (see :class:`_Bordered`).  The columns
+    ``J0^-1 e_k`` the update needs are kept per dof while the base lives, so
+    a later loop reuses the earlier loops' columns.  The update is taken
+    only while its dense columns (cached, new and one per nonzero column of
+    ``J_NR``) times the number of unknowns stay within a quarter of the base
+    factor's nonzeros; otherwise the base is released and ``J`` is factored
+    afresh, so at most one factorization is alive at a time.  ``J`` and
+    ``pc`` are kept by reference: neither may be modified in place after it
+    was handed to the cache, or the next solve is served by a stale
+    factorization.
     """
 
     def __init__(self):
@@ -406,15 +409,7 @@ class FactorCache:
         return isinstance(self.lu, _Bordered)
 
     def _hit(self, J, diag):
-        return self.lu is not None and all(
-            _same_bits(a, b)
-            for a, b in (
-                (J.indptr, self.J.indptr),
-                (J.indices, self.J.indices),
-                (J.data, self.J.data),
-                (diag, self.diag),
-            )
-        )
+        return self.lu is not None and J is self.J and diag is self.diag
 
     def factor(self, J, pc, free):
         """Make ``lu.solve`` solve ``diag(1/pc) J x = r``."""
@@ -476,8 +471,8 @@ def linear_solve(sys, pc, cache=None):
     reaches 1e-10 (equivalent to the relative-residual contract whenever
     that quantity is evaluable in double precision); a larger error raises
     :class:`LinearSolveError`.  With a :class:`FactorCache` the
-    factorization is reused while ``J`` and the row scaling ``pc`` stay
-    bit-identical, and bordered while ``J`` differs from it in a few
+    factorization is reused while ``J`` and the row scaling ``pc`` are the
+    same objects, and bordered while ``J`` differs from it in a few
     multiplier rows and columns; without one every call factors afresh.  A
     bordered solve that misses the contract is repeated on a fresh
     factorization, so only a fresh factorization raises.

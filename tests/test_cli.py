@@ -189,6 +189,38 @@ class TestParseConfig:
             assemble_loads(mesh, cfg.bcs)
         assert "fracture 7" in str(err.value)
 
+    @staticmethod
+    def with_bc(key, value):
+        """MINIMAL plus a third bc whose ``key`` is ``value``."""
+        if key == "nodes":
+            bc = {"kind": "dirichlet", "nodes": [0], "ux": 0.0}
+        else:
+            bc = {"kind": "fracture_pressure", "fracture": 0, "pressure": 1.0e6}
+        bc[key] = value
+        return dict(MINIMAL, bcs=MINIMAL["bcs"] + [bc])
+
+    @pytest.mark.parametrize("key, value", [
+        ("nodes", [0.5]), ("nodes", ["3"]), ("nodes", [True]), ("nodes", [0, 1.0]),
+        ("nodes", 3), ("fracture", "0"), ("fracture", 0.5), ("fracture", True),
+    ])
+    def test_non_integer_bc_ids_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^bcs\[2\]\.{key}: "):
+            config_from_dict(self.with_bc(key, value))
+
+    def test_numpy_integer_bc_ids_accepted(self):
+        cfg = config_from_dict(self.with_bc("nodes", [np.int64(1)]))
+        assert cfg.bcs[2].nodes == [1]
+        cfg = config_from_dict(self.with_bc("fracture", np.int32(0)))
+        assert cfg.bcs[2].fracture == 0
+
+    @pytest.mark.parametrize("key, value", [("nodes", [0.5]), ("fracture", "0")])
+    def test_cli_non_integer_bc_id_exit_two(self, tmp_path, capsys, key, value):
+        path = write_yaml(tmp_path, self.with_bc(key, value))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bcs[2].{key}: ")
+        assert "Traceback" not in err
+
     def test_file_mesh_with_generator_fractures_rejected(self, tmp_path):
         mesh = generate_rect_mesh(1.0, 1.0, 4, 4)
         mfile = tmp_path / "m.msh"

@@ -1,5 +1,6 @@
 """Plane-strain CST assembly, loads, Dirichlet handling."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -16,6 +17,7 @@ from fracfem.elasticity import (
     ConfigError,
     MaterialParams,
     _b_matrices,
+    _resolve_edges,
     assemble_loads,
     assemble_stiffness,
     dirichlet_constraints,
@@ -329,3 +331,266 @@ class TestPatchAndEquilibrium:
         np.testing.assert_allclose(
             total_react, -total_applied, rtol=1e-9
         )
+
+
+# Reference load and Dirichlet assembly: the per-edge and per-node loops the
+# array kernels replaced, kept verbatim so the kernels are checked against
+# them bit for bit, errors included.
+def _ref_assemble_loads(mesh, bcs, step=None, n_steps=1):
+    F = np.zeros(2 * mesh.n_nodes)
+    gauss = (0.5 * (1.0 - 1.0 / np.sqrt(3.0)), 0.5 * (1.0 + 1.0 / np.sqrt(3.0)))
+
+    for bc in bcs:
+        if bc.kind == "neumann":
+            t = np.asarray(bc.traction, dtype=float) * bc.scale(step, n_steps)
+            for a, b in _resolve_edges(mesh, bc):
+                L = float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a])))
+                fa = fb = 0.0
+                for xi in gauss:
+                    w = 0.5 * L
+                    fa += w * (1.0 - xi)
+                    fb += w * xi
+                F[2 * a : 2 * a + 2] += fa * t
+                F[2 * b : 2 * b + 2] += fb * t
+        elif bc.kind == "fracture_pressure":
+            p = float(bc.pressure) * bc.scale(step, n_steps)
+            if not 0 <= bc.fracture < len(mesh.chains):
+                raise ConfigError(
+                    f"fracture_pressure bc references unknown fracture "
+                    f"{bc.fracture}"
+                )
+            chain = mesh.chains[bc.fracture]
+            for ca, cb in zip(chain[:-1], chain[1:]):
+                xa = mesh.nodes[[ca.rp, ca.rm]].mean(axis=0)
+                xb = mesh.nodes[[cb.lp, cb.lm]].mean(axis=0)
+                d = xb - xa
+                L = float(np.hypot(*d))
+                n = np.array([-d[1], d[0]]) / L
+                for node_p, node_m, w in (
+                    (ca.rp, ca.rm, 0.5 * L),
+                    (cb.lp, cb.lm, 0.5 * L),
+                ):
+                    F[2 * node_p : 2 * node_p + 2] += w * p * n
+                    F[2 * node_m : 2 * node_m + 2] -= w * p * n
+        elif bc.kind == "dirichlet":
+            continue
+        else:
+            raise ConfigError(f"unknown bc kind {bc.kind!r}")
+
+    return F
+
+
+def _ref_dirichlet_constraints(mesh, bcs, step=None, n_steps=1):
+    fixed = {}
+
+    def set_dof(dof, val):
+        if dof in fixed and abs(fixed[dof] - val) > 1e-12 * max(1.0, abs(val)):
+            raise ConfigError(
+                f"conflicting Dirichlet values for dof {dof}: "
+                f"{fixed[dof]} vs {val}"
+            )
+        fixed[dof] = val
+
+    for bc in bcs:
+        if bc.kind != "dirichlet":
+            continue
+        s = bc.scale(step, n_steps)
+        if bc.nodes is not None:
+            node_ids = list(bc.nodes)
+            bad = [n for n in node_ids if not 0 <= n < mesh.n_nodes]
+            if bad:
+                raise ConfigError(f"dirichlet bc references unknown nodes {bad}")
+        else:
+            node_ids = sorted({int(n) for e in _resolve_edges(mesh, bc) for n in e})
+        for n in node_ids:
+            if bc.ux is not None:
+                set_dof(2 * n, bc.ux * s)
+            if bc.uy is not None:
+                set_dof(2 * n + 1, bc.uy * s)
+
+    idx = np.array(sorted(fixed), dtype=np.int64)
+    vals = np.array([fixed[i] for i in idx])
+    return idx, vals
+
+
+def _outcome(fn, *args, **kwargs):
+    """(result, None), or (None, message) when ``fn`` raises ConfigError."""
+    try:
+        return fn(*args, **kwargs), None
+    except ConfigError as exc:
+        return None, str(exc)
+
+
+def _bits(a):
+    """dtype, shape and raw bytes: equal only for bit-identical arrays."""
+    return a.dtype, a.shape, a.tobytes()
+
+
+def assert_kernels_match_reference(mesh, bcs, step, n_steps):
+    F, err = _outcome(assemble_loads, mesh, bcs, step=step, n_steps=n_steps)
+    ref, ref_err = _outcome(_ref_assemble_loads, mesh, bcs, step=step, n_steps=n_steps)
+    assert err == ref_err
+    if err is None:
+        assert _bits(F) == _bits(ref)
+    got, err = _outcome(dirichlet_constraints, mesh, bcs, step=step, n_steps=n_steps)
+    ref, ref_err = _outcome(
+        _ref_dirichlet_constraints, mesh, bcs, step=step, n_steps=n_steps
+    )
+    assert err == ref_err
+    if err is None:
+        assert _bits(got[0]) == _bits(ref[0])
+        assert _bits(got[1]) == _bits(ref[1].astype(float))
+
+
+def _ramp8(explicit):
+    """The 8-step inclined-crack ramp, with an explicit proportional ramp
+    list or with the default one."""
+    n = 8
+    cfg = presets.inclined_crack(n_load_steps=n)
+    if explicit:
+        ramp = [(k + 1) / n for k in range(n)]
+        cfg.bcs = [dataclasses.replace(bc, ramp=ramp) for bc in cfg.bcs]
+    return cfg
+
+
+class TestArrayKernelsMatchReference:
+    """Loads and Dirichlet data from array operations equal the loops they
+    replaced bit for bit: same dofs, same value bits, same errors."""
+
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    def test_presets(self, name):
+        cfg = presets.get(name)
+        mesh = build_mesh(cfg)
+        n = cfg.solver.n_load_steps
+        for step in [None, *range(n)]:
+            assert_kernels_match_reference(mesh, cfg.bcs, step, n)
+
+    @pytest.mark.parametrize("explicit", [True, False])
+    def test_every_ramp_step(self, explicit):
+        cfg = _ramp8(explicit)
+        mesh = build_mesh(cfg)
+        for step in range(cfg.solver.n_load_steps):
+            assert_kernels_match_reference(mesh, cfg.bcs, step, 8)
+
+    @given(data=st.data())
+    def test_drawn_bc_sets(self, data):
+        mesh = _small_fractured_mesh()
+        nodes = mesh.nodes
+        on_box = (nodes == nodes.min(axis=0)) | (nodes == nodes.max(axis=0))
+        corners = np.flatnonzero(on_box.all(axis=1)).tolist()
+        sides = st.sampled_from(["left", "right", "bottom", "top"])
+        # equal values, values equal within roundoff (the last one wins),
+        # and conflicting ones
+        values = st.none() | st.sampled_from(
+            [0.0, -0.0, 1e-3, 1e-3 * (1 + 1e-14), -2e-3]
+        )
+        ramps = st.none() | st.lists(
+            st.floats(-2.0, 2.0, allow_nan=False), min_size=1, max_size=6
+        )
+        # corners, one id past the last node, and any node
+        node_ids = st.sampled_from([*corners, mesh.n_nodes]) | st.integers(
+            0, mesh.n_nodes - 1
+        )
+        bcs = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            ramp = data.draw(ramps)
+            if data.draw(st.booleans()):
+                traction = data.draw(st.lists(
+                    st.floats(-1e7, 1e7, allow_nan=False), min_size=2, max_size=2
+                ))
+                bcs.append(BoundaryCondition(
+                    kind="neumann", side=data.draw(sides), traction=traction, ramp=ramp
+                ))
+                continue
+            if data.draw(st.booleans()):
+                target = {"side": data.draw(sides)}
+            else:
+                target = {"nodes": data.draw(st.lists(node_ids, max_size=4))}
+            bcs.append(BoundaryCondition(
+                kind="dirichlet", ux=data.draw(values), uy=data.draw(values),
+                ramp=ramp, **target,
+            ))
+        n_steps = data.draw(st.integers(1, 4))
+        step = data.draw(st.none() | st.integers(0, n_steps + 1))
+        assert_kernels_match_reference(mesh, bcs, step, n_steps)
+
+    @pytest.mark.parametrize("first, last", [(0.0, -0.0), (1e-3, 1e-3 * (1 + 1e-14))])
+    def test_last_value_wins_on_shared_corner(self, first, last):
+        # values equal within roundoff do not conflict; the last one is kept
+        mesh = _small_fractured_mesh()
+        bcs = [BoundaryCondition(kind="dirichlet", side="left", ux=first),
+               BoundaryCondition(kind="dirichlet", side="bottom", ux=last)]
+        assert_kernels_match_reference(mesh, bcs, None, 1)
+        idx, vals = dirichlet_constraints(mesh, bcs)
+        corner = list(idx).index(0)  # node 0 sits on both sides
+        assert _bits(vals[corner:corner + 1]) == _bits(np.array([last]))
+
+    def test_conflict_reported_in_bc_order(self):
+        # the loop stops at the first conflict it meets, and a bc that cannot
+        # be resolved raises only after the bcs before it
+        mesh = _small_fractured_mesh()
+        left = BoundaryCondition(kind="dirichlet", side="left", ux=0.0, uy=0.0)
+        cases = [
+            [left,
+             BoundaryCondition(kind="dirichlet", nodes=[0], ux=1.0, uy=2.0),
+             BoundaryCondition(kind="dirichlet", side="bottom", ux=3.0)],
+            [left,
+             BoundaryCondition(kind="dirichlet", nodes=[0], uy=1.0),
+             BoundaryCondition(kind="dirichlet", nodes=[mesh.n_nodes], ux=0.0)],
+            [left,
+             BoundaryCondition(kind="dirichlet", nodes=[mesh.n_nodes], ux=0.0),
+             BoundaryCondition(kind="dirichlet", nodes=[0], uy=1.0)],
+            [BoundaryCondition(kind="dirichlet", side="north", ux=0.0)],
+            # the first conflict met is not the one at the lowest dof
+            [BoundaryCondition(kind="dirichlet", nodes=[5, 0], ux=1.0),
+             BoundaryCondition(kind="dirichlet", nodes=[5, 0], ux=2.0)],
+        ]
+        for bcs in cases:
+            _, err = _outcome(dirichlet_constraints, mesh, bcs)
+            _, ref_err = _outcome(_ref_dirichlet_constraints, mesh, bcs)
+            assert err is not None and err == ref_err
+
+
+@functools.lru_cache(maxsize=None)
+def _small_fractured_mesh():
+    # cells of width 3/7: edge lengths whose Gauss weights round differently
+    # when the two points are summed in another order
+    h = 3.0 / 7.0
+    return built(
+        generate_rect_mesh(3.0, 2.0, 7, 4, fractures=[(3 * h, 1.0, 5 * h, 1.0)])
+    )
+
+
+class TestIntegerIds:
+    """Node and fracture ids of programmatic bcs must be integers."""
+
+    @pytest.mark.parametrize("nodes", [[1.5], ["3"], [True], [0, 2.0]])
+    def test_dirichlet_rejects_non_integer_nodes(self, nodes):
+        mesh = _small_fractured_mesh()
+        bc = BoundaryCondition(kind="dirichlet", nodes=nodes, ux=0.25)
+        with pytest.raises(ConfigError, match="non-integer nodes"):
+            dirichlet_constraints(mesh, [bc])
+
+    def test_numpy_integer_nodes_accepted(self):
+        mesh = _small_fractured_mesh()
+        bc = BoundaryCondition(kind="dirichlet", nodes=np.array([1, 0]), ux=0.25)
+        idx, vals = dirichlet_constraints(mesh, [bc])
+        assert idx.tolist() == [0, 2] and vals.tolist() == [0.25, 0.25]
+
+    @pytest.mark.parametrize("fracture", ["0", 0.5, True, None])
+    def test_loads_reject_non_integer_fracture(self, fracture):
+        mesh = _small_fractured_mesh()
+        bc = BoundaryCondition(kind="fracture_pressure", fracture=fracture,
+                               pressure=1e6)
+        with pytest.raises(ConfigError, match="integer fracture id"):
+            assemble_loads(mesh, [bc])
+
+    def test_numpy_integer_fracture_accepted(self):
+        mesh = _small_fractured_mesh()
+        loads = [
+            assemble_loads(mesh, [BoundaryCondition(
+                kind="fracture_pressure", fracture=f, pressure=1e6
+            )])
+            for f in (0, np.int64(0))
+        ]
+        assert _bits(loads[0]) == _bits(loads[1])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfem.mesh import (
+    BOUNDARY_SIDES,
     AmbiguousSideError,
     FracturePath,
     FractureSpec,
@@ -417,6 +418,34 @@ class TestBoundaryQueries:
         top = select_boundary_edges(m, "top")
         assert len(top) == 4
         assert np.allclose(m.nodes[top.ravel()][:, 1], 2.0)
+
+    @pytest.mark.parametrize(
+        "name", ["inclined-crack", "sneddon", "crossing-multi"]
+    )
+    def test_cached_sides_equal_uncached_filter(self, name):
+        from fracfem import presets
+        from fracfem.config import build_mesh
+
+        mesh = build_mesh(presets.get(name))
+        edges = external_boundary_edges(mesh)
+        assert "boundary_sides" not in mesh.__dict__
+        first = {side: select_boundary_edges(mesh, side) for side in BOUNDARY_SIDES}
+        for side in BOUNDARY_SIDES:
+            got = select_boundary_edges(mesh, side)
+            assert got is first[side] is mesh.boundary_sides[side]  # built once
+            np.testing.assert_array_equal(got, _ref_select(mesh, edges, side))
+            assert got.dtype == np.int64
+            assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 0
+        with pytest.raises(TypeError):
+            mesh.boundary_sides["top"] = edges
+
+    def test_unknown_side_rejected(self):
+        m = built(generate_rect_mesh(1.0, 1.0, 2, 2))
+        with pytest.raises(ValueError, match="unknown boundary side 'north'"):
+            select_boundary_edges(m, "north")
+        assert "boundary_sides" not in m.__dict__
 
 
 # Reference boundary queries: the per-element dict loops the edge table

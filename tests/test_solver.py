@@ -494,6 +494,37 @@ class TestFactorCache:
         assert len(calls) == 2
         assert cache.J is J2
 
+    def test_repeated_system_served_by_identity(self, monkeypatch):
+        mesh, cfg = small_inclined_setup()
+        sys = make_system(mesh, cfg)
+        pc = build_preconditioner(sys)
+        calls = self.count_splu(monkeypatch)
+        cache = FactorCache()
+        first = linear_solve(sys, pc, cache=cache)
+
+        def no_compare(*args):
+            raise AssertionError("a cache hit compares no arrays")
+
+        monkeypatch.setattr(solver, "_same_bits", no_compare)
+        again = linear_solve(sys, pc, cache=cache)
+        assert len(calls) == 1
+        assert solver._same_bits is no_compare
+        np.testing.assert_array_equal(again.view(np.uint64), first.view(np.uint64))
+
+    def test_equal_copies_refactor_to_the_same_bits(self, monkeypatch):
+        mesh, cfg = small_inclined_setup()
+        sys = make_system(mesh, cfg)
+        pc = build_preconditioner(sys)
+        calls = self.count_splu(monkeypatch)
+        cache = FactorCache()
+        first = linear_solve(sys, pc, cache=cache)
+        copied_J = SaddleSystem(**{**sys.__dict__, "J": sys.J.copy()})
+        for system, scaling, n_calls in ((copied_J, pc, 2), (copied_J, pc.copy(), 3)):
+            dx = linear_solve(system, scaling, cache=cache)
+            assert len(calls) == n_calls and not cache.bordered
+            assert cache.J is system.J and cache.diag is scaling
+            np.testing.assert_array_equal(dx.view(np.uint64), first.view(np.uint64))
+
 
 def _backward_error(cache, dx, rhs):
     """The contract's backward error of ``dx`` on the row-scaled system."""
@@ -834,6 +865,28 @@ class TestSystemReuse:
         assert len(queries) == 16  # 2 sides, every step
         assert len(tables) == 1
         assert not mesh.boundary_edges.flags.writeable
+
+    def test_boundary_sides_once_per_mesh(self, monkeypatch):
+        from functools import cached_property
+
+        import fracfem.elasticity
+        from fracfem.mesh import Mesh
+
+        mesh, cfg = _ramp()
+        builds, queries = [], []
+        real = Mesh.boundary_sides.func
+
+        def counting(self_):
+            builds.append(self_)
+            return real(self_)
+
+        prop = cached_property(counting)
+        prop.__set_name__(Mesh, "boundary_sides")
+        monkeypatch.setattr(Mesh, "boundary_sides", prop)
+        _counted(monkeypatch, fracfem.elasticity, "select_boundary_edges", queries)
+        self.run(mesh, cfg)
+        assert len(queries) == 16  # 2 sides, every step
+        assert builds == [mesh]
 
     def test_equals_run_without_reuse(self, monkeypatch):
         mesh, cfg = _ramp()
