@@ -129,20 +129,23 @@ def _parse_bc(raw, idx):
         raise ConfigError(
             f"{path}.fracture: fracture id must be an integer, got {fracture!r}"
         )
-    bc = BoundaryCondition(
-        kind=kind,
-        side=raw.get("side"),
-        nodes=nodes,
-        fracture=fracture,
-        ux=None if raw.get("ux") is None else float(raw["ux"]),
-        uy=None if raw.get("uy") is None else float(raw["uy"]),
-        traction=(
-            None if raw.get("traction") is None
-            else [float(v) for v in raw["traction"]]
-        ),
-        pressure=None if raw.get("pressure") is None else float(raw["pressure"]),
-        ramp=None if raw.get("ramp") is None else [float(v) for v in raw["ramp"]],
-    )
+    try:
+        bc = BoundaryCondition(
+            kind=kind,
+            side=raw.get("side"),
+            nodes=nodes,
+            fracture=fracture,
+            ux=None if raw.get("ux") is None else float(raw["ux"]),
+            uy=None if raw.get("uy") is None else float(raw["uy"]),
+            traction=(
+                None if raw.get("traction") is None
+                else [float(v) for v in raw["traction"]]
+            ),
+            pressure=None if raw.get("pressure") is None else float(raw["pressure"]),
+            ramp=None if raw.get("ramp") is None else [float(v) for v in raw["ramp"]],
+        )
+    except ConfigError as exc:  # its message starts with the field name
+        raise ConfigError(f"{path}.{exc}") from None
     if kind == "dirichlet":
         if bc.side is None and bc.nodes is None:
             raise ConfigError(f"{path}: dirichlet needs 'side' or 'nodes'")

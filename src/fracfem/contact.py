@@ -330,6 +330,20 @@ def assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
     )
 
 
+def flipped_dofs(states0, states1, pinned0, pinned1):
+    """Multiplier dofs whose rows and columns in the blocks above can differ
+    between two state assignments on one Dirichlet set.
+
+    A pair's state decides only its own two rows and columns, so these are
+    ``2p, 2p+1`` of every pair ``p`` whose state differs, less the dofs
+    pinned (identity row and column) under both assignments: the crossing
+    pairs' tangential multiplier and both multipliers of a fully fixed pair.
+    ``pinned0``/``pinned1`` are the :attr:`ContactBlocks.pinned` masks.
+    """
+    flipped = np.array([a != b for a, b in zip(states0, states1)], dtype=bool)
+    return np.flatnonzero(np.repeat(flipped, 2) & ~(pinned0 & pinned1))
+
+
 def contact_residuals(blocks, U, lam):
     """Contact contributions: (added to R^u, full R^lambda)."""
     ru = blocks.B_up @ lam + blocks.f_slip

@@ -63,6 +63,10 @@ class BoundaryCondition:
     pressure: float | None = None
     ramp: list | None = None
 
+    def __post_init__(self):
+        if self.ramp is not None and len(self.ramp) == 0:
+            raise ConfigError("ramp: needs at least one load factor")
+
     def scale(self, step, n_steps=1):
         """Load factor of step ``step`` (0-based) of ``n_steps``; steps past
         the end hold the last factor, and ``step=None`` means full load."""

@@ -349,11 +349,19 @@ def load_mesh(path):
             raise MeshFormatError(f"expected {expect}, got {fields[0]!r}", ln)
         return ln, fields
 
-    ln, fields = next_line("NODES")
-    try:
-        n_nodes = int(fields[1])
-    except (IndexError, ValueError):
-        raise MeshFormatError("NODES needs a count", ln) from None
+    def section_count(name, least):
+        ln, fields = next_line(name)
+        try:
+            count = int(fields[1])
+        except (IndexError, ValueError):
+            raise MeshFormatError(f"{name} needs a count", ln) from None
+        if count < least:
+            raise MeshFormatError(
+                f"{name} count must be at least {least}, got {count}", ln
+            )
+        return count
+
+    n_nodes = section_count("NODES", 1)
 
     nodes = np.empty((n_nodes, 2))
     seen = set()
@@ -370,11 +378,7 @@ def load_mesh(path):
         seen.add(nid)
         nodes[nid] = (x, y)
 
-    ln, fields = next_line("ELEMENTS")
-    try:
-        n_elem = int(fields[1])
-    except (IndexError, ValueError):
-        raise MeshFormatError("ELEMENTS needs a count", ln) from None
+    n_elem = section_count("ELEMENTS", 0)
 
     elements = np.empty((n_elem, 3), dtype=np.int64)
     seen = set()
@@ -394,11 +398,7 @@ def load_mesh(path):
         seen.add(eid)
         elements[eid] = conn
 
-    ln, fields = next_line("FRACTURES")
-    try:
-        n_frac = int(fields[1])
-    except (IndexError, ValueError):
-        raise MeshFormatError("FRACTURES needs a count", ln) from None
+    n_frac = section_count("FRACTURES", 0)
 
     fractures = [None] * n_frac  # ids index the per-fracture chains
     for _ in range(n_frac):

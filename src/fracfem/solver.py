@@ -22,6 +22,7 @@ from .contact import (
     assemble_contact_blocks,
     classify_all,
     contact_residuals,
+    flipped_dofs,
     mohr_coulomb_tau_c,
     pair_jumps,
 )
@@ -83,8 +84,10 @@ class SaddleSystem:
     otherwise leave the assembled Jacobian with a condition number around
     1e13 that no row equilibration can repair.  All public quantities stay
     physical; only this system and its increments live in the scaled
-    variable.  ``blocks`` are the contact blocks ``J`` was built from; the
-    Newton loop re-forms ``R`` from them after each solve.
+    variable.  ``blocks`` are the contact blocks ``J`` was built from, for
+    the state assignment ``states``; the Newton loop re-forms ``R`` from them
+    after each solve, and the caches compare ``states`` to tell which pairs'
+    rows and columns differ between two systems.
     """
 
     J: sp.csr_matrix
@@ -98,6 +101,7 @@ class SaddleSystem:
     # norm lives here because the scaled multiplier rows of R have a
     # floating-point floor of eps * lambda * mult_scale
     R_phys: np.ndarray | None = None
+    states: tuple = ()
 
 
 def step_data(mesh, bcs, step, n_steps):
@@ -157,6 +161,7 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, K_ff=None):
         blocks=blocks,
         mult_scale=s,
         R_phys=R_phys,
+        states=tuple(state.states),
     )
 
 
@@ -197,41 +202,40 @@ class SystemCache:
 
     ``K``, its free block ``K[free][:, free]`` (sliced once per distinct
     ``free``), and the last system built with its row norms ``pc``.  A state
-    loop whose state assignment and Dirichlet dofs equal those of that
-    system reuses its contact blocks, ``J`` and ``pc`` and re-forms only the
-    residual, so the load steps of a ramp that keep their states assemble
-    nothing.  One cache serves one run: mesh, material and friction must not
-    change under it.
+    loop whose state assignment and free dofs equal those the last system
+    records reuses its contact blocks, ``J`` and ``pc`` and re-forms only
+    the residual, so the load steps of a ramp that keep their states
+    assemble nothing.  One cache serves one run: mesh, material and
+    friction must not change under it.
     """
 
     def __init__(self, K):
         self.K = K
-        self.free = self.K_ff = None
-        self.states = self.fixed = self.sys = self.pc = None
+        self.K_ff = self.sys = self.pc = None
 
-    def _repeats(self, states, fixed):
-        """True when the last system was built for ``states`` and ``fixed``."""
+    def _repeats(self, states, free):
+        """True when the last system was built for ``states`` and ``free``."""
         return (
             self.sys is not None
-            and states == self.states
-            and _same_bits(fixed, self.fixed)
+            and tuple(states) == self.sys.states
+            and _same_bits(free, self.sys.free)
         )
 
     def system(self, mesh, mat, fric, state, F, fixed, free):
         """The :class:`SaddleSystem` of ``state``, as :func:`build_system`
         returns it."""
-        if self._repeats(state.states, fixed):
+        if self._repeats(state.states, free):
             blocks, s = self.sys.blocks, self.sys.mult_scale
             R, R_phys = _reduced_residual(
                 self.K, blocks, F, state.U, state.lam, free, s
             )
             return replace(self.sys, R=R, R_phys=R_phys)
-        if self.free is None or not _same_bits(free, self.free):
-            self.free, self.K_ff = free, self.K[free][:, free]
+        if self.sys is None or not _same_bits(free, self.sys.free):
+            self.K_ff = self.K[free][:, free]
         self.sys = build_system(
             mesh, mat, fric, state, self.K, F, fixed, free, K_ff=self.K_ff
         )
-        self.states, self.fixed, self.pc = list(state.states), fixed, None
+        self.pc = None
         return self.sys
 
     def preconditioner(self):
@@ -250,58 +254,36 @@ def _row_scaled(J, pc):
     return Jbar.tocsc()
 
 
-def _changed_rows(J, J0, start):
-    """Rows from ``start`` on in which the canonical CSR matrices ``J`` and
-    ``J0`` differ in value (stored zeros do not count), as row numbers."""
-    A, B = J[start:], J0[start:]  # copies
-    A.eliminate_zeros()
-    B.eliminate_zeros()
-    la, lb = np.diff(A.indptr), np.diff(B.indptr)
-    changed = la != lb
-    # entries of the rows of equal length, compared position by position
-    row = np.repeat(np.arange(la.size), la)
-    k = np.flatnonzero(~changed[row])
-    kb = B.indptr[row[k]] + (k - A.indptr[row[k]])
-    differs = (A.indices[k] != B.indices[kb]) | (A.data[k] != B.data[kb])
-    changed[row[k[differs]]] = True
-    return start + np.flatnonzero(changed)
-
-
 class _Base:
-    """A fresh factorization ``lu`` of ``diag(1/pc) J`` and the columns of
-    ``J^-1`` computed from it so far: ``cols[:, i] = J^-1 e_dofs[i]``."""
+    """A fresh factorization ``lu`` of ``diag(1/pc) J`` of the system ``sys``
+    and the columns of ``J^-1`` computed from it so far: ``cols[:, i] =
+    J^-1 e_dofs[i]``."""
 
-    def __init__(self, J, pc, free, lu):
-        self.J, self.pc, self.free, self.lu = J, pc, free, lu
+    def __init__(self, sys, pc, lu):
+        self.sys, self.pc, self.lu = sys, pc, lu
         self.dofs = np.empty(0, dtype=np.int64)
-        self.cols = np.empty((J.shape[0], 0))
+        self.cols = np.empty((sys.J.shape[0], 0))
 
     def solve(self, y):
         """``J^-1 y`` for a vector or a block of columns."""
         return self.lu.solve(y / (self.pc if y.ndim == 1 else self.pc[:, None]))
 
-    def border(self, J, pc, free):
-        """A :class:`_Bordered` solver of ``J``, or None when ``J`` differs
-        from the base in the displacement block, in shape or in ``free``,
-        not at all, or in more multiplier rows and columns than fit the
-        dense-column budget."""
-        n = J.shape[0]
-        if J.shape != self.J.shape or not _same_bits(free, self.free):
+    def border(self, sys, pc):
+        """A :class:`_Bordered` solver of ``sys.J``, or None when ``sys`` has
+        other free dofs than the base, no multiplier dof that a flip since
+        the base changed, or more of them than fit the dense-column
+        budget."""
+        base = self.sys
+        if base.states == sys.states or not _same_bits(sys.free, base.free):
             return None
-        nd = free.size
+        J, n = sys.J, sys.J.shape[0]
+        R = sys.n_disp + flipped_dofs(
+            base.states, sys.states, base.blocks.pinned, sys.blocks.pinned
+        )
+        new = np.setdiff1d(R, self.dofs)
         # dense columns (cached J^-1 columns plus the J_NR solves) may take
         # a quarter of the memory of the factor itself
         budget = self.lu.nnz / 4
-        # the changed multiplier rows belong to R: when they alone overflow
-        # the budget, J - J0 is not worth forming
-        rows = _changed_rows(J, self.J, nd)
-        if n * (self.dofs.size + np.setdiff1d(rows, self.dofs).size) > budget:
-            return None
-        diff = (J - self.J).tocoo()
-        if np.any((diff.row < nd) & (diff.col < nd)):
-            return None
-        R = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
-        new = np.setdiff1d(R, self.dofs)
         if R.size == 0 or n * (self.dofs.size + new.size) > budget:
             return None
         in_R = np.zeros(n, dtype=bool)
@@ -375,17 +357,21 @@ class _Bordered:
 
 class FactorCache:
     """The last fresh LU factorization of a run (the base), reused while the
-    Jacobian repeats and bordered when only a few multiplier rows change.
+    Jacobian repeats and bordered when only a few pairs change state.
 
     A solve is served as is when its ``J`` and its row scaling ``pc`` are
     the same objects as the last ones: :class:`SystemCache` hands back the
     same ``J`` and ``pc`` while the contact-state assignment and the
     Dirichlet set repeat, across Newton iterations and load steps.  A copy
-    of ``J``, however equal, is a miss.  On a miss, ``J`` is compared with
-    the base's Jacobian ``J0``.  When they differ only in the rows and
-    columns of a set ``R`` of multiplier dofs (the pairs whose state flipped
-    since the base), with the same shape and free dofs, ``J`` is solved by
-    bordering the base on ``R`` (see :class:`_Bordered`).  The columns
+    of ``J``, however equal, is a miss.  On a miss with the base's free
+    dofs, the two systems' state records give the set ``R``: the multiplier
+    dofs of the pairs whose state flipped since the base, less those pinned
+    under both states (see :func:`~fracfem.contact.flipped_dofs`).  Only
+    their rows and columns differ, as the displacement block of one run
+    and one ``free`` is the same ``K_ff``, so ``J`` is solved by bordering
+    the base on ``R`` (see :class:`_Bordered`); a base whose displacement
+    block differs after all fails the backward-error contract, which
+    :func:`linear_solve` checks on the true ``J``.  The columns
     ``J0^-1 e_k`` the update needs are kept per dof while the base lives, so
     a later loop reuses the earlier loops' columns.  The update is taken
     only while its dense columns (cached, new and one per nonzero column of
@@ -411,12 +397,13 @@ class FactorCache:
     def _hit(self, J, diag):
         return self.lu is not None and J is self.J and diag is self.diag
 
-    def factor(self, J, pc, free):
-        """Make ``lu.solve`` solve ``diag(1/pc) J x = r``."""
+    def factor(self, sys, pc):
+        """Make ``lu.solve`` solve ``diag(1/pc) J x = r`` for ``J = sys.J``."""
+        J = sys.J
         if self._hit(J, pc):
             return
         self.Jbar = self.absJ = None  # free the old ones before the new
-        lu = None if self.base is None else self.base.border(J, pc, free)
+        lu = None if self.base is None else self.base.border(sys, pc)
         if lu is None:
             self.clear()
         Jbar = _row_scaled(J, pc)
@@ -428,7 +415,7 @@ class FactorCache:
                 lu = spla.splu(Jbar, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-            self.base = _Base(J, pc, free, lu)
+            self.base = _Base(sys, pc, lu)
         absJ = Jbar.copy()
         absJ.data = np.abs(absJ.data)
         self.J, self.diag, self.Jbar, self.absJ, self.lu = J, pc, Jbar, absJ, lu
@@ -472,8 +459,8 @@ def linear_solve(sys, pc, cache=None):
     that quantity is evaluable in double precision); a larger error raises
     :class:`LinearSolveError`.  With a :class:`FactorCache` the
     factorization is reused while ``J`` and the row scaling ``pc`` are the
-    same objects, and bordered while ``J`` differs from it in a few
-    multiplier rows and columns; without one every call factors afresh.  A
+    same objects, and bordered while only a few pairs changed state since
+    the last fresh factorization; without one every call factors afresh.  A
     bordered solve that misses the contract is repeated on a fresh
     factorization, so only a fresh factorization raises.
     """
@@ -483,11 +470,11 @@ def linear_solve(sys, pc, cache=None):
 
     if cache is None:
         cache = FactorCache()
-    cache.factor(sys.J, pc, sys.free)
+    cache.factor(sys, pc)
     dx, rel = _refined_solve(cache, rhs)
     if cache.bordered and not rel <= 1e-10:
         cache.clear()
-        cache.factor(sys.J, pc, sys.free)
+        cache.factor(sys, pc)
         dx, rel = _refined_solve(cache, rhs)
     if not np.isfinite(rel) or rel > 1e-10:
         raise LinearSolveError(

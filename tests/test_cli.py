@@ -221,6 +221,17 @@ class TestParseConfig:
         assert err.startswith(f"error: bcs[2].{key}: ")
         assert "Traceback" not in err
 
+    def test_empty_ramp_rejected(self, tmp_path, capsys):
+        bcs = [dict(MINIMAL["bcs"][0], ramp=[]), MINIMAL["bcs"][1]]
+        bad = dict(MINIMAL, bcs=bcs)
+        with pytest.raises(ConfigError, match=r"^bcs\[0\]\.ramp: "):
+            config_from_dict(bad)
+        path = write_yaml(tmp_path, bad)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bcs[0].ramp: ")
+        assert "Traceback" not in err
+
     def test_file_mesh_with_generator_fractures_rejected(self, tmp_path):
         mesh = generate_rect_mesh(1.0, 1.0, 4, 4)
         mfile = tmp_path / "m.msh"
@@ -488,6 +499,14 @@ class TestRunAndCli:
         out = capsys.readouterr().out
         assert "nodes:     9" in out
         assert "through-going" in out
+
+    def test_cli_mesh_info_bad_count_exit_two(self, tmp_path, capsys):
+        mfile = tmp_path / "m.msh"
+        mfile.write_text("NODES -1\nELEMENTS 0\nFRACTURES 0\nEND\n")
+        assert main(["mesh-info", str(mfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: NODES count")
+        assert "Traceback" not in err
 
     def test_cli_bad_config_exit_two(self, tmp_path, capsys):
         bad = dict(MINIMAL, material={"E": 1e9, "nu": 0.7})

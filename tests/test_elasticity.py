@@ -241,6 +241,13 @@ class TestLoads:
         assert abs(F[1::2].sum()) < 1e-6
 
 
+    def test_empty_ramp_rejected(self):
+        # a ramp without load factors leaves no level for any step
+        with pytest.raises(ConfigError, match=r"^ramp: "):
+            BoundaryCondition(kind="neumann", side="top", traction=[0.0, -1.0],
+                              ramp=[])
+
+
 class TestDirichlet:
     def test_constraints_collect_nodes_and_values(self):
         mesh = built(generate_rect_mesh(1.0, 1.0, 2, 2))

@@ -154,6 +154,23 @@ class TestMeshFile:
             load_mesh(path)
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "text, section, line",
+        [("NODES -1\nELEMENTS 0\nFRACTURES 0\nEND\n", "NODES", 1),
+         ("NODES 0\nELEMENTS 0\nFRACTURES 0\nEND\n", "NODES", 1),
+         ("NODES 3\n0 0 0\n1 1 0\n2 0 1\nELEMENTS -2\nFRACTURES 0\nEND\n",
+          "ELEMENTS", 5),
+         ("NODES 3\n0 0 0\n1 1 0\n2 0 1\nELEMENTS 1\n0 0 1 2\n"
+          "FRACTURES -1\nEND\n", "FRACTURES", 7)],
+    )
+    def test_bad_section_count(self, tmp_path, text, section, line):
+        # a mesh has at least one node; elements and fractures may be none
+        path = tmp_path / "bad.msh"
+        path.write_text(text)
+        with pytest.raises(MeshFormatError, match=f"{section} count") as err:
+            load_mesh(path)
+        assert err.value.line == line
+
     def test_fractures_stored_in_id_order(self, tmp_path):
         mesh = generate_rect_mesh(
             4.0, 4.0, 8, 8, fractures=[(1.0, 1.0, 1.0, 3.0), (2.0, 2.0, 3.0, 2.0)]

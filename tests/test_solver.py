@@ -22,6 +22,7 @@ from fracfem.contact import (
     PairKinematics,
     PairState,
     StateKind,
+    flipped_dofs,
     mohr_coulomb_tau_c,
     pair_jumps,
 )
@@ -545,10 +546,12 @@ class TestBorderedUpdate:
             out[i] = state
         return out
 
-    def setup_base(self, monkeypatch):
+    def setup_base(self, monkeypatch, friction=None):
         """(mesh, splu calls, cache holding the all-stick base, system
         builder from states) on the coarse inclined crack."""
         mesh, cfg = small_inclined_setup()
+        if friction is not None:
+            cfg = dataclasses.replace(cfg, friction=friction)
         calls = TestFactorCache.count_splu(monkeypatch)
         cache = FactorCache()
         base = make_system(mesh, cfg)
@@ -606,7 +609,48 @@ class TestBorderedUpdate:
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
         assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
 
-    def test_changed_displacement_block_refactors(self, monkeypatch):
+    def test_frictionless_flip_borders_a_superset(self, monkeypatch):
+        # with tan(phi) = 0 a stick -> slip flip leaves the normal column as
+        # it was, so J - J0 touches only the tangential row; the flipped
+        # pair's two dofs are bordered, and elimination on a superset of the
+        # changed rows and columns is exact as well
+        frictionless = FrictionParams(cohesion=1.0e6, friction_angle=0.0)
+        mesh, calls, cache, system = self.setup_base(monkeypatch, frictionless)
+        base = cache.base.sys
+        sys = system(self.flipped(initial_states(mesh), {4: SLIP}))
+        pc = build_preconditioner(sys)
+        dx = linear_solve(sys, pc, cache=cache)
+        assert cache.bordered and len(calls) == 1
+        nd = sys.n_disp
+        np.testing.assert_array_equal(cache.lu.R, nd + np.array([8, 9]))
+        diff = (sys.J - base.J).tocoo()
+        changed = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
+        np.testing.assert_array_equal(changed, [nd + 9])
+        fresh = linear_solve(sys, pc)
+        assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
+
+    def test_changed_displacement_block_fails_the_contract(self, monkeypatch):
+        # the bordered update takes the base's displacement block as the
+        # system's; when it differs after all, the bordered solve misses the
+        # backward-error contract on the true J and is repeated on a fresh
+        # factorization
+        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        sys = system(self.flipped(initial_states(mesh), {2: OPEN}))
+        J, nd = sys.J.copy(), sys.n_disp
+        rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
+        J.data[(rows < nd) & (J.indices < nd)] *= 1.5
+        sys = SaddleSystem(**{**sys.__dict__, "J": J})
+        pc = build_preconditioner(sys)
+        bordered = []
+        _counted(monkeypatch, solver._Bordered, "solve", bordered)
+        dx = linear_solve(sys, pc, cache=cache)
+        assert bordered and len(calls) == 2 and not cache.bordered
+        np.testing.assert_array_equal(dx, linear_solve(sys, pc))
+
+    def test_one_ulp_in_displacement_block_stays_bordered(self, monkeypatch):
+        # a change the contract tolerates is served by the bordered solve
+        # and its refinement on the true J, without a fresh factorization
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         sys = system(self.flipped(initial_states(mesh), {2: OPEN}))
         J = sys.J.copy()
@@ -614,8 +658,10 @@ class TestBorderedUpdate:
         sys = SaddleSystem(**{**sys.__dict__, "J": J})
         pc = build_preconditioner(sys)
         dx = linear_solve(sys, pc, cache=cache)
-        assert len(calls) == 2 and not cache.bordered
-        np.testing.assert_array_equal(dx, linear_solve(sys, pc))
+        assert cache.bordered and len(calls) == 1
+        fresh = linear_solve(sys, pc)
+        assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
+        assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
 
     def test_update_over_budget_refactors(self, monkeypatch):
         mesh, calls, cache, system = self.setup_base(monkeypatch)
@@ -625,51 +671,71 @@ class TestBorderedUpdate:
         pc = build_preconditioner(sys)
         dx = linear_solve(sys, pc, cache=cache)
         assert len(calls) == 2 and not cache.bordered
-        assert cache.base.J is sys.J and cache.base.dofs.size == 0
+        assert cache.base.sys is sys and cache.base.dofs.size == 0
         np.testing.assert_array_equal(dx, linear_solve(sys, pc))
 
     def test_over_budget_miss_forms_no_difference(self, monkeypatch):
-        # sneddon's second loop changes 38 multiplier rows against a budget
-        # of about 20 dense columns: rejected before J - J0 is formed
+        # sneddon's second loop opens all 19 pairs, 38 multiplier dofs,
+        # against a budget of about 20 dense columns: rejected before any
+        # base solve
         from fracfem.config import build_mesh
 
         cfg = presets.get("sneddon")
         mesh = build_mesh(cfg)
         calls = TestFactorCache.count_splu(monkeypatch)
-        subs, borders = [], []
+        subs, borders, solves, flips = [], [], [], []
         _counted(monkeypatch, sp.csr_matrix, "__sub__", subs)
-        _counted(monkeypatch, solver, "_changed_rows", borders,
-                 lambda J, J0, start: J.shape[0] - start)
+        _counted(monkeypatch, solver._Base, "border", borders)
+        _counted(monkeypatch, solver._Base, "solve", solves)
+
+        def recorded(*args):
+            flips.append(flipped_dofs(*args))
+            return flips[-1]
+
+        monkeypatch.setattr(solver, "flipped_dofs", recorded)
         res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
         assert res[-1].converged
         assert len(calls) == 2 and not subs
-        assert borders == [2 * mesh.n_pairs]
+        assert len(borders) == 1 and not solves
+        assert [f.size for f in flips] == [2 * mesh.n_pairs]
 
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_changed_rows_are_the_rows_of_the_difference(self, seed):
-        # random patterns with stored zeros of both signs: a row counts
-        # only where J - J0 keeps an entry
+    @settings(max_examples=12, deadline=None)
+    def test_flipped_dofs_are_the_rows_and_columns_of_the_difference(
+        self, name, seed
+    ):
+        # two state assignments the classifier can reach (crossing pairs
+        # stick or open, slips of either sign, fully fixed pairs always
+        # flipped): the flipped pairs' dofs are exactly the multiplier rows
+        # and columns in which J - J0 keeps an entry
+        mesh, cfg, K, (F, fixed, free, U), _ = _preset_systems(name)
         rng = np.random.default_rng(seed)
-        n, start = 10, int(rng.integers(0, 10))
-        values = rng.choice([0.0, -0.0, 1.0, 2.0], size=(n, n))
+        fully_fixed = np.isin(mesh.pair_arrays.dofs, fixed).all(axis=1)
+        assert fully_fixed.sum() == (2 if name == "shear-throughgoing" else 0)
+        reach = [(PairState.stick(), OPEN) if c else _STATE_CHOICES
+                 for c in mesh.pair_arrays.crossing]
+        states0 = [opts[rng.integers(len(opts))] for opts in reach]
+        share = rng.random()
+        states1 = list(states0)
+        for p in np.flatnonzero((rng.random(mesh.n_pairs) < share) | fully_fixed):
+            others = [s for s in reach[p] if s != states0[p]]
+            states1[p] = others[rng.integers(len(others))]
 
-        pattern = rng.random((n, n)) < 0.6
+        def system(states):
+            st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), states=states)
+            return build_system(mesh, cfg.material, cfg.friction, st_, K, F,
+                                fixed, free)
 
-        def csr(dense, stored):
-            rows, cols = np.nonzero(stored)
-            return sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=(n, n))
-
-        # a few values and a few stored positions change
-        changed = values.copy()
-        hit = rng.random((n, n)) < 0.05
-        changed[hit] = rng.choice([0.0, -0.0, 1.0, 3.0], size=hit.sum())
-        J = csr(changed, pattern ^ (rng.random((n, n)) < 0.03))
-        J0 = csr(values, pattern)
-        assert J.has_canonical_format and J0.has_canonical_format
-        diff = (J - J0).tocoo()
-        ref = np.unique(diff.row[diff.row >= start])
-        np.testing.assert_array_equal(solver._changed_rows(J, J0, start), ref)
+        sys0, sys1 = system(states0), system(states1)
+        got = sys1.n_disp + flipped_dofs(
+            sys0.states, sys1.states, sys0.blocks.pinned, sys1.blocks.pinned
+        )
+        nd = sys1.n_disp
+        diff = (sys1.J - sys0.J).tocoo()
+        assert not np.any((diff.row < nd) & (diff.col < nd))
+        ref = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
+        np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("bad", [1.0, np.nan])
     def test_bordered_miss_falls_back_to_one_fresh_factorization(
@@ -682,7 +748,7 @@ class TestBorderedUpdate:
         pc = build_preconditioner(sys)
         dx = linear_solve(sys, pc, cache=cache)
         assert len(calls) == 2 and not cache.bordered
-        assert cache.base.J is sys.J
+        assert cache.base.sys is sys
         np.testing.assert_array_equal(dx, linear_solve(sys, pc))
 
 
