@@ -16,6 +16,7 @@ import yaml
 from .contact import FrictionParams
 from .elasticity import BoundaryCondition, ConfigError, MaterialParams, is_integer_id
 from .mesh import (
+    PATTERNS,
     FractureSpec,
     build_contact_pairs,
     generate_rect_mesh,
@@ -59,18 +60,8 @@ def build_mesh(config):
     if config.mesh_file is not None:
         mesh = load_mesh(config.mesh_file)
     else:
-        gen = config.generator
-        specs = [
-            FractureSpec(
-                x0=f["x0"], y0=f["y0"], x1=f["x1"], y1=f["y1"],
-                gap0=f.get("gap0", 0.0),
-            )
-            for f in config.fractures
-        ]
-        mesh = generate_rect_mesh(
-            gen["width"], gen["height"], int(gen["nx"]), int(gen["ny"]),
-            fractures=specs, pattern=gen.get("pattern", "diagonal"),
-        )
+        specs = [FractureSpec(**f) for f in config.fractures]
+        mesh = generate_rect_mesh(fractures=specs, **config.generator)
     return build_contact_pairs(split_fractures(mesh))
 
 
@@ -80,42 +71,77 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
-def _parse_material(raw):
+def _number(value, path):
+    """``value`` as a finite float, or a ConfigError naming ``path`` for a
+    bool, a non-numeric value, NaN or an infinity."""
+    if not isinstance(value, bool):
+        try:
+            if math.isfinite(number := float(value)):
+                return number
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{path}: must be a finite number, got {value!r}")
+
+
+def _numbers(value, path):
+    """``value`` as a list of floats, or a ConfigError naming ``path``."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: must be a list of numbers, got {value!r}")
+    return [_number(v, path) for v in value]
+
+
+def _count(value, path):
+    """``value`` as an int, or a ConfigError naming ``path`` for any
+    non-integer (2.5, true, "3")."""
+    if not is_integer_id(value):
+        raise ConfigError(f"{path}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _fields(raw, path, convert, optional=(), other=()):
+    """A copy of the mapping ``raw`` with each key of ``convert`` replaced by
+    ``convert[key](value, "<path>.<key>")``.  Keys in ``optional`` may be
+    missing, and one given as null is dropped; the other keys of ``convert``
+    are required.  Keys in ``other`` pass as they are; any further key is an
+    error."""
     if not isinstance(raw, dict):
-        raise ConfigError("material: must be a mapping")
-    return MaterialParams(
-        E=float(_require(raw, "E", "material")),
-        nu=float(_require(raw, "nu", "material")),
-    )
+        raise ConfigError(f"{path}: must be a mapping")
+    unknown = set(raw) - set(convert) - set(other)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    out = {k: v for k, v in raw.items() if v is not None or k not in optional}
+    for key, fn in convert.items():
+        if key in out or key not in optional:
+            out[key] = fn(_require(out, key, path), f"{path}.{key}")
+    return out
+
+
+def _parse_material(raw):
+    raw = _fields(raw, "material", {"E": _number, "nu": _number})
+    return MaterialParams(E=raw["E"], nu=raw["nu"])
 
 
 def _parse_friction(raw):
-    if not isinstance(raw, dict):
-        raise ConfigError("friction: must be a mapping")
-    c = float(raw.get("cohesion", 0.0))
+    keys = ("cohesion", "friction_angle_deg", "friction_angle_rad")
+    raw = _fields(raw, "friction", dict.fromkeys(keys, _number), optional=keys)
     if "friction_angle_deg" in raw and "friction_angle_rad" in raw:
         raise ConfigError("friction: give the angle in degrees or radians, not both")
     if "friction_angle_deg" in raw:
-        phi = math.radians(float(raw["friction_angle_deg"]))
+        phi = math.radians(raw["friction_angle_deg"])
     elif "friction_angle_rad" in raw:
-        phi = float(raw["friction_angle_rad"])
+        phi = raw["friction_angle_rad"]
     else:
         raise ConfigError("friction.friction_angle_deg: required")
-    return FrictionParams(cohesion=c, friction_angle=phi)
+    return FrictionParams(cohesion=raw.get("cohesion", 0.0), friction_angle=phi)
 
 
 def _parse_bc(raw, idx):
     path = f"bcs[{idx}]"
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: must be a mapping")
+    numbers = {"ux": _number, "uy": _number, "pressure": _number,
+               "traction": _numbers, "ramp": _numbers}
+    raw = _fields(raw, path, numbers, optional=tuple(numbers),
+                  other=("kind", "side", "nodes", "fracture"))
     kind = _require(raw, "kind", path)
-    known = {
-        "kind", "side", "nodes", "fracture", "ux", "uy", "traction",
-        "pressure", "ramp",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     nodes, fracture = raw.get("nodes"), raw.get("fracture")
     if nodes is not None:
         try:
@@ -130,20 +156,7 @@ def _parse_bc(raw, idx):
             f"{path}.fracture: fracture id must be an integer, got {fracture!r}"
         )
     try:
-        bc = BoundaryCondition(
-            kind=kind,
-            side=raw.get("side"),
-            nodes=nodes,
-            fracture=fracture,
-            ux=None if raw.get("ux") is None else float(raw["ux"]),
-            uy=None if raw.get("uy") is None else float(raw["uy"]),
-            traction=(
-                None if raw.get("traction") is None
-                else [float(v) for v in raw["traction"]]
-            ),
-            pressure=None if raw.get("pressure") is None else float(raw["pressure"]),
-            ramp=None if raw.get("ramp") is None else [float(v) for v in raw["ramp"]],
-        )
+        bc = BoundaryCondition(**dict(raw, nodes=nodes))
     except ConfigError as exc:  # its message starts with the field name
         raise ConfigError(f"{path}.{exc}") from None
     if kind == "dirichlet":
@@ -165,19 +178,10 @@ def _parse_bc(raw, idx):
 
 
 def _parse_solver(raw):
-    raw = raw or {}
-    if not isinstance(raw, dict):
-        raise ConfigError("solver: must be a mapping")
-    unknown = set(raw) - {"newton_tol", "max_newton", "max_state_loops", "n_load_steps"}
-    if unknown:
-        raise ConfigError(f"solver: unknown keys {sorted(unknown)}")
+    keys = {"newton_tol": _number, "max_state_loops": _count, "n_load_steps": _count}
+    raw = _fields(raw or {}, "solver", keys, optional=tuple(keys))
     try:
-        return SolverConfig(
-            newton_tol=float(raw.get("newton_tol", 1e-4)),
-            max_newton=int(raw.get("max_newton", 50)),
-            max_state_loops=int(raw.get("max_state_loops", 20)),
-            n_load_steps=int(raw.get("n_load_steps", 1)),
-        )
+        return SolverConfig(**raw)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
@@ -195,22 +199,31 @@ def config_from_dict(raw):
             )
         return presets.get(raw["preset"])
 
-    mesh_raw = _require(raw, "mesh", "config")
-    if not isinstance(mesh_raw, dict):
-        raise ConfigError("mesh: must be a mapping")
+    _fields(raw, "config", {}, other=(
+        "name", "mesh", "material", "friction", "bcs", "solver", "outputs",
+    ))
+    mesh_raw = _fields(_require(raw, "mesh", "config"), "mesh", {},
+                       other=("file", "generator", "fractures"))
     mesh_file = mesh_raw.get("file")
     generator = mesh_raw.get("generator")
     if generator is not None:
-        for key in ("width", "height", "nx", "ny"):
-            _require(generator, key, "mesh.generator")
-    fractures = mesh_raw.get("fractures", []) or []
-    for i, f in enumerate(fractures):
-        for key in ("x0", "y0", "x1", "y1"):
-            _require(f, key, f"mesh.fractures[{i}]")
+        generator = _fields(generator, "mesh.generator", {
+            "width": _number, "height": _number, "nx": _count, "ny": _count,
+        }, other=("pattern",))
+        if generator.get("pattern", PATTERNS[0]) not in PATTERNS:
+            raise ConfigError(f"mesh.generator.pattern: must be one of {PATTERNS}")
+    coords = dict.fromkeys(("x0", "y0", "x1", "y1", "gap0"), _number)
+    fractures = [
+        _fields(f, f"mesh.fractures[{i}]", coords, optional=("gap0",))
+        for i, f in enumerate(mesh_raw.get("fractures", []) or [])
+    ]
 
     bcs_raw = _require(raw, "bcs", "config")
     if not isinstance(bcs_raw, list) or not bcs_raw:
         raise ConfigError("bcs: must be a non-empty list")
+    outputs = raw.get("outputs", list(VALID_OUTPUTS))
+    if not isinstance(outputs, list):
+        raise ConfigError(f"outputs: must be a list, got {outputs!r}")
 
     return RunConfig(
         name=str(raw.get("name", "run")),
@@ -219,9 +232,9 @@ def config_from_dict(raw):
         bcs=[_parse_bc(b, i) for i, b in enumerate(bcs_raw)],
         solver=_parse_solver(raw.get("solver")),
         mesh_file=mesh_file,
-        generator=dict(generator) if generator is not None else None,
-        fractures=[dict(f) for f in fractures],
-        outputs=list(raw.get("outputs", list(VALID_OUTPUTS))),
+        generator=generator,
+        fractures=fractures,
+        outputs=list(outputs),
     )
 
 
@@ -263,7 +276,6 @@ def serialize_config(config):
         "bcs": bcs,
         "solver": {
             "newton_tol": config.solver.newton_tol,
-            "max_newton": config.solver.max_newton,
             "max_state_loops": config.solver.max_state_loops,
             "n_load_steps": config.solver.n_load_steps,
         },

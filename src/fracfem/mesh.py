@@ -30,6 +30,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 BOUNDARY_SIDES = ("left", "right", "bottom", "top")
+PATTERNS = ("diagonal", "crossed")  # generate_rect_mesh triangulations
 # boundary-side tolerance, relative to the larger span of the bounding box
 SIDE_TOL = 1e-9
 
@@ -469,7 +470,7 @@ def generate_rect_mesh(width, height, nx, ny, fractures=(), pattern="diagonal"):
     or along the 45-degree lattice directions and their endpoints must land
     on grid nodes.
     """
-    if pattern not in ("diagonal", "crossed"):
+    if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
     hx = width / nx
     hy = height / ny

@@ -1,10 +1,10 @@
 """Saddle-point assembly, row-norm preconditioning and the active-set loop.
 
-For a fixed contact-state assignment the system is linear, so each Newton
-phase converges in a single solve; the nonlinearity lives entirely in the
-state updates.  The outer loop alternates converged solves with a global
-reclassification of all pairs until the assignment is stable (monolithic
-update of displacements and multipliers in one algebraic block).
+For a fixed contact-state assignment the system is linear, so each state
+loop makes a single solve; the nonlinearity lives entirely in the state
+updates.  The loop alternates that solve with a global reclassification of
+all pairs until the assignment is stable (monolithic update of
+displacements and multipliers in one algebraic block).
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ class LinearSolveError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     newton_tol: float = 1e-4
-    max_newton: int = 50
     max_state_loops: int = 20
     n_load_steps: int = 1
 
     def __post_init__(self):
         if self.newton_tol <= 0.0:
             raise ValueError("newton_tol must be positive")
-        for name in ("max_newton", "max_state_loops", "n_load_steps"):
+        for name in ("max_state_loops", "n_load_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
@@ -74,7 +73,7 @@ class SolutionState:
 
 @dataclass
 class SaddleSystem:
-    """Reduced block-2x2 Jacobian and residual at one iterate.
+    """Reduced block-2x2 Jacobian and residual at the iterate it was built at.
 
     Displacement dofs come first (Dirichlet rows/columns eliminated; ``free``
     lists the kept ones), then the multiplier dofs.  The multiplier unknowns
@@ -85,9 +84,9 @@ class SaddleSystem:
     1e13 that no row equilibration can repair.  All public quantities stay
     physical; only this system and its increments live in the scaled
     variable.  ``blocks`` are the contact blocks ``J`` was built from, for
-    the state assignment ``states``; the Newton loop re-forms ``R`` from them
-    after each solve, and the caches compare ``states`` to tell which pairs'
-    rows and columns differ between two systems.
+    the state assignment ``states``; :func:`newton_loop` forms the residual
+    after its solve from them, and the caches compare ``states`` to tell
+    which pairs' rows and columns differ between two systems.
     """
 
     J: sp.csr_matrix
@@ -201,17 +200,18 @@ class SystemCache:
     """The parts of the saddle system that outlive one state loop.
 
     ``K``, its free block ``K[free][:, free]`` (sliced once per distinct
-    ``free``), and the last system built with its row norms ``pc``.  A state
-    loop whose state assignment and free dofs equal those the last system
-    records reuses its contact blocks, ``J`` and ``pc`` and re-forms only
-    the residual, so the load steps of a ramp that keep their states
-    assemble nothing.  One cache serves one run: mesh, material and
-    friction must not change under it.
+    ``free``), the last system built with its row norms ``pc``, and the
+    run's :class:`FactorCache` ``factors``.  A state loop whose state
+    assignment and free dofs equal those the last system records reuses its
+    contact blocks, ``J`` and ``pc`` and re-forms only the residual, so the
+    load steps of a ramp that keep their states assemble nothing.  One cache
+    serves one run: mesh, material and friction must not change under it.
     """
 
     def __init__(self, K):
         self.K = K
         self.K_ff = self.sys = self.pc = None
+        self.factors = FactorCache()
 
     def _repeats(self, states, free):
         """True when the last system was built for ``states`` and ``free``."""
@@ -362,9 +362,9 @@ class FactorCache:
     A solve is served as is when its ``J`` and its row scaling ``pc`` are
     the same objects as the last ones: :class:`SystemCache` hands back the
     same ``J`` and ``pc`` while the contact-state assignment and the
-    Dirichlet set repeat, across Newton iterations and load steps.  A copy
-    of ``J``, however equal, is a miss.  On a miss with the base's free
-    dofs, the two systems' state records give the set ``R``: the multiplier
+    Dirichlet set repeat, across load steps.  A copy of ``J``, however
+    equal, is a miss.  On a miss with the base's free dofs, the two
+    systems' state records give the set ``R``: the multiplier
     dofs of the pairs whose state flipped since the base, less those pinned
     under both states (see :func:`~fracfem.contact.flipped_dofs`).  Only
     their rows and columns differ, as the displacement block of one run
@@ -530,19 +530,18 @@ def _cautious_update(mesh, states, proposed, U, lam, fric, seen):
     return None
 
 
-def newton_loop(
-    mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None, cache=None
-):
+def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
     """Monolithic-updated active-set loop for one load step.
 
-    Inner Newton iterations run until the residual 2-norm drops below the
-    tolerance, then all pair states are reclassified against the converged
-    iterate; any change re-enters Newton.  Failure modes (iteration caps,
-    divergence, state cycling) return a non-converged SolutionState with
-    diagnostics, never a silent success.  ``systems`` (a
-    :class:`SystemCache`) and ``cache`` (a :class:`FactorCache`) carry the
-    last system and factorization over from earlier calls of the same run
-    (fresh ones are used when absent).
+    Each state loop solves the saddle system of the current state assignment
+    once (it is linear), requires the residual 2-norm after that solve to be
+    below ``newton_tol``, then reclassifies all pair states against the new
+    iterate; any change starts another loop.  Failure modes (a residual left
+    above the tolerance, a failed solve, the loop cap, state cycling) return
+    a non-converged SolutionState with diagnostics, never a silent success.
+    ``systems`` (a :class:`SystemCache`) carries the last system and
+    factorization over from earlier calls of the same run (a fresh one is
+    used when absent).
     """
     n2 = 2 * mesh.n_nodes
     m2 = 2 * mesh.n_pairs
@@ -557,8 +556,6 @@ def newton_loop(
 
     if systems is None:
         systems = SystemCache(assemble_stiffness(mesh, mat))
-    if cache is None:
-        cache = FactorCache()
     F, fixed, fixed_vals, free = step_data(mesh, bcs, step, cfg.n_load_steps)
     U[fixed] = fixed_vals
 
@@ -569,29 +566,13 @@ def newton_loop(
     for loop in range(1, cfg.max_state_loops + 1):
         result.state_loops = loop
         sys = systems.system(mesh, mat, fric, result, F, fixed, free)
-        rnorm0 = None
-        phase_ok = False
+        rnorm = float(np.linalg.norm(sys.R_phys))
         # After a state change the fresh constraint rows can sit below the
         # (force-scaled) tolerance without being enforced at all, so every
-        # re-entered phase performs at least one solve.
-        need_solve = loop > 1
-        for _ in range(cfg.max_newton + 1):
-            rnorm = float(np.linalg.norm(sys.R_phys))
-            result.residual_norm = rnorm
-            if rnorm0 is None:
-                rnorm0 = rnorm
-            if rnorm == 0.0 or (rnorm < cfg.newton_tol and not need_solve):
-                phase_ok = True
-                break
-            need_solve = False
-            if rnorm > 1e3 * max(rnorm0, cfg.newton_tol):
-                result.message = (
-                    f"residual diverged within Newton phase "
-                    f"({rnorm0:.3e} -> {rnorm:.3e})"
-                )
-                return result
+        # loop after the first solves unless the residual is exactly zero.
+        if not (rnorm == 0.0 or (loop == 1 and rnorm < cfg.newton_tol)):
             try:
-                dx = linear_solve(sys, systems.preconditioner(), cache=cache)
+                dx = linear_solve(sys, systems.preconditioner(), cache=systems.factors)
             except (SingularRowError, LinearSolveError) as exc:
                 result.message = str(exc)
                 return result
@@ -599,11 +580,16 @@ def newton_loop(
             lam += sys.mult_scale * dx[sys.n_disp :]
             lam[sys.blocks.pinned] = 0.0  # identity rows solve to exactly 0
             result.newton_iters += 1
-            sys.R, sys.R_phys = _reduced_residual(
+            _, R_phys = _reduced_residual(
                 systems.K, sys.blocks, F, U, lam, free, sys.mult_scale
             )
-        if not phase_ok:
-            result.message = f"max_newton={cfg.max_newton} exceeded"
+            rnorm = float(np.linalg.norm(R_phys))
+        result.residual_norm = rnorm
+        if not rnorm < cfg.newton_tol:
+            result.message = (
+                f"residual {rnorm:.3e} not below newton_tol={cfg.newton_tol:g} "
+                "after the state loop's solve"
+            )
             return result
 
         proposal = classify_all(mesh, states, U, lam, fric)
@@ -633,18 +619,16 @@ def newton_loop(
 def run_load_steps(mesh, mat, fric, bcs, cfg):
     """Sequential proportional load steps, each warm-started from the last.
 
-    One :class:`SystemCache` and one :class:`FactorCache` span all steps, so
-    a step that keeps the previous step's state assignment reuses its
-    system and its factorization.
+    One :class:`SystemCache`, with its :class:`FactorCache`, spans all
+    steps, so a step that keeps the previous step's state assignment reuses
+    its system and its factorization.
     """
     systems = SystemCache(assemble_stiffness(mesh, mat))
-    cache = FactorCache()
     results = []
     warm = None
     for step in range(cfg.n_load_steps):
         res = newton_loop(
-            mesh, mat, fric, bcs, cfg, warm=warm, step=step, systems=systems,
-            cache=cache,
+            mesh, mat, fric, bcs, cfg, warm=warm, step=step, systems=systems
         )
         res.step = step
         results.append(res)

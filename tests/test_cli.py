@@ -1,9 +1,11 @@
 """Config parsing, result export, CLI surface."""
 
+import copy
 import csv
 import dataclasses
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,6 +86,75 @@ def write_yaml(tmp_path, data, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
     return path
+
+
+# MINIMAL plus a fracture pressure, so that every bc field has a home
+WITH_PRESSURE = dict(MINIMAL, bcs=MINIMAL["bcs"] + [
+    {"kind": "fracture_pressure", "fracture": 0, "pressure": 1.0e6},
+])
+
+
+def with_value(keys, value):
+    """A deep copy of WITH_PRESSURE with the entry at ``keys`` set to
+    ``value`` (missing mappings on the way are created)."""
+    data = copy.deepcopy(WITH_PRESSURE)
+    *outer, last = keys
+    node = data
+    for k in outer:
+        node = node[k] if isinstance(node, list) else node.setdefault(k, {})
+    node[last] = value
+    return data
+
+
+# (keys, value, the field the error names): each value gave a traceback or
+# was silently truncated before it was checked at parse time
+MALFORMED = [
+    (("bcs", 0, "ramp"), 5, "bcs[0].ramp"),
+    (("bcs", 0, "traction"), 5, "bcs[0].traction"),
+    (("bcs", 0, "ramp"), ["a"], "bcs[0].ramp"),
+    (("bcs", 0, "traction"), [1.0, "a"], "bcs[0].traction"),
+    (("bcs", 1, "ux"), "a", "bcs[1].ux"),
+    (("bcs", 1, "uy"), [0.0], "bcs[1].uy"),
+    (("bcs", 2, "pressure"), "a", "bcs[2].pressure"),
+    (("material", "E"), "a", "material.E"),
+    (("material", "E"), math.nan, "material.E"),
+    (("material", "E"), 10**400, "material.E"),
+    (("material", "nu"), None, "material.nu"),
+    (("material", "nu"), True, "material.nu"),
+    (("friction", "cohesion"), "a", "friction.cohesion"),
+    (("friction", "friction_angle_deg"), [30], "friction.friction_angle_deg"),
+    (("friction",), {"friction_angle_rad": "a"}, "friction.friction_angle_rad"),
+    (("mesh", "generator", "width"), "a", "mesh.generator.width"),
+    (("mesh", "generator", "width"), math.inf, "mesh.generator.width"),
+    (("mesh", "generator", "height"), None, "mesh.generator.height"),
+    (("mesh", "generator", "nx"), 2.5, "mesh.generator.nx"),
+    (("mesh", "generator", "nx"), "4", "mesh.generator.nx"),
+    (("mesh", "generator", "ny"), True, "mesh.generator.ny"),
+    (("mesh", "generator", "pattern"), "hex", "mesh.generator.pattern"),
+    (("mesh", "fractures", 0, "x0"), "a", "mesh.fractures[0].x0"),
+    (("mesh", "fractures", 0, "y1"), [0.5], "mesh.fractures[0].y1"),
+    (("mesh", "fractures", 0, "gap0"), "a", "mesh.fractures[0].gap0"),
+    (("mesh", "fractures", 0), [0.25, 0.5], "mesh.fractures[0]"),
+    (("solver", "newton_tol"), "a", "solver.newton_tol"),
+    (("solver", "newton_tol"), math.nan, "solver.newton_tol"),
+    (("solver", "n_load_steps"), 2.5, "solver.n_load_steps"),
+    (("solver", "n_load_steps"), True, "solver.n_load_steps"),
+    (("solver", "max_state_loops"), 2.5, "solver.max_state_loops"),
+    (("solver", "max_state_loops"), "20", "solver.max_state_loops"),
+    (("outputs",), "summary", "outputs"),
+]
+
+# (keys, the section whose unknown key the error names)
+UNKNOWN_KEYS = [
+    (("solvr",), "config"),
+    (("mesh", "files"), "mesh"),
+    (("mesh", "generator", "hx"), "mesh.generator"),
+    (("mesh", "fractures", 0, "width"), "mesh.fractures[0]"),
+    (("material", "rho"), "material"),
+    (("friction", "dilation_deg"), "friction"),
+    (("bcs", 1, "uz"), "bcs[1]"),
+    (("solver", "max_newton"), "solver"),
+]
 
 
 class TestParseConfig:
@@ -243,7 +314,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             config_from_dict(bad)
 
-    @pytest.mark.parametrize("key", ["n_load_steps", "max_state_loops", "max_newton"])
+    @pytest.mark.parametrize("key", ["n_load_steps", "max_state_loops"])
     def test_solver_count_below_one_rejected(self, tmp_path, capsys, key):
         bad = dict(MINIMAL, solver={key: 0})
         with pytest.raises(ConfigError) as err:
@@ -252,6 +323,56 @@ class TestParseConfig:
         path = write_yaml(tmp_path, bad)
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
+
+    def test_solver_config_has_no_inner_iteration_cap(self):
+        # each state loop makes one solve, so max_newton is gone (a config
+        # that still sets it is an unknown key, see UNKNOWN_KEYS)
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "newton_tol", "max_state_loops", "n_load_steps",
+        ]
+
+    def test_malformed_base_config_is_valid(self):
+        assert len(config_from_dict(WITH_PRESSURE).bcs) == 3
+
+    @pytest.mark.parametrize("keys, value, field", MALFORMED)
+    def test_malformed_value_names_field(self, tmp_path, capsys, keys, value, field):
+        bad = with_value(keys, value)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+            config_from_dict(bad)
+        path = write_yaml(tmp_path, bad)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("keys, section", UNKNOWN_KEYS)
+    def test_unknown_key_names_section(self, tmp_path, capsys, keys, section):
+        bad = with_value(keys, 1.0)
+        message = f"{section}: unknown keys ['{keys[-1]}']"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(bad)
+        path = write_yaml(tmp_path, bad)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_outputs_string_is_not_split(self):
+        with pytest.raises(ConfigError, match=r"^outputs: must be a list"):
+            config_from_dict(with_value(("outputs",), "summary"))
+
+    def test_numbers_written_as_yaml_strings_accepted(self, tmp_path):
+        # YAML 1.1 reads 25.0e9 (no exponent sign) as a string
+        text = yaml.safe_dump(WITH_PRESSURE).replace("25000000000.0", "25.0e9")
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        assert yaml.safe_load(text)["material"]["E"] == "25.0e9"
+        assert parse_config(path).material.E == 25e9
+
+    def test_parsed_numbers_are_floats_and_counts_ints(self):
+        cfg = config_from_dict(with_value(("mesh", "generator", "width"), 1))
+        assert type(cfg.generator["width"]) is float
+        assert type(cfg.generator["nx"]) is int
+        assert all(type(v) is float for v in cfg.fractures[0].values())
+        assert cfg.bcs[0].traction == [0.0, -10.0e6]
 
     def test_every_solver_field_roundtrips(self):
         # a SolverConfig field that serialize_config drops, or that
@@ -471,6 +592,14 @@ class TestRunAndCli:
         assert status == 1
         diag = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
         assert "max_state_loops" in diag["message"]
+
+    def test_residual_above_newton_tol_fails_after_one_solve(self, tmp_path, capsys):
+        path = write_yaml(tmp_path, dict(MINIMAL, solver={"newton_tol": 1e-30}))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        diag = json.loads((tmp_path / "o" / "diagnostics.json").read_text())
+        assert (diag["newton_iters"], diag["state_loops"]) == (1, 1)
+        assert "newton_tol=1e-30" in diag["message"]
+        assert "newton_tol" in capsys.readouterr().err
 
     def test_cli_run_exit_zero(self, tmp_path, capsys):
         path = write_yaml(tmp_path, MINIMAL)

@@ -249,6 +249,40 @@ class TestNewtonLoop:
         assert res.newton_iters == 1
         assert res.state_loops == 1
 
+    def test_residual_above_tolerance_fails_after_one_solve(self, monkeypatch):
+        mesh, cfg = small_inclined_setup()
+        solves = []
+        _counted(monkeypatch, solver, "linear_solve", solves)
+        res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs,
+                          SolverConfig(newton_tol=1e-30))
+        assert not res.converged
+        assert len(solves) == res.newton_iters == res.state_loops == 1
+        assert res.residual_norm >= 1e-30
+        assert f"residual {res.residual_norm:.3e}" in res.message
+        assert "newton_tol=1e-30" in res.message
+
+    @pytest.mark.parametrize("name", [*presets.PRESETS, "inclined-ramp"])
+    def test_one_solve_per_state_loop(self, monkeypatch, name):
+        from fracfem.config import build_mesh
+
+        if name == "inclined-ramp":
+            mesh, cfg = _ramp()
+        else:
+            cfg = presets.get(name)
+            mesh = build_mesh(cfg)
+        caches = []
+        _counted(monkeypatch, solver, "linear_solve", caches,
+                 lambda sys, pc, cache=None: cache)
+        results = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
+                                 cfg.solver)
+        assert len(results) == cfg.solver.n_load_steps
+        assert all(r.converged for r in results)
+        assert [r.newton_iters for r in results] == [r.state_loops for r in results]
+        assert len(caches) == sum(r.state_loops for r in results)
+        # one factorization cache serves every solve of the run
+        assert isinstance(caches[0], FactorCache)
+        assert all(c is caches[0] for c in caches)
+
     def test_inclined_crack_all_pairs_slip_compressive(self):
         mesh, cfg = small_inclined_setup()
         res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs,
