@@ -33,6 +33,12 @@ from .elasticity import (
 )
 
 
+# Columns SuperLU factors together as one panel (its default is 20).  On the
+# saddle matrices of all three benchmark workloads, a sweep of 4 to 16 gave
+# the shortest factorization and the smallest workspace at 4.
+PANEL_SIZE = 4
+
+
 class SingularRowError(ValueError):
     """A Jacobian row is identically zero; carries a dof description."""
 
@@ -124,16 +130,18 @@ def _reduced_residual(K, blocks, F, U, lam, free, s):
     return np.concatenate([ru, s * rlam]), np.concatenate([ru, rlam])
 
 
-def build_system(mesh, mat, fric, state, K, F, fixed, free, K_ff=None):
+def build_system(mesh, mat, fric, state, K, F, fixed, free, K_ff=None, blocks=None):
     """Assemble the reduced saddle system for the current states/iterate.
 
     ``F``, ``fixed`` and ``free`` come from :func:`step_data`; ``K_ff`` is
-    ``K[free][:, free]`` (sliced here when not given).  The caller must have
-    written the prescribed Dirichlet values into ``state.U`` beforehand
-    (then the fixed increments are identically zero and elimination is a
-    plain row/column restriction).
+    ``K[free][:, free]`` and ``blocks`` the contact blocks of
+    ``state.states`` on ``fixed`` (each built here when not given).  The
+    caller must have written the prescribed Dirichlet values into
+    ``state.U`` beforehand (then the fixed increments are identically zero
+    and elimination is a plain row/column restriction).
     """
-    blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
+    if blocks is None:
+        blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
 
     s = mat.E  # multiplier nondimensionalization (see SaddleSystem docs)
     R, R_phys = _reduced_residual(K, blocks, F, state.U, state.lam, free, s)
@@ -172,14 +180,41 @@ def _dof_description(sys, row):
     return f"multiplier dof of pair {k // 2} ({'normal' if k % 2 == 0 else 'tangential'})"
 
 
+def _row_sums(values, indptr):
+    """Per-row sums of ``values`` laid out by ``indptr``, as SciPy sums CSR
+    rows: ``np.add.reduceat`` over each non-empty row, 0 for an empty one."""
+    out = np.zeros(indptr.size - 1)
+    rows = np.flatnonzero(np.diff(indptr))
+    out[rows] = np.add.reduceat(values, indptr[rows])
+    return out
+
+
 def build_preconditioner(sys):
     """Row 2-norms of the assembled Jacobian, the left scaling of the solve.
 
     Returns one vector over all rows (displacement rows, then multiplier
-    rows); a zero row is an error.
+    rows); a zero row is an error.  The squares are summed exactly as
+    ``J.multiply(J).sum(axis=1)`` sums them, without forming ``J∘J``: row
+    by row over the nonzero products in column order (``J`` is canonical
+    CSR, as :func:`build_system` builds it).
     """
-    sq = sys.J.multiply(sys.J)
-    norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
+    J = sys.J
+    sq = J.data * J.data
+    sums = _row_sums(sq, J.indptr)
+    zero = np.flatnonzero(sq == 0.0)
+    if zero.size:
+        # the product stores no zeros, and dropping one regroups the pairwise
+        # summation of its row: sum the rows that hold one again without it
+        rows, n_zero = np.unique(
+            np.searchsorted(J.indptr, zero, side="right") - 1, return_counts=True
+        )
+        start, n = J.indptr[rows], np.diff(J.indptr)[rows]
+        at = np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())
+        kept = sq[at]
+        sums[rows] = _row_sums(
+            kept[kept != 0.0], np.concatenate([[0], np.cumsum(n - n_zero)])
+        )
+    norms = np.sqrt(sums)
     zero = np.where(norms == 0.0)[0]
     if zero.size:
         raise SingularRowError(
@@ -232,10 +267,14 @@ class SystemCache:
             return replace(self.sys, R=R, R_phys=R_phys)
         if self.sys is None or not _same_bits(free, self.sys.free):
             self.K_ff = self.K[free][:, free]
+        blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
+        # free what the new system cannot use before its J and row norms
+        self.sys = self.pc = None
+        self.factors.release(state.states, blocks, free)
         self.sys = build_system(
-            mesh, mat, fric, state, self.K, F, fixed, free, K_ff=self.K_ff
+            mesh, mat, fric, state, self.K, F, fixed, free, K_ff=self.K_ff,
+            blocks=blocks,
         )
-        self.pc = None
         return self.sys
 
     def preconditioner(self):
@@ -247,11 +286,11 @@ class SystemCache:
 
 def _row_scaled(J, pc):
     """``diag(1/pc) J`` of a CSR ``J`` in CSC, without stored zeros (the
-    contact blocks store some); row by row on a copy of ``J``."""
-    Jbar = J.copy()
-    Jbar.data *= np.repeat(1.0 / pc, np.diff(J.indptr))
+    contact blocks store some): one CSC copy of ``J``, scaled in place."""
+    Jbar = J.tocsc()
+    Jbar.data *= (1.0 / pc)[Jbar.indices]
     Jbar.eliminate_zeros()
-    return Jbar.tocsc()
+    return Jbar
 
 
 class _Base:
@@ -268,32 +307,43 @@ class _Base:
         """``J^-1 y`` for a vector or a block of columns."""
         return self.lu.solve(y / (self.pc if y.ndim == 1 else self.pc[:, None]))
 
-    def border(self, sys, pc):
-        """A :class:`_Bordered` solver of ``sys.J``, or None when ``sys`` has
-        other free dofs than the base, no multiplier dof that a flip since
-        the base changed, or more of them than fit the dense-column
-        budget."""
+    def _over_budget(self, R, extra=0):
+        """True when the dense columns of a bordered solve on ``R`` (cached
+        ``J^-1`` columns, new ones and ``extra`` ``J_NR`` solves) would take
+        more than a quarter of the memory of the factor itself."""
+        n_cols = np.union1d(self.dofs, R).size + extra
+        return self.cols.shape[0] * n_cols > self.lu.nnz / 4
+
+    def border(self, states, pinned, free):
+        """The dofs ``R`` to border the base on for a system of the state
+        assignment ``states`` on the free dofs ``free`` (``pinned`` is its
+        contact blocks' mask), or None when that system has other free dofs
+        than the base, no multiplier dof that a flip since the base changed,
+        or more of them than fit the dense-column budget.  It reads only
+        these records, so it can decide before that system's ``J`` exists.
+        """
         base = self.sys
-        if base.states == sys.states or not _same_bits(sys.free, base.free):
+        if base.states == tuple(states) or not _same_bits(free, base.free):
             return None
+        R = free.size + flipped_dofs(base.states, states, base.blocks.pinned, pinned)
+        if R.size == 0 or self._over_budget(R):
+            return None
+        return R
+
+    def bordered_solver(self, sys, pc, R):
+        """A :class:`_Bordered` solver of ``sys.J`` on the dofs ``R`` that
+        :meth:`border` gave, or None when the nonzero columns of ``J_NR``
+        overrun the budget or the bordered blocks are singular."""
         J, n = sys.J, sys.J.shape[0]
-        R = sys.n_disp + flipped_dofs(
-            base.states, sys.states, base.blocks.pinned, sys.blocks.pinned
-        )
-        new = np.setdiff1d(R, self.dofs)
-        # dense columns (cached J^-1 columns plus the J_NR solves) may take
-        # a quarter of the memory of the factor itself
-        budget = self.lu.nnz / 4
-        if R.size == 0 or n * (self.dofs.size + new.size) > budget:
-            return None
         in_R = np.zeros(n, dtype=bool)
         in_R[R] = True
         JR = J[:, R].tocoo()  # J_NR: its entries in rows outside R
         keep = ~in_R[JR.row]
         nz = np.unique(JR.col[keep])  # positions in R of nonzero J_NR columns
-        if n * (self.dofs.size + new.size + nz.size) > budget:
+        if self._over_budget(R, nz.size):
             return None
 
+        new = np.setdiff1d(R, self.dofs)
         if new.size:
             E = np.zeros((n, new.size))
             E[new, np.arange(new.size)] = 1.0
@@ -377,9 +427,12 @@ class FactorCache:
     only while its dense columns (cached, new and one per nonzero column of
     ``J_NR``) times the number of unknowns stay within a quarter of the base
     factor's nonzeros; otherwise the base is released and ``J`` is factored
-    afresh, so at most one factorization is alive at a time.  ``J`` and
-    ``pc`` are kept by reference: neither may be modified in place after it
-    was handed to the cache, or the next solve is served by a stale
+    afresh.  At most one factorization and one row-scaled copy of one system
+    are alive at a time: :meth:`release` drops the last copies, and the base
+    when it cannot border the next system, before that system is assembled
+    (:class:`SystemCache` calls it as soon as the contact blocks are built).
+    ``J`` and ``pc`` are kept by reference: neither may be modified in place
+    after it was handed to the cache, or the next solve is served by a stale
     factorization.
     """
 
@@ -397,27 +450,42 @@ class FactorCache:
     def _hit(self, J, diag):
         return self.lu is not None and J is self.J and diag is self.diag
 
+    def release(self, states, blocks, free):
+        """Drop what cannot serve a new system of the state assignment
+        ``states``, the contact blocks ``blocks`` and the free dofs ``free``:
+        the last row-scaled copies and solver, and the base too unless it
+        can border that system.  Returns the dofs to border on (see
+        :meth:`_Base.border`), or None."""
+        self.J = self.diag = self.Jbar = self.absJ = self.lu = None
+        R = None if self.base is None else self.base.border(states, blocks.pinned, free)
+        if R is None:
+            self.base = None
+        return R
+
     def factor(self, sys, pc):
         """Make ``lu.solve`` solve ``diag(1/pc) J x = r`` for ``J = sys.J``."""
         J = sys.J
         if self._hit(J, pc):
             return
-        self.Jbar = self.absJ = None  # free the old ones before the new
-        lu = None if self.base is None else self.base.border(sys, pc)
+        R = self.release(sys.states, sys.blocks, sys.free)
+        lu = None if R is None else self.base.bordered_solver(sys, pc, R)
         if lu is None:
-            self.clear()
+            self.base = None
         Jbar = _row_scaled(J, pc)
         if lu is None:
             try:
                 # minimum degree on the pattern of A + A^T: the saddle pattern
                 # is nearly symmetric, and this ordering needs a third of the
                 # fill of SuperLU's default COLAMD
-                lu = spla.splu(Jbar, permc_spec="MMD_AT_PLUS_A")
+                lu = spla.splu(
+                    Jbar, permc_spec="MMD_AT_PLUS_A", panel_size=PANEL_SIZE
+                )
             except RuntimeError as exc:
                 raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
             self.base = _Base(sys, pc, lu)
-        absJ = Jbar.copy()
-        absJ.data = np.abs(absJ.data)
+        absJ = sp.csc_matrix(
+            (np.abs(Jbar.data), Jbar.indices, Jbar.indptr), shape=Jbar.shape
+        )  # shares Jbar's index arrays
         self.J, self.diag, self.Jbar, self.absJ, self.lu = J, pc, Jbar, absJ, lu
 
 
@@ -584,6 +652,7 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
                 systems.K, sys.blocks, F, U, lam, free, sys.mult_scale
             )
             rnorm = float(np.linalg.norm(R_phys))
+        del sys  # the next loop's system is assembled without this one alive
         result.residual_norm = rnorm
         if not rnorm < cfg.newton_tol:
             result.message = (

@@ -159,6 +159,46 @@ class TestPreconditioner:
             build_preconditioner(sys)
         assert "dof 5" in str(err.value)
 
+    @pytest.mark.parametrize("n_disp, message", [
+        (2, "displacement dof 5 (node 2, y)"),
+        (1, "multiplier dof of pair 0 (normal)"),
+    ])
+    @pytest.mark.parametrize("zero_row", [[0.0, 0.0], [1e-200, 0.0]])
+    def test_stored_zero_row_error_names_dof(self, n_disp, message, zero_row):
+        # a row that stores only zeros, or entries whose squares underflow,
+        # is a zero row as it was when J∘J was formed
+        J = sp.csr_matrix((np.array([1.0, *zero_row]), np.array([0, 0, 1]),
+                           np.array([0, 1, 3])), shape=(2, 2))
+        assert J.nnz == 3
+        sys = SaddleSystem(J=J, R=np.zeros(2), free=np.array([4, 5])[:n_disp],
+                           n_disp=n_disp, n_lam=2 - n_disp, blocks=None)
+        with pytest.raises(SingularRowError) as err:
+            build_preconditioner(sys)
+        assert str(err.value) == f"zero Jacobian row: {message}"
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_row_norms_equal_elementwise_product_sums(self, seed):
+        # rows of 1 to 40 entries (pairwise summation works in blocks of 8)
+        # over 40 orders of magnitude, with stored zeros and squares that
+        # underflow, summed to the same bits as J.multiply(J).sum(axis=1)
+        rng = np.random.default_rng(seed)
+        n = 30
+        lengths = rng.integers(1, 41, n)
+        indices = np.concatenate(
+            [np.sort(rng.choice(n + 20, k, replace=False)) for k in lengths])
+        data = rng.standard_normal(indices.size) * 10.0 ** rng.uniform(
+            -20, 20, indices.size)
+        data[rng.random(indices.size) < 0.15] = 0.0
+        data[rng.random(indices.size) < 0.05] = 1e-170
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        data[indptr[:-1]] = rng.uniform(1.0, 2.0, n)  # no zero row
+        J = sp.csr_matrix((data, indices, indptr), shape=(n, n + 20))
+        assert J.nnz == indices.size
+        sys = SaddleSystem(J=J, R=np.zeros(n), free=np.arange(n),
+                           n_disp=n, n_lam=0, blocks=None)
+        assert solver._same_bits(build_preconditioner(sys), _ref_row_norms(J))
+
     def test_scaling_beats_unscaled_conditioning(self):
         mesh, cfg = small_inclined_setup()
         sys = make_system(mesh, cfg)
@@ -560,6 +600,18 @@ class TestFactorCache:
             assert cache.J is system.J and cache.diag is scaling
             np.testing.assert_array_equal(dx.view(np.uint64), first.view(np.uint64))
 
+    def test_abs_jacobian_shares_index_arrays(self):
+        mesh, cfg = small_inclined_setup()
+        sys = make_system(mesh, cfg, [SLIP] * mesh.n_pairs)
+        cache = FactorCache()
+        linear_solve(sys, build_preconditioner(sys), cache=cache)
+        Jbar, absJ = cache.Jbar, cache.absJ
+        assert absJ.format == "csc"
+        assert np.shares_memory(absJ.indices, Jbar.indices)
+        assert np.shares_memory(absJ.indptr, Jbar.indptr)
+        assert not np.shares_memory(absJ.data, Jbar.data)
+        assert _same_csr(absJ, abs(Jbar))
+
 
 def _backward_error(cache, dx, rhs):
     """The contract's backward error of ``dx`` on the row-scaled system."""
@@ -733,6 +785,51 @@ class TestBorderedUpdate:
         assert len(borders) == 1 and not solves
         assert [f.size for f in flips] == [2 * mesh.n_pairs]
 
+    @pytest.mark.parametrize("name, bordered, base_kept", [
+        ("inclined-crack", [], [False]),
+        ("sneddon", [], [False]),
+        ("crossing-multi", [5, 11], [False, True, True]),
+    ], ids=["inclined-crack", "sneddon", "crossing-multi"])
+    def test_one_factorization_alive_while_the_next_system_is_built(
+        self, monkeypatch, name, bordered, base_kept
+    ):
+        # when a state loop's J is formed, no row-scaled copy, no solver and
+        # no earlier system but the base's are alive, and the base only when
+        # it borders the new system: inclined-crack's (42 flipped dofs) and
+        # sneddon's (38) second loops are over budget, crossing-multi's second
+        # loop too, and its base then borders loops 3 and 4 on 5 and 11 dofs
+        import weakref
+
+        from fracfem.config import build_mesh
+
+        cfg = presets.get(name)
+        mesh = build_mesh(cfg)
+        calls = TestFactorCache.count_splu(monkeypatch)
+        caches, alive, systems, sizes = [], [], [], []
+        _counted(monkeypatch, SystemCache, "__init__", caches,
+                 lambda self, K: self)
+        _counted(monkeypatch, solver._Bordered, "__init__", sizes,
+                 lambda self, base, pc, R, *a: R.size)
+        real_bmat = sp.bmat
+
+        def bmat(*args, **kwargs):
+            f = caches[-1].factors
+            base_J = None if f.base is None else f.base.sys.J
+            alive.append((
+                f.base is not None, f.lu is not None,
+                f.Jbar is not None or f.absJ is not None,
+                any(ref() is not None and ref() is not base_J for ref in systems),
+            ))
+            J = real_bmat(*args, **kwargs)
+            systems.append(weakref.ref(J))
+            return J
+
+        monkeypatch.setattr(sp, "bmat", bmat)
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        assert res[-1].converged and len(calls) == 2 and sizes == bordered
+        assert len(alive) == res[-1].state_loops == len(base_kept) + 1
+        assert alive == [(kept, False, False, False) for kept in [False, *base_kept]]
+
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=12, deadline=None)
@@ -804,6 +901,13 @@ def _ref_saddle_J(mesh, mat, blocks, K, free):
         J_full = K.tocsr()
     keep = np.concatenate([free, n2 + np.arange(m2, dtype=np.int64)])
     return J_full[keep][:, keep].tocsr()
+
+
+def _ref_row_norms(J):
+    """Row 2-norms as :func:`build_preconditioner` formed them from J∘J."""
+    sq = J.multiply(J)
+    norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
+    return norms
 
 
 def _same_csr(a, b):
@@ -882,6 +986,15 @@ class TestSlicedAssembly:
         assert got.format == "csc" and _same_csr(got, ref)
         assert np.count_nonzero(got.data) == got.nnz
         assert _same_csr(J, before)  # J itself is left alone
+
+    @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    def test_row_norms_equal_elementwise_product_sums(self, name, mix):
+        *_, systems = _preset_systems(name)
+        sys = systems[mix]
+        assert solver._same_bits(build_preconditioner(sys), _ref_row_norms(sys.J))
+        if (name, mix) == ("sneddon", "mix"):
+            assert np.count_nonzero(sys.J.data) < sys.J.nnz
 
     def test_stored_zeros_reach_the_scaling(self):
         # the eliminated zeros are real: sneddon's mixed J stores some
