@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import yaml
-
 from .contact import FrictionParams
 from .elasticity import BoundaryCondition, ConfigError, MaterialParams, is_integer_id
 from .mesh import (
@@ -239,8 +237,20 @@ def config_from_dict(raw):
 
 
 def parse_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    """The :class:`RunConfig` of the YAML file ``path``; a file that is
+    not UTF-8 text or not valid YAML is a ConfigError naming it."""
+    import yaml  # imported here, so runs without a config file skip it
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or exc
+        raise ConfigError(f"{path}: invalid YAML{where}: {problem}") from None
     return config_from_dict(raw)
 
 
@@ -284,5 +294,7 @@ def serialize_config(config):
 
 
 def save_config(config, path):
+    import yaml
+
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(serialize_config(config), fh, sort_keys=False)

@@ -329,8 +329,11 @@ def load_mesh(path):
     comment.  Fractures are registered but not split.  The ``k`` fracture
     ids must be 0..k-1, each once; fractures are stored in id order.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"{path}: not UTF-8 text ({exc})") from None
 
     tokens = []  # (line_no, fields)
     for i, line in enumerate(raw, start=1):

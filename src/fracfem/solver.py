@@ -91,8 +91,8 @@ class SaddleSystem:
     physical; only this system and its increments live in the scaled
     variable.  ``blocks`` are the contact blocks ``J`` was built from, for
     the state assignment ``states``; :func:`newton_loop` forms the residual
-    after its solve from them, and the caches compare ``states`` to tell
-    which pairs' rows and columns differ between two systems.
+    after its solve from them, and :class:`SystemCache` compares ``states``
+    to tell which pairs' rows and columns differ between two systems.
     """
 
     J: sp.csr_matrix
@@ -231,59 +231,6 @@ def _same_bits(a, b):
     return bool(np.array_equal(a.view(kind), b.view(kind)))
 
 
-class SystemCache:
-    """The parts of the saddle system that outlive one state loop.
-
-    ``K``, its free block ``K[free][:, free]`` (sliced once per distinct
-    ``free``), the last system built with its row norms ``pc``, and the
-    run's :class:`FactorCache` ``factors``.  A state loop whose state
-    assignment and free dofs equal those the last system records reuses its
-    contact blocks, ``J`` and ``pc`` and re-forms only the residual, so the
-    load steps of a ramp that keep their states assemble nothing.  One cache
-    serves one run: mesh, material and friction must not change under it.
-    """
-
-    def __init__(self, K):
-        self.K = K
-        self.K_ff = self.sys = self.pc = None
-        self.factors = FactorCache()
-
-    def _repeats(self, states, free):
-        """True when the last system was built for ``states`` and ``free``."""
-        return (
-            self.sys is not None
-            and tuple(states) == self.sys.states
-            and _same_bits(free, self.sys.free)
-        )
-
-    def system(self, mesh, mat, fric, state, F, fixed, free):
-        """The :class:`SaddleSystem` of ``state``, as :func:`build_system`
-        returns it."""
-        if self._repeats(state.states, free):
-            blocks, s = self.sys.blocks, self.sys.mult_scale
-            R, R_phys = _reduced_residual(
-                self.K, blocks, F, state.U, state.lam, free, s
-            )
-            return replace(self.sys, R=R, R_phys=R_phys)
-        if self.sys is None or not _same_bits(free, self.sys.free):
-            self.K_ff = self.K[free][:, free]
-        blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
-        # free what the new system cannot use before its J and row norms
-        self.sys = self.pc = None
-        self.factors.release(state.states, blocks, free)
-        self.sys = build_system(
-            mesh, mat, fric, state, self.K, F, fixed, free, K_ff=self.K_ff,
-            blocks=blocks,
-        )
-        return self.sys
-
-    def preconditioner(self):
-        """:func:`build_preconditioner` of the last system, built once."""
-        if self.pc is None:
-            self.pc = build_preconditioner(self.sys)
-        return self.pc
-
-
 def _row_scaled(J, pc):
     """``diag(1/pc) J`` of a CSR ``J`` in CSC, without stored zeros (the
     contact blocks store some): one CSC copy of ``J``, scaled in place."""
@@ -293,13 +240,86 @@ def _row_scaled(J, pc):
     return Jbar
 
 
+def _abs(Jbar):
+    """``|Jbar|``, sharing ``Jbar``'s index arrays."""
+    data = np.abs(Jbar.data)
+    return sp.csc_matrix((data, Jbar.indices, Jbar.indptr), shape=Jbar.shape)
+
+
+def _splu(Jbar):
+    """A fresh SuperLU factorization of ``Jbar``."""
+    try:
+        # minimum degree on the pattern of A + A^T: the saddle pattern is
+        # nearly symmetric, and this ordering needs a third of the fill of
+        # SuperLU's default COLAMD
+        return spla.splu(Jbar, permc_spec="MMD_AT_PLUS_A", panel_size=PANEL_SIZE)
+    except RuntimeError as exc:
+        raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+
+
+def _refined_solve(Jbar, absJ, lu, rhs):
+    """``dx`` of ``Jbar dx = rhs`` with the solver ``lu``, refined until its
+    backward error meets the 1e-10 contract, else a LinearSolveError."""
+    dx = lu.solve(rhs)
+    # Accuracy control on the row-equilibrated system, where every row is
+    # O(1): the backward error |Jbar dx - rhs| / (|rhs| + |Jbar||dx|).
+    # Dividing the raw residual by |R| alone is not evaluable below the
+    # cancellation floor once a state change makes the solution jump much
+    # larger than the residual; iterative refinement with the same
+    # factorization recovers the digits a single pass loses.
+    rhs_norm = float(np.linalg.norm(rhs))
+
+    def backward_error(v):
+        denom = rhs_norm + float(np.linalg.norm(absJ @ np.abs(v)))
+        return float(np.linalg.norm(Jbar @ v - rhs)) / denom
+
+    rel = backward_error(dx)
+    for _ in range(10):
+        if not np.isfinite(rel) or rel <= 2e-16:
+            break
+        cand = dx - lu.solve(Jbar @ dx - rhs)
+        cand_rel = backward_error(cand)
+        if not cand_rel < rel:
+            break
+        dx, rel = cand, cand_rel
+    if not rel <= 1e-10:
+        raise LinearSolveError(
+            f"direct solve backward error {rel:.3e} exceeds 1e-10 "
+            "(structurally singular system?)"
+        )
+    return dx
+
+
+def linear_solve(sys, pc):
+    """Solve J dx = -R through the row-scaled system with a fresh SuperLU
+    factorization.
+
+    SuperLU is the only linear solver.  It factors ``Jbar = diag(1/pc) J``
+    under a minimum-degree ordering of ``Jbar + Jbar^T``, then refines
+    iteratively until the backward error on the row-equilibrated system
+    reaches 1e-10 (equivalent to the relative-residual contract whenever
+    that quantity is evaluable in double precision); a larger error raises
+    :class:`LinearSolveError`.  A run solves through its
+    :class:`SystemCache`, which keeps and borders factorizations.
+    """
+    if float(np.linalg.norm(sys.R)) == 0.0:
+        return np.zeros_like(sys.R)
+    rhs = -sys.R / pc
+    Jbar = _row_scaled(sys.J, pc)
+    lu = _splu(Jbar)
+    return _refined_solve(Jbar, _abs(Jbar), lu, rhs)
+
+
 class _Base:
-    """A fresh factorization ``lu`` of ``diag(1/pc) J`` of the system ``sys``
-    and the columns of ``J^-1`` computed from it so far: ``cols[:, i] =
-    J^-1 e_dofs[i]``."""
+    """A fresh factorization ``lu`` of ``diag(1/pc) J`` and the columns of
+    ``J^-1`` computed from it so far (``cols[:, i] = J^-1 e_dofs[i]``), with
+    the records of its system that bordering reads: the state assignment
+    ``states``, the contact blocks' ``pinned`` mask and the free dofs
+    ``free``.  It holds no ``J``."""
 
     def __init__(self, sys, pc, lu):
-        self.sys, self.pc, self.lu = sys, pc, lu
+        self.states, self.pinned, self.free = sys.states, sys.blocks.pinned, sys.free
+        self.pc, self.lu = pc, lu
         self.dofs = np.empty(0, dtype=np.int64)
         self.cols = np.empty((sys.J.shape[0], 0))
 
@@ -322,10 +342,9 @@ class _Base:
         or more of them than fit the dense-column budget.  It reads only
         these records, so it can decide before that system's ``J`` exists.
         """
-        base = self.sys
-        if base.states == tuple(states) or not _same_bits(free, base.free):
+        if self.states == tuple(states) or not _same_bits(free, self.free):
             return None
-        R = free.size + flipped_dofs(base.states, states, base.blocks.pinned, pinned)
+        R = free.size + flipped_dofs(self.states, states, self.pinned, pinned)
         if R.size == 0 or self._over_budget(R):
             return None
         return R
@@ -405,151 +424,108 @@ class _Bordered:
         return x
 
 
-class FactorCache:
-    """The last fresh LU factorization of a run (the base), reused while the
-    Jacobian repeats and bordered when only a few pairs change state.
+class SystemCache:
+    """The saddle systems and factorizations of one run.
 
-    A solve is served as is when its ``J`` and its row scaling ``pc`` are
-    the same objects as the last ones: :class:`SystemCache` hands back the
-    same ``J`` and ``pc`` while the contact-state assignment and the
-    Dirichlet set repeat, across load steps.  A copy of ``J``, however
-    equal, is a miss.  On a miss with the base's free dofs, the two
-    systems' state records give the set ``R``: the multiplier
-    dofs of the pairs whose state flipped since the base, less those pinned
-    under both states (see :func:`~fracfem.contact.flipped_dofs`).  Only
-    their rows and columns differ, as the displacement block of one run
-    and one ``free`` is the same ``K_ff``, so ``J`` is solved by bordering
-    the base on ``R`` (see :class:`_Bordered`); a base whose displacement
-    block differs after all fails the backward-error contract, which
-    :func:`linear_solve` checks on the true ``J``.  The columns
-    ``J0^-1 e_k`` the update needs are kept per dof while the base lives, so
-    a later loop reuses the earlier loops' columns.  The update is taken
-    only while its dense columns (cached, new and one per nonzero column of
-    ``J_NR``) times the number of unknowns stay within a quarter of the base
-    factor's nonzeros; otherwise the base is released and ``J`` is factored
-    afresh.  At most one factorization and one row-scaled copy of one system
-    are alive at a time: :meth:`release` drops the last copies, and the base
-    when it cannot border the next system, before that system is assembled
-    (:class:`SystemCache` calls it as soon as the contact blocks are built).
-    ``J`` and ``pc`` are kept by reference: neither may be modified in place
-    after it was handed to the cache, or the next solve is served by a stale
-    factorization.
+    It owns ``K``, its free block ``K_ff = K[free][:, free]`` (sliced once
+    per distinct ``free``), the last system built with its row norms ``pc``,
+    that system's ``Jbar`` and ``|Jbar|``, the solver ``lu`` serving it, and
+    the base, the last fresh factorization (:class:`_Base`).  Mesh, material
+    and friction must not change under it, and :meth:`solve` solves only the
+    system that :meth:`system` returned last.
+
+    What serves a solve is decided once, in :meth:`system`.  A state loop
+    whose states and free dofs repeat the last system's reuses its blocks,
+    ``J``, ``pc`` and solver, and only its residual is formed again.  For a
+    new assignment, as soon as its contact blocks exist and before its ``J``
+    does, the last system, its copies and its solver are dropped, and the
+    base gives the multiplier dofs ``R`` of the pairs that flipped since it
+    (:meth:`_Base.border`).  Only their rows and columns differ, as one run
+    and one ``free`` share one ``K_ff``, so ``J`` is solved by bordering the
+    base on ``R`` (:class:`_Bordered`); when the base cannot border it, the
+    base is dropped too and :meth:`solve` factors afresh.  At most one
+    factorization is alive at a time.  A bordered solve that misses the
+    backward-error contract (a base whose displacement block differs after
+    all) is repeated on a fresh factorization, so only that one raises.
     """
 
-    def __init__(self):
-        self.clear()
+    def __init__(self, K):
+        self.K = K
+        self.K_ff = self.sys = self.pc = None
+        self.Jbar = self.absJ = self.lu = self.base = self.border_dofs = None
 
-    def clear(self):
-        self.J = self.diag = self.Jbar = self.absJ = self.lu = self.base = None
+    def _repeats(self, states, free):
+        """True when the last system was built for ``states`` and ``free``."""
+        return (
+            self.sys is not None
+            and tuple(states) == self.sys.states
+            and _same_bits(free, self.sys.free)
+        )
 
-    @property
-    def bordered(self):
-        """True when the current solver borders the base."""
-        return isinstance(self.lu, _Bordered)
-
-    def _hit(self, J, diag):
-        return self.lu is not None and J is self.J and diag is self.diag
-
-    def release(self, states, blocks, free):
-        """Drop what cannot serve a new system of the state assignment
-        ``states``, the contact blocks ``blocks`` and the free dofs ``free``:
-        the last row-scaled copies and solver, and the base too unless it
-        can border that system.  Returns the dofs to border on (see
-        :meth:`_Base.border`), or None."""
-        self.J = self.diag = self.Jbar = self.absJ = self.lu = None
-        R = None if self.base is None else self.base.border(states, blocks.pinned, free)
-        if R is None:
+    def system(self, mesh, mat, fric, state, F, fixed, free):
+        """The :class:`SaddleSystem` of ``state``, as :func:`build_system`
+        returns it."""
+        if self._repeats(state.states, free):
+            blocks, s = self.sys.blocks, self.sys.mult_scale
+            R, R_phys = _reduced_residual(
+                self.K, blocks, F, state.U, state.lam, free, s
+            )
+            return replace(self.sys, R=R, R_phys=R_phys)
+        if self.sys is None or not _same_bits(free, self.sys.free):
+            self.K_ff = self.K[free][:, free]
+        blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
+        # free what the new system cannot use before its J and row norms
+        self.sys = self.pc = self.Jbar = self.absJ = self.lu = None
+        self.border_dofs = (
+            None if self.base is None
+            else self.base.border(state.states, blocks.pinned, free)
+        )
+        if self.border_dofs is None:
             self.base = None
-        return R
+        self.sys = build_system(
+            mesh, mat, fric, state, self.K, F, fixed, free, K_ff=self.K_ff,
+            blocks=blocks,
+        )
+        return self.sys
 
-    def factor(self, sys, pc):
-        """Make ``lu.solve`` solve ``diag(1/pc) J x = r`` for ``J = sys.J``."""
-        J = sys.J
-        if self._hit(J, pc):
-            return
-        R = self.release(sys.states, sys.blocks, sys.free)
+    def preconditioner(self):
+        """:func:`build_preconditioner` of the last system, built once."""
+        if self.pc is None:
+            self.pc = build_preconditioner(self.sys)
+        return self.pc
+
+    def _factor(self):
+        """Make ``lu`` solve ``diag(1/pc) J x = r`` for the last system: the
+        base bordered on ``border_dofs``, or else a fresh factorization that
+        becomes the base."""
+        sys, pc, R = self.sys, self.pc, self.border_dofs
         lu = None if R is None else self.base.bordered_solver(sys, pc, R)
         if lu is None:
             self.base = None
-        Jbar = _row_scaled(J, pc)
+        self.Jbar = _row_scaled(sys.J, pc)
         if lu is None:
-            try:
-                # minimum degree on the pattern of A + A^T: the saddle pattern
-                # is nearly symmetric, and this ordering needs a third of the
-                # fill of SuperLU's default COLAMD
-                lu = spla.splu(
-                    Jbar, permc_spec="MMD_AT_PLUS_A", panel_size=PANEL_SIZE
-                )
-            except RuntimeError as exc:
-                raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+            lu = _splu(self.Jbar)
             self.base = _Base(sys, pc, lu)
-        absJ = sp.csc_matrix(
-            (np.abs(Jbar.data), Jbar.indices, Jbar.indptr), shape=Jbar.shape
-        )  # shares Jbar's index arrays
-        self.J, self.diag, self.Jbar, self.absJ, self.lu = J, pc, Jbar, absJ, lu
+        self.absJ, self.lu = _abs(self.Jbar), lu
 
-
-def _refined_solve(cache, rhs):
-    """(dx, backward error) of ``Jbar dx = rhs`` with the cache's solver."""
-    Jbar, absJ, lu = cache.Jbar, cache.absJ, cache.lu
-    dx = lu.solve(rhs)
-    # Accuracy control on the row-equilibrated system, where every row is
-    # O(1): the backward error |Jbar dx - rhs| / (|rhs| + |Jbar||dx|).
-    # Dividing the raw residual by |R| alone is not evaluable below the
-    # cancellation floor once a state change makes the solution jump much
-    # larger than the residual; iterative refinement with the same
-    # factorization recovers the digits a single pass loses.
-    rhs_norm = float(np.linalg.norm(rhs))
-
-    def backward_error(v):
-        denom = rhs_norm + float(np.linalg.norm(absJ @ np.abs(v)))
-        return float(np.linalg.norm(Jbar @ v - rhs)) / denom
-
-    rel = backward_error(dx)
-    for _ in range(10):
-        if not np.isfinite(rel) or rel <= 2e-16:
-            break
-        cand = dx - lu.solve(Jbar @ dx - rhs)
-        cand_rel = backward_error(cand)
-        if not cand_rel < rel:
-            break
-        dx, rel = cand, cand_rel
-    return dx, rel
-
-
-def linear_solve(sys, pc, cache=None):
-    """Solve J dx = -R through the row-scaled system with SuperLU.
-
-    SuperLU is the only linear solver.  It factors ``Jbar = diag(1/pc) J``
-    under a minimum-degree ordering of ``Jbar + Jbar^T``, then refines
-    iteratively until the backward error on the row-equilibrated system
-    reaches 1e-10 (equivalent to the relative-residual contract whenever
-    that quantity is evaluable in double precision); a larger error raises
-    :class:`LinearSolveError`.  With a :class:`FactorCache` the
-    factorization is reused while ``J`` and the row scaling ``pc`` are the
-    same objects, and bordered while only a few pairs changed state since
-    the last fresh factorization; without one every call factors afresh.  A
-    bordered solve that misses the contract is repeated on a fresh
-    factorization, so only a fresh factorization raises.
-    """
-    if float(np.linalg.norm(sys.R)) == 0.0:
-        return np.zeros_like(sys.R)
-    rhs = -sys.R / pc
-
-    if cache is None:
-        cache = FactorCache()
-    cache.factor(sys, pc)
-    dx, rel = _refined_solve(cache, rhs)
-    if cache.bordered and not rel <= 1e-10:
-        cache.clear()
-        cache.factor(sys, pc)
-        dx, rel = _refined_solve(cache, rhs)
-    if not np.isfinite(rel) or rel > 1e-10:
-        raise LinearSolveError(
-            f"direct solve backward error {rel:.3e} exceeds 1e-10 "
-            "(structurally singular system?)"
-        )
-    return dx
+    def solve(self, sys):
+        """``dx`` of ``J dx = -R`` for ``sys``, the system :meth:`system`
+        returned last, as :func:`linear_solve` gives it (to its 1e-10
+        backward-error contract) but from the solver decided for it."""
+        pc = self.preconditioner()
+        if float(np.linalg.norm(sys.R)) == 0.0:
+            return np.zeros_like(sys.R)
+        rhs = -sys.R / pc
+        if self.lu is None:
+            self._factor()
+        try:
+            return _refined_solve(self.Jbar, self.absJ, self.lu, rhs)
+        except LinearSolveError:
+            if not isinstance(self.lu, _Bordered):
+                raise
+        self.Jbar = self.absJ = self.lu = self.base = self.border_dofs = None
+        self._factor()
+        return _refined_solve(self.Jbar, self.absJ, self.lu, rhs)
 
 
 def initial_states(mesh):
@@ -640,7 +616,7 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
         # loop after the first solves unless the residual is exactly zero.
         if not (rnorm == 0.0 or (loop == 1 and rnorm < cfg.newton_tol)):
             try:
-                dx = linear_solve(sys, systems.preconditioner(), cache=systems.factors)
+                dx = systems.solve(sys)
             except (SingularRowError, LinearSolveError) as exc:
                 result.message = str(exc)
                 return result
@@ -688,9 +664,9 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
 def run_load_steps(mesh, mat, fric, bcs, cfg):
     """Sequential proportional load steps, each warm-started from the last.
 
-    One :class:`SystemCache`, with its :class:`FactorCache`, spans all
-    steps, so a step that keeps the previous step's state assignment reuses
-    its system and its factorization.
+    One :class:`SystemCache` spans all steps, so a step that keeps the
+    previous step's state assignment reuses its system and its
+    factorization.
     """
     systems = SystemCache(assemble_stiffness(mesh, mat))
     results = []

@@ -5,7 +5,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -642,6 +646,38 @@ class TestRunAndCli:
         path = write_yaml(tmp_path, bad)
         assert main(["run", str(path)]) == 2
         assert "material.nu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (b"mesh: [unclosed\n", "invalid YAML at line 2, column 1: expected ','"),
+        (b"\xffname: x\n", "not UTF-8 text"),
+    ], ids=["yaml-syntax", "non-utf8"])
+    def test_cli_unreadable_config_exit_two(self, tmp_path, capsys, content, message):
+        path = tmp_path / "run.yaml"
+        path.write_bytes(content)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in err
+
+    def test_cli_non_utf8_mesh_exit_two(self, tmp_path, capsys):
+        mfile = tmp_path / "m.msh"
+        mfile.write_bytes(b"\xff\xfeNODES 0\n")
+        path = write_yaml(tmp_path, dict(MINIMAL, mesh={"file": str(mfile)}))
+        for argv in (["mesh-info", str(mfile)],
+                     ["run", str(path), "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {mfile}: not UTF-8 text")
+            assert "Traceback" not in err
+
+    def test_import_leaves_yaml_unloaded(self):
+        # PyYAML is imported only to read or write a config file
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, fracfem.cli; print('yaml' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.stdout.strip() == "False"
 
 
 class TestCrossingProfileExport:

@@ -33,7 +33,6 @@ from fracfem.elasticity import (
 )
 from fracfem.mesh import build_contact_pairs, generate_rect_mesh, split_fractures
 from fracfem.solver import (
-    FactorCache,
     LinearSolveError,
     SaddleSystem,
     SingularRowError,
@@ -292,7 +291,7 @@ class TestNewtonLoop:
     def test_residual_above_tolerance_fails_after_one_solve(self, monkeypatch):
         mesh, cfg = small_inclined_setup()
         solves = []
-        _counted(monkeypatch, solver, "linear_solve", solves)
+        _counted(monkeypatch, SystemCache, "solve", solves)
         res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs,
                           SolverConfig(newton_tol=1e-30))
         assert not res.converged
@@ -311,16 +310,14 @@ class TestNewtonLoop:
             cfg = presets.get(name)
             mesh = build_mesh(cfg)
         caches = []
-        _counted(monkeypatch, solver, "linear_solve", caches,
-                 lambda sys, pc, cache=None: cache)
+        _counted(monkeypatch, SystemCache, "solve", caches, lambda self, sys: self)
         results = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
                                  cfg.solver)
         assert len(results) == cfg.solver.n_load_steps
         assert all(r.converged for r in results)
         assert [r.newton_iters for r in results] == [r.state_loops for r in results]
         assert len(caches) == sum(r.state_loops for r in results)
-        # one factorization cache serves every solve of the run
-        assert isinstance(caches[0], FactorCache)
+        # one cache serves every solve of the run
         assert all(c is caches[0] for c in caches)
 
     def test_inclined_crack_all_pairs_slip_compressive(self):
@@ -481,8 +478,28 @@ class TestLoadSteps:
         assert len(res) == 1
 
 
-class TestFactorCache:
-    """The factorization is reused exactly while J and its scaling repeat."""
+def cached_systems(mesh, cfg):
+    """(run cache, system builder from states) at U = 0 on ``mesh``, the
+    systems built through the cache as a run builds them."""
+    F, fixed, vals, free = step_data(mesh, cfg.bcs, None, 1)
+    U = np.zeros(2 * mesh.n_nodes)
+    U[fixed] = vals
+    cache = SystemCache(assemble_stiffness(mesh, cfg.material))
+
+    def system(states):
+        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), states=states)
+        return cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed, free)
+
+    return cache, system
+
+
+def is_bordered(cache):
+    """True when the cache's current solver borders its base."""
+    return isinstance(cache.lu, solver._Bordered)
+
+
+class TestFactorReuse:
+    """The factorization is reused exactly while the system repeats."""
 
     @staticmethod
     def count_splu(monkeypatch):
@@ -505,16 +522,10 @@ class TestFactorCache:
     def test_one_factorization_per_distinct_jacobian(self, monkeypatch):
         calls = self.count_splu(monkeypatch)
         keys = []
-        real = solver.linear_solve
-
-        def record(sys, pc, *args, **kwargs):
-            keys.append(b"|".join(
-                a.tobytes() for a in
-                (sys.J.indptr, sys.J.indices, sys.J.data, pc)
-            ))
-            return real(sys, pc, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "linear_solve", record)
+        _counted(monkeypatch, SystemCache, "solve", keys, lambda self, sys: b"|".join(
+            a.tobytes() for a in
+            (sys.J.indptr, sys.J.indices, sys.J.data, self.preconditioner())
+        ))
         results = self.ramped_run()
         assert all(r.converged for r in results)
         distinct = sum(1 for k, key in enumerate(keys)
@@ -526,85 +537,72 @@ class TestFactorCache:
     def test_reuse_is_bit_identical_to_refactoring(self, monkeypatch):
         cached = self.ramped_run()
         calls = self.count_splu(monkeypatch)
-        monkeypatch.setattr(FactorCache, "_hit", lambda self, J, diag: False)
+        real = SystemCache.solve
+
+        def refactor(self, sys):
+            self.lu = None  # serve every solve as if its system were new
+            return real(self, sys)
+
+        monkeypatch.setattr(SystemCache, "solve", refactor)
         fresh = self.ramped_run()
         assert len(calls) == sum(r.newton_iters for r in fresh)
         for a, b in zip(cached, fresh):
             np.testing.assert_array_equal(a.U, b.U)
             np.testing.assert_array_equal(a.lam, b.lam)
 
-    def test_changed_row_scaling_is_not_served_from_cache(self, monkeypatch):
+    def test_new_assignment_drops_the_solver(self, monkeypatch):
+        # the solver, the row norms and the row-scaled copies serve only the
+        # assignment they were made for: a new one finds none of them
         mesh, cfg = small_inclined_setup()
-        sys = make_system(mesh, cfg)
-        row_norm = build_preconditioner(sys)
-        identity = np.ones(sys.n_disp + sys.n_lam)
+        cache, system = cached_systems(mesh, cfg)
         calls = self.count_splu(monkeypatch)
-        cache = FactorCache()
-        scaled = linear_solve(sys, row_norm, cache=cache)
-        assert len(calls) == 1
-        again = linear_solve(sys, row_norm, cache=cache)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(again, scaled)
-        plain = linear_solve(sys, identity, cache=cache)
-        assert len(calls) == 2
-        np.testing.assert_array_equal(cache.diag, identity)
-        back = linear_solve(sys, row_norm, cache=cache)
-        assert len(calls) == 3
-        np.testing.assert_array_equal(back, scaled)
-        np.testing.assert_array_equal(
-            plain, linear_solve(sys, identity, cache=FactorCache())
-        )
-
-    def test_changed_jacobian_values_are_not_served_from_cache(self, monkeypatch):
-        mesh, cfg = small_inclined_setup()
-        sys = make_system(mesh, cfg)
-        pc = build_preconditioner(sys)
-        calls = self.count_splu(monkeypatch)
-        cache = FactorCache()
-        linear_solve(sys, pc, cache=cache)
-        J2 = sys.J.copy()
-        J2.data[0] = np.nextafter(J2.data[0], np.inf)  # one ulp, same pattern
-        sys2 = SaddleSystem(**{**sys.__dict__, "J": J2})
-        linear_solve(sys2, pc, cache=cache)
-        assert len(calls) == 2
-        assert cache.J is J2
+        stick = initial_states(mesh)
+        first = cache.solve(system(stick))
+        lu = cache.lu
+        again = cache.solve(system(list(stick)))
+        assert cache.lu is lu and len(calls) == 1
+        np.testing.assert_array_equal(again, first)
+        sys = system([SLIP] * mesh.n_pairs)
+        assert all(x is None for x in (cache.lu, cache.Jbar, cache.absJ, cache.pc))
+        cache.solve(sys)
+        assert len(calls) == 2 and cache.lu is not lu
 
     def test_repeated_system_served_by_identity(self, monkeypatch):
         mesh, cfg = small_inclined_setup()
-        sys = make_system(mesh, cfg)
-        pc = build_preconditioner(sys)
+        cache, system = cached_systems(mesh, cfg)
         calls = self.count_splu(monkeypatch)
-        cache = FactorCache()
-        first = linear_solve(sys, pc, cache=cache)
+        first = cache.solve(system(initial_states(mesh)))
+        sys = system(initial_states(mesh))
 
         def no_compare(*args):
-            raise AssertionError("a cache hit compares no arrays")
+            raise AssertionError("a repeated solve compares no arrays")
 
         monkeypatch.setattr(solver, "_same_bits", no_compare)
-        again = linear_solve(sys, pc, cache=cache)
+        again = cache.solve(sys)
         assert len(calls) == 1
         assert solver._same_bits is no_compare
         np.testing.assert_array_equal(again.view(np.uint64), first.view(np.uint64))
 
-    def test_equal_copies_refactor_to_the_same_bits(self, monkeypatch):
+    def test_fresh_factorization_equals_reference_bits(self, monkeypatch):
+        # the cache's fresh factorization, that of another run's cache and
+        # linear_solve's all solve to the same bits
         mesh, cfg = small_inclined_setup()
-        sys = make_system(mesh, cfg)
-        pc = build_preconditioner(sys)
         calls = self.count_splu(monkeypatch)
-        cache = FactorCache()
-        first = linear_solve(sys, pc, cache=cache)
-        copied_J = SaddleSystem(**{**sys.__dict__, "J": sys.J.copy()})
-        for system, scaling, n_calls in ((copied_J, pc, 2), (copied_J, pc.copy(), 3)):
-            dx = linear_solve(system, scaling, cache=cache)
-            assert len(calls) == n_calls and not cache.bordered
-            assert cache.J is system.J and cache.diag is scaling
-            np.testing.assert_array_equal(dx.view(np.uint64), first.view(np.uint64))
+        solves = []
+        for _ in range(2):
+            cache, system = cached_systems(mesh, cfg)
+            sys = system(initial_states(mesh))
+            solves.append(cache.solve(sys))
+            assert not is_bordered(cache)
+        solves.append(linear_solve(sys, build_preconditioner(sys)))
+        assert len(calls) == 3
+        for dx in solves[1:]:
+            np.testing.assert_array_equal(dx.view(np.uint64), solves[0].view(np.uint64))
 
     def test_abs_jacobian_shares_index_arrays(self):
         mesh, cfg = small_inclined_setup()
-        sys = make_system(mesh, cfg, [SLIP] * mesh.n_pairs)
-        cache = FactorCache()
-        linear_solve(sys, build_preconditioner(sys), cache=cache)
+        cache, system = cached_systems(mesh, cfg)
+        cache.solve(system([SLIP] * mesh.n_pairs))
         Jbar, absJ = cache.Jbar, cache.absJ
         assert absJ.format == "csc"
         assert np.shares_memory(absJ.indices, Jbar.indices)
@@ -638,12 +636,11 @@ class TestBorderedUpdate:
         mesh, cfg = small_inclined_setup()
         if friction is not None:
             cfg = dataclasses.replace(cfg, friction=friction)
-        calls = TestFactorCache.count_splu(monkeypatch)
-        cache = FactorCache()
-        base = make_system(mesh, cfg)
-        linear_solve(base, build_preconditioner(base), cache=cache)
-        assert len(calls) == 1 and not cache.bordered
-        return mesh, calls, cache, lambda states: make_system(mesh, cfg, states)
+        calls = TestFactorReuse.count_splu(monkeypatch)
+        cache, system = cached_systems(mesh, cfg)
+        cache.solve(system(initial_states(mesh)))
+        assert len(calls) == 1 and not is_bordered(cache)
+        return mesh, calls, cache, system
 
     @pytest.mark.parametrize("name, count", [("crossing-multi", 2), ("sneddon", 2)])
     def test_factorizations_per_run(self, name, count):
@@ -659,9 +656,9 @@ class TestBorderedUpdate:
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         stick = initial_states(mesh)
         sys = system(self.flipped(stick, {2: OPEN, 4: SLIP}))
-        pc = build_preconditioner(sys)
-        dx = linear_solve(sys, pc, cache=cache)
-        assert cache.bordered and len(calls) == 1
+        dx = cache.solve(sys)
+        pc = cache.preconditioner()
+        assert is_bordered(cache) and len(calls) == 1
         # open pair 2 changes both its rows; slip pair 4 its tangential row
         # and its normal column (friction), the one column with J_NR entries
         nd = sys.n_disp
@@ -676,7 +673,6 @@ class TestBorderedUpdate:
         # two more, then for the one nonzero J_NR column
         cols = cache.base.cols.copy()
         sys = system(self.flipped(stick, {2: OPEN, 4: SLIP, 6: OPEN}))
-        pc = build_preconditioner(sys)
         blocks = []
         real = solver._Base.solve
 
@@ -686,8 +682,9 @@ class TestBorderedUpdate:
             return real(self, y)
 
         monkeypatch.setattr(solver._Base, "solve", solve)
-        dx = linear_solve(sys, pc, cache=cache)
-        assert cache.bordered and len(calls) == 2
+        dx = cache.solve(sys)
+        pc = cache.preconditioner()
+        assert is_bordered(cache) and len(calls) == 2
         assert blocks == [2, 1]
         np.testing.assert_array_equal(cache.base.dofs, nd + np.array([4, 5, 8, 9, 12, 13]))
         np.testing.assert_array_equal(cache.base.cols[:, :4], cols)
@@ -702,11 +699,11 @@ class TestBorderedUpdate:
         # changed rows and columns is exact as well
         frictionless = FrictionParams(cohesion=1.0e6, friction_angle=0.0)
         mesh, calls, cache, system = self.setup_base(monkeypatch, frictionless)
-        base = cache.base.sys
+        base = system(initial_states(mesh))  # the base's system, repeated
         sys = system(self.flipped(initial_states(mesh), {4: SLIP}))
-        pc = build_preconditioner(sys)
-        dx = linear_solve(sys, pc, cache=cache)
-        assert cache.bordered and len(calls) == 1
+        dx = cache.solve(sys)
+        pc = cache.preconditioner()
+        assert is_bordered(cache) and len(calls) == 1
         nd = sys.n_disp
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([8, 9]))
         diff = (sys.J - base.J).tocoo()
@@ -718,47 +715,45 @@ class TestBorderedUpdate:
 
     def test_changed_displacement_block_fails_the_contract(self, monkeypatch):
         # the bordered update takes the base's displacement block as the
-        # system's; when it differs after all, the bordered solve misses the
-        # backward-error contract on the true J and is repeated on a fresh
-        # factorization
+        # system's; when it differs after all (here changed in place before
+        # the solve), the bordered solve misses the backward-error contract
+        # on the true J and is repeated on a fresh factorization
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         sys = system(self.flipped(initial_states(mesh), {2: OPEN}))
-        J, nd = sys.J.copy(), sys.n_disp
+        J, nd = sys.J, sys.n_disp
         rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
         J.data[(rows < nd) & (J.indices < nd)] *= 1.5
-        sys = SaddleSystem(**{**sys.__dict__, "J": J})
-        pc = build_preconditioner(sys)
         bordered = []
         _counted(monkeypatch, solver._Bordered, "solve", bordered)
-        dx = linear_solve(sys, pc, cache=cache)
-        assert bordered and len(calls) == 2 and not cache.bordered
-        np.testing.assert_array_equal(dx, linear_solve(sys, pc))
+        dx = cache.solve(sys)
+        assert bordered and len(calls) == 2 and not is_bordered(cache)
+        np.testing.assert_array_equal(dx, linear_solve(sys, cache.preconditioner()))
 
     def test_one_ulp_in_displacement_block_stays_bordered(self, monkeypatch):
         # a change the contract tolerates is served by the bordered solve
         # and its refinement on the true J, without a fresh factorization
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         sys = system(self.flipped(initial_states(mesh), {2: OPEN}))
-        J = sys.J.copy()
-        J.data[0] = np.nextafter(J.data[0], np.inf)  # one ulp in K_ff
-        sys = SaddleSystem(**{**sys.__dict__, "J": J})
-        pc = build_preconditioner(sys)
-        dx = linear_solve(sys, pc, cache=cache)
-        assert cache.bordered and len(calls) == 1
+        sys.J.data[0] = np.nextafter(sys.J.data[0], np.inf)  # one ulp in K_ff
+        dx = cache.solve(sys)
+        pc = cache.preconditioner()
+        assert is_bordered(cache) and len(calls) == 1
         fresh = linear_solve(sys, pc)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
         assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
 
     def test_update_over_budget_refactors(self, monkeypatch):
         mesh, calls, cache, system = self.setup_base(monkeypatch)
+        budget = cache.base.lu.nnz / 4
         sys = system([SLIP] * mesh.n_pairs)
-        # every tangential row and normal column changes
-        assert sys.J.shape[0] * 2 * mesh.n_pairs > cache.base.lu.nnz / 4
-        pc = build_preconditioner(sys)
-        dx = linear_solve(sys, pc, cache=cache)
-        assert len(calls) == 2 and not cache.bordered
-        assert cache.base.sys is sys and cache.base.dofs.size == 0
-        np.testing.assert_array_equal(dx, linear_solve(sys, pc))
+        # every tangential row and normal column changes: the base is
+        # released as soon as the system is built, before its solve
+        assert sys.J.shape[0] * 2 * mesh.n_pairs > budget
+        assert cache.base is None and cache.border_dofs is None
+        dx = cache.solve(sys)
+        assert len(calls) == 2 and not is_bordered(cache)
+        assert cache.base.states == sys.states and cache.base.dofs.size == 0
+        np.testing.assert_array_equal(dx, linear_solve(sys, cache.preconditioner()))
 
     def test_over_budget_miss_forms_no_difference(self, monkeypatch):
         # sneddon's second loop opens all 19 pairs, 38 multiplier dofs,
@@ -768,7 +763,7 @@ class TestBorderedUpdate:
 
         cfg = presets.get("sneddon")
         mesh = build_mesh(cfg)
-        calls = TestFactorCache.count_splu(monkeypatch)
+        calls = TestFactorReuse.count_splu(monkeypatch)
         subs, borders, solves, flips = [], [], [], []
         _counted(monkeypatch, sp.csr_matrix, "__sub__", subs)
         _counted(monkeypatch, solver._Base, "border", borders)
@@ -794,17 +789,17 @@ class TestBorderedUpdate:
         self, monkeypatch, name, bordered, base_kept
     ):
         # when a state loop's J is formed, no row-scaled copy, no solver and
-        # no earlier system but the base's are alive, and the base only when
-        # it borders the new system: inclined-crack's (42 flipped dofs) and
-        # sneddon's (38) second loops are over budget, crossing-multi's second
-        # loop too, and its base then borders loops 3 and 4 on 5 and 11 dofs
+        # no earlier system are alive, and the base only when it borders the
+        # new system: inclined-crack's (42 flipped dofs) and sneddon's (38)
+        # second loops are over budget, crossing-multi's second loop too, and
+        # its base then borders loops 3 and 4 on 5 and 11 dofs
         import weakref
 
         from fracfem.config import build_mesh
 
         cfg = presets.get(name)
         mesh = build_mesh(cfg)
-        calls = TestFactorCache.count_splu(monkeypatch)
+        calls = TestFactorReuse.count_splu(monkeypatch)
         caches, alive, systems, sizes = [], [], [], []
         _counted(monkeypatch, SystemCache, "__init__", caches,
                  lambda self, K: self)
@@ -813,12 +808,11 @@ class TestBorderedUpdate:
         real_bmat = sp.bmat
 
         def bmat(*args, **kwargs):
-            f = caches[-1].factors
-            base_J = None if f.base is None else f.base.sys.J
+            c = caches[-1]
             alive.append((
-                f.base is not None, f.lu is not None,
-                f.Jbar is not None or f.absJ is not None,
-                any(ref() is not None and ref() is not base_J for ref in systems),
+                c.base is not None, c.lu is not None,
+                c.Jbar is not None or c.absJ is not None,
+                any(ref() is not None for ref in systems),
             ))
             J = real_bmat(*args, **kwargs)
             systems.append(weakref.ref(J))
@@ -829,6 +823,48 @@ class TestBorderedUpdate:
         assert res[-1].converged and len(calls) == 2 and sizes == bordered
         assert len(alive) == res[-1].state_loops == len(base_kept) + 1
         assert alive == [(kept, False, False, False) for kept in [False, *base_kept]]
+
+    @pytest.mark.parametrize("name, borders", [
+        ("crossing-multi", 3), ("crossing-single", 2), ("shear-throughgoing", 5),
+    ])
+    def test_border_decided_once_per_new_assignment(self, monkeypatch, name, borders):
+        # every state loop after the first has a new assignment and a live
+        # base, and the base is asked once whether it borders that system
+        from fracfem.config import build_mesh
+
+        cfg = presets.get(name)
+        mesh = build_mesh(cfg)
+        asked, flips = [], []
+        _counted(monkeypatch, solver._Base, "border", asked)
+        _counted(monkeypatch, solver, "flipped_dofs", flips)
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        assert res[-1].converged
+        assert len(asked) == borders == res[-1].state_loops - 1
+        assert len(flips) == borders
+
+    def test_earlier_jacobian_dies_with_its_assignment(self, monkeypatch):
+        # crossing-multi's loop 2 factors afresh and stays the base that
+        # borders loops 3 and 4, but its J is gone once loop 3's system exists
+        import weakref
+
+        from fracfem.config import build_mesh
+
+        cfg = presets.get("crossing-multi")
+        mesh = build_mesh(cfg)
+        refs, loop2_alive = [], []
+        real = solver.build_system
+
+        def build(*args, **kwargs):
+            sys = real(*args, **kwargs)
+            if len(refs) == 2:
+                loop2_alive.append(refs[1]() is not None)
+            refs.append(weakref.ref(sys.J))
+            return sys
+
+        monkeypatch.setattr(solver, "build_system", build)
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        assert res[-1].converged and len(refs) == res[-1].state_loops == 4
+        assert loop2_alive == [False]
 
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -876,11 +912,10 @@ class TestBorderedUpdate:
         monkeypatch.setattr(solver._Bordered, "solve",
                             lambda self, r: np.full_like(r, bad))
         sys = system(self.flipped(initial_states(mesh), {2: OPEN}))
-        pc = build_preconditioner(sys)
-        dx = linear_solve(sys, pc, cache=cache)
-        assert len(calls) == 2 and not cache.bordered
-        assert cache.base.sys is sys
-        np.testing.assert_array_equal(dx, linear_solve(sys, pc))
+        dx = cache.solve(sys)
+        assert len(calls) == 2 and not is_bordered(cache)
+        assert cache.base.states == sys.states and cache.base.dofs.size == 0
+        np.testing.assert_array_equal(dx, linear_solve(sys, cache.preconditioner()))
 
 
 # ---------------------------------------------------------------------------
