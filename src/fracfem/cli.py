@@ -28,7 +28,8 @@ def _print_step_table(results):
           f"{'stick':>6} {'slip':>6} {'open':>6}")
     for res in results:
         c = _state_counts(res)
-        flag = "" if res.converged else "  NOT CONVERGED"
+        flag = "  restarted from all stick" if res.restarted else ""
+        flag += "" if res.converged else "  NOT CONVERGED"
         print(
             f"{res.step:>4} {res.newton_iters:>7} {res.state_loops:>6} "
             f"{res.residual_norm:>12.3e} {c['stick']:>6} {c['slip']:>6} "
@@ -77,6 +78,7 @@ def run(config, outdir, preset_name=None):
             "newton_iters": final.newton_iters,
             "state_loops": final.state_loops,
             "cycled": final.cycled,
+            "restarted": final.restarted,
         }
         with open(outdir / "diagnostics.json", "w", encoding="utf-8") as fh:
             json.dump(diag, fh, indent=2)

@@ -75,6 +75,9 @@ class SolutionState:
     residual_norm: float = np.inf
     cycled: bool = False
     message: str = ""
+    # a cold start whose open attempt failed and that was run again from
+    # all stick; the loop and solve counts then cover both attempts
+    restarted: bool = False
 
 
 @dataclass
@@ -451,6 +454,11 @@ class SystemCache:
 
     def __init__(self, K):
         self.K = K
+        self.clear()
+
+    def clear(self):
+        """Drop every system, copy and factorization but ``K``: the next
+        system is served as by a new cache."""
         self.K_ff = self.sys = self.pc = None
         self.Jbar = self.absJ = self.lu = self.base = self.border_dofs = None
 
@@ -528,8 +536,9 @@ class SystemCache:
         return _refined_solve(self.Jbar, self.absJ, self.lu, rhs)
 
 
-def initial_states(mesh):
-    """Most-constrained start: everything stick."""
+def stick_states(mesh):
+    """Most-constrained assignment: every pair sticks (the restart of a
+    cold start)."""
     return [PairState.stick() for _ in mesh.pairs]
 
 
@@ -583,24 +592,48 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
     iterate; any change starts another loop.  Failure modes (a residual left
     above the tolerance, a failed solve, the loop cap, state cycling) return
     a non-converged SolutionState with diagnostics, never a silent success.
-    ``systems`` (a :class:`SystemCache`) carries the last system and
-    factorization over from earlier calls of the same run (a fresh one is
-    used when absent).
-    """
-    n2 = 2 * mesh.n_nodes
-    m2 = 2 * mesh.n_pairs
-    if warm is not None:
-        U = warm.U.copy()
-        lam = warm.lam.copy()
-        states = list(warm.states)
-    else:
-        U = np.zeros(n2)
-        lam = np.zeros(m2)
-        states = initial_states(mesh)
 
+    A warm start keeps ``warm``'s iterate and states.  A cold start begins
+    with every pair open, so a fracture that opens, or a contact that one
+    solve settles, costs a single factorization.  An open start can leave a
+    block held by its fractures alone floating, or cycle; when that attempt
+    fails for any reason on a mesh with pairs, the step is run once more
+    from all stick on a cleared ``systems``, exactly as a run started
+    there, and the result is marked ``restarted``.  If that attempt fails
+    too, its message says that the open start failed first.  ``systems``
+    (a :class:`SystemCache`) carries the last system and factorization over
+    from earlier calls of the same run (a fresh one is used when absent).
+    """
     if systems is None:
         systems = SystemCache(assemble_stiffness(mesh, mat))
-    F, fixed, fixed_vals, free = step_data(mesh, bcs, step, cfg.n_load_steps)
+    data = step_data(mesh, bcs, step, cfg.n_load_steps)
+    if warm is not None:
+        return _active_set(mesh, mat, fric, cfg, systems, data, warm.U.copy(),
+                           warm.lam.copy(), list(warm.states), step)
+    n2, m2 = 2 * mesh.n_nodes, 2 * mesh.n_pairs
+    first = _active_set(mesh, mat, fric, cfg, systems, data, np.zeros(n2),
+                        np.zeros(m2), [PairState.open_()] * mesh.n_pairs, step)
+    if first.converged or not mesh.n_pairs:
+        return first
+    systems.clear()
+    res = _active_set(mesh, mat, fric, cfg, systems, data, np.zeros(n2),
+                      np.zeros(m2), stick_states(mesh), step)
+    res.restarted = True
+    res.state_loops += first.state_loops
+    res.newton_iters += first.newton_iters
+    if not res.converged:
+        res.message = (
+            f"{res.message} (restarted from all stick after the open start "
+            f"failed: {first.message})"
+        )
+    return res
+
+
+def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step):
+    """The state loops of one attempt at a load step from ``U``, ``lam`` and
+    ``states`` (owned by the attempt), with ``data`` from
+    :func:`step_data`; see :func:`newton_loop`."""
+    F, fixed, fixed_vals, free = data
     U[fixed] = fixed_vals
 
     result = SolutionState(U=U, lam=lam, states=states, step=step or 0)

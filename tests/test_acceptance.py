@@ -28,11 +28,11 @@ from fracfem.solver import (
     SolutionState,
     build_preconditioner,
     build_system,
-    initial_states,
     linear_solve,
     reaction_forces,
     run_load_steps,
     step_data,
+    stick_states,
     wall_timed,
 )
 
@@ -206,7 +206,7 @@ class TestCriterion5Preconditioner:
         lam = np.zeros(2 * mesh.n_pairs)
         F, fixed, vals, free = step_data(mesh, config.bcs, None, 1)
         U[fixed] = vals
-        state = SolutionState(U=U, lam=lam, states=initial_states(mesh))
+        state = SolutionState(U=U, lam=lam, states=stick_states(mesh))
         K = assemble_stiffness(mesh, config.material)
         sys = build_system(mesh, config.material, config.friction, state,
                            K, F, fixed, free)

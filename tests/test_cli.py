@@ -428,13 +428,13 @@ class TestExports:
         assert all(r[5] in ("stick", "slip", "open") for r in rows[1:])
 
     def test_zero_load_profile_all_zero(self, tmp_path):
-        from fracfem.solver import initial_states
+        from fracfem.solver import stick_states
 
         cfg = config_from_dict(MINIMAL)
         mesh = build_mesh(cfg)
         zero = SolutionState(
             U=np.zeros(2 * mesh.n_nodes), lam=np.zeros(2 * mesh.n_pairs),
-            states=initial_states(mesh),
+            states=stick_states(mesh),
         )
         paths = export_profiles(zero, mesh, tmp_path / "zero.csv")
         with open(paths[0], newline="") as fh:
@@ -601,8 +601,11 @@ class TestRunAndCli:
         path = write_yaml(tmp_path, dict(MINIMAL, solver={"newton_tol": 1e-30}))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
         diag = json.loads((tmp_path / "o" / "diagnostics.json").read_text())
-        assert (diag["newton_iters"], diag["state_loops"]) == (1, 1)
+        # one solve from the open start, then one from the all-stick restart
+        assert (diag["newton_iters"], diag["state_loops"]) == (2, 2)
+        assert diag["restarted"] is True
         assert "newton_tol=1e-30" in diag["message"]
+        assert "after the open start failed: residual " in diag["message"]
         assert "newton_tol" in capsys.readouterr().err
 
     def test_cli_run_exit_zero(self, tmp_path, capsys):
@@ -610,6 +613,20 @@ class TestRunAndCli:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
         out = capsys.readouterr().out
         assert "newton" in out  # convergence table header
+
+    def test_step_table_shows_restart(self, tmp_path, capsys):
+        # MINIMAL's open start cycles, and its restart from all stick converges
+        path = write_yaml(tmp_path, MINIMAL)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].split()[0] == "0"
+        assert rows[1].endswith("  restarted from all stick")
+        two_steps = dict(MINIMAL, solver={"n_load_steps": 2})
+        path = write_yaml(tmp_path, two_steps, name="two.yaml")
+        assert main(["run", str(path), "--out", str(tmp_path / "t")]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        # the warm-started second step keeps the first step's states
+        assert rows[2].split()[0] == "1" and "restarted" not in rows[2]
 
     def test_cli_bench_writes_report(self, tmp_path):
         report = tmp_path / "report.json"

@@ -41,12 +41,12 @@ from fracfem.solver import (
     SystemCache,
     build_preconditioner,
     build_system,
-    initial_states,
     linear_solve,
     newton_loop,
     reaction_forces,
     run_load_steps,
     step_data,
+    stick_states,
 )
 
 MAT = MaterialParams(E=25e9, nu=0.25)
@@ -72,7 +72,7 @@ def make_system(mesh, cfg, states=None):
     F, fixed, vals, free = step_data(mesh, cfg.bcs, None, 1)
     U[fixed] = vals
     st_ = SolutionState(U=U, lam=lam,
-                        states=states or initial_states(mesh))
+                        states=states or stick_states(mesh))
     K = assemble_stiffness(mesh, cfg.material)
     return build_system(mesh, cfg.material, cfg.friction, st_, K, F, fixed,
                         free)
@@ -294,11 +294,13 @@ class TestNewtonLoop:
         _counted(monkeypatch, SystemCache, "solve", solves)
         res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs,
                           SolverConfig(newton_tol=1e-30))
-        assert not res.converged
-        assert len(solves) == res.newton_iters == res.state_loops == 1
+        assert not res.converged and res.restarted
+        # one solve from the open start, then one from the all-stick restart
+        assert len(solves) == res.newton_iters == res.state_loops == 2
         assert res.residual_norm >= 1e-30
-        assert f"residual {res.residual_norm:.3e}" in res.message
+        assert res.message.startswith(f"residual {res.residual_norm:.3e}")
         assert "newton_tol=1e-30" in res.message
+        assert "after the open start failed: residual " in res.message
 
     @pytest.mark.parametrize("name", [*presets.PRESETS, "inclined-ramp"])
     def test_one_solve_per_state_loop(self, monkeypatch, name):
@@ -478,6 +480,140 @@ class TestLoadSteps:
         assert len(res) == 1
 
 
+def _floating_block():
+    """shear-throughgoing's mesh with only its bottom fixed and 10 MPa of
+    compression on its top: the block above the fault is held by the fault
+    alone, and under 60 degrees of friction it sticks."""
+    from fracfem.config import build_mesh
+
+    cfg = dataclasses.replace(
+        presets.get("shear-throughgoing"),
+        friction=FrictionParams(cohesion=0.0, friction_angle=math.radians(60.0)),
+        bcs=[
+            BoundaryCondition(kind="dirichlet", side="bottom", ux=0.0, uy=0.0),
+            BoundaryCondition(kind="neumann", side="top", traction=[0.0, -10e6]),
+        ],
+    )
+    return build_mesh(cfg), cfg
+
+
+def _attempts(monkeypatch):
+    """The results of every attempt a step makes, in order."""
+    attempts = []
+    real = solver._active_set
+
+    def recorded(*args):
+        attempts.append(real(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(solver, "_active_set", recorded)
+    return attempts
+
+
+class TestColdStart:
+    """A cold step starts with every pair open, and runs once more from all
+    stick, as an explicit all-stick start does, when that attempt fails."""
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert solver._same_bits(a.U, b.U) and solver._same_bits(a.lam, b.lam)
+        assert a.states == b.states
+
+    def test_floating_block_restarts_from_stick(self, monkeypatch):
+        # all open, the upper block floats: SuperLU does not raise, and the
+        # first solve leaves a residual of about 1.8e7
+        mesh, cfg = _floating_block()
+        ref = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver,
+                          warm=stick_start(mesh), step=0)
+        assert ref.converged and ref.state_loops == 1
+        assert all(s.kind is StateKind.STICK for s in ref.states)
+        calls = TestFactorReuse.count_splu(monkeypatch)
+        attempts = _attempts(monkeypatch)
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
+                             cfg.solver)[-1]
+        first = attempts[0]
+        assert not first.converged and first.message.startswith("residual ")
+        assert first.residual_norm > 1e7
+        assert len(attempts) == 2 and len(calls) <= 2
+        assert res.converged and res.restarted and res.message == ""
+        assert (res.state_loops, res.newton_iters) == (2, 2)
+        self.assert_same_bits(res, ref)
+
+    def test_cycling_open_start_restarts_from_stick(self, monkeypatch):
+        from test_cli import MINIMAL
+
+        from fracfem.config import build_mesh, config_from_dict
+
+        cfg = config_from_dict(MINIMAL)
+        mesh = build_mesh(cfg)
+        ref = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver,
+                          warm=stick_start(mesh), step=0)
+        attempts = _attempts(monkeypatch)
+        res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        assert attempts[0].cycled and len(attempts) == 2
+        assert res.converged and res.restarted and not res.cycled
+        assert res.state_loops == attempts[0].state_loops + ref.state_loops
+        self.assert_same_bits(res, ref)
+
+    def test_warm_start_is_not_restarted(self, monkeypatch):
+        mesh, cfg = small_inclined_setup()
+        attempts = _attempts(monkeypatch)
+        res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs,
+                          SolverConfig(max_state_loops=1), warm=stick_start(mesh))
+        assert len(attempts) == 1 and not res.converged and not res.restarted
+        assert res.message == "max_state_loops=1 exceeded"
+
+    def test_mesh_without_pairs_is_not_restarted(self, monkeypatch):
+        # with no pair, the all-stick start is the open start
+        mesh = built(generate_rect_mesh(1.0, 1.0, 4, 4))
+        bcs = [
+            BoundaryCondition(kind="neumann", side="top", traction=[0, -1e6]),
+            BoundaryCondition(kind="dirichlet", side="bottom", ux=0.0, uy=0.0),
+        ]
+        attempts = _attempts(monkeypatch)
+        res = newton_loop(mesh, MAT, FRIC30, bcs, SolverConfig(newton_tol=1e-30))
+        assert len(attempts) == 1 and not res.converged and not res.restarted
+
+    def test_failed_restart_reports_both_attempts(self):
+        mesh, cfg = small_inclined_setup()
+        res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs,
+                          SolverConfig(max_state_loops=1))
+        assert not res.converged and res.restarted and res.state_loops == 2
+        assert res.message == (
+            "max_state_loops=1 exceeded (restarted from all stick after the "
+            "open start failed: max_state_loops=1 exceeded)"
+        )
+
+    @pytest.mark.parametrize("name", [*sorted(presets.PRESETS), "inclined-ramp"])
+    def test_final_states_kept(self, name):
+        # the open start ends where the all-stick start ended, but for
+        # shear-throughgoing's pairs 0, 1 and 20, which slip at |lam| <=
+        # 1.8e-7 Pa (against E = 5e9 Pa) from all stick and end open
+        if name == "inclined-ramp":
+            mesh, cfg = _ramp()
+            cold = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
+                                  cfg.solver)
+            assert [r.state_loops for r in cold] == [2] + [1] * 7
+            cold = cold[-1]
+        else:
+            cfg = presets.get(name)
+            mesh, _, cold, _ = _solved(name)
+        old = stick_run(mesh, cfg)[-1]
+        assert cold.converged and old.converged and not cold.restarted
+        moved = [i for i, (a, b) in enumerate(zip(cold.states, old.states)) if a != b]
+        if name == "shear-throughgoing":
+            assert moved == [0, 1, 20]
+            assert all(cold.states[i] == PairState.open_() for i in moved)
+            assert all(old.states[i].kind is StateKind.SLIP for i in moved)
+            assert np.abs(old.lam).max() <= 1.8e-7 and not cold.lam.any()
+        else:
+            assert moved == []
+        ref = "inclined-crack" if name == "inclined-ramp" else name
+        errors = [presets.reference_error(ref, cfg, mesh, r) for r in (cold, old)]
+        if errors[0] is not None:
+            assert abs(errors[0] - errors[1]) <= 1e-9
+
+
 def cached_systems(mesh, cfg):
     """(run cache, system builder from states) at U = 0 on ``mesh``, the
     systems built through the cache as a run builds them."""
@@ -556,7 +692,7 @@ class TestFactorReuse:
         mesh, cfg = small_inclined_setup()
         cache, system = cached_systems(mesh, cfg)
         calls = self.count_splu(monkeypatch)
-        stick = initial_states(mesh)
+        stick = stick_states(mesh)
         first = cache.solve(system(stick))
         lu = cache.lu
         again = cache.solve(system(list(stick)))
@@ -571,8 +707,8 @@ class TestFactorReuse:
         mesh, cfg = small_inclined_setup()
         cache, system = cached_systems(mesh, cfg)
         calls = self.count_splu(monkeypatch)
-        first = cache.solve(system(initial_states(mesh)))
-        sys = system(initial_states(mesh))
+        first = cache.solve(system(stick_states(mesh)))
+        sys = system(stick_states(mesh))
 
         def no_compare(*args):
             raise AssertionError("a repeated solve compares no arrays")
@@ -591,7 +727,7 @@ class TestFactorReuse:
         solves = []
         for _ in range(2):
             cache, system = cached_systems(mesh, cfg)
-            sys = system(initial_states(mesh))
+            sys = system(stick_states(mesh))
             solves.append(cache.solve(sys))
             assert not is_bordered(cache)
         solves.append(linear_solve(sys, build_preconditioner(sys)))
@@ -638,14 +774,17 @@ class TestBorderedUpdate:
             cfg = dataclasses.replace(cfg, friction=friction)
         calls = TestFactorReuse.count_splu(monkeypatch)
         cache, system = cached_systems(mesh, cfg)
-        cache.solve(system(initial_states(mesh)))
+        cache.solve(system(stick_states(mesh)))
         assert len(calls) == 1 and not is_bordered(cache)
         return mesh, calls, cache, system
 
-    @pytest.mark.parametrize("name, count", [("crossing-multi", 2), ("sneddon", 2)])
-    def test_factorizations_per_run(self, name, count):
-        *_, zeros = _solved(name)
-        assert len(zeros) == count
+    @pytest.mark.parametrize("name, loops, count", [
+        ("crossing-multi", 4, 2), ("sneddon", 1, 1), ("shear-throughgoing", 1, 1),
+    ])
+    def test_factorizations_per_run(self, name, loops, count):
+        *_, res, zeros = _solved(name)
+        assert (res.state_loops, len(zeros)) == (loops, count)
+        assert not res.restarted
 
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     def test_factored_matrices_hold_no_stored_zeros(self, name):
@@ -654,7 +793,7 @@ class TestBorderedUpdate:
 
     def test_bordered_solve_matches_fresh_factorization(self, monkeypatch):
         mesh, calls, cache, system = self.setup_base(monkeypatch)
-        stick = initial_states(mesh)
+        stick = stick_states(mesh)
         sys = system(self.flipped(stick, {2: OPEN, 4: SLIP}))
         dx = cache.solve(sys)
         pc = cache.preconditioner()
@@ -699,8 +838,8 @@ class TestBorderedUpdate:
         # changed rows and columns is exact as well
         frictionless = FrictionParams(cohesion=1.0e6, friction_angle=0.0)
         mesh, calls, cache, system = self.setup_base(monkeypatch, frictionless)
-        base = system(initial_states(mesh))  # the base's system, repeated
-        sys = system(self.flipped(initial_states(mesh), {4: SLIP}))
+        base = system(stick_states(mesh))  # the base's system, repeated
+        sys = system(self.flipped(stick_states(mesh), {4: SLIP}))
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
@@ -719,7 +858,7 @@ class TestBorderedUpdate:
         # the solve), the bordered solve misses the backward-error contract
         # on the true J and is repeated on a fresh factorization
         mesh, calls, cache, system = self.setup_base(monkeypatch)
-        sys = system(self.flipped(initial_states(mesh), {2: OPEN}))
+        sys = system(self.flipped(stick_states(mesh), {2: OPEN}))
         J, nd = sys.J, sys.n_disp
         rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
         J.data[(rows < nd) & (J.indices < nd)] *= 1.5
@@ -733,7 +872,7 @@ class TestBorderedUpdate:
         # a change the contract tolerates is served by the bordered solve
         # and its refinement on the true J, without a fresh factorization
         mesh, calls, cache, system = self.setup_base(monkeypatch)
-        sys = system(self.flipped(initial_states(mesh), {2: OPEN}))
+        sys = system(self.flipped(stick_states(mesh), {2: OPEN}))
         sys.J.data[0] = np.nextafter(sys.J.data[0], np.inf)  # one ulp in K_ff
         dx = cache.solve(sys)
         pc = cache.preconditioner()
@@ -756,9 +895,9 @@ class TestBorderedUpdate:
         np.testing.assert_array_equal(dx, linear_solve(sys, cache.preconditioner()))
 
     def test_over_budget_miss_forms_no_difference(self, monkeypatch):
-        # sneddon's second loop opens all 19 pairs, 38 multiplier dofs,
-        # against a budget of about 20 dense columns: rejected before any
-        # base solve
+        # from all stick, sneddon's second loop opens all 19 pairs, 38
+        # multiplier dofs, against a budget of about 20 dense columns:
+        # rejected before any base solve
         from fracfem.config import build_mesh
 
         cfg = presets.get("sneddon")
@@ -774,7 +913,7 @@ class TestBorderedUpdate:
             return flips[-1]
 
         monkeypatch.setattr(solver, "flipped_dofs", recorded)
-        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        res = stick_run(mesh, cfg)
         assert res[-1].converged
         assert len(calls) == 2 and not subs
         assert len(borders) == 1 and not solves
@@ -790,9 +929,10 @@ class TestBorderedUpdate:
     ):
         # when a state loop's J is formed, no row-scaled copy, no solver and
         # no earlier system are alive, and the base only when it borders the
-        # new system: inclined-crack's (42 flipped dofs) and sneddon's (38)
-        # second loops are over budget, crossing-multi's second loop too, and
-        # its base then borders loops 3 and 4 on 5 and 11 dofs
+        # new system: from all stick, inclined-crack's (42 flipped dofs) and
+        # sneddon's (38) second loops are over budget, crossing-multi's
+        # second loop too, and its base then borders loops 3 and 4 on 5 and
+        # 11 dofs
         import weakref
 
         from fracfem.config import build_mesh
@@ -819,7 +959,7 @@ class TestBorderedUpdate:
             return J
 
         monkeypatch.setattr(sp, "bmat", bmat)
-        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        res = stick_run(mesh, cfg)
         assert res[-1].converged and len(calls) == 2 and sizes == bordered
         assert len(alive) == res[-1].state_loops == len(base_kept) + 1
         assert alive == [(kept, False, False, False) for kept in [False, *base_kept]]
@@ -830,6 +970,7 @@ class TestBorderedUpdate:
     def test_border_decided_once_per_new_assignment(self, monkeypatch, name, borders):
         # every state loop after the first has a new assignment and a live
         # base, and the base is asked once whether it borders that system
+        # (runs from all stick, which take more loops than from open)
         from fracfem.config import build_mesh
 
         cfg = presets.get(name)
@@ -837,7 +978,7 @@ class TestBorderedUpdate:
         asked, flips = [], []
         _counted(monkeypatch, solver._Base, "border", asked)
         _counted(monkeypatch, solver, "flipped_dofs", flips)
-        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        res = stick_run(mesh, cfg)
         assert res[-1].converged
         assert len(asked) == borders == res[-1].state_loops - 1
         assert len(flips) == borders
@@ -911,7 +1052,7 @@ class TestBorderedUpdate:
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         monkeypatch.setattr(solver._Bordered, "solve",
                             lambda self, r: np.full_like(r, bad))
-        sys = system(self.flipped(initial_states(mesh), {2: OPEN}))
+        sys = system(self.flipped(stick_states(mesh), {2: OPEN}))
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
         assert cache.base.states == sys.states and cache.base.dofs.size == 0
@@ -1058,6 +1199,25 @@ def _ramp():
     return build_mesh(cfg), cfg
 
 
+def stick_start(mesh):
+    """An explicit all-stick start at U = 0 and lam = 0, to pass as
+    ``warm``: the start of a cold step's restart."""
+    return SolutionState(U=np.zeros(2 * mesh.n_nodes),
+                         lam=np.zeros(2 * mesh.n_pairs), states=stick_states(mesh))
+
+
+def stick_run(mesh, cfg):
+    """``cfg``'s load steps as :func:`run_load_steps` runs them when they
+    converge, with the first step started from all stick."""
+    systems = SystemCache(assemble_stiffness(mesh, cfg.material))
+    results, warm = [], stick_start(mesh)
+    for step in range(cfg.solver.n_load_steps):
+        warm = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver,
+                           warm=warm, step=step, systems=systems)
+        results.append(warm)
+    return results
+
+
 def _counted(monkeypatch, owner, attr, calls, record=lambda *a, **kw: None):
     real = getattr(owner, attr)
 
@@ -1096,7 +1256,7 @@ class TestSystemReuse:
                  lambda mesh, states, *a: tuple(states))
         results = self.run(mesh, cfg)
         assert sum(r.state_loops for r in results) == len(loops) == 9
-        # all stick, then all slip for the rest of the ramp
+        # all open, then all slip for the rest of the ramp
         distinct = [s for k, s in enumerate(loops) if k == 0 or s != loops[k - 1]]
         assert len(distinct) == 2
         assert blocks == distinct
@@ -1187,7 +1347,7 @@ class TestSystemReuse:
             st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), states=states)
             return cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed_, free_)
 
-        stick = initial_states(mesh)
+        stick = stick_states(mesh)
         first = system(stick, fixed, free)
         pc = cache.preconditioner()
         again = system(list(stick), fixed.copy(), free)
