@@ -38,6 +38,13 @@ from .elasticity import (
 # the shortest factorization and the smallest workspace at 4.
 PANEL_SIZE = 4
 
+# A solve of a fixed random right-hand side that grows it by more than this
+# factor marks a nearly singular system (SystemCache.check_rank).  The rows
+# of Jbar are O(1), so the growth bounds its condition number from below:
+# it is at most about 3e3 on the presets' systems, and 5e14 or more when
+# open pairs leave a block floating.
+SINGULAR_GROWTH = 1e10
+
 
 class SingularRowError(ValueError):
     """A Jacobian row is identically zero; carries a dof description."""
@@ -535,6 +542,23 @@ class SystemCache:
         self._factor()
         return _refined_solve(self.Jbar, self.absJ, self.lu, rhs)
 
+    def check_rank(self):
+        """Raise a LinearSolveError when the live solver shows its ``J``
+        nearly singular: a solve of a fixed random right-hand side grows it
+        by more than SINGULAR_GROWTH.  The backward-error contract of
+        :meth:`solve` cannot see this, as a consistent singular system meets
+        it with an arbitrary null-space part (a floating block's rigid
+        motion)."""
+        if self.lu is None:
+            return
+        b = np.random.default_rng(0).standard_normal(self.Jbar.shape[0])
+        growth = float(np.abs(self.lu.solve(b)).max() / np.abs(b).max())
+        if not growth <= SINGULAR_GROWTH:
+            raise LinearSolveError(
+                f"nearly singular system: a probe solve grew {growth:.1e}-fold "
+                "(a block held by open pairs alone?)"
+            )
+
 
 def stick_states(mesh):
     """Most-constrained assignment: every pair sticks (the restart of a
@@ -595,14 +619,19 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
 
     A warm start keeps ``warm``'s iterate and states.  A cold start begins
     with every pair open, so a fracture that opens, or a contact that one
-    solve settles, costs a single factorization.  An open start can leave a
-    block held by its fractures alone floating, or cycle; when that attempt
-    fails for any reason on a mesh with pairs, the step is run once more
-    from all stick on a cleared ``systems``, exactly as a run started
-    there, and the result is marked ``restarted``.  If that attempt fails
-    too, its message says that the open start failed first.  ``systems``
-    (a :class:`SystemCache`) carries the last system and factorization over
-    from earlier calls of the same run (a fresh one is used when absent).
+    solve settles, costs a single factorization.  The open attempt refuses
+    a nearly singular solve (a block held by its fractures alone floats),
+    and it gives up instead of walking: at a revisited assignment, or when
+    a slipping pair reverses.  A slip pair never returns to stick, so a
+    pair that closes from open at zero cohesion slips, and a reversal marks
+    one that friction holds, which that attempt cannot reach.  When the
+    open attempt fails for any reason on a mesh with pairs, the step is run
+    once more from all stick on a cleared ``systems``, exactly as a run
+    started there, and the result is marked ``restarted``.  If that attempt
+    fails too, its message says that the open start failed first.
+    ``systems`` (a :class:`SystemCache`) carries the last system and
+    factorization over from earlier calls of the same run (a fresh one is
+    used when absent).
     """
     if systems is None:
         systems = SystemCache(assemble_stiffness(mesh, mat))
@@ -612,7 +641,8 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
                            warm.lam.copy(), list(warm.states), step)
     n2, m2 = 2 * mesh.n_nodes, 2 * mesh.n_pairs
     first = _active_set(mesh, mat, fric, cfg, systems, data, np.zeros(n2),
-                        np.zeros(m2), [PairState.open_()] * mesh.n_pairs, step)
+                        np.zeros(m2), [PairState.open_()] * mesh.n_pairs, step,
+                        open_start=True)
     if first.converged or not mesh.n_pairs:
         return first
     systems.clear()
@@ -629,10 +659,13 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
     return res
 
 
-def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step):
+def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step,
+                open_start=False):
     """The state loops of one attempt at a load step from ``U``, ``lam`` and
     ``states`` (owned by the attempt), with ``data`` from
-    :func:`step_data`; see :func:`newton_loop`."""
+    :func:`step_data`; ``open_start`` marks a cold step's open attempt,
+    which checks every solver's rank and never enters the tabu walk.  See
+    :func:`newton_loop`."""
     F, fixed, fixed_vals, free = data
     U[fixed] = fixed_vals
 
@@ -650,6 +683,8 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step):
         if not (rnorm == 0.0 or (loop == 1 and rnorm < cfg.newton_tol)):
             try:
                 dx = systems.solve(sys)
+                if open_start:
+                    systems.check_rank()
             except (SingularRowError, LinearSolveError) as exc:
                 result.message = str(exc)
                 return result
@@ -675,6 +710,16 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step):
             result.converged = True
             return result
         seen.add(tuple(states))
+        if open_start and tuple(proposal) in seen:
+            result.cycled = True
+            result.message = "the open start revisits a state assignment"
+            return result
+        if open_start and any(
+            a.kind is b.kind is StateKind.SLIP and a != b
+            for a, b in zip(states, proposal)
+        ):
+            result.message = "a slipping pair reverses under the open start"
+            return result
         if not cautious:
             new_states = proposal
             if tuple(new_states) in seen:

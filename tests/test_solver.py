@@ -497,13 +497,35 @@ def _floating_block():
     return build_mesh(cfg), cfg
 
 
+def _balanced_block():
+    """A 6x6 square with a through-going fault at mid-height, its bottom
+    fixed and both sides pressed by 10 MPa: the load on the upper block
+    balances itself, so with every pair open its system is singular but
+    consistent.  From all stick the block is held by a slipping and a
+    sticking end pair, and the last system is well conditioned."""
+    from fracfem.config import build_mesh, config_from_dict
+
+    cfg = config_from_dict({
+        "mesh": {"generator": {"width": 1.0, "height": 1.0, "nx": 6, "ny": 6},
+                 "fractures": [{"x0": 0.0, "y0": 0.5, "x1": 1.0, "y1": 0.5}]},
+        "material": {"E": 25.0e9, "nu": 0.45},
+        "friction": {"cohesion": 0.0, "friction_angle_deg": 60.0},
+        "bcs": [
+            {"kind": "neumann", "side": "left", "traction": [10e6, 0.0]},
+            {"kind": "neumann", "side": "right", "traction": [-10e6, 0.0]},
+            {"kind": "dirichlet", "side": "bottom", "ux": 0.0, "uy": 0.0},
+        ],
+    })
+    return build_mesh(cfg), cfg
+
+
 def _attempts(monkeypatch):
     """The results of every attempt a step makes, in order."""
     attempts = []
     real = solver._active_set
 
-    def recorded(*args):
-        attempts.append(real(*args))
+    def recorded(*args, **kwargs):
+        attempts.append(real(*args, **kwargs))
         return attempts[-1]
 
     monkeypatch.setattr(solver, "_active_set", recorded)
@@ -521,7 +543,7 @@ class TestColdStart:
 
     def test_floating_block_restarts_from_stick(self, monkeypatch):
         # all open, the upper block floats: SuperLU does not raise, and the
-        # first solve leaves a residual of about 1.8e7
+        # rank check refuses the open attempt's first solver
         mesh, cfg = _floating_block()
         ref = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver,
                           warm=stick_start(mesh), step=0)
@@ -532,14 +554,46 @@ class TestColdStart:
         res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
                              cfg.solver)[-1]
         first = attempts[0]
-        assert not first.converged and first.message.startswith("residual ")
-        assert first.residual_norm > 1e7
+        assert not first.converged and first.state_loops == 1
+        assert first.message.startswith("nearly singular system")
         assert len(attempts) == 2 and len(calls) <= 2
         assert res.converged and res.restarted and res.message == ""
-        assert (res.state_loops, res.newton_iters) == (2, 2)
+        assert (res.state_loops, res.newton_iters) == (2, 1)
         self.assert_same_bits(res, ref)
 
-    def test_cycling_open_start_restarts_from_stick(self, monkeypatch):
+    def test_balanced_floating_block_restarts_from_stick(self, monkeypatch):
+        # the open system is singular but consistent: the solve meets the
+        # backward-error contract and leaves a residual below newton_tol, with
+        # an arbitrary rigid motion of the upper block in it
+        mesh, cfg = _balanced_block()
+        ref = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver,
+                          warm=stick_start(mesh), step=0)
+        assert ref.converged
+        cache, system = cached_systems(mesh, cfg)
+        cache.solve(system(ref.states))
+        cache.check_rank()  # the restart ends on a well-posed system
+        attempts = _attempts(monkeypatch)
+        res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        first = attempts[0]
+        assert not first.converged and first.state_loops == 1
+        assert first.message.startswith("nearly singular system")
+        assert res.converged and res.restarted
+        assert res.state_loops == 1 + ref.state_loops
+        self.assert_same_bits(res, ref)
+
+    def test_rank_check_sees_what_the_contract_does_not(self):
+        mesh, cfg = _balanced_block()
+        cache, system = cached_systems(mesh, cfg)
+        cache.solve(system(stick_states(mesh)))
+        cache.check_rank()
+        dx = cache.solve(system([PairState.open_()] * mesh.n_pairs))
+        assert np.all(np.isfinite(dx))  # the 1e-10 contract holds
+        with pytest.raises(LinearSolveError, match="nearly singular"):
+            cache.check_rank()
+
+    def test_slip_reversal_ends_the_open_start(self, monkeypatch):
+        # MINIMAL's pair closes from open into slip, as tau_c(0) = 0 without
+        # cohesion, and then reverses; from all stick it sticks in 1 loop
         from test_cli import MINIMAL
 
         from fracfem.config import build_mesh, config_from_dict
@@ -550,10 +604,29 @@ class TestColdStart:
                           warm=stick_start(mesh), step=0)
         attempts = _attempts(monkeypatch)
         res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
-        assert attempts[0].cycled and len(attempts) == 2
+        first = attempts[0]
+        assert len(attempts) == 2 and first.state_loops == 2 and not first.cycled
+        assert first.message == "a slipping pair reverses under the open start"
         assert res.converged and res.restarted and not res.cycled
-        assert res.state_loops == attempts[0].state_loops + ref.state_loops
+        assert res.state_loops == 2 + ref.state_loops == 3
         self.assert_same_bits(res, ref)
+
+    def test_revisit_ends_the_open_start(self, monkeypatch):
+        # the open attempt never enters the tabu walk
+        mesh, cfg = small_inclined_setup()
+        flip = {StateKind.OPEN: PairState.stick(), StateKind.STICK: PairState.open_()}
+        monkeypatch.setattr(solver, "classify_all", lambda mesh, states, *a: [
+            flip[s.kind] for s in states
+        ])
+        attempts, walked = _attempts(monkeypatch), []
+        _counted(monkeypatch, solver, "_cautious_update", walked,
+                 lambda *a: len(attempts))
+        res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        first = attempts[0]
+        assert walked and 0 not in walked  # only the restart walks
+        assert first.cycled and first.state_loops == 2
+        assert first.message == "the open start revisits a state assignment"
+        assert res.restarted and not res.converged
 
     def test_warm_start_is_not_restarted(self, monkeypatch):
         mesh, cfg = small_inclined_setup()
