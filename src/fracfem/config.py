@@ -81,6 +81,13 @@ def _number(value, path):
     raise ConfigError(f"{path}: must be a finite number, got {value!r}")
 
 
+def _string(value, path):
+    """``value`` if it is a string, else a ConfigError naming ``path``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: must be a string, got {value!r}")
+    return value
+
+
 def _numbers(value, path):
     """``value`` as a list of floats, or a ConfigError naming ``path``."""
     if not isinstance(value, (list, tuple)):
@@ -195,13 +202,14 @@ def config_from_dict(raw):
             raise ConfigError(
                 f"a preset config cannot carry other keys: {sorted(extra)}"
             )
-        return presets.get(raw["preset"])
+        return presets.get(_string(raw["preset"], "preset"))
 
     _fields(raw, "config", {}, other=(
         "name", "mesh", "material", "friction", "bcs", "solver", "outputs",
     ))
-    mesh_raw = _fields(_require(raw, "mesh", "config"), "mesh", {},
-                       other=("file", "generator", "fractures"))
+    mesh_raw = _fields(_require(raw, "mesh", "config"), "mesh",
+                       {"file": _string}, optional=("file",),
+                       other=("generator", "fractures"))
     mesh_file = mesh_raw.get("file")
     generator = mesh_raw.get("generator")
     if generator is not None:
@@ -211,9 +219,12 @@ def config_from_dict(raw):
         if generator.get("pattern", PATTERNS[0]) not in PATTERNS:
             raise ConfigError(f"mesh.generator.pattern: must be one of {PATTERNS}")
     coords = dict.fromkeys(("x0", "y0", "x1", "y1", "gap0"), _number)
+    fractures = mesh_raw.get("fractures") or []
+    if not isinstance(fractures, list):
+        raise ConfigError(f"mesh.fractures: must be a list, got {fractures!r}")
     fractures = [
         _fields(f, f"mesh.fractures[{i}]", coords, optional=("gap0",))
-        for i, f in enumerate(mesh_raw.get("fractures", []) or [])
+        for i, f in enumerate(fractures)
     ]
 
     bcs_raw = _require(raw, "bcs", "config")

@@ -41,8 +41,8 @@ PANEL_SIZE = 4
 # A solve of a fixed random right-hand side that grows it by more than this
 # factor marks a nearly singular system (SystemCache.check_rank).  The rows
 # of Jbar are O(1), so the growth bounds its condition number from below:
-# it is at most about 3e3 on the presets' systems, and 5e14 or more when
-# open pairs leave a block floating.
+# it is at most about 3e3 on the presets' systems, and 3e14 or more when
+# open or slipping pairs alone hold a block.
 SINGULAR_GROWTH = 1e10
 
 
@@ -140,15 +140,16 @@ def _reduced_residual(K, blocks, F, U, lam, free, s):
     return np.concatenate([ru, s * rlam]), np.concatenate([ru, rlam])
 
 
-def build_system(mesh, mat, fric, state, K, F, fixed, free, K_ff=None, blocks=None):
+def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
     """Assemble the reduced saddle system for the current states/iterate.
 
-    ``F``, ``fixed`` and ``free`` come from :func:`step_data`; ``K_ff`` is
-    ``K[free][:, free]`` and ``blocks`` the contact blocks of
-    ``state.states`` on ``fixed`` (each built here when not given).  The
-    caller must have written the prescribed Dirichlet values into
-    ``state.U`` beforehand (then the fixed increments are identically zero
-    and elimination is a plain row/column restriction).
+    ``F``, ``fixed`` and ``free`` come from :func:`step_data`; ``blocks``
+    are the contact blocks of ``state.states`` on ``fixed`` (built here when
+    not given).  K's free block ``K[free][:, free]`` is sliced here and,
+    with pairs, lives on only as its copy inside ``J``.  The caller must
+    have written the prescribed Dirichlet values into ``state.U`` beforehand
+    (then the fixed increments are identically zero and elimination is a
+    plain row/column restriction).
     """
     if blocks is None:
         blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
@@ -156,8 +157,7 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, K_ff=None, blocks=No
     s = mat.E  # multiplier nondimensionalization (see SaddleSystem docs)
     R, R_phys = _reduced_residual(K, blocks, F, state.U, state.lam, free, s)
 
-    if K_ff is None:
-        K_ff = K[free][:, free]
+    K_ff = K[free][:, free]
     if mesh.n_pairs:
         J = sp.bmat(
             [
@@ -437,12 +437,13 @@ class _Bordered:
 class SystemCache:
     """The saddle systems and factorizations of one run.
 
-    It owns ``K``, its free block ``K_ff = K[free][:, free]`` (sliced once
-    per distinct ``free``), the last system built with its row norms ``pc``,
-    that system's ``Jbar`` and ``|Jbar|``, the solver ``lu`` serving it, and
-    the base, the last fresh factorization (:class:`_Base`).  Mesh, material
-    and friction must not change under it, and :meth:`solve` solves only the
-    system that :meth:`system` returned last.
+    It owns ``K``, the last system built with its row norms ``pc``, that
+    system's ``Jbar`` and ``|Jbar|``, the solver ``lu`` serving it, and the
+    base, the last fresh factorization (:class:`_Base`).  K's free block is
+    not kept: :func:`build_system` slices it once per new assignment, and
+    only ``J`` holds it.  Mesh, material and friction must not change under
+    it, and :meth:`solve` solves only the system that :meth:`system`
+    returned last.
 
     What serves a solve is decided once, in :meth:`system`.  A state loop
     whose states and free dofs repeat the last system's reuses its blocks,
@@ -451,12 +452,15 @@ class SystemCache:
     does, the last system, its copies and its solver are dropped, and the
     base gives the multiplier dofs ``R`` of the pairs that flipped since it
     (:meth:`_Base.border`).  Only their rows and columns differ, as one run
-    and one ``free`` share one ``K_ff``, so ``J`` is solved by bordering the
-    base on ``R`` (:class:`_Bordered`); when the base cannot border it, the
-    base is dropped too and :meth:`solve` factors afresh.  At most one
-    factorization is alive at a time.  A bordered solve that misses the
-    backward-error contract (a base whose displacement block differs after
-    all) is repeated on a fresh factorization, so only that one raises.
+    and one ``free`` share one displacement block ``K[free][:, free]``, so
+    ``J`` is solved by bordering the base on ``R`` (:class:`_Bordered`);
+    when the base cannot border it, the base is dropped too and
+    :meth:`solve` factors afresh.  At most one factorization is alive at a
+    time.  Every new solver, fresh or bordered, has its rank probed once
+    (:meth:`check_rank`).  A bordered solver that fails that probe or misses
+    the backward-error contract (a base whose displacement block differs
+    after all) is replaced by a fresh factorization, so only that one
+    raises.
     """
 
     def __init__(self, K):
@@ -466,7 +470,7 @@ class SystemCache:
     def clear(self):
         """Drop every system, copy and factorization but ``K``: the next
         system is served as by a new cache."""
-        self.K_ff = self.sys = self.pc = None
+        self.sys = self.pc = None
         self.Jbar = self.absJ = self.lu = self.base = self.border_dofs = None
 
     def _repeats(self, states, free):
@@ -486,8 +490,6 @@ class SystemCache:
                 self.K, blocks, F, state.U, state.lam, free, s
             )
             return replace(self.sys, R=R, R_phys=R_phys)
-        if self.sys is None or not _same_bits(free, self.sys.free):
-            self.K_ff = self.K[free][:, free]
         blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
         # free what the new system cannot use before its J and row norms
         self.sys = self.pc = self.Jbar = self.absJ = self.lu = None
@@ -498,8 +500,7 @@ class SystemCache:
         if self.border_dofs is None:
             self.base = None
         self.sys = build_system(
-            mesh, mat, fric, state, self.K, F, fixed, free, K_ff=self.K_ff,
-            blocks=blocks,
+            mesh, mat, fric, state, self.K, F, fixed, free, blocks=blocks
         )
         return self.sys
 
@@ -512,7 +513,7 @@ class SystemCache:
     def _factor(self):
         """Make ``lu`` solve ``diag(1/pc) J x = r`` for the last system: the
         base bordered on ``border_dofs``, or else a fresh factorization that
-        becomes the base."""
+        becomes the base; then probe its rank."""
         sys, pc, R = self.sys, self.pc, self.border_dofs
         lu = None if R is None else self.base.bordered_solver(sys, pc, R)
         if lu is None:
@@ -522,18 +523,20 @@ class SystemCache:
             lu = _splu(self.Jbar)
             self.base = _Base(sys, pc, lu)
         self.absJ, self.lu = _abs(self.Jbar), lu
+        self.check_rank()
 
     def solve(self, sys):
         """``dx`` of ``J dx = -R`` for ``sys``, the system :meth:`system`
         returned last, as :func:`linear_solve` gives it (to its 1e-10
-        backward-error contract) but from the solver decided for it."""
+        backward-error contract) but from the solver decided for it, which
+        raises a LinearSolveError on a nearly singular ``J`` too."""
         pc = self.preconditioner()
         if float(np.linalg.norm(sys.R)) == 0.0:
             return np.zeros_like(sys.R)
         rhs = -sys.R / pc
-        if self.lu is None:
-            self._factor()
         try:
+            if self.lu is None:
+                self._factor()
             return _refined_solve(self.Jbar, self.absJ, self.lu, rhs)
         except LinearSolveError:
             if not isinstance(self.lu, _Bordered):
@@ -556,7 +559,7 @@ class SystemCache:
         if not growth <= SINGULAR_GROWTH:
             raise LinearSolveError(
                 f"nearly singular system: a probe solve grew {growth:.1e}-fold "
-                "(a block held by open pairs alone?)"
+                "(a block held by its fractures alone?)"
             )
 
 
@@ -616,15 +619,16 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
     iterate; any change starts another loop.  Failure modes (a residual left
     above the tolerance, a failed solve, the loop cap, state cycling) return
     a non-converged SolutionState with diagnostics, never a silent success.
+    A nearly singular system is a failed solve in every attempt (a block
+    that its fractures alone hold floats; see :meth:`SystemCache.check_rank`).
 
     A warm start keeps ``warm``'s iterate and states.  A cold start begins
     with every pair open, so a fracture that opens, or a contact that one
-    solve settles, costs a single factorization.  The open attempt refuses
-    a nearly singular solve (a block held by its fractures alone floats),
-    and it gives up instead of walking: at a revisited assignment, or when
-    a slipping pair reverses.  A slip pair never returns to stick, so a
-    pair that closes from open at zero cohesion slips, and a reversal marks
-    one that friction holds, which that attempt cannot reach.  When the
+    solve settles, costs a single factorization.  The open attempt gives up
+    instead of walking: at a revisited assignment, or when a slipping pair
+    reverses.  A slip pair never returns to stick, so a pair that closes
+    from open at zero cohesion slips, and a reversal marks one that
+    friction holds, which that attempt cannot reach.  When the
     open attempt fails for any reason on a mesh with pairs, the step is run
     once more from all stick on a cleared ``systems``, exactly as a run
     started there, and the result is marked ``restarted``.  If that attempt
@@ -664,7 +668,7 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step,
     """The state loops of one attempt at a load step from ``U``, ``lam`` and
     ``states`` (owned by the attempt), with ``data`` from
     :func:`step_data`; ``open_start`` marks a cold step's open attempt,
-    which checks every solver's rank and never enters the tabu walk.  See
+    which never enters the tabu walk.  See
     :func:`newton_loop`."""
     F, fixed, fixed_vals, free = data
     U[fixed] = fixed_vals
@@ -683,8 +687,6 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step,
         if not (rnorm == 0.0 or (loop == 1 and rnorm < cfg.newton_tol)):
             try:
                 dx = systems.solve(sys)
-                if open_start:
-                    systems.check_rank()
             except (SingularRowError, LinearSolveError) as exc:
                 result.message = str(exc)
                 return result

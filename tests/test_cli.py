@@ -146,6 +146,8 @@ MALFORMED = [
     (("solver", "max_state_loops"), 2.5, "solver.max_state_loops"),
     (("solver", "max_state_loops"), "20", "solver.max_state_loops"),
     (("outputs",), "summary", "outputs"),
+    (("mesh", "fractures"), 5, "mesh.fractures"),
+    (("mesh", "fractures"), {"x0": 0.0}, "mesh.fractures"),
 ]
 
 # (keys, the section whose unknown key the error names)
@@ -358,6 +360,24 @@ class TestParseConfig:
         path = write_yaml(tmp_path, bad)
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("data, field", [
+        ({"preset": [1]}, "preset"),
+        ({"preset": 1}, "preset"),
+        (dict(MINIMAL, mesh={"file": 1}), "mesh.file"),
+        (dict(MINIMAL, mesh={"file": True}), "mesh.file"),
+    ], ids=["preset-list", "preset-int", "mesh-file-int", "mesh-file-bool"])
+    def test_non_string_name_names_field(self, tmp_path, capsys, data, field):
+        # a list preset is unhashable, and an integer file name would be
+        # opened as a file descriptor
+        message = f"{field}: must be a string, got "
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            config_from_dict(data)
+        path = write_yaml(tmp_path, data)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
 
     def test_outputs_string_is_not_split(self):
         with pytest.raises(ConfigError, match=r"^outputs: must be a list"):

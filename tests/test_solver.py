@@ -497,26 +497,32 @@ def _floating_block():
     return build_mesh(cfg), cfg
 
 
-def _balanced_block():
-    """A 6x6 square with a through-going fault at mid-height, its bottom
-    fixed and both sides pressed by 10 MPa: the load on the upper block
-    balances itself, so with every pair open its system is singular but
-    consistent.  From all stick the block is held by a slipping and a
-    sticking end pair, and the last system is well conditioned."""
+def _fault_square(n, nu, angle_deg, pull):
+    """An n x n unit square with a through-going fault at mid-height, its
+    bottom fixed and both sides loaded by a normal traction ``pull`` (Pa;
+    negative presses): the load on the upper block balances itself."""
     from fracfem.config import build_mesh, config_from_dict
 
     cfg = config_from_dict({
-        "mesh": {"generator": {"width": 1.0, "height": 1.0, "nx": 6, "ny": 6},
+        "mesh": {"generator": {"width": 1.0, "height": 1.0, "nx": n, "ny": n},
                  "fractures": [{"x0": 0.0, "y0": 0.5, "x1": 1.0, "y1": 0.5}]},
-        "material": {"E": 25.0e9, "nu": 0.45},
-        "friction": {"cohesion": 0.0, "friction_angle_deg": 60.0},
+        "material": {"E": 25.0e9, "nu": nu},
+        "friction": {"cohesion": 0.0, "friction_angle_deg": angle_deg},
         "bcs": [
-            {"kind": "neumann", "side": "left", "traction": [10e6, 0.0]},
-            {"kind": "neumann", "side": "right", "traction": [-10e6, 0.0]},
+            {"kind": "neumann", "side": "left", "traction": [-pull, 0.0]},
+            {"kind": "neumann", "side": "right", "traction": [pull, 0.0]},
             {"kind": "dirichlet", "side": "bottom", "ux": 0.0, "uy": 0.0},
         ],
     })
     return build_mesh(cfg), cfg
+
+
+def _balanced_block():
+    """A 6x6 fault square pressed by 10 MPa: with every pair open its system
+    is singular but consistent.  From all stick the block is held by a
+    slipping and a sticking end pair, and the last system is well
+    conditioned."""
+    return _fault_square(6, 0.45, 60.0, -10e6)
 
 
 def _attempts(monkeypatch):
@@ -586,10 +592,27 @@ class TestColdStart:
         cache, system = cached_systems(mesh, cfg)
         cache.solve(system(stick_states(mesh)))
         cache.check_rank()
-        dx = cache.solve(system([PairState.open_()] * mesh.n_pairs))
+        sys = system([PairState.open_()] * mesh.n_pairs)
+        dx = linear_solve(sys, build_preconditioner(sys))
         assert np.all(np.isfinite(dx))  # the 1e-10 contract holds
         with pytest.raises(LinearSolveError, match="nearly singular"):
-            cache.check_rank()
+            cache.solve(sys)
+
+    @pytest.mark.parametrize("n, nu", [(4, 0.0), (16, 0.25)])
+    def test_pulled_square_fails_as_nearly_singular(self, monkeypatch, n, nu):
+        # pulled apart under 30 degrees of friction, the upper block ends
+        # held by one slipping pair alone, which fixes no tangential motion:
+        # both attempts stop at a nearly singular system, never a success
+        mesh, cfg = _fault_square(n, nu, 30.0, 10e6)
+        attempts = _attempts(monkeypatch)
+        res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        assert len(attempts) == 2 and not res.converged and res.restarted
+        last, _, first = res.message.partition(
+            " (restarted from all stick after the open start failed: "
+        )
+        assert last.startswith("nearly singular system")
+        assert first == f"{attempts[0].message})"
+        assert first.startswith("nearly singular system")
 
     def test_slip_reversal_ends_the_open_start(self, monkeypatch):
         # MINIMAL's pair closes from open into slip, as tau_c(0) = 0 without
@@ -941,6 +964,23 @@ class TestBorderedUpdate:
         assert bordered and len(calls) == 2 and not is_bordered(cache)
         np.testing.assert_array_equal(dx, linear_solve(sys, cache.preconditioner()))
 
+    def test_bordered_solver_failing_the_rank_probe_refactors(self, monkeypatch):
+        # a bordered solver that the probe refuses is replaced by a fresh
+        # factorization, whose probe alone can fail the solve
+        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        sys = system(self.flipped(stick_states(mesh), {2: OPEN}))
+        real = SystemCache.check_rank
+
+        def probe(self):
+            if is_bordered(self):
+                raise LinearSolveError("nearly singular system")
+            real(self)
+
+        monkeypatch.setattr(SystemCache, "check_rank", probe)
+        dx = cache.solve(sys)
+        assert len(calls) == 2 and not is_bordered(cache)
+        np.testing.assert_array_equal(dx, linear_solve(sys, cache.preconditioner()))
+
     def test_one_ulp_in_displacement_block_stays_bordered(self, monkeypatch):
         # a change the contract tolerates is served by the bordered solve
         # and its refinement on the true J, without a fresh factorization
@@ -1036,6 +1076,25 @@ class TestBorderedUpdate:
         assert res[-1].converged and len(calls) == 2 and sizes == bordered
         assert len(alive) == res[-1].state_loops == len(base_kept) + 1
         assert alive == [(kept, False, False, False) for kept in [False, *base_kept]]
+
+    def test_free_block_not_kept_while_factoring(self, monkeypatch):
+        # K's free block lives on only inside J: at each factorization of a
+        # crossing-multi run, no matrix of its shape hangs off the cache
+        from fracfem.config import build_mesh
+
+        cfg = presets.get("crossing-multi")
+        mesh = build_mesh(cfg)
+        n_free = step_data(mesh, cfg.bcs, None, 1)[3].size
+        caches, held = [], []
+        _counted(monkeypatch, SystemCache, "__init__", caches,
+                 lambda self, K: self)
+        _counted(monkeypatch, solver, "_splu", held, lambda Jbar: [
+            name for name, value in vars(caches[-1]).items()
+            if sp.issparse(value) and value.shape == (n_free, n_free)
+        ])
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
+                             cfg.solver)
+        assert res[-1].converged and held == [[], []]
 
     @pytest.mark.parametrize("name, borders", [
         ("crossing-multi", 3), ("crossing-single", 2), ("shear-throughgoing", 5),
@@ -1213,14 +1272,13 @@ class TestSlicedAssembly:
         sys = systems[mix]
         ref = _ref_saddle_J(mesh, cfg.material, sys.blocks, K, free)
         assert _same_csr(sys.J, ref)
-        # through the run's cache, with K's free block sliced once
+        # through the run's cache
         cache = SystemCache(K)
         st_ = SolutionState(U=U, lam=np.zeros(sys.n_lam),
                             states=_state_mixes(mesh.n_pairs,
                                                 np.random.default_rng(5))[mix])
         got = cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed, free)
         assert _same_csr(got.J, ref)
-        assert _same_csr(cache.K_ff, K[free][:, free])
         np.testing.assert_array_equal(got.R, sys.R)
 
     @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
@@ -1428,10 +1486,9 @@ class TestSystemReuse:
         assert cache.preconditioner() is pc
         slip = system([PairState.slip(1)] * mesh.n_pairs, fixed, free)
         assert slip.J is not first.J and cache.pc is None
-        K_ff = cache.K_ff
         more = np.sort(np.append(fixed, free[0]))
         other = system([PairState.slip(1)] * mesh.n_pairs, more, free[1:])
-        assert other.J is not slip.J and cache.K_ff is not K_ff
+        assert other.J is not slip.J
         assert other.n_disp == free.size - 1
 
 
