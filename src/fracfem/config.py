@@ -235,7 +235,7 @@ def config_from_dict(raw):
         raise ConfigError(f"outputs: must be a list, got {outputs!r}")
 
     return RunConfig(
-        name=str(raw.get("name", "run")),
+        name=_string(raw.get("name", "run"), "name"),
         material=_parse_material(_require(raw, "material", "config")),
         friction=_parse_friction(_require(raw, "friction", "config")),
         bcs=[_parse_bc(b, i) for i, b in enumerate(bcs_raw)],

@@ -246,6 +246,14 @@ def _coupling(rows, dofs, vec):
     )
 
 
+def _csr(vals, rows, cols, shape):
+    """CSR matrix of COO triplets that stores no zero: a frame component of
+    ±0.0 (an axis-aligned pair) or ``tan(phi) = 0`` gives exact zeros."""
+    out = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
 def assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
     """Assemble all contact rows/columns for the given state assignment.
 
@@ -317,13 +325,10 @@ def assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
     )
 
     return ContactBlocks(
-        C=sp.coo_matrix((vals, (rows, cols)), shape=(m2, n2)).tocsr(),
-        B_up=sp.coo_matrix(
-            (np.concatenate([vals, f_vals]),
-             (np.concatenate([cols, f_cols]), np.concatenate([rows, f_rows]))),
-            shape=(n2, m2),
-        ).tocsr(),
-        D=sp.coo_matrix((D_vals, (D_rows, D_cols)), shape=(m2, m2)).tocsr(),
+        C=_csr(vals, rows, cols, (m2, n2)),
+        B_up=_csr(np.concatenate([vals, f_vals]), np.concatenate([cols, f_cols]),
+                  np.concatenate([rows, f_rows]), (n2, m2)),
+        D=_csr(D_vals, D_rows, D_cols, (m2, m2)),
         g=g,
         f_slip=f_slip,
         pinned=pinned,

@@ -206,25 +206,10 @@ def build_preconditioner(sys):
     rows); a zero row is an error.  The squares are summed exactly as
     ``J.multiply(J).sum(axis=1)`` sums them, without forming ``J∘J``: row
     by row over the nonzero products in column order (``J`` is canonical
-    CSR, as :func:`build_system` builds it).
+    CSR and stores no zero, as :func:`build_system` builds it).
     """
     J = sys.J
-    sq = J.data * J.data
-    sums = _row_sums(sq, J.indptr)
-    zero = np.flatnonzero(sq == 0.0)
-    if zero.size:
-        # the product stores no zeros, and dropping one regroups the pairwise
-        # summation of its row: sum the rows that hold one again without it
-        rows, n_zero = np.unique(
-            np.searchsorted(J.indptr, zero, side="right") - 1, return_counts=True
-        )
-        start, n = J.indptr[rows], np.diff(J.indptr)[rows]
-        at = np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())
-        kept = sq[at]
-        sums[rows] = _row_sums(
-            kept[kept != 0.0], np.concatenate([[0], np.cumsum(n - n_zero)])
-        )
-    norms = np.sqrt(sums)
+    norms = np.sqrt(_row_sums(J.data * J.data, J.indptr))
     zero = np.where(norms == 0.0)[0]
     if zero.size:
         raise SingularRowError(
@@ -242,11 +227,10 @@ def _same_bits(a, b):
 
 
 def _row_scaled(J, pc):
-    """``diag(1/pc) J`` of a CSR ``J`` in CSC, without stored zeros (the
-    contact blocks store some): one CSC copy of ``J``, scaled in place."""
+    """``diag(1/pc) J`` of a CSR ``J`` in CSC: one CSC copy of ``J``,
+    scaled in place."""
     Jbar = J.tocsc()
     Jbar.data *= (1.0 / pc)[Jbar.indices]
-    Jbar.eliminate_zeros()
     return Jbar
 
 
@@ -267,7 +251,7 @@ def _splu(Jbar):
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
 
 
-def _refined_solve(Jbar, absJ, lu, rhs):
+def _refined_solve(Jbar, lu, rhs):
     """``dx`` of ``Jbar dx = rhs`` with the solver ``lu``, refined until its
     backward error meets the 1e-10 contract, else a LinearSolveError."""
     dx = lu.solve(rhs)
@@ -278,6 +262,7 @@ def _refined_solve(Jbar, absJ, lu, rhs):
     # larger than the residual; iterative refinement with the same
     # factorization recovers the digits a single pass loses.
     rhs_norm = float(np.linalg.norm(rhs))
+    absJ = _abs(Jbar)
 
     def backward_error(v):
         denom = rhs_norm + float(np.linalg.norm(absJ @ np.abs(v)))
@@ -317,32 +302,28 @@ def linear_solve(sys, pc):
     rhs = -sys.R / pc
     Jbar = _row_scaled(sys.J, pc)
     lu = _splu(Jbar)
-    return _refined_solve(Jbar, _abs(Jbar), lu, rhs)
+    return _refined_solve(Jbar, lu, rhs)
 
 
 class _Base:
-    """A fresh factorization ``lu`` of ``diag(1/pc) J`` and the columns of
-    ``J^-1`` computed from it so far (``cols[:, i] = J^-1 e_dofs[i]``), with
-    the records of its system that bordering reads: the state assignment
-    ``states``, the contact blocks' ``pinned`` mask and the free dofs
-    ``free``.  It holds no ``J``."""
+    """A fresh factorization ``lu`` of ``diag(1/pc) J``, with the records of
+    its system that bordering reads: the state assignment ``states``, the
+    contact blocks' ``pinned`` mask and the free dofs ``free``.  It holds no
+    ``J``."""
 
     def __init__(self, sys, pc, lu):
         self.states, self.pinned, self.free = sys.states, sys.blocks.pinned, sys.free
         self.pc, self.lu = pc, lu
-        self.dofs = np.empty(0, dtype=np.int64)
-        self.cols = np.empty((sys.J.shape[0], 0))
 
     def solve(self, y):
         """``J^-1 y`` for a vector or a block of columns."""
         return self.lu.solve(y / (self.pc if y.ndim == 1 else self.pc[:, None]))
 
     def _over_budget(self, R, extra=0):
-        """True when the dense columns of a bordered solve on ``R`` (cached
-        ``J^-1`` columns, new ones and ``extra`` ``J_NR`` solves) would take
-        more than a quarter of the memory of the factor itself."""
-        n_cols = np.union1d(self.dofs, R).size + extra
-        return self.cols.shape[0] * n_cols > self.lu.nnz / 4
+        """True when the dense columns of a bordered solve on ``R`` (its
+        ``J^-1`` columns and ``extra`` ``J_NR`` solves) would take more than
+        a quarter of the memory of the factor itself."""
+        return self.lu.shape[0] * (R.size + extra) > self.lu.nnz / 4
 
     def border(self, states, pinned, free):
         """The dofs ``R`` to border the base on for a system of the state
@@ -372,14 +353,9 @@ class _Base:
         if self._over_budget(R, nz.size):
             return None
 
-        new = np.setdiff1d(R, self.dofs)
-        if new.size:
-            E = np.zeros((n, new.size))
-            E[new, np.arange(new.size)] = 1.0
-            self.cols = np.hstack([self.cols, self.solve(E)])
-            self.dofs = np.concatenate([self.dofs, new])
-        order = np.argsort(self.dofs)
-        Z = self.cols[:, order[np.searchsorted(self.dofs, R, sorter=order)]]
+        E_R = np.zeros((n, R.size))
+        E_R[R, np.arange(R.size)] = 1.0
+        Z = self.solve(E_R)
         J_NR = np.zeros((n, nz.size))
         J_NR[JR.row[keep], np.searchsorted(nz, JR.col[keep])] = JR.data[keep]
         rows = J[R].tocoo()
@@ -438,7 +414,7 @@ class SystemCache:
     """The saddle systems and factorizations of one run.
 
     It owns ``K``, the last system built with its row norms ``pc``, that
-    system's ``Jbar`` and ``|Jbar|``, the solver ``lu`` serving it, and the
+    system's ``Jbar``, the solver ``lu`` serving it, and the
     base, the last fresh factorization (:class:`_Base`).  K's free block is
     not kept: :func:`build_system` slices it once per new assignment, and
     only ``J`` holds it.  Mesh, material and friction must not change under
@@ -471,7 +447,7 @@ class SystemCache:
         """Drop every system, copy and factorization but ``K``: the next
         system is served as by a new cache."""
         self.sys = self.pc = None
-        self.Jbar = self.absJ = self.lu = self.base = self.border_dofs = None
+        self.Jbar = self.lu = self.base = self.border_dofs = None
 
     def _repeats(self, states, free):
         """True when the last system was built for ``states`` and ``free``."""
@@ -492,7 +468,7 @@ class SystemCache:
             return replace(self.sys, R=R, R_phys=R_phys)
         blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
         # free what the new system cannot use before its J and row norms
-        self.sys = self.pc = self.Jbar = self.absJ = self.lu = None
+        self.sys = self.pc = self.Jbar = self.lu = None
         self.border_dofs = (
             None if self.base is None
             else self.base.border(state.states, blocks.pinned, free)
@@ -522,7 +498,7 @@ class SystemCache:
         if lu is None:
             lu = _splu(self.Jbar)
             self.base = _Base(sys, pc, lu)
-        self.absJ, self.lu = _abs(self.Jbar), lu
+        self.lu = lu
         self.check_rank()
 
     def solve(self, sys):
@@ -537,13 +513,13 @@ class SystemCache:
         try:
             if self.lu is None:
                 self._factor()
-            return _refined_solve(self.Jbar, self.absJ, self.lu, rhs)
+            return _refined_solve(self.Jbar, self.lu, rhs)
         except LinearSolveError:
             if not isinstance(self.lu, _Bordered):
                 raise
-        self.Jbar = self.absJ = self.lu = self.base = self.border_dofs = None
+        self.Jbar = self.lu = self.base = self.border_dofs = None
         self._factor()
-        return _refined_solve(self.Jbar, self.absJ, self.lu, rhs)
+        return _refined_solve(self.Jbar, self.lu, rhs)
 
     def check_rank(self):
         """Raise a LinearSolveError when the live solver shows its ``J``
@@ -688,6 +664,7 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step,
             try:
                 dx = systems.solve(sys)
             except (SingularRowError, LinearSolveError) as exc:
+                result.residual_norm = rnorm  # of the system that failed
                 result.message = str(exc)
                 return result
             U[free] += dx[: sys.n_disp]

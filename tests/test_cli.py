@@ -148,6 +148,8 @@ MALFORMED = [
     (("outputs",), "summary", "outputs"),
     (("mesh", "fractures"), 5, "mesh.fractures"),
     (("mesh", "fractures"), {"x0": 0.0}, "mesh.fractures"),
+    (("name",), None, "name"),
+    (("name",), [1], "name"),
 ]
 
 # (keys, the section whose unknown key the error names)

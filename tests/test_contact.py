@@ -345,7 +345,8 @@ class TestContactResiduals:
 
 # ---------------------------------------------------------------------------
 # Reference: the per-pair loop assembly that the array assembly replaced,
-# kept verbatim (names prefixed with _ref) to pin the new one bit for bit.
+# kept verbatim (names prefixed with _ref) to pin the new one bit for bit,
+# but for the exact zeros its matrices drop as the array assembly does.
 # ---------------------------------------------------------------------------
 
 class _ref_Coo:
@@ -360,9 +361,11 @@ class _ref_Coo:
         self.vals.append(v)
 
     def matrix(self, shape):
-        return sp.coo_matrix(
+        out = sp.coo_matrix(
             (self.vals, (self.rows, self.cols)), shape=shape
         ).tocsr()
+        out.eliminate_zeros()
+        return out
 
 
 def _ref_add_pair_entries(coo, row, direction, coef, plus, minus, transpose=False):
