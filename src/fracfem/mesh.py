@@ -145,7 +145,8 @@ class Mesh:
     ``nodes`` is (n, 2) float64, ``elements`` (m, 3) int with CCW
     connectivity.  After :func:`split_fractures` the duplicated-node maps are
     filled; after :func:`build_contact_pairs` the pairs and per-fracture
-    chains exist.  A fully built mesh is treated as immutable.
+    chains exist.  A fully built mesh is treated as immutable; an unsplit
+    one is read-only from its ``edge_table`` on.
     """
 
     nodes: np.ndarray
@@ -185,6 +186,18 @@ class Mesh:
             gap0=np.array([p.gap0 for p in pairs], dtype=float),
             crossing=np.array([p.is_crossing_pair for p in pairs], dtype=bool),
         )
+
+    @cached_property
+    def edge_table(self):
+        """:func:`_edge_table` of ``elements``, built once after the element
+        check (:func:`_check_elements`), which it raises on.  ``nodes`` and
+        ``elements`` are read-only from then on, so an in-place edit cannot
+        slip past the check."""
+        _check_elements(self)
+        table = _edge_table(self.elements)
+        self.nodes.flags.writeable = False
+        self.elements.flags.writeable = False
+        return table
 
     @cached_property
     def boundary_edges(self):
@@ -269,9 +282,8 @@ def _edge_keys(edges, base):
     return e.min(axis=1) * base + e.max(axis=1)
 
 
-def _validate(mesh, table, area_tol_rel=1e-12):
-    """Check element orientation and that every fracture segment is an edge
-    of ``table``, the :func:`_edge_table` of ``mesh.elements``."""
+def _check_elements(mesh, area_tol_rel=1e-12):
+    """Check that every element is CCW with a positive area."""
     span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
     scale = max(float(np.hypot(*span)), 1.0)
     areas = mesh.signed_areas()
@@ -280,6 +292,12 @@ def _validate(mesh, table, area_tol_rel=1e-12):
         raise MeshFormatError(
             f"element {bad[0]} has non-positive area (nodes must be CCW)"
         )
+
+
+def _check_fractures(mesh):
+    """Check that every fracture segment is an edge of ``mesh.edge_table``
+    (which checks the elements first); returns that table."""
+    table = mesh.edge_table
     keys, _, base = table
     for frac in mesh.fractures:
         if len(frac.nodes) < 2:
@@ -297,6 +315,7 @@ def _validate(mesh, table, area_tol_rel=1e-12):
             raise NonConformingPathError(
                 f"fracture {frac.id}: segment {a}-{b} is not a mesh edge"
             )
+    return table
 
 
 def _boundary_nodes(table):
@@ -308,10 +327,8 @@ def _boundary_nodes(table):
 
 def _check_and_mark(mesh):
     """Validate a freshly read or generated mesh and mark its through-going
-    fractures, from one edge table."""
-    table = _edge_table(mesh.elements)
-    _validate(mesh, table)
-    boundary = _boundary_nodes(table)
+    fractures, from its one ``edge_table``."""
+    boundary = _boundary_nodes(_check_fractures(mesh))
     for frac in mesh.fractures:
         frac.is_through_going = (
             frac.nodes[0] in boundary and frac.nodes[-1] in boundary
@@ -623,16 +640,20 @@ def _lattice_path(a, b, nx, ny, hx, hy, pattern, corner, center, fid):
 # node splitting
 # ---------------------------------------------------------------------------
 
-def _node_elements(elements, n_nodes):
-    """Node-to-element incidence in CSR form, as (ptr, elem).
-
-    The elements around node ``n`` are ``elem[ptr[n]:ptr[n + 1]]``, in
-    ascending order (a stable sort of the connectivity keeps element order).
-    """
-    flat = np.asarray(elements).ravel()
-    ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=n_nodes), out=ptr[1:])
-    return ptr, np.argsort(flat, kind="stable") // 3
+def _elements_around(mesh, nodes):
+    """({node: ids of the elements around it, ascending}, {element:
+    centroid}) for the ``nodes`` given; no other element is read past one
+    lookup of its node ids."""
+    marked = np.zeros(mesh.n_nodes, dtype=bool)
+    marked[list(nodes)] = True
+    ids = np.flatnonzero(marked[mesh.elements].any(axis=1))
+    tris = mesh.elements[ids]
+    around = {}
+    for e, tri in zip(ids.tolist(), tris.tolist()):
+        for n in tri:
+            if marked[n]:
+                around.setdefault(n, []).append(e)
+    return around, dict(zip(ids.tolist(), mesh.nodes[tris].mean(axis=1)))
 
 
 def _sector_side(p, dir_next, dir_prev, h_local):
@@ -689,8 +710,7 @@ def split_fractures(mesh):
     """
     if mesh.split_done:
         raise ValueError("fractures already split")
-    table = _edge_table(mesh.elements)
-    _validate(mesh, table)
+    table = _check_fractures(mesh)
 
     usage = {}
     for frac in mesh.fractures:
@@ -721,7 +741,7 @@ def split_fractures(mesh):
                 )
         crossing_nodes[nid] = sorted(uses)
 
-    ptr, elem = _node_elements(mesh.elements, mesh.n_nodes)
+    around, centroids = _elements_around(mesh, usage)
     new_nodes = [mesh.nodes]
     elements = mesh.elements.copy()
     next_id = mesh.n_nodes
@@ -736,8 +756,6 @@ def split_fractures(mesh):
         next_id += 1
         return nid
 
-    centroids = mesh.centroids()
-
     for frac in mesh.fractures:
         path = frac.nodes
         last = len(path) - 1
@@ -751,7 +769,7 @@ def split_fractures(mesh):
             h_local = max(np.hypot(*d_next), np.hypot(*d_prev))
             side_of = _sector_side(mesh.nodes[nid], d_next, d_prev, h_local)
             minus_id = alloc(mesh.nodes[nid])
-            for e in elem[ptr[nid] : ptr[nid + 1]]:
+            for e in around[nid]:
                 if side_of(centroids[e]) < 0:
                     elements[e][elements[e] == nid] = minus_id
             plus_map[nid] = nid
@@ -769,7 +787,7 @@ def split_fractures(mesh):
             )
         quadrants = {}
         elems_by_quadrant = {}
-        for e in elem[ptr[nid] : ptr[nid + 1]]:
+        for e in around[nid]:
             key = (classifiers[0](centroids[e]), classifiers[1](centroids[e]))
             elems_by_quadrant.setdefault(key, []).append(e)
         if len(elems_by_quadrant) != 4:

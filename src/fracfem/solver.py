@@ -140,34 +140,82 @@ def _reduced_residual(K, blocks, F, U, lam, free, s):
     return np.concatenate([ru, s * rlam]), np.concatenate([ru, rlam])
 
 
+def _free_columns(A, is_free, shift, free_rows=False):
+    """(data, column indices, row counts) of the entries of CSR ``A`` in
+    the free columns, and in the free rows only if ``free_rows``.  Each
+    kept column drops by ``shift``, the count of fixed dofs at or below
+    each dof, which for a free dof is the count below it."""
+    keep = is_free[A.indices]
+    counts = _row_sums(keep, A.indptr, dtype=A.indices.dtype)
+    if free_rows:
+        keep &= np.repeat(is_free, np.diff(A.indptr))
+        counts = counts[is_free]
+    indices = A.indices[keep]
+    indices -= shift[indices]
+    return A.data[keep], indices, counts
+
+
+def _saddle_matrix(K, blocks, free, s):
+    """``J = [[K_ff, s B_up[free]], [s C[:, free], s² D]]`` in CSR, with
+    ``K_ff = K[free][:, free]``, formed from the arrays of ``K`` and of the
+    contact ``blocks``: bit for bit what ``sp.bmat`` of the four blocks
+    gives, and ``K_ff`` itself on a mesh without pairs.
+
+    Pass 1 eliminates the Dirichlet dofs.  One keep-mask over K's entries
+    marks the free rows and free columns, ``data`` and ``indices`` are
+    gathered once, and the kept columns are renumbered by the count of
+    fixed dofs below each.  Pass 2 inserts each free row's ``s B_up[free]``
+    entries at that row's end, then appends the ``[s C[:, free], s² D]``
+    rows, with one ``np.insert`` per array.  No sparse matrix but ``J``
+    is formed: no ``K[free]``, no free block and no stacked block row.
+    """
+    n_free = free.size
+    is_free = np.zeros(K.shape[0], dtype=bool)
+    is_free[free] = True
+    shift = np.cumsum(~is_free, dtype=K.indices.dtype)
+    data, indices, counts = _free_columns(K, is_free, shift, free_rows=True)
+
+    B, C, D = blocks.B_up, blocks.C, blocks.D
+    b_lengths = np.diff(B.indptr)
+    b_keep = np.repeat(is_free, b_lengths)
+    b_counts = b_lengths[free]
+    c_data, c_indices, c_counts = _free_columns(C, is_free, shift)
+    d_counts = np.diff(D.indptr)
+    # the multiplier rows: each row of C's free columns, then D's row
+    at = np.repeat(np.cumsum(c_counts), d_counts)
+    lam_data = np.insert(c_data * s, at, D.data * (s * s))
+    lam_indices = np.insert(c_indices, at, D.indices + n_free)
+
+    at = np.concatenate([
+        np.repeat(np.cumsum(counts), b_counts), np.full(lam_data.size, data.size)
+    ])
+    data = np.insert(data, at, np.concatenate([B.data[b_keep] * s, lam_data]))
+    indices = np.insert(
+        indices, at, np.concatenate([B.indices[b_keep] + n_free, lam_indices])
+    )
+    lengths = np.concatenate([counts + b_counts, c_counts + d_counts])
+    indptr = np.zeros(lengths.size + 1, dtype=indices.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(lengths.size,) * 2)
+
+
 def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
     """Assemble the reduced saddle system for the current states/iterate.
 
     ``F``, ``fixed`` and ``free`` come from :func:`step_data`; ``blocks``
     are the contact blocks of ``state.states`` on ``fixed`` (built here when
-    not given).  K's free block ``K[free][:, free]`` is sliced here and,
-    with pairs, lives on only as its copy inside ``J``.  The caller must
-    have written the prescribed Dirichlet values into ``state.U`` beforehand
-    (then the fixed increments are identically zero and elimination is a
-    plain row/column restriction).
+    not given).  ``J`` is formed straight from the arrays of ``K`` and the
+    blocks (:func:`_saddle_matrix`), so K's free block exists only inside
+    it.  The caller must have written the prescribed Dirichlet values into
+    ``state.U`` beforehand (then the fixed increments are identically zero
+    and elimination is a plain row/column restriction).
     """
     if blocks is None:
         blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
 
     s = mat.E  # multiplier nondimensionalization (see SaddleSystem docs)
     R, R_phys = _reduced_residual(K, blocks, F, state.U, state.lam, free, s)
-
-    K_ff = K[free][:, free]
-    if mesh.n_pairs:
-        J = sp.bmat(
-            [
-                [K_ff, s * blocks.B_up[free]],
-                [s * blocks.C[:, free], (s * s) * blocks.D],
-            ],
-            format="csr",
-        )
-    else:
-        J = K_ff
+    J = _saddle_matrix(K, blocks, free, s)
 
     return SaddleSystem(
         J=J,
@@ -190,12 +238,12 @@ def _dof_description(sys, row):
     return f"multiplier dof of pair {k // 2} ({'normal' if k % 2 == 0 else 'tangential'})"
 
 
-def _row_sums(values, indptr):
+def _row_sums(values, indptr, dtype=float):
     """Per-row sums of ``values`` laid out by ``indptr``, as SciPy sums CSR
     rows: ``np.add.reduceat`` over each non-empty row, 0 for an empty one."""
-    out = np.zeros(indptr.size - 1)
+    out = np.zeros(indptr.size - 1, dtype=dtype)
     rows = np.flatnonzero(np.diff(indptr))
-    out[rows] = np.add.reduceat(values, indptr[rows])
+    out[rows] = np.add.reduceat(values, indptr[rows], dtype=dtype)
     return out
 
 
@@ -416,10 +464,10 @@ class SystemCache:
     It owns ``K``, the last system built with its row norms ``pc``, that
     system's ``Jbar``, the solver ``lu`` serving it, and the
     base, the last fresh factorization (:class:`_Base`).  K's free block is
-    not kept: :func:`build_system` slices it once per new assignment, and
-    only ``J`` holds it.  Mesh, material and friction must not change under
-    it, and :meth:`solve` solves only the system that :meth:`system`
-    returned last.
+    not kept: :func:`build_system` forms ``J`` from K's arrays once per new
+    assignment, and only ``J`` holds it.  Mesh, material and friction must
+    not change under it, and :meth:`solve` solves only the system that
+    :meth:`system` returned last.
 
     What serves a solve is decided once, in :meth:`system`.  A state loop
     whose states and free dofs repeat the last system's reuses its blocks,

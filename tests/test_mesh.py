@@ -596,11 +596,11 @@ class TestEdgeTable:
 
         calls = self.count_tables(monkeypatch)
         mesh = build_mesh(presets.get(name))
-        # generation, then splitting (which renumbers element nodes)
-        assert len(calls) == 2
+        # generation checks the mesh, and splitting reuses its table
+        assert len(calls) == 1
         for side in ("left", "right", "bottom", "top", "top"):
             select_boundary_edges(mesh, side)
-        assert len(calls) == 3  # the boundary edges, once per built mesh
+        assert len(calls) == 2  # the boundary edges, once per built mesh
         assert mesh.boundary_edges is mesh.boundary_edges
         assert not mesh.boundary_edges.flags.writeable
         np.testing.assert_array_equal(mesh.boundary_edges,
@@ -617,7 +617,55 @@ class TestEdgeTable:
         assert len(calls) == 1
         assert [f.is_through_going for f in loaded.fractures] == [True, False]
         split_fractures(loaded)
-        assert len(calls) == 2
+        split_fractures(loaded)
+        assert len(calls) == 1
+
+    def test_checked_mesh_is_read_only(self):
+        # the cached table stands for checked nodes and elements: an edit
+        # in place after the check raises instead of skipping it
+        mesh = generate_rect_mesh(1.0, 1.0, 2, 2, fractures=[(0.0, 0.5, 1.0, 0.5)])
+        table = mesh.edge_table
+        assert mesh.edge_table is table
+        for arr in (mesh.nodes, mesh.elements):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.elements[0] = mesh.elements[0, ::-1]
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.nodes[4] = (0.5, 2.0)
+        # the split copy is writeable and gets a table of its own
+        split = split_fractures(mesh)
+        assert split.elements.flags.writeable
+        assert "edge_table" not in vars(split)
+
+    def test_split_reads_only_the_elements_around_its_paths(self, monkeypatch):
+        from fracfem import presets
+        from fracfem.mesh import FractureSpec, Mesh, _elements_around
+
+        cfg = presets.get("crossing-multi")
+        mesh = generate_rect_mesh(
+            fractures=[FractureSpec(**f) for f in cfg.fractures], **cfg.generator
+        )
+        nodes = {n for f in mesh.fractures for n in f.nodes}
+        around, centroids = _elements_around(mesh, nodes)
+        for n in nodes:
+            assert around[n] == np.flatnonzero((mesh.elements == n).any(axis=1)).tolist()
+        assert sorted(centroids) == sorted(set().union(*around.values()))
+        assert len(centroids) == 544 < mesh.n_elements
+        full = mesh.centroids()
+        for e, c in centroids.items():
+            assert c.tobytes() == full[e].tobytes()
+        # no centroid of the whole mesh is formed
+        monkeypatch.setattr(Mesh, "centroids", None)
+        assert split_fractures(mesh).intersections
+
+    def test_fracture_checks_run_on_every_split(self):
+        # the table is cached, the fracture checks are not: fractures edited
+        # after the first split are checked again on the next
+        mesh = generate_rect_mesh(1.0, 1.0, 2, 2, fractures=[(0.0, 0.5, 1.0, 0.5)])
+        split_fractures(mesh)
+        mesh.fractures[0].nodes = [0, 8]
+        with pytest.raises(NonConformingPathError, match="0-8"):
+            split_fractures(mesh)
 
     def test_bad_hand_built_mesh_rejected_by_split(self):
         m = generate_rect_mesh(1.0, 1.0, 2, 2)
@@ -663,9 +711,9 @@ class TestEdgeTable:
             load_mesh(path)
 
 
-# Reference structured generator and node-element incidence: the per-cell
-# loops that array operations replaced, kept verbatim so the new versions are
-# checked against them entry for entry, order included.
+# Reference structured generator: the per-cell loops that array operations
+# replaced, kept verbatim so the new version is checked against them entry
+# for entry, order included.
 def _ref_rect_nodes_elements(width, height, nx, ny, pattern="diagonal"):
     hx = width / nx
     hy = height / ny
@@ -709,14 +757,6 @@ def _ref_rect_nodes_elements(width, height, nx, ny, pattern="diagonal"):
     return nodes, elements
 
 
-def _ref_node_elements(mesh):
-    incid = [[] for _ in range(mesh.n_nodes)]
-    for e, tri in enumerate(mesh.elements):
-        for n in tri:
-            incid[n].append(e)
-    return incid
-
-
 class TestArrayGeneratorMatchesLoops:
     @pytest.mark.parametrize("pattern", ["diagonal", "crossed"])
     @pytest.mark.parametrize(
@@ -731,14 +771,3 @@ class TestArrayGeneratorMatchesLoops:
         assert np.array_equal(m.elements, elements)
         assert m.nodes.dtype == nodes.dtype
         assert m.elements.dtype == elements.dtype
-
-    def test_csr_incidence_equals_lists_on_crossing_multi(self):
-        from fracfem import presets
-        from fracfem.config import build_mesh
-        from fracfem.mesh import _node_elements
-
-        mesh = build_mesh(presets.crossing_multi())
-        assert mesh.intersections
-        ptr, elem = _node_elements(mesh.elements, mesh.n_nodes)
-        got = [elem[ptr[n] : ptr[n + 1]].tolist() for n in range(mesh.n_nodes)]
-        assert got == _ref_node_elements(mesh)

@@ -1074,20 +1074,20 @@ class TestBorderedUpdate:
                  lambda self, K: self)
         _counted(monkeypatch, solver._Bordered, "__init__", sizes,
                  lambda self, base, pc, R, *a: R.size)
-        real_bmat = sp.bmat
+        real_saddle_matrix = solver._saddle_matrix
 
-        def bmat(*args, **kwargs):
+        def saddle_matrix(*args):
             c = caches[-1]
             alive.append((
                 c.base is not None, c.lu is not None,
                 c.Jbar is not None,
                 any(ref() is not None for ref in systems),
             ))
-            J = real_bmat(*args, **kwargs)
+            J = real_saddle_matrix(*args)
             systems.append(weakref.ref(J))
             return J
 
-        monkeypatch.setattr(sp, "bmat", bmat)
+        monkeypatch.setattr(solver, "_saddle_matrix", saddle_matrix)
         res = stick_run(mesh, cfg)
         assert res[-1].converged and len(calls) == 2 and sizes == bordered
         assert len(alive) == res[-1].state_loops == len(base_kept) + 1
@@ -1227,6 +1227,49 @@ def _ref_saddle_J(mesh, mat, blocks, K, free):
     return J_full[keep][:, keep].tocsr()
 
 
+def _ref_bmat_J(K, blocks, free, s):
+    """J as build_system formed it with ``sp.bmat`` before it was formed
+    from the arrays, kept verbatim to pin :func:`solver._saddle_matrix`."""
+    K_ff = K[free][:, free]
+    if not blocks.C.shape[0]:
+        return K_ff
+    return sp.bmat(
+        [
+            [K_ff, s * blocks.B_up[free]],
+            [s * blocks.C[:, free], (s * s) * blocks.D],
+        ],
+        format="csr",
+    )
+
+
+def _csr_rows(counts, n_cols, rng):
+    """CSR matrix whose row ``i`` holds ``counts[i]`` distinct random
+    columns with random values."""
+    cols = [np.sort(rng.choice(n_cols, k, replace=False)) for k in counts]
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return sp.csr_matrix(
+        (rng.standard_normal(rows.size),
+         (rows, np.concatenate([np.zeros(0, np.int64), *cols]))),
+        shape=(len(counts), n_cols),
+    )
+
+
+def _synthetic_saddle(n, m2, rng):
+    """A symmetric-pattern ``K`` with an empty row (dof 3) and a stored
+    zero, and contact blocks whose rows hold 0, 1 and 2 entries in turn."""
+    A = sp.random(n, n, density=0.3, rng=rng, format="coo")
+    A = (A + A.T + sp.identity(n)).tocoo()
+    keep = (A.row != 3) & (A.col != 3)
+    K = sp.csr_matrix((A.data[keep], (A.row[keep], A.col[keep])), shape=(n, n))
+    K.data[K.indptr[5]] = 0.0  # a stored zero stays stored
+    blocks = dataclasses.make_dataclass("Blocks", ["B_up", "C", "D"])(
+        B_up=_csr_rows(np.arange(n) % 3 * (m2 > 0), m2, rng),
+        C=_csr_rows(np.arange(m2) % 3, n, rng),
+        D=_csr_rows((np.arange(m2) + 1) % 3, m2, rng),
+    )
+    return K, blocks
+
+
 def _ref_row_norms(J):
     """Row 2-norms as :func:`build_preconditioner` formed them from J∘J."""
     sq = J.multiply(J)
@@ -1336,6 +1379,39 @@ class TestSlicedAssembly:
             assert D.nnz == np.count_nonzero(D.diagonal())
         for m in (sys.blocks.C, sys.blocks.B_up, sys.blocks.D, sys.J):
             assert np.count_nonzero(m.data) == m.nnz
+
+    @pytest.mark.parametrize("m2", [0, 2, 6])
+    @pytest.mark.parametrize("fixed", [
+        [], [0, 1, 22, 23], [0, 23], list(range(1, 24, 3)), [3],
+    ], ids=["none", "first-and-last-two", "first-and-last", "interleaved",
+            "empty-row"])
+    def test_saddle_matrix_equals_bmat_on_edge_cases(self, fixed, m2):
+        # both passes against K[free][:, free] and sp.bmat: no fixed dof,
+        # fixed first and last rows, interleaved fixed dofs, and contact
+        # rows with 0, 1 and 2 entries (m2 = 0 is a mesh without pairs)
+        n, s = 24, 2.5e10
+        K, blocks = _synthetic_saddle(n, m2, np.random.default_rng(len(fixed)))
+        free = np.setdiff1d(np.arange(n, dtype=np.int64), fixed)
+        got = solver._saddle_matrix(K, blocks, free, s)
+        assert _same_csr(got, _ref_bmat_J(K, blocks, free, s))
+        assert got.format == "csr" and got.has_sorted_indices
+        if not m2:
+            assert _same_csr(got, K[free][:, free])
+
+    def test_mesh_without_pairs_gives_free_block(self):
+        mesh = built(generate_rect_mesh(1.0, 1.0, 4, 4))
+        bcs = [
+            BoundaryCondition(kind="dirichlet", side="bottom", ux=0.0, uy=0.0),
+            BoundaryCondition(kind="neumann", side="top", traction=(0.0, -1e6)),
+        ]
+        K = assemble_stiffness(mesh, MAT)
+        F, fixed, vals, free = step_data(mesh, bcs, None, 1)
+        U = np.zeros(2 * mesh.n_nodes)
+        U[fixed] = vals
+        st_ = SolutionState(U=U, lam=np.zeros(0), states=[])
+        sys = build_system(mesh, MAT, FRIC30, st_, K, F, fixed, free)
+        assert sys.n_lam == 0 and fixed.size and free.size
+        assert _same_csr(sys.J, K[free][:, free])
 
     def test_free_dofs_equal_set_difference(self):
         mesh, cfg = small_inclined_setup()
