@@ -9,6 +9,7 @@ displacements and multipliers in one algebraic block).
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, replace
 
@@ -44,6 +45,35 @@ PANEL_SIZE = 4
 # it is at most about 3e3 on the presets' systems, and 3e14 or more when
 # open or slipping pairs alone hold a block.
 SINGULAR_GROWTH = 1e10
+
+
+def _c_function(name):
+    """The C library's function ``name``, or None where it has none."""
+    try:
+        return getattr(ctypes.CDLL(None), name)
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+# glibc's malloc_trim(pad): returns the free pages of every heap arena to
+# the OS (see _release_heap)
+_MALLOC_TRIM = _c_function("malloc_trim")
+
+
+def _release_heap():
+    """Hand the process's free heap pages back to the OS, where the C
+    library can (a no-op without ``malloc_trim``).  On its own glibc gives
+    back only the top of a heap, so the holes that freed arrays leave below
+    it stay resident under whatever is allocated next."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(ctypes.c_size_t(0))
+
+
+def _norm(x):
+    """2-norm of the vector ``x`` without BLAS: a multithreaded BLAS can
+    take milliseconds for a vector that a plain reduction sums in
+    microseconds."""
+    return float(np.sqrt(np.add.reduce(x * x)))
 
 
 class SingularRowError(ValueError):
@@ -103,9 +133,12 @@ class SaddleSystem:
     the state assignment ``states``; :func:`newton_loop` forms the residual
     after its solve from them, and :class:`SystemCache` compares ``states``
     to tell which pairs' rows and columns differ between two systems.
+    :func:`build_system` returns ``J``; a system built by a
+    :class:`SystemCache` holds None there once its fresh factorization
+    exists.
     """
 
-    J: sp.csr_matrix
+    J: sp.csr_matrix | None
     R: np.ndarray
     free: np.ndarray
     n_disp: int
@@ -282,10 +315,27 @@ def _row_scaled(J, pc):
     return Jbar
 
 
-def _abs(Jbar):
-    """``|Jbar|``, sharing ``Jbar``'s index arrays."""
-    data = np.abs(Jbar.data)
-    return sp.csc_matrix((data, Jbar.indices, Jbar.indptr), shape=Jbar.shape)
+def _signs(Jbar):
+    """The sign of each stored value of ``Jbar``, +1 or -1 as ``int8``: one
+    byte per entry, where a copy of the values takes eight."""
+    signs = np.signbit(Jbar.data).view(np.int8)
+    signs *= -2
+    signs += 1
+    return signs
+
+
+def _abs_product(Jbar, v, signs):
+    """``|Jbar| v`` with no copy of ``Jbar``'s values: they are multiplied
+    in place by their ``signs`` (:func:`_signs`) for the product and back
+    after it.  Multiplying by -1 is exact, so both the product and the
+    restored values have the bits of the product with ``|Jbar|`` and of
+    ``Jbar`` (for every value but a NaN, whose sign a product keeps)."""
+    data = Jbar.data
+    np.multiply(data, signs, out=data)
+    try:
+        return Jbar @ v
+    finally:
+        np.multiply(data, signs, out=data)
 
 
 def _splu(Jbar):
@@ -309,12 +359,12 @@ def _refined_solve(Jbar, lu, rhs):
     # cancellation floor once a state change makes the solution jump much
     # larger than the residual; iterative refinement with the same
     # factorization recovers the digits a single pass loses.
-    rhs_norm = float(np.linalg.norm(rhs))
-    absJ = _abs(Jbar)
+    rhs_norm = _norm(rhs)
+    signs = _signs(Jbar)
 
     def backward_error(v):
-        denom = rhs_norm + float(np.linalg.norm(absJ @ np.abs(v)))
-        return float(np.linalg.norm(Jbar @ v - rhs)) / denom
+        denom = rhs_norm + _norm(_abs_product(Jbar, np.abs(v), signs))
+        return _norm(Jbar @ v - rhs) / denom
 
     rel = backward_error(dx)
     for _ in range(10):
@@ -345,7 +395,7 @@ def linear_solve(sys, pc):
     :class:`LinearSolveError`.  A run solves through its
     :class:`SystemCache`, which keeps and borders factorizations.
     """
-    if float(np.linalg.norm(sys.R)) == 0.0:
+    if _norm(sys.R) == 0.0:
         return np.zeros_like(sys.R)
     rhs = -sys.R / pc
     Jbar = _row_scaled(sys.J, pc)
@@ -463,9 +513,10 @@ class SystemCache:
 
     It owns ``K``, the last system built with its row norms ``pc``, that
     system's ``Jbar``, the solver ``lu`` serving it, and the
-    base, the last fresh factorization (:class:`_Base`).  K's free block is
-    not kept: :func:`build_system` forms ``J`` from K's arrays once per new
-    assignment, and only ``J`` holds it.  Mesh, material and friction must
+    base, the last fresh factorization (:class:`_Base`).  A system that
+    is factored afresh drops its ``J`` first (:meth:`_factor`).  K's free
+    block is not kept: :func:`build_system` forms ``J`` from K's arrays once
+    per new assignment, and only ``J`` holds it.  Mesh, material and friction must
     not change under it, and :meth:`solve` solves only the system that
     :meth:`system` returned last.
 
@@ -534,18 +585,29 @@ class SystemCache:
             self.pc = build_preconditioner(self.sys)
         return self.pc
 
-    def _factor(self):
-        """Make ``lu`` solve ``diag(1/pc) J x = r`` for the last system: the
-        base bordered on ``border_dofs``, or else a fresh factorization that
-        becomes the base; then probe its rank."""
-        sys, pc, R = self.sys, self.pc, self.border_dofs
-        lu = None if R is None else self.base.bordered_solver(sys, pc, R)
+    def _factor(self, sys):
+        """Make ``lu`` solve ``diag(1/pc) J x = r`` for the last system
+        (``sys`` is it or a copy of it with another residual): the base
+        bordered on ``border_dofs``, or else a fresh factorization that
+        becomes the base; then probe its rank.
+
+        Nothing reads ``J`` once ``Jbar`` exists and no bordering is
+        planned, so before a fresh factorization both systems drop ``J``
+        and the freed heap is handed back (:func:`_release_heap`): SuperLU's
+        factor then lands neither on ``J`` nor on the holes that earlier
+        arrays left in the heap.  ``Jbar`` is formed once per system, so a
+        bordered solver's fallback to a fresh factorization reuses it."""
+        R = self.border_dofs
+        lu = None if R is None else self.base.bordered_solver(self.sys, self.pc, R)
         if lu is None:
             self.base = None
-        self.Jbar = _row_scaled(sys.J, pc)
+        if self.Jbar is None:
+            self.Jbar = _row_scaled(self.sys.J, self.pc)
         if lu is None:
+            self.sys.J = sys.J = None
+            _release_heap()
             lu = _splu(self.Jbar)
-            self.base = _Base(sys, pc, lu)
+            self.base = _Base(self.sys, self.pc, lu)
         self.lu = lu
         self.check_rank()
 
@@ -555,18 +617,18 @@ class SystemCache:
         backward-error contract) but from the solver decided for it, which
         raises a LinearSolveError on a nearly singular ``J`` too."""
         pc = self.preconditioner()
-        if float(np.linalg.norm(sys.R)) == 0.0:
+        if _norm(sys.R) == 0.0:
             return np.zeros_like(sys.R)
         rhs = -sys.R / pc
         try:
             if self.lu is None:
-                self._factor()
+                self._factor(sys)
             return _refined_solve(self.Jbar, self.lu, rhs)
         except LinearSolveError:
             if not isinstance(self.lu, _Bordered):
                 raise
-        self.Jbar = self.lu = self.base = self.border_dofs = None
-        self._factor()
+        self.lu = self.base = self.border_dofs = None
+        self._factor(sys)
         return _refined_solve(self.Jbar, self.lu, rhs)
 
     def check_rank(self):
@@ -704,7 +766,7 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step,
     for loop in range(1, cfg.max_state_loops + 1):
         result.state_loops = loop
         sys = systems.system(mesh, mat, fric, result, F, fixed, free)
-        rnorm = float(np.linalg.norm(sys.R_phys))
+        rnorm = _norm(sys.R_phys)
         # After a state change the fresh constraint rows can sit below the
         # (force-scaled) tolerance without being enforced at all, so every
         # loop after the first solves unless the residual is exactly zero.
@@ -722,7 +784,7 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step,
             _, R_phys = _reduced_residual(
                 systems.K, sys.blocks, F, U, lam, free, sys.mult_scale
             )
-            rnorm = float(np.linalg.norm(R_phys))
+            rnorm = _norm(R_phys)
         del sys  # the next loop's system is assembled without this one alive
         result.residual_norm = rnorm
         if not rnorm < cfg.newton_tol:
@@ -787,16 +849,6 @@ def run_load_steps(mesh, mat, fric, bcs, cfg):
             break
         warm = res
     return results
-
-
-def reaction_forces(mesh, mat, fric, bcs, result, step=None, K=None, n_steps=1):
-    """Residual at the Dirichlet dofs = negated support reactions."""
-    if K is None:
-        K = assemble_stiffness(mesh, mat)
-    F, fixed, _, _ = step_data(mesh, bcs, step, n_steps)
-    blocks = assemble_contact_blocks(mesh, result.states, fric, fixed_dofs=fixed)
-    ru_c, _ = contact_residuals(blocks, result.U, result.lam)
-    return fixed, (K @ result.U + ru_c - F)[fixed]
 
 
 def wall_timed(fn, *args, **kwargs):

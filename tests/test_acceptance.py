@@ -29,12 +29,13 @@ from fracfem.solver import (
     build_preconditioner,
     build_system,
     linear_solve,
-    reaction_forces,
     run_load_steps,
     step_data,
     stick_states,
     wall_timed,
 )
+
+from reactions import reaction_forces
 
 WINDOW = (0.1, 0.9)
 

@@ -43,11 +43,12 @@ from fracfem.solver import (
     build_system,
     linear_solve,
     newton_loop,
-    reaction_forces,
     run_load_steps,
     step_data,
     stick_states,
 )
+
+from reactions import reaction_forces
 
 MAT = MaterialParams(E=25e9, nu=0.25)
 FRIC30 = FrictionParams(cohesion=0.0, friction_angle=math.radians(30.0))
@@ -622,7 +623,7 @@ class TestColdStart:
 
         def system(self, *args):
             sys = real(self, *args)
-            norms.append(float(np.linalg.norm(sys.R_phys)))
+            norms.append(solver._norm(sys.R_phys))
             return sys
 
         monkeypatch.setattr(SystemCache, "system", system)
@@ -742,6 +743,15 @@ def cached_systems(mesh, cfg):
     return cache, system
 
 
+def with_J(cache, sys):
+    """``sys``, built through ``cache``, with its ``J`` formed again from
+    the cache's ``K`` and the system's blocks, as :func:`build_system`
+    forms it (the same bits): a system the cache has factored afresh no
+    longer holds its ``J``."""
+    J = solver._saddle_matrix(cache.K, sys.blocks, sys.free, sys.mult_scale)
+    return dataclasses.replace(sys, J=J)
+
+
 def is_bordered(cache):
     """True when the cache's current solver borders its base."""
     return isinstance(cache.lu, solver._Bordered)
@@ -771,10 +781,13 @@ class TestFactorReuse:
     def test_one_factorization_per_distinct_jacobian(self, monkeypatch):
         calls = self.count_splu(monkeypatch)
         keys = []
-        _counted(monkeypatch, SystemCache, "solve", keys, lambda self, sys: b"|".join(
-            a.tobytes() for a in
-            (sys.J.indptr, sys.J.indices, sys.J.data, self.preconditioner())
-        ))
+        def key(self, sys):
+            J = with_J(self, sys).J
+            return b"|".join(
+                a.tobytes() for a in (J.indptr, J.indices, J.data, self.preconditioner())
+            )
+
+        _counted(monkeypatch, SystemCache, "solve", keys, key)
         results = self.ramped_run()
         assert all(r.converged for r in results)
         distinct = sum(1 for k, key in enumerate(keys)
@@ -843,27 +856,48 @@ class TestFactorReuse:
             sys = system(stick_states(mesh))
             solves.append(cache.solve(sys))
             assert not is_bordered(cache)
-        solves.append(linear_solve(sys, build_preconditioner(sys)))
+        ref = make_system(mesh, cfg)  # the same system, with its J
+        solves.append(linear_solve(ref, build_preconditioner(ref)))
         assert len(calls) == 3
         for dx in solves[1:]:
             np.testing.assert_array_equal(dx.view(np.uint64), solves[0].view(np.uint64))
 
     def test_abs_jacobian_shares_index_arrays(self):
-        mesh, cfg = small_inclined_setup()
+        # |Jbar| v is formed on Jbar's own arrays: besides the product,
+        # nothing near the size of its values is allocated, and the product
+        # has the bits of the product with a copy of |Jbar|
+        import tracemalloc
+
+        mesh, cfg = _workload("crossing-multi")
         cache, system = cached_systems(mesh, cfg)
-        cache.solve(system([SLIP] * mesh.n_pairs))
+        cache.solve(system([OPEN] * mesh.n_pairs))
         Jbar = cache.Jbar
-        absJ = solver._abs(Jbar)
-        assert absJ.format == "csc"
-        assert np.shares_memory(absJ.indices, Jbar.indices)
-        assert np.shares_memory(absJ.indptr, Jbar.indptr)
-        assert not np.shares_memory(absJ.data, Jbar.data)
+        assert Jbar.format == "csc"
+        v = np.abs(np.random.default_rng(0).standard_normal(Jbar.shape[1]))
+        signs = solver._signs(Jbar)
+        solver._abs_product(Jbar, v, signs)  # first-call set-up untraced
+        tracemalloc.start()
+        try:
+            got = solver._abs_product(Jbar, v, signs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < got.nbytes + Jbar.data.nbytes / 8
+        absJ = _ref_abs(Jbar)
         assert _same_csr(absJ, abs(Jbar))
+        assert solver._same_bits(got, absJ @ v)
+
+
+def _ref_abs(Jbar):
+    """``|Jbar|`` as a matrix of its own, sharing ``Jbar``'s index arrays:
+    the copy the backward error was formed with before ``_abs_product``."""
+    data = np.abs(Jbar.data)
+    return sp.csc_matrix((data, Jbar.indices, Jbar.indptr), shape=Jbar.shape)
 
 
 def _backward_error(cache, dx, rhs):
     """The contract's backward error of ``dx`` on the row-scaled system."""
-    denom = np.linalg.norm(rhs) + np.linalg.norm(solver._abs(cache.Jbar) @ np.abs(dx))
+    denom = np.linalg.norm(rhs) + np.linalg.norm(_ref_abs(cache.Jbar) @ np.abs(dx))
     return np.linalg.norm(cache.Jbar @ dx - rhs) / denom
 
 
@@ -950,7 +984,7 @@ class TestBorderedUpdate:
         # changed rows and columns is exact as well
         frictionless = FrictionParams(cohesion=1.0e6, friction_angle=0.0)
         mesh, calls, cache, system = self.setup_base(monkeypatch, frictionless)
-        base = system(stick_states(mesh))  # the base's system, repeated
+        base = with_J(cache, system(stick_states(mesh)))  # the base's system
         sys = system(self.flipped(stick_states(mesh), {4: SLIP}))
         dx = cache.solve(sys)
         pc = cache.preconditioner()
@@ -974,11 +1008,12 @@ class TestBorderedUpdate:
         J, nd = sys.J, sys.n_disp
         rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
         J.data[(rows < nd) & (J.indices < nd)] *= 1.5
+        ref = dataclasses.replace(sys)  # keeps J past its fresh factorization
         bordered = []
         _counted(monkeypatch, solver._Bordered, "solve", bordered)
         dx = cache.solve(sys)
         assert bordered and len(calls) == 2 and not is_bordered(cache)
-        np.testing.assert_array_equal(dx, linear_solve(sys, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
 
     def test_bordered_solver_failing_the_rank_probe_refactors(self, monkeypatch):
         # a bordered solver that the probe refuses is replaced by a fresh
@@ -993,9 +1028,10 @@ class TestBorderedUpdate:
             real(self)
 
         monkeypatch.setattr(SystemCache, "check_rank", probe)
+        ref = dataclasses.replace(sys)  # keeps J past its fresh factorization
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
-        np.testing.assert_array_equal(dx, linear_solve(sys, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
 
     def test_one_ulp_in_displacement_block_stays_bordered(self, monkeypatch):
         # a change the contract tolerates is served by the bordered solve
@@ -1018,10 +1054,11 @@ class TestBorderedUpdate:
         # released as soon as the system is built, before its solve
         assert sys.J.shape[0] * 2 * mesh.n_pairs > budget
         assert cache.base is None and cache.border_dofs is None
+        ref = dataclasses.replace(sys)  # keeps J past its fresh factorization
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
         assert cache.base.states == sys.states
-        np.testing.assert_array_equal(dx, linear_solve(sys, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
 
     def test_over_budget_miss_forms_no_difference(self, monkeypatch):
         # from all stick, sneddon's second loop opens all 19 pairs, 38
@@ -1201,10 +1238,11 @@ class TestBorderedUpdate:
         monkeypatch.setattr(solver._Bordered, "solve",
                             lambda self, r: np.full_like(r, bad))
         sys = system(self.flipped(stick_states(mesh), {2: OPEN}))
+        ref = dataclasses.replace(sys)  # keeps J past its fresh factorization
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
         assert cache.base.states == sys.states
-        np.testing.assert_array_equal(dx, linear_solve(sys, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
 
 
 # ---------------------------------------------------------------------------
@@ -1592,6 +1630,122 @@ class TestSystemReuse:
         other = system([PairState.slip(1)] * mesh.n_pairs, more, free[1:])
         assert other.J is not slip.J
         assert other.n_disp == free.size - 1
+
+
+def _workload(name):
+    """(mesh, config) of a benchmark workload: a preset, or the 8-step ramp
+    of the inclined crack."""
+    from fracfem.config import build_mesh
+
+    if name == "inclined-ramp":
+        return _ramp()
+    cfg = presets.get(name)
+    return build_mesh(cfg), cfg
+
+
+WORKLOAD_FACTORIZATIONS = [("sneddon", 1), ("crossing-multi", 2), ("inclined-ramp", 2)]
+
+
+class TestFreshFactorMemory:
+    """A fresh factorization starts with its system's J released and the
+    free heap handed back; neither changes a bit of the result."""
+
+    @pytest.mark.parametrize("name, fresh", WORKLOAD_FACTORIZATIONS)
+    def test_no_J_alive_during_a_fresh_factorization(self, monkeypatch, name, fresh):
+        # crossing-multi's bordered loops keep their J, but no J of any
+        # state loop, the factored system's included, outlives the start
+        # of a fresh factorization
+        import weakref
+
+        mesh, cfg = _workload(name)
+        formed, alive, released = [], [], []
+        real_saddle_matrix = solver._saddle_matrix
+
+        def saddle_matrix(*args):
+            J = real_saddle_matrix(*args)
+            formed.append(weakref.ref(J))
+            return J
+
+        monkeypatch.setattr(solver, "_saddle_matrix", saddle_matrix)
+        _counted(monkeypatch, solver, "_splu", alive,
+                 lambda Jbar: [k for k, ref in enumerate(formed) if ref() is not None])
+        _counted(monkeypatch, solver, "_release_heap", released)
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        assert res[-1].converged and formed
+        assert alive == [[]] * fresh and len(released) == fresh
+
+    def test_which_systems_keep_J(self):
+        # the cache's system and the repeat of it that a state loop solves
+        # drop J at their fresh factorization; build_system's system and a
+        # bordered one keep theirs
+        mesh, cfg = small_inclined_setup()
+        cache, system = cached_systems(mesh, cfg)
+        first = system(stick_states(mesh))
+        again = system(stick_states(mesh))  # a repeat, not yet solved
+        assert again is not first and again.J is first.J
+        built = make_system(mesh, cfg)
+        cache.solve(again)
+        assert first.J is None and again.J is None and cache.sys.J is None
+        assert built.J is not None
+        sys = system(TestBorderedUpdate.flipped(stick_states(mesh), {2: OPEN}))
+        cache.solve(sys)
+        assert is_bordered(cache) and sys.J is not None
+
+    def test_heap_release_without_malloc_trim_is_a_no_op(self, monkeypatch):
+        class NoTrim:  # a C library without the symbol
+            pass
+
+        monkeypatch.setattr(solver.ctypes, "CDLL", lambda name: NoTrim())
+        assert solver._c_function("malloc_trim") is None
+
+        def no_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(solver.ctypes, "CDLL", no_library)
+        assert solver._c_function("malloc_trim") is None
+        monkeypatch.setattr(solver, "_MALLOC_TRIM", None)
+        assert solver._release_heap() is None
+
+    @pytest.mark.parametrize("name, fresh", WORKLOAD_FACTORIZATIONS)
+    def test_heap_release_changes_no_bit(self, monkeypatch, name, fresh):
+        mesh, cfg = _workload(name)
+        calls = TestFactorReuse.count_splu(monkeypatch)
+
+        def run():
+            res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+            return res, [(r.state_loops, r.newton_iters, r.restarted) for r in res]
+
+        ref, ref_counts = run()
+        monkeypatch.setattr(solver, "_release_heap", lambda: None)
+        got, got_counts = run()
+        assert len(calls) == 2 * fresh and got_counts == ref_counts
+        for a, b in zip(ref, got, strict=True):
+            assert solver._same_bits(a.U, b.U) and solver._same_bits(a.lam, b.lam)
+            assert a.states == b.states and b.converged
+
+    def test_abs_product_equals_the_abs_copy_and_restores_Jbar(self):
+        mesh, cfg = small_inclined_setup()
+        cache, system = cached_systems(mesh, cfg)
+        cache.solve(system([SLIP] * mesh.n_pairs))
+        # the cache's Jbar, and one with a negative zero and infinities
+        odd = sp.csc_matrix((np.array([-0.0, 2.0, -np.inf, np.inf, -3.0]),
+                             [0, 1, 0, 1, 2], [0, 2, 5]), shape=(3, 2))
+        rng = np.random.default_rng(0)
+        for Jbar in (cache.Jbar, odd):
+            before = Jbar.data.copy()
+            v = np.abs(rng.standard_normal(Jbar.shape[1]))
+            got = solver._abs_product(Jbar, v, solver._signs(Jbar))
+            assert solver._same_bits(got, _ref_abs(Jbar) @ v)
+            assert solver._same_bits(Jbar.data, before)
+            with pytest.raises(ValueError):  # a product that raises
+                solver._abs_product(Jbar, v[:-1], solver._signs(Jbar))
+            assert solver._same_bits(Jbar.data, before)
+        # the backward error of a refined solve leaves Jbar's values as
+        # they were
+        Jbar = cache.Jbar
+        before = Jbar.data.copy()
+        solver._refined_solve(Jbar, cache.lu, rng.standard_normal(Jbar.shape[0]))
+        assert solver._same_bits(Jbar.data, before)
 
 
 def test_benchmark_tracer_runs(tmp_path):
