@@ -14,7 +14,6 @@ from .contact import (
     PairState,
     StateKind,
     assemble_contact_blocks,
-    classify_state,
     contact_residuals,
     mohr_coulomb_tau_c,
     pair_jumps,

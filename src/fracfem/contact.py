@@ -30,10 +30,11 @@ Tributaries truncate at unduplicated crack tips and at intersections, where
 the crossing-pair point constraints take over.
 
 The pair data (dofs, frames, weights, initial gaps, crossing mask) are
-arrays built once per mesh (``Mesh.pair_arrays``).  Jumps, block assembly
-and the state update are array passes over them: the state rules are one
-array function, which ``classify_all`` applies to every pair and
-``classify_state`` to a single one.
+arrays built once per mesh (``Mesh.pair_arrays``).  The state assignment is
+an array too, one ``int8`` code per pair: -1/+1 slips with that sign, 0
+sticks and ``OPEN`` (2) is open.  Jumps, block assembly and the state
+update are array passes over these arrays; ``pair_states`` gives the
+labelled view of the codes.
 """
 
 from __future__ import annotations
@@ -92,17 +93,33 @@ class PairState:
     def label(self):
         return self.kind.value
 
-    @staticmethod
-    def stick():
-        return PairState(StateKind.STICK)
 
-    @staticmethod
-    def open_():
-        return PairState(StateKind.OPEN)
+# The state code of an open pair; -1/+1 slip with that sign and 0 sticks.
+OPEN = 2
+# _STATES[code + 1]: the labelled state of each code
+_STATES = np.array([
+    PairState(StateKind.SLIP, -1), PairState(StateKind.STICK),
+    PairState(StateKind.SLIP, 1), PairState(StateKind.OPEN),
+], dtype=object)
 
-    @staticmethod
-    def slip(sign):
-        return PairState(StateKind.SLIP, int(sign))
+
+def pair_states(codes):
+    """The :class:`PairState` of each state code, as a tuple."""
+    return tuple(_STATES[np.asarray(codes) + 1])
+
+
+def checked_codes(codes, n_pairs):
+    """``codes`` as ``int8``; a ValueError names a wrong length or the first
+    pair whose code is not -1, 0, 1 or ``OPEN``."""
+    if len(codes) != n_pairs:
+        raise ValueError("one state per contact pair required")
+    bad = np.flatnonzero(~np.isin(codes, (-1, 0, 1, OPEN)))
+    if bad.size:
+        raise ValueError(
+            f"pair {bad[0]} has state code {codes[bad[0]]}; the codes are "
+            f"-1/+1 (slip), 0 (stick) and {OPEN} (open)"
+        )
+    return np.asarray(codes, dtype=np.int8)
 
 
 # Hysteresis tolerances of the state rules in :func:`_state_rule`.
@@ -185,33 +202,16 @@ def _state_rule(jump_n, jump_t, lam_n, lam_t, gap0, crossing, was_open, fric):
     return opens, np.where(cue > 0, 1, -1) * slips
 
 
-# _STATES[code + 1]: code -1/+1 slips with that sign, 0 sticks, 2 is open
-_STATES = (PairState.slip(-1), PairState.stick(), PairState.slip(1), PairState.open_())
-
-
-def _pair_states(opens, sign):
-    return [_STATES[c] for c in (np.where(opens, 2, sign) + 1).tolist()]
-
-
-def classify_state(kin, fric, current=None, crossing=False):
-    """Contact state of one pair from its current iterate, by the rule
-    :func:`classify_all` applies to all pairs (``current`` defaults to
-    stick)."""
-    was_open = current is not None and current.kind is StateKind.OPEN
-    values = np.array([[kin.jump_n, kin.jump_t, kin.lam_n, kin.lam_t, kin.gap0]])
-    rule = _state_rule(*values.T, np.array([crossing]), np.array([was_open]), fric)
-    return _pair_states(*rule)[0]
-
-
-def classify_all(mesh, states, U, lam, fric):
-    """Next state of every pair from the iterate ``U``, ``lam``."""
+def classify_all(mesh, codes, U, lam, fric):
+    """Next state code of every pair from the iterate ``U``, ``lam`` and
+    the current ``codes``."""
     a = mesh.pair_arrays
-    was_open = np.array([st.kind is StateKind.OPEN for st in states], dtype=bool)
     jump_n, jump_t = pair_jumps(mesh, U)
-    rule = _state_rule(
-        jump_n, jump_t, lam[0::2], lam[1::2], a.gap0, a.crossing, was_open, fric
+    opens, sign = _state_rule(
+        jump_n, jump_t, lam[0::2], lam[1::2], a.gap0, a.crossing, codes == OPEN,
+        fric,
     )
-    return _pair_states(*rule)
+    return np.where(opens, OPEN, sign).astype(np.int8)
 
 
 @dataclass
@@ -254,8 +254,8 @@ def _csr(vals, rows, cols, shape):
     return out
 
 
-def assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
-    """Assemble all contact rows/columns for the given state assignment.
+def assemble_contact_blocks(mesh, codes, fric, fixed_dofs=None):
+    """Assemble all contact rows/columns for the state codes ``codes``.
 
     Every closed pair carries pointwise constraint rows weighted by its
     ``weight``: the tributary arc length for regular pairs (the row-sum
@@ -270,16 +270,15 @@ def assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
     contact equations: their jump is part of the data, and their multiplier
     columns would vanish from the reduced system and make it singular.
     Their multipliers are pinned to zero instead; the interface force there
-    is absorbed by the support reactions.
+    is absorbed by the support reactions; ``codes`` pass :func:`checked_codes`.
     """
-    if len(states) != mesh.n_pairs:
-        raise ValueError("one state per contact pair required")
+    codes = checked_codes(codes, mesh.n_pairs)
     a = mesh.pair_arrays
     n2 = 2 * mesh.n_nodes
     m2 = 2 * mesh.n_pairs
     tan_phi = fric.tan_phi
-    sign = np.array([st.sign for st in states], dtype=np.int64)
-    is_open = np.array([st.kind is StateKind.OPEN for st in states], dtype=bool)
+    is_open = codes == OPEN
+    sign = np.where(is_open, 0, codes)
     fixed = np.zeros(n2, dtype=bool)
     if fixed_dofs is not None:
         fixed[np.asarray(fixed_dofs, dtype=np.int64)] = True
@@ -335,9 +334,9 @@ def assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
     )
 
 
-def flipped_dofs(states0, states1, pinned0, pinned1):
+def flipped_dofs(codes0, codes1, pinned0, pinned1):
     """Multiplier dofs whose rows and columns in the blocks above can differ
-    between two state assignments on one Dirichlet set.
+    between the state codes ``codes0`` and ``codes1`` on one Dirichlet set.
 
     A pair's state decides only its own two rows and columns, so these are
     ``2p, 2p+1`` of every pair ``p`` whose state differs, less the dofs
@@ -345,8 +344,7 @@ def flipped_dofs(states0, states1, pinned0, pinned1):
     pairs' tangential multiplier and both multipliers of a fully fixed pair.
     ``pinned0``/``pinned1`` are the :attr:`ContactBlocks.pinned` masks.
     """
-    flipped = np.array([a != b for a, b in zip(states0, states1)], dtype=bool)
-    return np.flatnonzero(np.repeat(flipped, 2) & ~(pinned0 & pinned1))
+    return np.flatnonzero(np.repeat(codes0 != codes1, 2) & ~(pinned0 & pinned1))
 
 
 def contact_residuals(blocks, U, lam):

@@ -18,14 +18,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .contact import (
-    PairState,
-    StateKind,
+    OPEN,
     assemble_contact_blocks,
+    checked_codes,
     classify_all,
     contact_residuals,
     flipped_dofs,
     mohr_coulomb_tau_c,
     pair_jumps,
+    pair_states,
 )
 from .elasticity import (
     assemble_loads,
@@ -100,11 +101,12 @@ class SolverConfig:
 
 @dataclass
 class SolutionState:
-    """Solution and diagnostics of one load step."""
+    """Solution and diagnostics of one load step; ``codes`` holds one
+    ``int8`` contact state code per pair (see :mod:`fracfem.contact`)."""
 
     U: np.ndarray
     lam: np.ndarray
-    states: list
+    codes: np.ndarray
     step: int = 0
     converged: bool = False
     newton_iters: int = 0
@@ -115,6 +117,11 @@ class SolutionState:
     # a cold start whose open attempt failed and that was run again from
     # all stick; the loop and solve counts then cover both attempts
     restarted: bool = False
+
+    @property
+    def states(self):
+        """The :class:`~fracfem.contact.PairState` of each pair's code."""
+        return pair_states(self.codes)
 
 
 @dataclass
@@ -130,9 +137,10 @@ class SaddleSystem:
     1e13 that no row equilibration can repair.  All public quantities stay
     physical; only this system and its increments live in the scaled
     variable.  ``blocks`` are the contact blocks ``J`` was built from, for
-    the state assignment ``states``; :func:`newton_loop` forms the residual
-    after its solve from them, and :class:`SystemCache` compares ``states``
-    to tell which pairs' rows and columns differ between two systems.
+    the state codes ``codes`` (a copy of the iterate's own);
+    :func:`newton_loop` forms the residual after its solve from them, and
+    :class:`SystemCache` compares ``codes`` to tell which pairs' rows and
+    columns differ between two systems.
     :func:`build_system` returns ``J``; a system built by a
     :class:`SystemCache` holds None there once its fresh factorization
     exists.
@@ -149,7 +157,7 @@ class SaddleSystem:
     # norm lives here because the scaled multiplier rows of R have a
     # floating-point floor of eps * lambda * mult_scale
     R_phys: np.ndarray | None = None
-    states: tuple = ()
+    codes: np.ndarray | None = None
 
 
 def step_data(mesh, bcs, step, n_steps):
@@ -233,10 +241,10 @@ def _saddle_matrix(K, blocks, free, s):
 
 
 def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
-    """Assemble the reduced saddle system for the current states/iterate.
+    """Assemble the reduced saddle system for the current codes/iterate.
 
     ``F``, ``fixed`` and ``free`` come from :func:`step_data`; ``blocks``
-    are the contact blocks of ``state.states`` on ``fixed`` (built here when
+    are the contact blocks of ``state.codes`` on ``fixed`` (built here when
     not given).  ``J`` is formed straight from the arrays of ``K`` and the
     blocks (:func:`_saddle_matrix`), so K's free block exists only inside
     it.  The caller must have written the prescribed Dirichlet values into
@@ -244,7 +252,7 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
     and elimination is a plain row/column restriction).
     """
     if blocks is None:
-        blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
+        blocks = assemble_contact_blocks(mesh, state.codes, fric, fixed_dofs=fixed)
 
     s = mat.E  # multiplier nondimensionalization (see SaddleSystem docs)
     R, R_phys = _reduced_residual(K, blocks, F, state.U, state.lam, free, s)
@@ -259,7 +267,7 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
         blocks=blocks,
         mult_scale=s,
         R_phys=R_phys,
-        states=tuple(state.states),
+        codes=state.codes.copy(),
     )
 
 
@@ -405,12 +413,12 @@ def linear_solve(sys, pc):
 
 class _Base:
     """A fresh factorization ``lu`` of ``diag(1/pc) J``, with the records of
-    its system that bordering reads: the state assignment ``states``, the
-    contact blocks' ``pinned`` mask and the free dofs ``free``.  It holds no
+    its system that bordering reads: the state codes ``codes``, the contact
+    blocks' ``pinned`` mask and the free dofs ``free``.  It holds no
     ``J``."""
 
     def __init__(self, sys, pc, lu):
-        self.states, self.pinned, self.free = sys.states, sys.blocks.pinned, sys.free
+        self.codes, self.pinned, self.free = sys.codes, sys.blocks.pinned, sys.free
         self.pc, self.lu = pc, lu
 
     def solve(self, y):
@@ -423,17 +431,17 @@ class _Base:
         a quarter of the memory of the factor itself."""
         return self.lu.shape[0] * (R.size + extra) > self.lu.nnz / 4
 
-    def border(self, states, pinned, free):
+    def border(self, codes, pinned, free):
         """The dofs ``R`` to border the base on for a system of the state
-        assignment ``states`` on the free dofs ``free`` (``pinned`` is its
+        codes ``codes`` on the free dofs ``free`` (``pinned`` is its
         contact blocks' mask), or None when that system has other free dofs
         than the base, no multiplier dof that a flip since the base changed,
         or more of them than fit the dense-column budget.  It reads only
         these records, so it can decide before that system's ``J`` exists.
         """
-        if self.states == tuple(states) or not _same_bits(free, self.free):
+        if np.array_equal(self.codes, codes) or not _same_bits(free, self.free):
             return None
-        R = free.size + flipped_dofs(self.states, states, self.pinned, pinned)
+        R = free.size + flipped_dofs(self.codes, codes, self.pinned, pinned)
         if R.size == 0 or self._over_budget(R):
             return None
         return R
@@ -521,7 +529,7 @@ class SystemCache:
     :meth:`system` returned last.
 
     What serves a solve is decided once, in :meth:`system`.  A state loop
-    whose states and free dofs repeat the last system's reuses its blocks,
+    whose state codes and free dofs repeat the last system's reuses its blocks,
     ``J``, ``pc`` and solver, and only its residual is formed again.  For a
     new assignment, as soon as its contact blocks exist and before its ``J``
     does, the last system, its copies and its solver are dropped, and the
@@ -548,29 +556,29 @@ class SystemCache:
         self.sys = self.pc = None
         self.Jbar = self.lu = self.base = self.border_dofs = None
 
-    def _repeats(self, states, free):
-        """True when the last system was built for ``states`` and ``free``."""
+    def _repeats(self, codes, free):
+        """True when the last system was built for ``codes`` and ``free``."""
         return (
             self.sys is not None
-            and tuple(states) == self.sys.states
+            and np.array_equal(codes, self.sys.codes)
             and _same_bits(free, self.sys.free)
         )
 
     def system(self, mesh, mat, fric, state, F, fixed, free):
         """The :class:`SaddleSystem` of ``state``, as :func:`build_system`
         returns it."""
-        if self._repeats(state.states, free):
+        if self._repeats(state.codes, free):
             blocks, s = self.sys.blocks, self.sys.mult_scale
             R, R_phys = _reduced_residual(
                 self.K, blocks, F, state.U, state.lam, free, s
             )
             return replace(self.sys, R=R, R_phys=R_phys)
-        blocks = assemble_contact_blocks(mesh, state.states, fric, fixed_dofs=fixed)
+        blocks = assemble_contact_blocks(mesh, state.codes, fric, fixed_dofs=fixed)
         # free what the new system cannot use before its J and row norms
         self.sys = self.pc = self.Jbar = self.lu = None
         self.border_dofs = (
             None if self.base is None
-            else self.base.border(state.states, blocks.pinned, free)
+            else self.base.border(state.codes, blocks.pinned, free)
         )
         if self.border_dofs is None:
             self.base = None
@@ -649,26 +657,20 @@ class SystemCache:
             )
 
 
-def stick_states(mesh):
-    """Most-constrained assignment: every pair sticks (the restart of a
-    cold start)."""
-    return [PairState.stick() for _ in mesh.pairs]
-
-
-def _ranked_flips(mesh, states, proposed, U, lam, fric):
+def _ranked_flips(mesh, codes, proposed, U, lam, fric):
     """Proposed state changes ranked by a dimensionless violation score.
 
     Returns ``(score, pair id)`` tuples, highest score first, ties by id.
     """
-    ids = np.flatnonzero([new != st for st, new in zip(states, proposed)])
+    ids = np.flatnonzero(codes != proposed)
     jump_n, _ = pair_jumps(mesh, U)
     trial_gap = (mesh.pair_arrays.gap0 + jump_n)[ids]
     lam_n, lam_t = lam[0::2][ids], lam[1::2][ids]
     lam_ref = np.abs(np.concatenate([lam_n, lam_t])).max(initial=1.0)
     gap_ref = np.abs(trial_gap).max(initial=1e-12)
 
-    to_open = np.array([proposed[i].kind is StateKind.OPEN for i in ids], dtype=bool)
-    from_open = np.array([states[i].kind is StateKind.OPEN for i in ids], dtype=bool)
+    to_open = proposed[ids] == OPEN
+    from_open = codes[ids] == OPEN
     tau = mohr_coulomb_tau_c(lam_n, fric)
     score = np.where(
         to_open,
@@ -679,19 +681,20 @@ def _ranked_flips(mesh, states, proposed, U, lam, fric):
     return list(zip(score[order].tolist(), ids[order].tolist()))
 
 
-def _cautious_update(mesh, states, proposed, U, lam, fric, seen):
+def _cautious_update(mesh, codes, proposed, U, lam, fric, seen):
     """Anti-cycling fallback: apply one state change per loop.
 
     Simultaneous flips of marginal pairs can make the active-set map
     oscillate between assignments; changing one pair at a time, picked by
     violation score and skipping already-visited assignments (a tabu walk),
     restores progress the way Bland's rule does for the simplex method.
-    Returns None when every single flip lands on a visited assignment.
+    ``seen`` holds the ``bytes`` of the visited codes.  Returns None when
+    every single flip lands on a visited assignment.
     """
-    for _, pid in _ranked_flips(mesh, states, proposed, U, lam, fric):
-        out = list(states)
+    for _, pid in _ranked_flips(mesh, codes, proposed, U, lam, fric):
+        out = codes.copy()
         out[pid] = proposed[pid]
-        if tuple(out) not in seen:
+        if out.tobytes() not in seen:
             return out
     return None
 
@@ -708,7 +711,8 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
     A nearly singular system is a failed solve in every attempt (a block
     that its fractures alone hold floats; see :meth:`SystemCache.check_rank`).
 
-    A warm start keeps ``warm``'s iterate and states.  A cold start begins
+    A warm start keeps ``warm``'s iterate and state codes (a code outside
+    -1, 0, 1 and ``OPEN`` is a ValueError).  A cold start begins
     with every pair open, so a fracture that opens, or a contact that one
     solve settles, costs a single factorization.  The open attempt gives up
     instead of walking: at a revisited assignment, or when a slipping pair
@@ -727,17 +731,18 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
         systems = SystemCache(assemble_stiffness(mesh, mat))
     data = step_data(mesh, bcs, step, cfg.n_load_steps)
     if warm is not None:
+        codes = np.array(checked_codes(warm.codes, mesh.n_pairs))
         return _active_set(mesh, mat, fric, cfg, systems, data, warm.U.copy(),
-                           warm.lam.copy(), list(warm.states), step)
+                           warm.lam.copy(), codes, step)
     n2, m2 = 2 * mesh.n_nodes, 2 * mesh.n_pairs
     first = _active_set(mesh, mat, fric, cfg, systems, data, np.zeros(n2),
-                        np.zeros(m2), [PairState.open_()] * mesh.n_pairs, step,
+                        np.zeros(m2), np.full(mesh.n_pairs, OPEN, np.int8), step,
                         open_start=True)
     if first.converged or not mesh.n_pairs:
         return first
     systems.clear()
     res = _active_set(mesh, mat, fric, cfg, systems, data, np.zeros(n2),
-                      np.zeros(m2), stick_states(mesh), step)
+                      np.zeros(m2), np.zeros(mesh.n_pairs, np.int8), step)
     res.restarted = True
     res.state_loops += first.state_loops
     res.newton_iters += first.newton_iters
@@ -749,17 +754,17 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
     return res
 
 
-def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step,
+def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, codes, step,
                 open_start=False):
     """The state loops of one attempt at a load step from ``U``, ``lam`` and
-    ``states`` (owned by the attempt), with ``data`` from
+    the ``int8`` state ``codes`` (owned by the attempt), with ``data`` from
     :func:`step_data`; ``open_start`` marks a cold step's open attempt,
     which never enters the tabu walk.  See
     :func:`newton_loop`."""
     F, fixed, fixed_vals, free = data
     U[fixed] = fixed_vals
 
-    result = SolutionState(U=U, lam=lam, states=states, step=step or 0)
+    result = SolutionState(U=U, lam=lam, codes=codes, step=step or 0)
     seen = set()
     cautious = False
 
@@ -794,35 +799,29 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, states, step,
             )
             return result
 
-        proposal = classify_all(mesh, states, U, lam, fric)
-        if proposal == states:
+        proposal = classify_all(mesh, codes, U, lam, fric)
+        if np.array_equal(proposal, codes):
             result.converged = True
             return result
-        seen.add(tuple(states))
-        if open_start and tuple(proposal) in seen:
+        seen.add(codes.tobytes())
+        if open_start and proposal.tobytes() in seen:
             result.cycled = True
             result.message = "the open start revisits a state assignment"
             return result
-        if open_start and any(
-            a.kind is b.kind is StateKind.SLIP and a != b
-            for a, b in zip(states, proposal)
-        ):
+        if open_start and np.any(codes * proposal == -1):
             result.message = "a slipping pair reverses under the open start"
             return result
         if not cautious:
-            new_states = proposal
-            if tuple(new_states) in seen:
+            new_codes = proposal
+            if new_codes.tobytes() in seen:
                 cautious = True  # revisit: fall back to one flip per loop
         if cautious:
-            new_states = _cautious_update(
-                mesh, states, proposal, U, lam, fric, seen
-            )
-            if new_states is None:
+            new_codes = _cautious_update(mesh, codes, proposal, U, lam, fric, seen)
+            if new_codes is None:
                 result.cycled = True
                 result.message = "active-set cycling detected"
                 return result
-        states = new_states
-        result.states = states
+        codes = result.codes = new_codes
 
     result.message = f"max_state_loops={cfg.max_state_loops} exceeded"
     return result

@@ -11,6 +11,6 @@ def reaction_forces(mesh, mat, fric, bcs, result, step=None, K=None, n_steps=1):
     if K is None:
         K = assemble_stiffness(mesh, mat)
     F, fixed, _, _ = step_data(mesh, bcs, step, n_steps)
-    blocks = assemble_contact_blocks(mesh, result.states, fric, fixed_dofs=fixed)
+    blocks = assemble_contact_blocks(mesh, result.codes, fric, fixed_dofs=fixed)
     ru_c, _ = contact_residuals(blocks, result.U, result.lam)
     return fixed, (K @ result.U + ru_c - F)[fixed]

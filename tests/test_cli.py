@@ -25,7 +25,6 @@ from fracfem.config import (
     save_config,
     serialize_config,
 )
-from fracfem.contact import StateKind
 from fracfem.elasticity import ConfigError, MaterialParams, element_stresses
 from fracfem.export import (
     VTK_HEADER,
@@ -450,13 +449,11 @@ class TestExports:
         assert all(r[5] in ("stick", "slip", "open") for r in rows[1:])
 
     def test_zero_load_profile_all_zero(self, tmp_path):
-        from fracfem.solver import stick_states
-
         cfg = config_from_dict(MINIMAL)
         mesh = build_mesh(cfg)
         zero = SolutionState(
             U=np.zeros(2 * mesh.n_nodes), lam=np.zeros(2 * mesh.n_pairs),
-            states=stick_states(mesh),
+            codes=np.zeros(mesh.n_pairs, np.int8),
         )
         paths = export_profiles(zero, mesh, tmp_path / "zero.csv")
         with open(paths[0], newline="") as fh:
@@ -487,7 +484,8 @@ class TestExports:
         mesh = build_contact_pairs(
             split_fractures(generate_rect_mesh(1.0, 1.0, 1, 1))
         )
-        state = SolutionState(U=np.zeros(8), lam=np.zeros(0), states=[])
+        state = SolutionState(U=np.zeros(8), lam=np.zeros(0),
+                              codes=np.zeros(0, np.int8))
         path = export_field(state, mesh, MaterialParams(E=1e9, nu=0.25),
                             tmp_path / "f.vtk")
         lines, data = read_vtk(path)
@@ -505,7 +503,7 @@ class TestExports:
         res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
                              cfg.solver)[-1]
         pair = mesh.pairs[mesh.n_pairs // 2]
-        assert res.converged and res.states[pair.id].kind is StateKind.SLIP
+        assert res.converged and abs(res.codes[pair.id]) == 1  # slip
         path = export_field(res, mesh, cfg.material, tmp_path / "j.vtk")
         _, data = read_vtk(path)
         pts = data["POINTS"].reshape(mesh.n_nodes, 3)
@@ -571,7 +569,7 @@ class TestExports:
         rng = np.random.default_rng(7)
         values = []
         for U in (res.U, *rng.standard_normal((6, res.U.size))):
-            state = SolutionState(U=U, lam=res.lam, states=res.states)
+            state = SolutionState(U=U, lam=res.lam, codes=res.codes)
             ref = min([0.0, *(pair_kinematics(p, U, res.lam).trial_gap
                               for p in mesh.pairs)])
             values.append(max_penetration(mesh, state))
@@ -580,7 +578,7 @@ class TestExports:
         bare = build_mesh(dataclasses.replace(cfg, fractures=[]))
         assert bare.n_pairs == 0
         empty = SolutionState(U=np.zeros(2 * bare.n_nodes), lam=np.zeros(0),
-                              states=[])
+                              codes=np.zeros(0, np.int8))
         assert repr(max_penetration(bare, empty)) == "0.0"
 
     @pytest.mark.parametrize("n_nodes, n_elements", [(2**31, 1), (4, 2**29)])

@@ -13,6 +13,7 @@ from fracfem import presets
 from fracfem.config import build_mesh
 from fracfem.contact import (
     GAP_NOISE,
+    OPEN,
     OPEN_TENSION,
     SIGN_EPS,
     SLIP_REL,
@@ -21,9 +22,9 @@ from fracfem.contact import (
     PairKinematics,
     PairState,
     StateKind,
+    _state_rule,
     assemble_contact_blocks,
     classify_all,
-    classify_state,
     contact_residuals,
     mohr_coulomb_tau_c,
     pair_jumps,
@@ -51,6 +52,19 @@ def kin(jump_n=0.0, jump_t=0.0, lam_n=0.0, lam_t=0.0, gap0=0.0):
     return PairKinematics(
         jump_n=jump_n, jump_t=jump_t, lam_n=lam_n, lam_t=lam_t, gap0=gap0,
     )
+
+
+def codes_of(mesh, code):
+    """Every pair of ``mesh`` in the state ``code``."""
+    return np.full(mesh.n_pairs, code, dtype=np.int8)
+
+
+def classify_one(k, fric, current=0, crossing=False):
+    """State code of one pair with kinematics ``k`` and code ``current``,
+    by the array rule on one-element arrays."""
+    values = (k.jump_n, k.jump_t, k.lam_n, k.lam_t, k.gap0, crossing, current == OPEN)
+    opens, sign = _state_rule(*(np.array([v]) for v in values), fric)
+    return int(np.where(opens, OPEN, sign)[0])
 
 
 class TestJumpDisplacement:
@@ -128,51 +142,35 @@ class TestMohrCoulomb:
 
 class TestClassifyState:
     def test_tension_opens(self):
-        st_ = classify_state(kin(lam_n=1.0, lam_t=99e6), FRIC30)
-        assert st_.kind is StateKind.OPEN
+        assert classify_one(kin(lam_n=1.0, lam_t=99e6), FRIC30) == OPEN
 
     def test_compressed_below_bound_sticks(self):
-        st_ = classify_state(kin(lam_n=-10e6, lam_t=3e6), FRIC30)
-        assert st_ == PairState.stick()
+        assert classify_one(kin(lam_n=-10e6, lam_t=3e6), FRIC30) == 0
 
     def test_at_bound_slips_with_jump_sign(self):
-        st_ = classify_state(kin(lam_n=-10e6, lam_t=6e6, jump_t=1e-6),
-                             FRIC30)
-        assert st_ == PairState.slip(+1)
+        st_ = classify_one(kin(lam_n=-10e6, lam_t=6e6, jump_t=1e-6), FRIC30)
+        assert st_ == +1
 
     def test_sign_falls_back_to_trial_traction(self):
-        st_ = classify_state(kin(lam_n=-10e6, lam_t=-6e6, jump_t=0.0),
-                             FRIC30)
-        assert st_ == PairState.slip(-1)
+        st_ = classify_one(kin(lam_n=-10e6, lam_t=-6e6, jump_t=0.0), FRIC30)
+        assert st_ == -1
 
     def test_final_fallback_positive(self):
         fric = FrictionParams(cohesion=0.0, friction_angle=0.3)
-        st_ = classify_state(kin(lam_n=0.0, lam_t=0.0), fric)
-        assert st_ == PairState.slip(+1)
+        assert classify_one(kin(lam_n=0.0, lam_t=0.0), fric) == +1
 
     def test_open_persists_with_positive_gap(self):
-        st_ = classify_state(
-            kin(jump_n=1e-6), FRIC30, current=PairState.open_()
-        )
-        assert st_.kind is StateKind.OPEN
+        assert classify_one(kin(jump_n=1e-6), FRIC30, current=OPEN) == OPEN
 
     def test_open_reengages_beyond_noise_band(self):
-        st_ = classify_state(
-            kin(jump_n=-1e-6), FRIC30, current=PairState.open_()
-        )
-        assert st_.kind is not StateKind.OPEN
+        assert classify_one(kin(jump_n=-1e-6), FRIC30, current=OPEN) != OPEN
 
     def test_open_survives_noise_level_penetration(self):
-        st_ = classify_state(
-            kin(jump_n=-1e-15), FRIC30, current=PairState.open_()
-        )
-        assert st_.kind is StateKind.OPEN
+        assert classify_one(kin(jump_n=-1e-15), FRIC30, current=OPEN) == OPEN
 
     def test_crossing_pairs_never_slip(self):
-        st_ = classify_state(
-            kin(lam_n=-1e6, lam_t=99e6), FRIC30, crossing=True
-        )
-        assert st_ == PairState.stick()
+        st_ = classify_one(kin(lam_n=-1e6, lam_t=99e6), FRIC30, crossing=True)
+        assert st_ == 0
 
     def test_slip_state_validation(self):
         with pytest.raises(ValueError):
@@ -184,8 +182,7 @@ class TestClassifyState:
 class TestAssembleBlocks:
     def test_all_open_decouples(self):
         mesh = horizontal_mesh()
-        states = [PairState.open_() for _ in mesh.pairs]
-        blocks = assemble_contact_blocks(mesh, states, FRIC30)
+        blocks = assemble_contact_blocks(mesh, codes_of(mesh, OPEN), FRIC30)
         assert blocks.C.nnz == 0
         assert blocks.B_up.nnz == 0
         D = blocks.D.toarray()
@@ -203,8 +200,7 @@ class TestAssembleBlocks:
                          1.0: mass[0].sum()}
         for pair in mesh.pairs:
             assert pair.weight == pytest.approx(expected_trib[pair.arc_coord])
-        states = [PairState.stick() for _ in mesh.pairs]
-        blocks = assemble_contact_blocks(mesh, states, FRIC30)
+        blocks = assemble_contact_blocks(mesh, codes_of(mesh, 0), FRIC30)
         C = blocks.C.toarray()
         for pair in mesh.pairs:
             w = expected_trib[pair.arc_coord]
@@ -217,8 +213,7 @@ class TestAssembleBlocks:
 
     def test_stick_coupling_is_exact_transpose(self):
         mesh = horizontal_mesh(nx=4)
-        states = [PairState.stick() for _ in mesh.pairs]
-        blocks = assemble_contact_blocks(mesh, states, FRIC30)
+        blocks = assemble_contact_blocks(mesh, codes_of(mesh, 0), FRIC30)
         diff = (blocks.B_up - blocks.C.T).toarray()
         assert np.abs(diff).max() == 0.0
 
@@ -226,8 +221,7 @@ class TestAssembleBlocks:
         # tangential load direction of the normal-multiplier column equals
         # -sign*tan(phi) times the normal direction weight
         mesh = horizontal_mesh(nx=2)
-        states = [PairState.slip(+1) for _ in mesh.pairs]
-        blocks = assemble_contact_blocks(mesh, states, FRIC30)
+        blocks = assemble_contact_blocks(mesh, codes_of(mesh, +1), FRIC30)
         B = blocks.B_up.toarray()
         tan_phi = math.tan(math.radians(30.0))
         for pair in mesh.pairs:
@@ -241,8 +235,7 @@ class TestAssembleBlocks:
         mesh = horizontal_mesh(nx=2)
         fric = FrictionParams(cohesion=2e5, friction_angle=math.radians(30.0))
         sign = -1
-        states = [PairState.slip(sign) for _ in mesh.pairs]
-        blocks = assemble_contact_blocks(mesh, states, fric)
+        blocks = assemble_contact_blocks(mesh, codes_of(mesh, sign), fric)
         D = blocks.D.toarray()
         for pair in mesh.pairs:
             r = 2 * pair.id + 1
@@ -253,8 +246,7 @@ class TestAssembleBlocks:
     def test_slip_cohesion_load(self):
         mesh = horizontal_mesh(nx=2)
         fric = FrictionParams(cohesion=1e6, friction_angle=math.radians(30.0))
-        states = [PairState.slip(+1) for _ in mesh.pairs]
-        blocks = assemble_contact_blocks(mesh, states, fric)
+        blocks = assemble_contact_blocks(mesh, codes_of(mesh, +1), fric)
         for pair in mesh.pairs:
             f_plus = blocks.f_slip[2 * pair.node_plus : 2 * pair.node_plus + 2]
             np.testing.assert_allclose(
@@ -267,8 +259,7 @@ class TestAssembleBlocks:
             generate_rect_mesh(1.0, 1.0, 2, 2,
                                fractures=[(0.0, 0.5, 1.0, 0.5, 1e-3)])
         )
-        states = [PairState.stick() for _ in mesh.pairs]
-        blocks = assemble_contact_blocks(mesh, states, FRIC30)
+        blocks = assemble_contact_blocks(mesh, codes_of(mesh, 0), FRIC30)
         for pair in mesh.pairs:
             assert blocks.g[2 * pair.id] == pytest.approx(1e-3 * pair.weight)
             assert blocks.g[2 * pair.id + 1] == 0.0
@@ -278,8 +269,7 @@ class TestAssembleBlocks:
             generate_rect_mesh(4.0, 4.0, 16, 16,
                                fractures=[(1, 2, 3, 2), (2, 1, 2, 3)])
         )
-        states = [PairState.stick() for _ in mesh.pairs]
-        blocks = assemble_contact_blocks(mesh, states, FRIC30)
+        blocks = assemble_contact_blocks(mesh, codes_of(mesh, 0), FRIC30)
         C = blocks.C.toarray()
         D = blocks.D.toarray()
         for pair in mesh.pairs:
@@ -302,8 +292,9 @@ class TestAssembleBlocks:
             2 * pair.node_plus, 2 * pair.node_plus + 1,
             2 * pair.node_minus, 2 * pair.node_minus + 1,
         ])
-        states = [PairState.stick() for _ in mesh.pairs]
-        blocks = assemble_contact_blocks(mesh, states, FRIC30, fixed_dofs=fixed)
+        blocks = assemble_contact_blocks(
+            mesh, codes_of(mesh, 0), FRIC30, fixed_dofs=fixed
+        )
         fully_fixed = np.flatnonzero(blocks.pinned.reshape(-1, 2).all(axis=1))
         assert fully_fixed.tolist() == [pair.id]
         C = blocks.C.toarray()
@@ -311,12 +302,24 @@ class TestAssembleBlocks:
         assert np.all(C[2 * pair.id] == 0.0)
         assert D[2 * pair.id, 2 * pair.id] == 1.0
 
+    @pytest.mark.parametrize("bad", [3, -2])
+    def test_unknown_code_names_its_pair(self, bad):
+        mesh = horizontal_mesh(nx=4)
+        codes = codes_of(mesh, 0)
+        codes[[2, 4]] = bad
+        with pytest.raises(ValueError, match=f"pair 2 has state code {bad};"):
+            assemble_contact_blocks(mesh, codes, FRIC30)
+
+    def test_one_code_per_pair(self):
+        mesh = horizontal_mesh(nx=4)
+        with pytest.raises(ValueError, match="one state per contact pair"):
+            assemble_contact_blocks(mesh, codes_of(mesh, 0)[1:], FRIC30)
+
 
 class TestContactResiduals:
     def test_zero_state_zero_residuals(self):
         mesh = horizontal_mesh()
-        states = [PairState.stick() for _ in mesh.pairs]
-        blocks = assemble_contact_blocks(mesh, states, FRIC30)
+        blocks = assemble_contact_blocks(mesh, codes_of(mesh, 0), FRIC30)
         ru, rlam = contact_residuals(
             blocks, np.zeros(2 * mesh.n_nodes), np.zeros(2 * mesh.n_pairs)
         )
@@ -328,8 +331,7 @@ class TestContactResiduals:
             generate_rect_mesh(1.0, 1.0, 2, 2,
                                fractures=[(0.0, 0.5, 1.0, 0.5, 1e-3)])
         )
-        states = [PairState.stick() for _ in mesh.pairs]
-        blocks = assemble_contact_blocks(mesh, states, FRIC30)
+        blocks = assemble_contact_blocks(mesh, codes_of(mesh, 0), FRIC30)
         U = np.tile([0.3, -0.7], mesh.n_nodes)
         _, rlam = contact_residuals(blocks, U, np.zeros(2 * mesh.n_pairs))
         np.testing.assert_allclose(rlam, blocks.g, atol=1e-16)
@@ -416,8 +418,8 @@ def _ref_tributary_weights(mesh):
     return trib
 
 
-def _ref_assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
-    if len(states) != mesh.n_pairs:
+def _ref_assemble_contact_blocks(mesh, codes, fric, fixed_dofs=None):
+    if len(codes) != mesh.n_pairs:
         raise ValueError("one state per contact pair required")
     inactive = _ref_fully_fixed_pairs(mesh, fixed_dofs)
     n2 = 2 * mesh.n_nodes
@@ -430,10 +432,10 @@ def _ref_assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
     tan_phi = fric.tan_phi
     trib = _ref_tributary_weights(mesh)
 
-    for pair, st in zip(mesh.pairs, states):
+    for pair, code in zip(mesh.pairs, codes.tolist()):
         if pair.is_crossing_pair or pair.id in inactive:
             continue
-        if st.kind is StateKind.OPEN:
+        if code == OPEN:
             continue
         w = trib[pair.id]
         row_n = 2 * pair.id
@@ -441,16 +443,16 @@ def _ref_assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
         _ref_add_pair_entries(C, row_n, pair.normal, w, *nodes)
         _ref_add_pair_entries(B, row_n, pair.normal, w, *nodes, transpose=True)
         g[row_n] += pair.gap0 * w
-        if st.kind is StateKind.STICK:
+        if code == 0:
             _ref_add_pair_entries(C, row_n + 1, pair.tangent, w, *nodes)
             _ref_add_pair_entries(B, row_n + 1, pair.tangent, w, *nodes, transpose=True)
         else:  # slip: friction enters through the normal multiplier column
             _ref_add_pair_entries(
-                B, row_n, -st.sign * tan_phi * pair.tangent, w, *nodes,
+                B, row_n, -code * tan_phi * pair.tangent, w, *nodes,
                 transpose=True,
             )
             if fric.cohesion != 0.0:
-                coh = fric.cohesion * st.sign * w
+                coh = fric.cohesion * code * w
                 f_slip[2 * pair.node_plus : 2 * pair.node_plus + 2] += (
                     coh * pair.tangent
                 )
@@ -459,7 +461,7 @@ def _ref_assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
                 )
 
     pinned = np.zeros(m2, dtype=bool)
-    for pair, st in zip(mesh.pairs, states):
+    for pair, code in zip(mesh.pairs, codes.tolist()):
         row_n = 2 * pair.id
         row_t = row_n + 1
         if pair.id in inactive:
@@ -467,7 +469,7 @@ def _ref_assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
             Dmat.add(row_t, row_t, 1.0)
             pinned[row_n] = pinned[row_t] = True
         elif pair.is_crossing_pair:
-            if st.kind is StateKind.OPEN:
+            if code == OPEN:
                 Dmat.add(row_n, row_n, 1.0)
                 pinned[row_n] = True
             else:
@@ -480,14 +482,14 @@ def _ref_assemble_contact_blocks(mesh, states, fric, fixed_dofs=None):
                 g[row_n] += w * pair.gap0
             Dmat.add(row_t, row_t, 1.0)  # no point friction at the crossing
             pinned[row_t] = True
-        elif st.kind is StateKind.OPEN:
+        elif code == OPEN:
             Dmat.add(row_n, row_n, 1.0)
             Dmat.add(row_t, row_t, 1.0)
             pinned[row_n] = pinned[row_t] = True
-        elif st.kind is StateKind.SLIP:
-            Dmat.add(row_t, row_n, st.sign * tan_phi)
+        elif code in (-1, 1):
+            Dmat.add(row_t, row_n, code * tan_phi)
             Dmat.add(row_t, row_t, 1.0)
-            g[row_t] = -st.sign * fric.cohesion
+            g[row_t] = -code * fric.cohesion
 
     return ContactBlocks(
         C=C.matrix((m2, n2)),
@@ -518,10 +520,8 @@ def _assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(kind), b.view(kind))
 
 
-def _random_states(rng, n):
-    choices = (PairState.stick(), PairState.slip(1), PairState.slip(-1),
-               PairState.open_())
-    return [choices[k] for k in rng.integers(0, 4, size=n)]
+def _random_codes(rng, n):
+    return np.array([0, 1, -1, OPEN], dtype=np.int8)[rng.integers(0, 4, size=n)]
 
 
 class TestArrayAssemblyMatchesLoops:
@@ -550,12 +550,11 @@ class TestArrayAssemblyMatchesLoops:
 
     @staticmethod
     def assert_matches_reference(mesh, fixed, fric, rng):
-        assignments = [[PairState.stick()] * mesh.n_pairs,
-                       [PairState.open_()] * mesh.n_pairs]
-        assignments += [_random_states(rng, mesh.n_pairs) for _ in range(20)]
-        for states in assignments:
-            got = assemble_contact_blocks(mesh, states, fric, fixed_dofs=fixed)
-            ref = _ref_assemble_contact_blocks(mesh, states, fric, fixed_dofs=fixed)
+        assignments = [codes_of(mesh, 0), codes_of(mesh, OPEN)]
+        assignments += [_random_codes(rng, mesh.n_pairs) for _ in range(20)]
+        for codes in assignments:
+            got = assemble_contact_blocks(mesh, codes, fric, fixed_dofs=fixed)
+            ref = _ref_assemble_contact_blocks(mesh, codes, fric, fixed_dofs=fixed)
             for field in ("C", "B_up", "D"):
                 a, b = getattr(got, field), getattr(ref, field)
                 assert a.format == b.format == "csr" and a.shape == b.shape
@@ -608,7 +607,7 @@ def _ref_all_pair_kinematics(mesh, U, lam):
 
 
 def _ref_classify_state(kin, fric, current=None, crossing=False):
-    """Contact state of one pair from its current iterate.
+    """Contact state code of one pair from its current iterate and code.
 
     Order of tests: tension demanded -> open; an open pair with a positive
     trial gap stays open; otherwise slip if the tangential multiplier reaches
@@ -616,13 +615,13 @@ def _ref_classify_state(kin, fric, current=None, crossing=False):
     open and (normal-)active.
     """
     if current is None:
-        current = PairState.stick()
+        current = 0
     if kin.lam_n > OPEN_TENSION:
-        return PairState.open_()
-    if current.kind is StateKind.OPEN and kin.trial_gap > -GAP_NOISE:
-        return PairState.open_()
+        return OPEN
+    if current == OPEN and kin.trial_gap > -GAP_NOISE:
+        return OPEN
     if crossing:
-        return PairState.stick()
+        return 0
     tau_c = mohr_coulomb_tau_c(kin.lam_n, fric)
     if abs(kin.lam_t) >= tau_c * (1.0 - SLIP_REL):
         if abs(kin.jump_t) >= SIGN_EPS:
@@ -631,15 +630,17 @@ def _ref_classify_state(kin, fric, current=None, crossing=False):
             sign = 1 if kin.lam_t > 0 else -1
         else:
             sign = 1
-        return PairState.slip(sign)
-    return PairState.stick()
+        return sign
+    return 0
 
 
-def _ref_classify_all(mesh, states, U, lam, fric):
-    return [
-        _ref_classify_state(kin, fric, current=st, crossing=pair.is_crossing_pair)
-        for pair, st, kin in zip(mesh.pairs, states, _ref_all_pair_kinematics(mesh, U, lam))
-    ]
+def _ref_classify_all(mesh, codes, U, lam, fric):
+    return np.array([
+        _ref_classify_state(kin, fric, current=code, crossing=pair.is_crossing_pair)
+        for pair, code, kin in zip(
+            mesh.pairs, codes.tolist(), _ref_all_pair_kinematics(mesh, U, lam)
+        )
+    ], dtype=np.int8)
 
 
 def _straddling_iterate(mesh, fric, rng, u_scale):
@@ -679,10 +680,10 @@ class TestArrayClassifierMatchesRule:
         seen = set()
         for u_scale in (0.0, 1e-13, 1e-12, 3e-12, 1e-6) * 4:
             U, lam = _straddling_iterate(mesh, fric, rng, u_scale)
-            states = _random_states(rng, mesh.n_pairs)
-            got = classify_all(mesh, states, U, lam, fric)
-            assert got == _ref_classify_all(mesh, states, U, lam, fric)
-            seen |= self.branches(mesh, states, U, lam, fric)
+            codes = _random_codes(rng, mesh.n_pairs)
+            got = classify_all(mesh, codes, U, lam, fric)
+            _assert_same_bits(got, _ref_classify_all(mesh, codes, U, lam, fric))
+            seen |= self.branches(mesh, codes, U, lam, fric)
         expected = {"tie", "gap in band", "gap beyond band", "tiny jump lam_t<0",
                     "tiny jump lam_t>0"}
         if cohesion == 0.0:
@@ -690,14 +691,14 @@ class TestArrayClassifierMatchesRule:
         assert expected <= seen
 
     @staticmethod
-    def branches(mesh, states, U, lam, fric):
+    def branches(mesh, codes, U, lam, fric):
         """Which edge cases of the rule these inputs reach on regular pairs."""
         out = set()
         kins = _ref_all_pair_kinematics(mesh, U, lam)
-        for pair, st, kin in zip(mesh.pairs, states, kins):
+        for pair, code, kin in zip(mesh.pairs, codes.tolist(), kins):
             if pair.is_crossing_pair or kin.lam_n > OPEN_TENSION:
                 continue
-            if st.kind is StateKind.OPEN:
+            if code == OPEN:
                 in_band = kin.trial_gap > -GAP_NOISE
                 out.add("gap in band" if in_band else "gap beyond band")
                 continue
@@ -715,17 +716,15 @@ class TestArrayClassifierMatchesRule:
         lam_n=st.floats(-1e7, 1e6),
         lam_t=st.floats(-1e7, 1e7),
         gap0=st.sampled_from([0.0, 1e-12, -1e-12, 1e-3]),
-        current=st.sampled_from([None, PairState.stick(), PairState.slip(1),
-                                 PairState.slip(-1), PairState.open_()]),
+        current=st.sampled_from([None, 0, 1, -1, OPEN]),
         crossing=st.booleans(),
         cohesion=st.sampled_from([0.0, 2e5]),
     )
     @settings(max_examples=300)
-    def test_classify_state_equals_per_pair_rule(
+    def test_state_rule_equals_per_pair_rule(
         self, jump_n, jump_t, lam_n, lam_t, gap0, current, crossing, cohesion
     ):
         fric = FrictionParams(cohesion=cohesion, friction_angle=math.radians(30.0))
         k = kin(jump_n, jump_t, lam_n, lam_t, gap0)
-        assert classify_state(k, fric, current, crossing) == _ref_classify_state(
-            k, fric, current, crossing
-        )
+        got = classify_one(k, fric, 0 if current is None else current, crossing)
+        assert got == _ref_classify_state(k, fric, current, crossing)

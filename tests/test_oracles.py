@@ -20,7 +20,7 @@ from fracfem.oracles import (
     sif_ratio,
     sneddon_opening,
 )
-from fracfem.solver import SolutionState, stick_states
+from fracfem.solver import SolutionState
 
 MAT_25 = MaterialParams(E=25e9, nu=0.25)
 FRIC_30 = FrictionParams(cohesion=0.0, friction_angle=math.radians(30.0))
@@ -148,7 +148,7 @@ class TestSifRatio:
         ))
         state = SolutionState(
             U=np.zeros(2 * mesh.n_nodes), lam=np.zeros(2 * mesh.n_pairs),
-            states=stick_states(mesh),
+            codes=np.zeros(mesh.n_pairs, np.int8),
         )
         pair = next(p for p in mesh.pairs if p.fracture == 0)
         chain = mesh.chains[0]

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from fracfem import presets, solver
 from fracfem.contact import (
+    OPEN,
     FrictionParams,
     PairKinematics,
-    PairState,
     StateKind,
     flipped_dofs,
     mohr_coulomb_tau_c,
@@ -45,7 +45,6 @@ from fracfem.solver import (
     newton_loop,
     run_load_steps,
     step_data,
-    stick_states,
 )
 
 from reactions import reaction_forces
@@ -58,6 +57,18 @@ def built(mesh):
     return build_contact_pairs(split_fractures(mesh))
 
 
+def codes_of(mesh, code):
+    """Every pair of ``mesh`` in the state ``code`` (0 sticks, +-1 slips,
+    OPEN is open)."""
+    return np.full(mesh.n_pairs, code, dtype=np.int8)
+
+
+def stick_codes(mesh):
+    """Most-constrained assignment: every pair sticks (the restart of a
+    cold start)."""
+    return codes_of(mesh, 0)
+
+
 def small_inclined_setup(sigma=10e6, pressure=0.0):
     """Coarse version of the 45-degree crack benchmark."""
     cfg = presets.inclined_crack(sigma=sigma, pressure=pressure,
@@ -67,13 +78,13 @@ def small_inclined_setup(sigma=10e6, pressure=0.0):
     return build_mesh(cfg), cfg
 
 
-def make_system(mesh, cfg, states=None):
+def make_system(mesh, cfg, codes=None):
     U = np.zeros(2 * mesh.n_nodes)
     lam = np.zeros(2 * mesh.n_pairs)
     F, fixed, vals, free = step_data(mesh, cfg.bcs, None, 1)
     U[fixed] = vals
     st_ = SolutionState(U=U, lam=lam,
-                        states=states or stick_states(mesh))
+                        codes=stick_codes(mesh) if codes is None else codes)
     K = assemble_stiffness(mesh, cfg.material)
     return build_system(mesh, cfg.material, cfg.friction, st_, K, F, fixed,
                         free)
@@ -82,8 +93,7 @@ def make_system(mesh, cfg, states=None):
 class TestBuildSystem:
     def test_all_open_reduces_to_elasticity(self):
         mesh, cfg = small_inclined_setup()
-        states = [PairState.open_() for _ in mesh.pairs]
-        sys = make_system(mesh, cfg, states=states)
+        sys = make_system(mesh, cfg, codes=codes_of(mesh, OPEN))
         pc = build_preconditioner(sys)
         dx = linear_solve(sys, pc)
         d_lam = dx[sys.n_disp :]
@@ -327,7 +337,7 @@ class TestNewtonLoop:
         res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs,
                           cfg.solver)
         assert res.converged
-        assert all(s.kind is StateKind.SLIP for s in res.states)
+        assert np.all(np.abs(res.codes) == 1)
         assert all(res.lam[2 * p.id] < 0 for p in mesh.pairs)
 
     def test_pressure_opens_all_pairs(self):
@@ -335,7 +345,7 @@ class TestNewtonLoop:
         res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs,
                           cfg.solver)
         assert res.converged
-        assert all(s.kind is StateKind.OPEN for s in res.states)
+        assert np.all(res.codes == OPEN)
         np.testing.assert_allclose(res.lam, 0.0, atol=1e-20)
 
     def test_deterministic_bitwise(self):
@@ -344,7 +354,7 @@ class TestNewtonLoop:
         b = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
         assert np.array_equal(a.U, b.U)
         assert np.array_equal(a.lam, b.lam)
-        assert a.states == b.states
+        assert solver._same_bits(a.codes, b.codes)
         assert a.newton_iters == b.newton_iters
 
     def test_residual_below_threshold_at_convergence(self):
@@ -545,7 +555,7 @@ class TestColdStart:
     @staticmethod
     def assert_same_bits(a, b):
         assert solver._same_bits(a.U, b.U) and solver._same_bits(a.lam, b.lam)
-        assert a.states == b.states
+        assert solver._same_bits(a.codes, b.codes)
 
     def test_floating_block_restarts_from_stick(self, monkeypatch):
         # all open, the upper block floats: SuperLU does not raise, and the
@@ -554,7 +564,7 @@ class TestColdStart:
         ref = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver,
                           warm=stick_start(mesh), step=0)
         assert ref.converged and ref.state_loops == 1
-        assert all(s.kind is StateKind.STICK for s in ref.states)
+        assert np.all(ref.codes == 0)
         calls = TestFactorReuse.count_splu(monkeypatch)
         attempts = _attempts(monkeypatch)
         res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
@@ -576,7 +586,7 @@ class TestColdStart:
                           warm=stick_start(mesh), step=0)
         assert ref.converged
         cache, system = cached_systems(mesh, cfg)
-        cache.solve(system(ref.states))
+        cache.solve(system(ref.codes))
         cache.check_rank()  # the restart ends on a well-posed system
         attempts = _attempts(monkeypatch)
         res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
@@ -590,9 +600,9 @@ class TestColdStart:
     def test_rank_check_sees_what_the_contract_does_not(self):
         mesh, cfg = _balanced_block()
         cache, system = cached_systems(mesh, cfg)
-        cache.solve(system(stick_states(mesh)))
+        cache.solve(system(stick_codes(mesh)))
         cache.check_rank()
-        sys = system([PairState.open_()] * mesh.n_pairs)
+        sys = system(codes_of(mesh, OPEN))
         dx = linear_solve(sys, build_preconditioner(sys))
         assert np.all(np.isfinite(dx))  # the 1e-10 contract holds
         with pytest.raises(LinearSolveError, match="nearly singular"):
@@ -655,10 +665,9 @@ class TestColdStart:
     def test_revisit_ends_the_open_start(self, monkeypatch):
         # the open attempt never enters the tabu walk
         mesh, cfg = small_inclined_setup()
-        flip = {StateKind.OPEN: PairState.stick(), StateKind.STICK: PairState.open_()}
-        monkeypatch.setattr(solver, "classify_all", lambda mesh, states, *a: [
-            flip[s.kind] for s in states
-        ])
+        monkeypatch.setattr(solver, "classify_all", lambda mesh, codes, *a: np.where(
+            codes == OPEN, 0, OPEN
+        ).astype(np.int8))
         attempts, walked = _attempts(monkeypatch), []
         _counted(monkeypatch, solver, "_cautious_update", walked,
                  lambda *a: len(attempts))
@@ -676,6 +685,17 @@ class TestColdStart:
                           SolverConfig(max_state_loops=1), warm=stick_start(mesh))
         assert len(attempts) == 1 and not res.converged and not res.restarted
         assert res.message == "max_state_loops=1 exceeded"
+
+    @pytest.mark.parametrize("bad", [3, -2, 258])
+    def test_warm_start_rejects_unknown_codes(self, bad):
+        # checked before the cast to int8, where 258 would wrap to 2 (open)
+        mesh, cfg = small_inclined_setup()
+        warm = stick_start(mesh)
+        warm.codes = warm.codes.astype(np.int64)
+        warm.codes[[3, 5]] = bad
+        with pytest.raises(ValueError, match=f"pair 3 has state code {bad};"):
+            newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver,
+                        warm=warm)
 
     def test_mesh_without_pairs_is_not_restarted(self, monkeypatch):
         # with no pair, the all-stick start is the open start
@@ -714,11 +734,11 @@ class TestColdStart:
             mesh, _, cold, _ = _solved(name)
         old = stick_run(mesh, cfg)[-1]
         assert cold.converged and old.converged and not cold.restarted
-        moved = [i for i, (a, b) in enumerate(zip(cold.states, old.states)) if a != b]
+        moved = np.flatnonzero(cold.codes != old.codes).tolist()
         if name == "shear-throughgoing":
             assert moved == [0, 1, 20]
-            assert all(cold.states[i] == PairState.open_() for i in moved)
-            assert all(old.states[i].kind is StateKind.SLIP for i in moved)
+            assert np.all(cold.codes[moved] == OPEN)
+            assert np.all(np.abs(old.codes[moved]) == 1)
             assert np.abs(old.lam).max() <= 1.8e-7 and not cold.lam.any()
         else:
             assert moved == []
@@ -729,15 +749,15 @@ class TestColdStart:
 
 
 def cached_systems(mesh, cfg):
-    """(run cache, system builder from states) at U = 0 on ``mesh``, the
-    systems built through the cache as a run builds them."""
+    """(run cache, system builder from state codes) at U = 0 on ``mesh``,
+    the systems built through the cache as a run builds them."""
     F, fixed, vals, free = step_data(mesh, cfg.bcs, None, 1)
     U = np.zeros(2 * mesh.n_nodes)
     U[fixed] = vals
     cache = SystemCache(assemble_stiffness(mesh, cfg.material))
 
-    def system(states):
-        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), states=states)
+    def system(codes):
+        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), codes=codes)
         return cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed, free)
 
     return cache, system
@@ -818,13 +838,13 @@ class TestFactorReuse:
         mesh, cfg = small_inclined_setup()
         cache, system = cached_systems(mesh, cfg)
         calls = self.count_splu(monkeypatch)
-        stick = stick_states(mesh)
+        stick = stick_codes(mesh)
         first = cache.solve(system(stick))
         lu = cache.lu
-        again = cache.solve(system(list(stick)))
+        again = cache.solve(system(stick.copy()))
         assert cache.lu is lu and len(calls) == 1
         np.testing.assert_array_equal(again, first)
-        sys = system([SLIP] * mesh.n_pairs)
+        sys = system(codes_of(mesh, SLIP))
         assert all(x is None for x in (cache.lu, cache.Jbar, cache.pc))
         cache.solve(sys)
         assert len(calls) == 2 and cache.lu is not lu
@@ -833,8 +853,8 @@ class TestFactorReuse:
         mesh, cfg = small_inclined_setup()
         cache, system = cached_systems(mesh, cfg)
         calls = self.count_splu(monkeypatch)
-        first = cache.solve(system(stick_states(mesh)))
-        sys = system(stick_states(mesh))
+        first = cache.solve(system(stick_codes(mesh)))
+        sys = system(stick_codes(mesh))
 
         def no_compare(*args):
             raise AssertionError("a repeated solve compares no arrays")
@@ -853,7 +873,7 @@ class TestFactorReuse:
         solves = []
         for _ in range(2):
             cache, system = cached_systems(mesh, cfg)
-            sys = system(stick_states(mesh))
+            sys = system(stick_codes(mesh))
             solves.append(cache.solve(sys))
             assert not is_bordered(cache)
         ref = make_system(mesh, cfg)  # the same system, with its J
@@ -901,28 +921,28 @@ def _backward_error(cache, dx, rhs):
     return np.linalg.norm(cache.Jbar @ dx - rhs) / denom
 
 
-OPEN, SLIP = PairState.open_(), PairState.slip(1)
+SLIP = 1
 
 
 class TestBorderedUpdate:
     """Few flipped pairs are solved by bordering the cached factorization."""
 
     @staticmethod
-    def flipped(states, changes):
-        out = list(states)
-        for i, state in changes.items():
-            out[i] = state
+    def flipped(codes, changes):
+        out = codes.copy()
+        for i, code in changes.items():
+            out[i] = code
         return out
 
     def setup_base(self, monkeypatch, friction=None):
         """(mesh, splu calls, cache holding the all-stick base, system
-        builder from states) on the coarse inclined crack."""
+        builder from state codes) on the coarse inclined crack."""
         mesh, cfg = small_inclined_setup()
         if friction is not None:
             cfg = dataclasses.replace(cfg, friction=friction)
         calls = TestFactorReuse.count_splu(monkeypatch)
         cache, system = cached_systems(mesh, cfg)
-        cache.solve(system(stick_states(mesh)))
+        cache.solve(system(stick_codes(mesh)))
         assert len(calls) == 1 and not is_bordered(cache)
         return mesh, calls, cache, system
 
@@ -941,7 +961,7 @@ class TestBorderedUpdate:
 
     def test_bordered_solve_matches_fresh_factorization(self, monkeypatch):
         mesh, calls, cache, system = self.setup_base(monkeypatch)
-        stick = stick_states(mesh)
+        stick = stick_codes(mesh)
         sys = system(self.flipped(stick, {2: OPEN, 4: SLIP}))
         dx = cache.solve(sys)
         pc = cache.preconditioner()
@@ -984,8 +1004,8 @@ class TestBorderedUpdate:
         # changed rows and columns is exact as well
         frictionless = FrictionParams(cohesion=1.0e6, friction_angle=0.0)
         mesh, calls, cache, system = self.setup_base(monkeypatch, frictionless)
-        base = with_J(cache, system(stick_states(mesh)))  # the base's system
-        sys = system(self.flipped(stick_states(mesh), {4: SLIP}))
+        base = with_J(cache, system(stick_codes(mesh)))  # the base's system
+        sys = system(self.flipped(stick_codes(mesh), {4: SLIP}))
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
@@ -1004,7 +1024,7 @@ class TestBorderedUpdate:
         # the solve), the bordered solve misses the backward-error contract
         # on the true J and is repeated on a fresh factorization
         mesh, calls, cache, system = self.setup_base(monkeypatch)
-        sys = system(self.flipped(stick_states(mesh), {2: OPEN}))
+        sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
         J, nd = sys.J, sys.n_disp
         rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
         J.data[(rows < nd) & (J.indices < nd)] *= 1.5
@@ -1019,7 +1039,7 @@ class TestBorderedUpdate:
         # a bordered solver that the probe refuses is replaced by a fresh
         # factorization, whose probe alone can fail the solve
         mesh, calls, cache, system = self.setup_base(monkeypatch)
-        sys = system(self.flipped(stick_states(mesh), {2: OPEN}))
+        sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
         real = SystemCache.check_rank
 
         def probe(self):
@@ -1037,7 +1057,7 @@ class TestBorderedUpdate:
         # a change the contract tolerates is served by the bordered solve
         # and its refinement on the true J, without a fresh factorization
         mesh, calls, cache, system = self.setup_base(monkeypatch)
-        sys = system(self.flipped(stick_states(mesh), {2: OPEN}))
+        sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
         sys.J.data[0] = np.nextafter(sys.J.data[0], np.inf)  # one ulp in K_ff
         dx = cache.solve(sys)
         pc = cache.preconditioner()
@@ -1049,7 +1069,7 @@ class TestBorderedUpdate:
     def test_update_over_budget_refactors(self, monkeypatch):
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         budget = cache.base.lu.nnz / 4
-        sys = system([SLIP] * mesh.n_pairs)
+        sys = system(codes_of(mesh, SLIP))
         # every tangential row and normal column changes: the base is
         # released as soon as the system is built, before its solve
         assert sys.J.shape[0] * 2 * mesh.n_pairs > budget
@@ -1057,7 +1077,7 @@ class TestBorderedUpdate:
         ref = dataclasses.replace(sys)  # keeps J past its fresh factorization
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
-        assert cache.base.states == sys.states
+        assert np.array_equal(cache.base.codes, sys.codes)
         np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
 
     def test_over_budget_miss_forms_no_difference(self, monkeypatch):
@@ -1206,23 +1226,22 @@ class TestBorderedUpdate:
         rng = np.random.default_rng(seed)
         fully_fixed = np.isin(mesh.pair_arrays.dofs, fixed).all(axis=1)
         assert fully_fixed.sum() == (2 if name == "shear-throughgoing" else 0)
-        reach = [(PairState.stick(), OPEN) if c else _STATE_CHOICES
-                 for c in mesh.pair_arrays.crossing]
-        states0 = [opts[rng.integers(len(opts))] for opts in reach]
+        reach = [(0, OPEN) if c else _STATE_CHOICES for c in mesh.pair_arrays.crossing]
+        codes0 = np.array([opts[rng.integers(len(opts))] for opts in reach], np.int8)
         share = rng.random()
-        states1 = list(states0)
+        codes1 = codes0.copy()
         for p in np.flatnonzero((rng.random(mesh.n_pairs) < share) | fully_fixed):
-            others = [s for s in reach[p] if s != states0[p]]
-            states1[p] = others[rng.integers(len(others))]
+            others = [s for s in reach[p] if s != codes0[p]]
+            codes1[p] = others[rng.integers(len(others))]
 
-        def system(states):
-            st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), states=states)
+        def system(codes):
+            st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), codes=codes)
             return build_system(mesh, cfg.material, cfg.friction, st_, K, F,
                                 fixed, free)
 
-        sys0, sys1 = system(states0), system(states1)
+        sys0, sys1 = system(codes0), system(codes1)
         got = sys1.n_disp + flipped_dofs(
-            sys0.states, sys1.states, sys0.blocks.pinned, sys1.blocks.pinned
+            sys0.codes, sys1.codes, sys0.blocks.pinned, sys1.blocks.pinned
         )
         nd = sys1.n_disp
         diff = (sys1.J - sys0.J).tocoo()
@@ -1237,11 +1256,11 @@ class TestBorderedUpdate:
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         monkeypatch.setattr(solver._Bordered, "solve",
                             lambda self, r: np.full_like(r, bad))
-        sys = system(self.flipped(stick_states(mesh), {2: OPEN}))
+        sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
         ref = dataclasses.replace(sys)  # keeps J past its fresh factorization
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
-        assert cache.base.states == sys.states
+        assert np.array_equal(cache.base.codes, sys.codes)
         np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
 
 
@@ -1328,12 +1347,11 @@ def _same_csr(a, b):
 def _state_mixes(n_pairs, rng):
     """All stick, all slip with both signs, and a random stick/slip/open
     mix that holds every state."""
-    mix = [_STATE_CHOICES[i] for i in rng.integers(0, 4, n_pairs)]
-    for i, state in enumerate(_STATE_CHOICES[: min(4, n_pairs)]):
-        mix[i] = state
+    mix = _STATE_CHOICES[rng.integers(0, 4, n_pairs)]
+    mix[: min(4, n_pairs)] = _STATE_CHOICES[: min(4, n_pairs)]
     return {
-        "stick": [PairState.stick()] * n_pairs,
-        "slip": [PairState.slip(1 if i % 2 else -1) for i in range(n_pairs)],
+        "stick": np.zeros(n_pairs, np.int8),
+        "slip": np.where(np.arange(n_pairs) % 2, 1, -1).astype(np.int8),
         "mix": mix,
     }
 
@@ -1351,8 +1369,8 @@ def _preset_systems(name):
     U = np.zeros(2 * mesh.n_nodes)
     U[fixed] = vals
     systems = {}
-    for mix, states in _state_mixes(mesh.n_pairs, np.random.default_rng(5)).items():
-        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), states=states)
+    for mix, codes in _state_mixes(mesh.n_pairs, np.random.default_rng(5)).items():
+        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), codes=codes)
         systems[mix] = build_system(mesh, cfg.material, cfg.friction, st_, K, F,
                                     fixed, free)
     return mesh, cfg, K, (F, fixed, free, U), systems
@@ -1372,8 +1390,8 @@ class TestSlicedAssembly:
         # through the run's cache
         cache = SystemCache(K)
         st_ = SolutionState(U=U, lam=np.zeros(sys.n_lam),
-                            states=_state_mixes(mesh.n_pairs,
-                                                np.random.default_rng(5))[mix])
+                            codes=_state_mixes(mesh.n_pairs,
+                                               np.random.default_rng(5))[mix])
         got = cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed, free)
         assert _same_csr(got.J, ref)
         np.testing.assert_array_equal(got.R, sys.R)
@@ -1411,7 +1429,7 @@ class TestSlicedAssembly:
         sys = systems[mix]
         if tan_phi == "zero":
             fric = FrictionParams(cohesion=cfg.friction.cohesion, friction_angle=0.0)
-            st_ = SolutionState(U=U, lam=np.zeros(sys.n_lam), states=list(sys.states))
+            st_ = SolutionState(U=U, lam=np.zeros(sys.n_lam), codes=sys.codes.copy())
             sys = build_system(mesh, cfg.material, fric, st_, K, F, fixed, free)
             D = sys.blocks.D  # only its identity rows' diagonal is left
             assert D.nnz == np.count_nonzero(D.diagonal())
@@ -1446,7 +1464,7 @@ class TestSlicedAssembly:
         F, fixed, vals, free = step_data(mesh, bcs, None, 1)
         U = np.zeros(2 * mesh.n_nodes)
         U[fixed] = vals
-        st_ = SolutionState(U=U, lam=np.zeros(0), states=[])
+        st_ = SolutionState(U=U, lam=np.zeros(0), codes=np.zeros(0, np.int8))
         sys = build_system(mesh, MAT, FRIC30, st_, K, F, fixed, free)
         assert sys.n_lam == 0 and fixed.size and free.size
         assert _same_csr(sys.J, K[free][:, free])
@@ -1474,7 +1492,7 @@ def stick_start(mesh):
     """An explicit all-stick start at U = 0 and lam = 0, to pass as
     ``warm``: the start of a cold step's restart."""
     return SolutionState(U=np.zeros(2 * mesh.n_nodes),
-                         lam=np.zeros(2 * mesh.n_pairs), states=stick_states(mesh))
+                         lam=np.zeros(2 * mesh.n_pairs), codes=stick_codes(mesh))
 
 
 def stick_run(mesh, cfg):
@@ -1514,17 +1532,17 @@ class TestSystemReuse:
             assert x.converged and y.converged
             assert solver._same_bits(x.U, y.U)
             assert solver._same_bits(x.lam, y.lam)
-            assert x.states == y.states
+            assert solver._same_bits(x.codes, y.codes)
             assert (x.newton_iters, x.state_loops) == (y.newton_iters, y.state_loops)
 
     def test_blocks_and_row_norms_once_per_assignment(self, monkeypatch):
         mesh, cfg = _ramp()
         blocks, norms, loops = [], [], []
         _counted(monkeypatch, solver, "assemble_contact_blocks", blocks,
-                 lambda mesh, states, *a, **kw: tuple(states))
+                 lambda mesh, codes, *a, **kw: codes.tobytes())
         _counted(monkeypatch, solver, "build_preconditioner", norms)
         _counted(monkeypatch, solver, "classify_all", loops,
-                 lambda mesh, states, *a: tuple(states))
+                 lambda mesh, codes, *a: codes.tobytes())
         results = self.run(mesh, cfg)
         assert sum(r.state_loops for r in results) == len(loops) == 9
         # all open, then all slip for the rest of the ramp
@@ -1614,20 +1632,20 @@ class TestSystemReuse:
         U[fixed] = vals
         cache = SystemCache(assemble_stiffness(mesh, cfg.material))
 
-        def system(states, fixed_, free_):
-            st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), states=states)
+        def system(codes, fixed_, free_):
+            st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), codes=codes)
             return cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed_, free_)
 
-        stick = stick_states(mesh)
+        stick = stick_codes(mesh)
         first = system(stick, fixed, free)
         pc = cache.preconditioner()
-        again = system(list(stick), fixed.copy(), free)
+        again = system(stick.copy(), fixed.copy(), free)
         assert again.J is first.J and again.blocks is first.blocks
         assert cache.preconditioner() is pc
-        slip = system([PairState.slip(1)] * mesh.n_pairs, fixed, free)
+        slip = system(codes_of(mesh, SLIP), fixed, free)
         assert slip.J is not first.J and cache.pc is None
         more = np.sort(np.append(fixed, free[0]))
-        other = system([PairState.slip(1)] * mesh.n_pairs, more, free[1:])
+        other = system(codes_of(mesh, SLIP), more, free[1:])
         assert other.J is not slip.J
         assert other.n_disp == free.size - 1
 
@@ -1680,14 +1698,14 @@ class TestFreshFactorMemory:
         # bordered one keep theirs
         mesh, cfg = small_inclined_setup()
         cache, system = cached_systems(mesh, cfg)
-        first = system(stick_states(mesh))
-        again = system(stick_states(mesh))  # a repeat, not yet solved
+        first = system(stick_codes(mesh))
+        again = system(stick_codes(mesh))  # a repeat, not yet solved
         assert again is not first and again.J is first.J
         built = make_system(mesh, cfg)
         cache.solve(again)
         assert first.J is None and again.J is None and cache.sys.J is None
         assert built.J is not None
-        sys = system(TestBorderedUpdate.flipped(stick_states(mesh), {2: OPEN}))
+        sys = system(TestBorderedUpdate.flipped(stick_codes(mesh), {2: OPEN}))
         cache.solve(sys)
         assert is_bordered(cache) and sys.J is not None
 
@@ -1721,12 +1739,12 @@ class TestFreshFactorMemory:
         assert len(calls) == 2 * fresh and got_counts == ref_counts
         for a, b in zip(ref, got, strict=True):
             assert solver._same_bits(a.U, b.U) and solver._same_bits(a.lam, b.lam)
-            assert a.states == b.states and b.converged
+            assert solver._same_bits(a.codes, b.codes) and b.converged
 
     def test_abs_product_equals_the_abs_copy_and_restores_Jbar(self):
         mesh, cfg = small_inclined_setup()
         cache, system = cached_systems(mesh, cfg)
-        cache.solve(system([SLIP] * mesh.n_pairs))
+        cache.solve(system(codes_of(mesh, SLIP)))
         # the cache's Jbar, and one with a negative zero and infinities
         odd = sp.csc_matrix((np.array([-0.0, 2.0, -np.inf, np.inf, -3.0]),
                              [0, 1, 0, 1, 2], [0, 2, 5]), shape=(3, 2))
@@ -1781,12 +1799,13 @@ def _ref_all_pair_kinematics(mesh, U, lam):
     ]
 
 
-def _ref_ranked_flips(mesh, states, proposed, U, lam, fric):
+def _ref_ranked_flips(mesh, codes, proposed, U, lam, fric):
     """Proposed state changes ranked by a dimensionless violation score."""
     flips = [
         (pair.id, st, new, kin)
         for pair, st, new, kin in zip(
-            mesh.pairs, states, proposed, _ref_all_pair_kinematics(mesh, U, lam)
+            mesh.pairs, codes.tolist(), proposed.tolist(),
+            _ref_all_pair_kinematics(mesh, U, lam),
         )
         if new != st
     ]
@@ -1798,9 +1817,9 @@ def _ref_ranked_flips(mesh, states, proposed, U, lam, fric):
 
     scored = []
     for pid, st, new, kin in flips:
-        if new.kind is StateKind.OPEN:
+        if new == OPEN:
             score = kin.lam_n / lam_ref
-        elif st.kind is StateKind.OPEN:
+        elif st == OPEN:
             score = -kin.trial_gap / gap_ref
         else:
             tau = mohr_coulomb_tau_c(kin.lam_n, fric)
@@ -1834,15 +1853,14 @@ def _solved(name):
     return mesh, cfg.friction, res, zeros
 
 
-_STATE_CHOICES = (PairState.stick(), PairState.slip(1), PairState.slip(-1),
-                  PairState.open_())
+_STATE_CHOICES = np.array([0, 1, -1, OPEN], dtype=np.int8)
 
 
-def _random_flips(rng, states, share):
-    """``states`` with a random ``share`` of pairs moved to another state."""
-    out = list(states)
-    for i in np.flatnonzero(rng.random(len(states)) < share):
-        out[i] = rng.choice([s for s in _STATE_CHOICES if s != states[i]])
+def _random_flips(rng, codes, share):
+    """``codes`` with a random ``share`` of pairs moved to another state."""
+    out = codes.copy()
+    for i in np.flatnonzero(rng.random(len(codes)) < share):
+        out[i] = rng.choice([s for s in _STATE_CHOICES if s != codes[i]])
     return out
 
 
@@ -1858,42 +1876,67 @@ class TestTabuWalk:
         cases = []
         for share in (0.0, 0.05, 0.3, 1.0):
             for _ in range(10):
-                states = (res.states if rng.random() < 0.5
-                          else [rng.choice(_STATE_CHOICES) for _ in mesh.pairs])
-                cases.append((states, _random_flips(rng, states, share)))
+                codes = (res.codes if rng.random() < 0.5 else np.array(
+                    [rng.choice(_STATE_CHOICES) for _ in mesh.pairs], np.int8
+                ))
+                cases.append((codes, _random_flips(rng, codes, share)))
         # ties: every open pair re-engages at the same zero trial gap
-        cases.append(([PairState.open_()] * mesh.n_pairs,
-                      [PairState.stick()] * mesh.n_pairs))
+        cases.append((codes_of(mesh, OPEN), stick_codes(mesh)))
         for U in (res.U, np.zeros_like(res.U)):
-            for states, proposed in cases:
-                got = solver._ranked_flips(mesh, states, proposed, U, res.lam, fric)
-                ref = _ref_ranked_flips(mesh, states, proposed, U, res.lam, fric)
+            for codes, proposed in cases:
+                got = solver._ranked_flips(mesh, codes, proposed, U, res.lam, fric)
+                ref = _ref_ranked_flips(mesh, codes, proposed, U, res.lam, fric)
                 assert _bits(got) == _bits(ref)
-                assert len(got) == sum(a != b for a, b in zip(states, proposed))
+                assert len(got) == np.count_nonzero(codes != proposed)
 
     def test_cautious_update_takes_best_unvisited_single_flip(self):
         mesh, fric, res, _ = _solved("crossing-multi")
         rng = np.random.default_rng(4)
-        states = list(res.states)
-        proposed = _random_flips(rng, states, 0.2)
-        ranked = solver._ranked_flips(mesh, states, proposed, res.U, res.lam, fric)
+        codes = res.codes.copy()
+        proposed = _random_flips(rng, codes, 0.2)
+        ranked = solver._ranked_flips(mesh, codes, proposed, res.U, res.lam, fric)
         assert len(ranked) >= 3
 
         def flipped(pid):
-            out = list(states)
+            out = codes.copy()
             out[pid] = proposed[pid]
-            return tuple(out)
+            return out.tobytes()
 
-        seen = {tuple(states), flipped(ranked[0][1]), flipped(ranked[1][1])}
+        seen = {codes.tobytes(), flipped(ranked[0][1]), flipped(ranked[1][1])}
         out = solver._cautious_update(
-            mesh, states, proposed, res.U, res.lam, fric, seen
+            mesh, codes, proposed, res.U, res.lam, fric, seen
         )
-        diff = [i for i, (a, b) in enumerate(zip(states, out)) if a != b]
+        diff = np.flatnonzero(codes != out).tolist()
         assert diff == [ranked[2][1]]
         assert out[diff[0]] == proposed[diff[0]]
-        assert tuple(out) not in seen
+        assert out.tobytes() not in seen
+        assert np.array_equal(codes, res.codes)  # the walk copies, never edits
 
         seen |= {flipped(pid) for _, pid in ranked}
         assert solver._cautious_update(
-            mesh, states, proposed, res.U, res.lam, fric, seen
+            mesh, codes, proposed, res.U, res.lam, fric, seen
         ) is None
+
+
+class TestStateLabels:
+    """``SolutionState.states`` is a read-only view of the codes, with one
+    labelled :class:`~fracfem.contact.PairState` per pair."""
+
+    def test_labels_follow_the_codes(self):
+        _, _, res, _ = _solved("crossing-multi")
+        kinds = [s.kind for s in res.states]
+        assert len(kinds) == res.codes.size == 132
+        slip = np.array([k is StateKind.SLIP for k in kinds])
+        is_open = np.array([k is StateKind.OPEN for k in kinds])
+        stick = np.array([k is StateKind.STICK for k in kinds])
+        np.testing.assert_array_equal(slip, np.abs(res.codes) == 1)
+        np.testing.assert_array_equal(is_open, res.codes == OPEN)
+        np.testing.assert_array_equal(stick, res.codes == 0)
+        assert (slip.sum(), stick.sum(), is_open.sum()) == (116, 6, 10)
+        signs = np.array([s.sign for s in res.states])
+        np.testing.assert_array_equal(signs, np.where(slip, res.codes, 0))
+
+    def test_states_cannot_be_assigned(self):
+        _, _, res, _ = _solved("crossing-multi")
+        with pytest.raises(AttributeError):
+            res.states = ()
