@@ -27,6 +27,7 @@ from .elasticity import (
     assemble_loads,
     assemble_stiffness,
     plane_strain_D,
+    symmetric_product,
 )
 from .mesh import (
     ContactPair,

@@ -121,8 +121,22 @@ def _b_matrices(mesh):
     return B, areas
 
 
+# local (row, column) of the 21 entries of an element's 6x6 upper triangle,
+# row by row, and the flat index in the 6x6 block of each and of its mirror
+_P, _Q = np.triu_indices(6)
+_UPPER, _MIRROR = 6 * _P + _Q, 6 * _Q + _P
+
+
 def assemble_stiffness(mesh, mat):
-    """Global sparse stiffness, 2 dofs per node, deterministic scatter-add."""
+    """Upper triangle (with the diagonal) of the global sparse stiffness,
+    2 dofs per node, deterministic scatter-add.
+
+    K is symmetric, so only its entries with row <= column are stored (see
+    :func:`symmetric_product`): of each element's 36 entries, the 21 whose
+    global row is at most their global column, in the element's row-major
+    order.  On and above the diagonal, K is what the full scatter-add
+    stores, and below it K is its transpose, exactly.
+    """
     D = plane_strain_D(mat)
     b, c, areas = _gradients(mesh)
     m, n = mesh.n_elements, 2 * mesh.n_nodes
@@ -145,12 +159,26 @@ def assemble_stiffness(mesh, mat):
     dofs[:, :, 0] = 2 * mesh.elements
     dofs[:, :, 1] = 2 * mesh.elements + 1
     dofs = dofs.reshape(m, 6)
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    # each slot (p, q) of the local upper triangle keeps Ke[p, q], or
+    # Ke[q, p] where p's global dof is the larger: per global row, the
+    # element's entries then come in local column order, as in the full Ke
+    dp, dq = dofs.take(_P, axis=1), dofs.take(_Q, axis=1)
+    at = np.where(dp > dq, _MIRROR, _UPPER)
+    at += np.arange(0, 36 * m, 36)[:, None]
+    vals = Ke.reshape(-1).take(at).ravel()
+    del Ke, blocks, at
+    rows, cols = np.minimum(dp, dq).ravel(), np.maximum(dp, dq).ravel()
+    del dp, dq
+    K = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     K.sum_duplicates()
     K.eliminate_zeros()  # exact zeros (e.g. cancelled shear terms) add fill
     return K
+
+
+def symmetric_product(K, u):
+    """``K u`` for the symmetric stiffness of which ``K`` stores the upper
+    triangle (:func:`assemble_stiffness`)."""
+    return K @ u + K.T @ u - K.diagonal() * u
 
 
 def element_stresses(mesh, mat, U):

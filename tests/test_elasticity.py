@@ -23,8 +23,11 @@ from fracfem.elasticity import (
     dirichlet_constraints,
     element_stresses,
     plane_strain_D,
+    symmetric_product,
 )
 from fracfem.mesh import build_contact_pairs, generate_rect_mesh, split_fractures
+
+from stiffness import full_stiffness
 
 # Hand-assembled stiffness of the unit right triangle (0,0)-(1,0)-(0,1)
 # for E = 1, nu = 0: D = diag(1, 1, 0.5), area = 1/2,
@@ -37,6 +40,11 @@ CST_UNIT = np.array([
     [-0.25, -0.25, 0.00, 0.25, 0.25, 0.00],
     [0.00, -0.50, 0.00, 0.00, 0.00, 0.50],
 ])
+
+
+def dense_stiffness(mesh, mat):
+    """The full symmetric stiffness of ``mesh`` as a dense array."""
+    return full_stiffness(assemble_stiffness(mesh, mat)).toarray()
 
 
 def unit_triangle_mesh():
@@ -78,24 +86,24 @@ class TestElementStiffness:
     def test_unit_right_triangle_matches_hand_assembly(self):
         # one triangle: the global stiffness is the element matrix
         mesh = unit_triangle_mesh()
-        Ke = assemble_stiffness(mesh, MaterialParams(E=1.0, nu=0.0)).toarray()
+        Ke = dense_stiffness(mesh, MaterialParams(E=1.0, nu=0.0))
         np.testing.assert_allclose(Ke, CST_UNIT, atol=1e-14)
 
     def test_rigid_translation_in_null_space(self):
         mesh = unit_triangle_mesh()
-        Ke = assemble_stiffness(mesh, MaterialParams(E=7e9, nu=0.3)).toarray()
+        Ke = dense_stiffness(mesh, MaterialParams(E=7e9, nu=0.3))
         u = np.array([1.0, -2.0] * 3)
         np.testing.assert_allclose(Ke @ u, 0.0, atol=1e-4)
 
     def test_linearized_rotation_in_null_space(self):
         mesh = unit_triangle_mesh()
-        Ke = assemble_stiffness(mesh, MaterialParams(E=1.0, nu=0.25)).toarray()
+        Ke = dense_stiffness(mesh, MaterialParams(E=1.0, nu=0.25))
         u = np.concatenate([[-y, x] for x, y in mesh.nodes])
         np.testing.assert_allclose(Ke @ u, 0.0, atol=1e-14)
 
     def test_three_zero_eigenvalues(self):
         mesh = unit_triangle_mesh()
-        Ke = assemble_stiffness(mesh, MaterialParams(E=1.0, nu=0.2)).toarray()
+        Ke = dense_stiffness(mesh, MaterialParams(E=1.0, nu=0.2))
         vals = np.linalg.eigvalsh(Ke)
         assert (np.abs(vals) < 1e-12).sum() == 3
 
@@ -103,7 +111,7 @@ class TestElementStiffness:
 class TestAssemble:
     def test_two_element_square_null_space(self):
         mesh = generate_rect_mesh(1.0, 1.0, 1, 1)
-        K = assemble_stiffness(mesh, MaterialParams(E=1.0, nu=0.25)).toarray()
+        K = dense_stiffness(mesh, MaterialParams(E=1.0, nu=0.25))
         vals = np.linalg.eigvalsh(K)
         assert (np.abs(vals) < 1e-12).sum() == 3
 
@@ -119,30 +127,48 @@ class TestAssemble:
         D = plane_strain_D(mat)
         area = 2.0 * 1.5
         expected = area * eps @ D @ eps
-        assert u @ (K @ u) == pytest.approx(expected, rel=1e-10)
+        assert u @ symmetric_product(K, u) == pytest.approx(expected, rel=1e-10)
 
     def test_through_going_split_adds_rigid_modes(self):
         mesh = generate_rect_mesh(1.0, 1.0, 4, 4,
                                   fractures=[(0.0, 0.5, 1.0, 0.5)])
         split = split_fractures(mesh)
         mat = MaterialParams(E=1.0, nu=0.25)
-        K0 = assemble_stiffness(mesh, mat).toarray()
-        K1 = assemble_stiffness(split, mat).toarray()
+        K0 = dense_stiffness(mesh, mat)
+        K1 = dense_stiffness(split, mat)
         zeros0 = (np.abs(np.linalg.eigvalsh(K0)) < 1e-10).sum()
         zeros1 = (np.abs(np.linalg.eigvalsh(K1)) < 1e-10).sum()
         assert zeros0 == 3
         assert zeros1 == 6  # two disconnected bodies
 
     def test_symmetry(self):
+        # only the upper triangle is stored, with every diagonal entry, so
+        # the stiffness it stands for equals its transpose exactly
         mesh = generate_rect_mesh(2.0, 2.0, 5, 5, pattern="crossed")
         K = assemble_stiffness(mesh, MaterialParams(E=25e9, nu=0.25))
-        asym = np.abs((K - K.T).toarray()).max()
-        assert asym <= 1e-9 * np.abs(K.toarray()).max()
+        A = K.tocoo()
+        assert np.all(A.row <= A.col)
+        assert np.count_nonzero(K.diagonal()) == K.shape[0]
+        full = full_stiffness(K)
+        assert (full != full.T).nnz == 0
+
+    @pytest.mark.parametrize("name", ["inclined-crack", "crossing-single"])
+    def test_symmetric_product_equals_dense_product(self, name):
+        cfg = presets.get(name)
+        mesh = build_mesh(cfg)
+        K = assemble_stiffness(mesh, cfg.material)
+        u = np.random.default_rng(7).standard_normal(K.shape[0])
+        A = full_stiffness(K).toarray()
+        got = symmetric_product(K, u)
+        scale = np.abs(A) @ np.abs(u)  # the sums' magnitudes, row by row
+        assert np.all(np.abs(got - A @ u) <= 1e-14 * scale)
 
 
 def _ref_stiffness(mesh, mat):
-    """The einsum assembly the term loop replaced, verbatim: it keeps the
-    exact zeros that cancelled element terms leave in the pattern."""
+    """The einsum assembly the term loop replaced, verbatim but for its
+    triplets with row > column, which are dropped before SciPy sums them: it
+    keeps the exact zeros that cancelled element terms leave in the
+    pattern."""
     D = plane_strain_D(mat)
     B, areas = _b_matrices(mesh)
     Ke = np.einsum("eki,kl,elj->eij", B, D, B) * areas[:, None, None]
@@ -152,8 +178,11 @@ def _ref_stiffness(mesh, mat):
     dofs[:, 1::2] = 2 * mesh.elements + 1
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
+    upper = rows <= cols
     n = 2 * mesh.n_nodes
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    K = sp.coo_matrix(
+        (Ke.ravel()[upper], (rows[upper], cols[upper])), shape=(n, n)
+    ).tocsr()
     K.sum_duplicates()
     return K
 
@@ -278,9 +307,8 @@ class TestDirichlet:
         ]
         fixed, _ = dirichlet_constraints(mesh, bcs)
         free = np.setdiff1d(np.arange(2 * mesh.n_nodes), fixed)
-        Kr = K[free][:, free]
-        asym = np.abs((Kr - Kr.T).toarray()).max()
-        assert asym <= 1e-9 * np.abs(Kr.toarray()).max()
+        Kr = full_stiffness(K)[free][:, free]
+        assert (Kr != Kr.T).nnz == 0
         lu = spla.splu(Kr.tocsc())  # factorization succeeds: SPD after fixing
         x = lu.solve(np.ones(free.size))
         assert np.all(np.isfinite(x))
@@ -304,7 +332,7 @@ class TestPatchAndEquilibrium:
         free = np.setdiff1d(np.arange(2 * mesh.n_nodes), fixed)
         U = np.zeros(2 * mesh.n_nodes)
         U[fixed] = vals
-        U[free] = spla.spsolve(K[free][:, free].tocsc(), F[free])
+        U[free] = spla.spsolve(full_stiffness(K)[free][:, free].tocsc(), F[free])
         stresses = element_stresses(mesh, mat, U)
         np.testing.assert_allclose(stresses[:, 0], t, rtol=1e-10)
         np.testing.assert_allclose(stresses[:, 1], 0.0, atol=t * 1e-10)
@@ -329,8 +357,8 @@ class TestPatchAndEquilibrium:
         fixed, vals = dirichlet_constraints(mesh, bcs)
         free = np.setdiff1d(np.arange(2 * mesh.n_nodes), fixed)
         U = np.zeros(2 * mesh.n_nodes)
-        U[free] = spla.spsolve(K[free][:, free].tocsc(), F[free])
-        reactions = (K @ U - F)[fixed]
+        U[free] = spla.spsolve(full_stiffness(K)[free][:, free].tocsc(), F[free])
+        reactions = (symmetric_product(K, U) - F)[fixed]
         total_applied = np.array([F[0::2].sum(), F[1::2].sum()])
         total_react = np.array(
             [reactions[0::2].sum(), reactions[1::2].sum()]
