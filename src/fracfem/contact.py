@@ -123,8 +123,15 @@ def checked_codes(codes, n_pairs):
 
 
 # Hysteresis tolerances of the state rules in :func:`_state_rule`.
-# Any lam_n above OPEN_TENSION opens (0 = strict sign test).
-OPEN_TENSION = 0.0
+# Multiplier noise band (Pa).  On a fault that carries no load the
+# multipliers are roundoff of about 1e-7 Pa, whose signs would otherwise
+# pick the states.  A closed pair whose normal and tangential multipliers
+# are both within LAM_NOISE of zero keeps its state: zero traction on a
+# closed pair is the degenerate KKT corner of GAP_NOISE seen from the other
+# side, which every state admits without cohesion.
+LAM_NOISE = 1e-3
+# Any lam_n above OPEN_TENSION opens: tension within the noise band does not.
+OPEN_TENSION = LAM_NOISE
 # Relative band below tau_c still classified as slip, which keeps converged
 # slip pairs from chattering back to stick.
 SLIP_REL = 1e-8
@@ -183,23 +190,27 @@ def mohr_coulomb_tau_c(lam_n, fric):
     return fric.cohesion - lam_n * fric.tan_phi
 
 
-def _state_rule(jump_n, jump_t, lam_n, lam_t, gap0, crossing, was_open, fric):
-    """Next state of each pair as (opens mask, slip sign) arrays.
+def _state_rule(jump_n, jump_t, lam_n, lam_t, gap0, crossing, codes, fric):
+    """Next state code of each pair from its current ``codes``.
 
-    Order of tests: tension demanded -> open; an open pair with a positive
-    trial gap stays open; otherwise slip if the tangential multiplier reaches
-    the Mohr-Coulomb bound, else stick.  Crossing pairs only switch between
-    open and (normal-)active.  ``sign`` is +-1 on slip pairs and 0 elsewhere;
-    it follows the tangential jump, below SIGN_EPS the trial traction, and
-    is +1 when both vanish.
+    Order of tests: a closed pair at zero traction (both multipliers within
+    LAM_NOISE) keeps its state; tension demanded -> open; an open pair with a
+    positive trial gap stays open; otherwise slip if the tangential
+    multiplier reaches the Mohr-Coulomb bound, else stick.  Crossing pairs
+    only switch between open and (normal-)active.  A slip pair's sign
+    follows the tangential jump, below SIGN_EPS the trial traction, and is
+    +1 when both vanish.
     """
+    was_open = codes == OPEN
     opens = (lam_n > OPEN_TENSION) | (was_open & (gap0 + jump_n > -GAP_NOISE))
     tau_c = mohr_coulomb_tau_c(lam_n, fric)
     slips = ~(opens | crossing) & (np.abs(lam_t) >= tau_c * (1.0 - SLIP_REL))
     cue = np.where(
         np.abs(jump_t) >= SIGN_EPS, jump_t, np.where(lam_t != 0.0, lam_t, 1.0)
     )
-    return opens, np.where(cue > 0, 1, -1) * slips
+    new = np.where(opens, OPEN, np.where(cue > 0, 1, -1) * slips)
+    corner = ~was_open & (np.abs(lam_n) <= LAM_NOISE) & (np.abs(lam_t) <= LAM_NOISE)
+    return np.where(corner, codes, new).astype(np.int8)
 
 
 def classify_all(mesh, codes, U, lam, fric):
@@ -207,11 +218,9 @@ def classify_all(mesh, codes, U, lam, fric):
     the current ``codes``."""
     a = mesh.pair_arrays
     jump_n, jump_t = pair_jumps(mesh, U)
-    opens, sign = _state_rule(
-        jump_n, jump_t, lam[0::2], lam[1::2], a.gap0, a.crossing, codes == OPEN,
-        fric,
+    return _state_rule(
+        jump_n, jump_t, lam[0::2], lam[1::2], a.gap0, a.crossing, codes, fric
     )
-    return np.where(opens, OPEN, sign).astype(np.int8)
 
 
 @dataclass

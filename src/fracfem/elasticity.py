@@ -175,6 +175,15 @@ def assemble_stiffness(mesh, mat):
     return K
 
 
+def full_stiffness(K):
+    """CSR of the symmetric stiffness of which ``K`` stores the upper
+    triangle (:func:`assemble_stiffness`): each entry above the diagonal is
+    mirrored below it with the same bits.  The two triangles share no
+    entry, so the sum adds nothing to any value; like SciPy's every sum, it
+    drops stored zeros, of which :func:`assemble_stiffness` keeps none."""
+    return K + sp.triu(K, 1).T
+
+
 def symmetric_product(K, u):
     """``K u`` for the symmetric stiffness of which ``K`` stores the upper
     triangle (:func:`assemble_stiffness`)."""

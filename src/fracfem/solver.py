@@ -32,6 +32,7 @@ from .elasticity import (
     assemble_loads,
     assemble_stiffness,
     dirichlet_constraints,
+    full_stiffness,
     symmetric_product,
 )
 
@@ -183,88 +184,68 @@ def _reduced_residual(K, blocks, F, U, lam, free, s):
     return np.concatenate([ru, s * rlam]), np.concatenate([ru, rlam])
 
 
-def _kept_entries(A, keep, shift, rows=slice(None)):
-    """(data, column indices, counts of the rows ``rows``) of the entries of
-    CSR ``A`` that the mask ``keep`` marks.  Each kept column drops by
-    ``shift``, the count of fixed dofs at or below each dof, which for a
-    free dof is the count below it."""
-    counts = _row_sums(keep, A.indptr, dtype=A.indices.dtype)[rows]
+def _free_columns(A, is_free, shift, free_rows=False):
+    """(data, column indices, row counts) of the entries of CSR ``A`` in
+    the free columns, and in the free rows only if ``free_rows``.  Each
+    kept column drops by ``shift``, the count of fixed dofs at or below
+    each dof, which for a free dof is the count below it."""
+    keep = is_free[A.indices]
+    counts = _row_sums(keep, A.indptr, dtype=A.indices.dtype)
+    if free_rows:
+        keep &= np.repeat(is_free, np.diff(A.indptr))
+        counts = counts[is_free]
     indices = A.indices[keep]
     indices -= shift[indices]
     return A.data[keep], indices, counts
 
 
-def _stacked_rows(n_rows, parts):
-    """CSR ``(data, indices, indptr)`` of ``n_rows`` rows, each holding in
-    turn its entries from every part.  A part is ``(data, indices, counts,
-    first)``: the entries of the rows ``first``, ``first + 1``, ... one row
-    after another, ``counts`` of them per row.  Each part's entries are
-    written straight to their places, with no sort."""
-    lengths = np.zeros(n_rows, dtype=np.int64)
-    for _, _, counts, first in parts:
-        lengths[first : first + counts.size] += counts
-    indptr = np.zeros(n_rows + 1, dtype=parts[0][1].dtype)
-    np.cumsum(lengths, out=indptr[1:])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=indptr.dtype)
-    end = indptr[:-1].astype(np.int64)  # where each row's next entry goes
-    for part_data, part_indices, counts, first in parts:
-        rows = slice(first, first + counts.size)
-        offset = end[rows] - (np.cumsum(counts) - counts)
-        at = np.repeat(offset, counts) + np.arange(part_data.size)
-        data[at] = part_data
-        indices[at] = part_indices
-        end[rows] += counts
-    return data, indices, indptr
-
-
 def _saddle_matrix(K, blocks, free, s):
     """``J = [[K_ff, s B_up[free]], [s C[:, free], s² D]]`` in CSR, with
-    ``K_ff = K[free][:, free]`` of the symmetric stiffness whose upper
-    triangle ``K`` holds, formed from the arrays of ``K`` and of the contact
-    ``blocks``: bit for bit what ``sp.bmat`` of the four blocks gives for
-    the full symmetric stiffness, and ``K_ff`` itself on a mesh without
-    pairs.
+    ``K_ff`` the free block of the symmetric stiffness whose upper triangle
+    ``K`` holds, formed from the arrays of that stiffness and of the contact
+    ``blocks``: bit for bit what ``sp.bmat`` of the four blocks gives, and
+    ``K_ff`` itself on a mesh without pairs.  The full stiffness
+    (:func:`full_stiffness`) lives only until pass 1 has read it.
 
-    One keep-mask over K's entries marks the free rows and free columns,
-    and the kept columns are renumbered by the count of fixed dofs below
-    each.  The kept entries above the diagonal, transposed (formed here and
-    dropped on return), give the entries below it.  Each free row of ``J``
-    holds in turn its entries below the diagonal, those on and above it and
-    its ``s B_up[free]`` entries; the multiplier rows hold their
-    ``s C[:, free]`` entries, then their ``s² D`` entries.  Every source's
-    entries are written straight to their places in ``J``
-    (:func:`_stacked_rows`).  No sparse matrix but ``J`` and that transpose
-    is formed: no ``K[free]``, no free block and no stacked block row.
+    Pass 1 eliminates the Dirichlet dofs.  One keep-mask over K's entries
+    marks the free rows and free columns, ``data`` and ``indices`` are
+    gathered once, and the kept columns are renumbered by the count of
+    fixed dofs below each.  Pass 2 inserts each free row's ``s B_up[free]``
+    entries at that row's end, then appends the ``[s C[:, free], s² D]``
+    rows, with one ``np.insert`` per array.  No sparse matrix but the full
+    stiffness and ``J`` is formed: no ``K[free]``, no free block and no
+    stacked block row.
     """
+    K = full_stiffness(K)
     n_free = free.size
     is_free = np.zeros(K.shape[0], dtype=bool)
     is_free[free] = True
     shift = np.cumsum(~is_free, dtype=K.indices.dtype)
-    row = np.repeat(np.arange(K.shape[0], dtype=K.indices.dtype), np.diff(K.indptr))
-    keep = is_free[K.indices] & is_free[row]
-    upper = _kept_entries(K, keep, shift, is_free)
-    # the CSR arrays of the kept entries above the diagonal are the CSC
-    # arrays of their transpose, which SciPy turns into CSR with sorted rows
-    keep &= K.indices > row
-    data, indices, counts = _kept_entries(K, keep, shift, is_free)
-    del row, keep
-    indptr = np.zeros(n_free + 1, dtype=indices.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    lower = sp.csc_matrix((data, indices, indptr), shape=(n_free, n_free)).tocsr()
+    data, indices, counts = _free_columns(K, is_free, shift, free_rows=True)
+    del K
 
     B, C, D = blocks.B_up, blocks.C, blocks.D
-    b_keep = np.repeat(is_free, np.diff(B.indptr))
-    b_counts = np.diff(B.indptr)[free]
-    c_data, c_indices, c_counts = _kept_entries(C, is_free[C.indices], shift)
-    data, indices, indptr = _stacked_rows(n_free + D.shape[0], [
-        (lower.data, lower.indices, np.diff(lower.indptr), 0),
-        (*upper, 0),
-        (B.data[b_keep] * s, B.indices[b_keep] + n_free, b_counts, 0),
-        (c_data * s, c_indices, c_counts, n_free),
-        (D.data * (s * s), D.indices + n_free, np.diff(D.indptr), n_free),
+    b_lengths = np.diff(B.indptr)
+    b_keep = np.repeat(is_free, b_lengths)
+    b_counts = b_lengths[free]
+    c_data, c_indices, c_counts = _free_columns(C, is_free, shift)
+    d_counts = np.diff(D.indptr)
+    # the multiplier rows: each row of C's free columns, then D's row
+    at = np.repeat(np.cumsum(c_counts), d_counts)
+    lam_data = np.insert(c_data * s, at, D.data * (s * s))
+    lam_indices = np.insert(c_indices, at, D.indices + n_free)
+
+    at = np.concatenate([
+        np.repeat(np.cumsum(counts), b_counts), np.full(lam_data.size, data.size)
     ])
-    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+    data = np.insert(data, at, np.concatenate([B.data[b_keep] * s, lam_data]))
+    indices = np.insert(
+        indices, at, np.concatenate([B.indices[b_keep] + n_free, lam_indices])
+    )
+    lengths = np.concatenate([counts + b_counts, c_counts + d_counts])
+    indptr = np.zeros(lengths.size + 1, dtype=indices.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(lengths.size,) * 2)
 
 
 def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):

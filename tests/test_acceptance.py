@@ -15,6 +15,7 @@ from fracfem.elasticity import (
     assemble_loads,
     assemble_stiffness,
     dirichlet_constraints,
+    full_stiffness,
     symmetric_product,
 )
 from fracfem.export import fracture_profiles, max_penetration
@@ -36,7 +37,6 @@ from fracfem.solver import (
 )
 
 from reactions import reaction_forces
-from stiffness import full_stiffness
 
 WINDOW = (0.1, 0.9)
 

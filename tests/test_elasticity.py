@@ -22,12 +22,12 @@ from fracfem.elasticity import (
     assemble_stiffness,
     dirichlet_constraints,
     element_stresses,
+    full_stiffness,
     plane_strain_D,
     symmetric_product,
 )
 from fracfem.mesh import build_contact_pairs, generate_rect_mesh, split_fractures
 
-from stiffness import full_stiffness
 
 # Hand-assembled stiffness of the unit right triangle (0,0)-(1,0)-(0,1)
 # for E = 1, nu = 0: D = diag(1, 1, 0.5), area = 1/2,
@@ -151,6 +151,25 @@ class TestAssemble:
         assert np.count_nonzero(K.diagonal()) == K.shape[0]
         full = full_stiffness(K)
         assert (full != full.T).nnz == 0
+
+    def test_full_stiffness_mirrors_the_triangle(self):
+        # each entry above the diagonal is mirrored below it with its bits,
+        # in canonical CSR; a stored zero (at (0, 1)) is dropped
+        rows, cols = np.triu_indices(6)
+        values = np.random.default_rng(3).standard_normal(rows.size)
+        K = sp.csr_matrix((values, (rows, cols)), shape=(6, 6))
+        K.data[1] = 0.0
+        full = full_stiffness(K)
+        dense = K.toarray()
+        assert full.format == "csr" and full.has_canonical_format
+        np.testing.assert_array_equal(full.toarray(), dense + np.triu(dense, 1).T)
+        assert full.nnz == 34 and np.all(full.data != 0.0)
+
+    def test_full_stiffness_of_a_preset(self):
+        K, _ = _preset_stiffness("crossing-multi")
+        full = full_stiffness(K)
+        assert (sp.triu(full) != K).nnz == 0 and (full != full.T).nnz == 0
+        assert full.nnz == 2 * K.nnz - K.shape[0]
 
     @pytest.mark.parametrize("name", ["inclined-crack", "crossing-single"])
     def test_symmetric_product_equals_dense_product(self, name):
