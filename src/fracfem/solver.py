@@ -143,12 +143,14 @@ class SaddleSystem:
     :func:`newton_loop` forms the residual after its solve from them, and
     :class:`SystemCache` compares ``codes`` to tell which pairs' rows and
     columns differ between two systems.
-    :func:`build_system` returns ``J``; a system built by a
-    :class:`SystemCache` holds None there once its fresh factorization
-    exists.
+    :func:`build_system` returns ``J`` in CSC, the form SuperLU factors,
+    with its row 2-norms ``row_norms``.  A :class:`SystemCache` turns that
+    very matrix into ``Jbar = diag(1/row_norms) J`` when it makes the
+    system's solver, so a system it built holds None there from then on.
+    A system assembled by hand may give a CSR ``J`` and no ``row_norms``.
     """
 
-    J: sp.csr_matrix | None
+    J: sp.csc_matrix | sp.csr_matrix | None
     R: np.ndarray
     free: np.ndarray
     n_disp: int
@@ -160,6 +162,7 @@ class SaddleSystem:
     # floating-point floor of eps * lambda * mult_scale
     R_phys: np.ndarray | None = None
     codes: np.ndarray | None = None
+    row_norms: np.ndarray | None = None
 
 
 def step_data(mesh, bcs, step, n_steps):
@@ -199,53 +202,85 @@ def _free_columns(A, is_free, shift, free_rows=False):
     return A.data[keep], indices, counts
 
 
+def _stacked_rows(K_ff, upper, lower, corner, is_free, shift, s, values_only=False):
+    """(data, column indices, row lengths) of the CSR rows of
+    ``[[K_ff, s upper[free]], [s lower[:, free], s² corner]]``, with
+    ``K_ff`` given as the (data, indices, counts) of its rows; only (data,
+    row lengths) if ``values_only``.  Each free row's ``s upper[free]``
+    entries are inserted at that row's end, then the ``[s lower[:, free],
+    s² corner]`` rows are appended, with one ``np.insert`` per array."""
+    data, indices, counts = K_ff
+    n_free = counts.size
+    u_lengths = np.diff(upper.indptr)
+    u_keep = np.repeat(is_free, u_lengths)
+    u_counts = u_lengths[is_free]
+    l_data, l_indices, l_counts = _free_columns(lower, is_free, shift)
+    c_counts = np.diff(corner.indptr)
+    # the multiplier rows: each row of lower's free columns, then corner's
+    l_at = np.repeat(np.cumsum(l_counts), c_counts)
+    lam_data = np.insert(l_data * s, l_at, corner.data * (s * s))
+    at = np.concatenate([
+        np.repeat(np.cumsum(counts), u_counts), np.full(lam_data.size, data.size)
+    ])
+    data = np.insert(data, at, np.concatenate([upper.data[u_keep] * s, lam_data]))
+    lengths = np.concatenate([counts + u_counts, l_counts + c_counts])
+    if values_only:
+        return data, lengths
+    lam_indices = np.insert(l_indices, l_at, corner.indices + n_free)
+    indices = np.insert(
+        indices, at, np.concatenate([upper.indices[u_keep] + n_free, lam_indices])
+    )
+    return data, indices, lengths
+
+
+def _indptr(lengths, dtype):
+    """The ``indptr`` of rows of the given ``lengths``."""
+    indptr = np.zeros(lengths.size + 1, dtype=dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
 def _saddle_matrix(K, blocks, free, s):
-    """``J = [[K_ff, s B_up[free]], [s C[:, free], s² D]]`` in CSR, with
-    ``K_ff`` the free block of the symmetric stiffness whose upper triangle
-    ``K`` holds, formed from the arrays of that stiffness and of the contact
-    ``blocks``: bit for bit what ``sp.bmat`` of the four blocks gives, and
-    ``K_ff`` itself on a mesh without pairs.  The full stiffness
-    (:func:`full_stiffness`) lives only until pass 1 has read it.
+    """``(J, row norms)``: ``J = [[K_ff, s B_up[free]], [s C[:, free], s²
+    D]]`` in CSC, the form SuperLU factors, with ``K_ff`` the free block of
+    the symmetric stiffness whose upper triangle ``K`` holds, and the 2-norm
+    of each row of ``J``.  ``J`` holds bit for bit what ``sp.bmat`` of the
+    four blocks gives, converted to CSC, and is ``K_ff`` itself on a mesh
+    without pairs.  The full stiffness (:func:`full_stiffness`) lives only
+    until pass 1 has read it.
 
     Pass 1 eliminates the Dirichlet dofs.  One keep-mask over K's entries
     marks the free rows and free columns, ``data`` and ``indices`` are
     gathered once, and the kept columns are renumbered by the count of
-    fixed dofs below each.  Pass 2 inserts each free row's ``s B_up[free]``
-    entries at that row's end, then appends the ``[s C[:, free], s² D]``
-    rows, with one ``np.insert`` per array.  No sparse matrix but the full
-    stiffness and ``J`` is formed: no ``K[free]``, no free block and no
-    stacked block row.
+    fixed dofs below each.  ``K_ff`` is exactly symmetric, so its rows are
+    its columns, and the CSC arrays of ``J`` are the CSR arrays of ``Jᵀ =
+    [[K_ff, s C[:, free]ᵀ], [s B_up[free]ᵀ, s² Dᵀ]]``: pass 2 stacks the
+    transposed contact blocks, which are small, around K's rows
+    (:func:`_stacked_rows`).  The row norms are summed over the squares of
+    J's values in J's own row order, exactly as ``J.multiply(J).sum(axis=1)``
+    sums a CSR ``J``: one values-only insert of the ``s B_up[free]``
+    entries and the multiplier rows, squared in place.  No sparse matrix
+    but the full stiffness and ``J`` is formed.
     """
     K = full_stiffness(K)
-    n_free = free.size
     is_free = np.zeros(K.shape[0], dtype=bool)
     is_free[free] = True
     shift = np.cumsum(~is_free, dtype=K.indices.dtype)
-    data, indices, counts = _free_columns(K, is_free, shift, free_rows=True)
+    K_ff = _free_columns(K, is_free, shift, free_rows=True)
     del K
 
     B, C, D = blocks.B_up, blocks.C, blocks.D
-    b_lengths = np.diff(B.indptr)
-    b_keep = np.repeat(is_free, b_lengths)
-    b_counts = b_lengths[free]
-    c_data, c_indices, c_counts = _free_columns(C, is_free, shift)
-    d_counts = np.diff(D.indptr)
-    # the multiplier rows: each row of C's free columns, then D's row
-    at = np.repeat(np.cumsum(c_counts), d_counts)
-    lam_data = np.insert(c_data * s, at, D.data * (s * s))
-    lam_indices = np.insert(c_indices, at, D.indices + n_free)
-
-    at = np.concatenate([
-        np.repeat(np.cumsum(counts), b_counts), np.full(lam_data.size, data.size)
-    ])
-    data = np.insert(data, at, np.concatenate([B.data[b_keep] * s, lam_data]))
-    indices = np.insert(
-        indices, at, np.concatenate([B.indices[b_keep] + n_free, lam_indices])
+    values, lengths = _stacked_rows(K_ff, B, C, D, is_free, shift, s, values_only=True)
+    values *= values
+    norms = np.sqrt(_row_sums(values, _indptr(lengths, shift.dtype)))
+    del values
+    data, indices, lengths = _stacked_rows(
+        K_ff, C.T.tocsr(), B.T.tocsr(), D.T.tocsr(), is_free, shift, s
     )
-    lengths = np.concatenate([counts + b_counts, c_counts + d_counts])
-    indptr = np.zeros(lengths.size + 1, dtype=indices.dtype)
-    np.cumsum(lengths, out=indptr[1:])
-    return sp.csr_matrix((data, indices, indptr), shape=(lengths.size,) * 2)
+    J = sp.csc_matrix(
+        (data, indices, _indptr(lengths, indices.dtype)), shape=(lengths.size,) * 2
+    )
+    return J, norms
 
 
 def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
@@ -254,9 +289,10 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
     ``K`` is the stiffness's upper triangle (:func:`assemble_stiffness`);
     ``F``, ``fixed`` and ``free`` come from :func:`step_data`; ``blocks``
     are the contact blocks of ``state.codes`` on ``fixed`` (built here when
-    not given).  ``J`` is formed straight from the arrays of ``K`` and the
-    blocks (:func:`_saddle_matrix`), so K's free block exists only inside
-    it.  The caller must have written the prescribed Dirichlet values into
+    not given).  ``J`` is formed once, in CSC, straight from the arrays of
+    ``K`` and the blocks, together with its row norms
+    (:func:`_saddle_matrix`), so K's free block exists only inside it.
+    The caller must have written the prescribed Dirichlet values into
     ``state.U`` beforehand (then the fixed increments are identically zero
     and elimination is a plain row/column restriction).
     """
@@ -265,7 +301,7 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
 
     s = mat.E  # multiplier nondimensionalization (see SaddleSystem docs)
     R, R_phys = _reduced_residual(K, blocks, F, state.U, state.lam, free, s)
-    J = _saddle_matrix(K, blocks, free, s)
+    J, row_norms = _saddle_matrix(K, blocks, free, s)
 
     return SaddleSystem(
         J=J,
@@ -277,6 +313,7 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
         mult_scale=s,
         R_phys=R_phys,
         codes=state.codes.copy(),
+        row_norms=row_norms,
     )
 
 
@@ -304,10 +341,14 @@ def build_preconditioner(sys):
     rows); a zero row is an error.  The squares are summed exactly as
     ``J.multiply(J).sum(axis=1)`` sums them, without forming ``J∘J``: row
     by row over the nonzero products in column order (``J`` is canonical
-    CSR and stores no zero, as :func:`build_system` builds it).
+    and stores no zero, as :func:`build_system` builds it).  A built system
+    brings the norms that :func:`_saddle_matrix` summed as it formed ``J``;
+    for one without them they are summed here, from ``J`` in CSR.
     """
-    J = sys.J
-    norms = np.sqrt(_row_sums(J.data * J.data, J.indptr))
+    norms = sys.row_norms
+    if norms is None:
+        J = sys.J.tocsr()
+        norms = np.sqrt(_row_sums(J.data * J.data, J.indptr))
     zero = np.where(norms == 0.0)[0]
     if zero.size:
         raise SingularRowError(
@@ -324,12 +365,10 @@ def _same_bits(a, b):
     return bool(np.array_equal(a.view(kind), b.view(kind)))
 
 
-def _row_scaled(J, pc):
-    """``diag(1/pc) J`` of a CSR ``J`` in CSC: one CSC copy of ``J``,
-    scaled in place."""
-    Jbar = J.tocsc()
-    Jbar.data *= (1.0 / pc)[Jbar.indices]
-    return Jbar
+def _scale_rows(J, pc):
+    """``J``, a CSC matrix, turned into ``Jbar = diag(1/pc) J`` in place."""
+    J.data *= (1.0 / pc)[J.indices]
+    return J
 
 
 def _signs(Jbar):
@@ -409,13 +448,14 @@ def linear_solve(sys, pc):
     iteratively until the backward error on the row-equilibrated system
     reaches 1e-10 (equivalent to the relative-residual contract whenever
     that quantity is evaluable in double precision); a larger error raises
-    :class:`LinearSolveError`.  A run solves through its
-    :class:`SystemCache`, which keeps and borders factorizations.
+    :class:`LinearSolveError`.  ``Jbar`` is a CSC copy, so ``sys.J`` is
+    left as it was.  A run solves through its :class:`SystemCache`, which
+    keeps and borders factorizations and scales ``J`` itself.
     """
     if _norm(sys.R) == 0.0:
         return np.zeros_like(sys.R)
     rhs = -sys.R / pc
-    Jbar = _row_scaled(sys.J, pc)
+    Jbar = _scale_rows(sys.J.tocsc(copy=True), pc)
     lu = _splu(Jbar)
     return _refined_solve(Jbar, lu, rhs)
 
@@ -456,9 +496,15 @@ class _Base:
         return R
 
     def bordered_solver(self, sys, pc, R):
-        """A :class:`_Bordered` solver of ``sys.J`` on the dofs ``R`` that
-        :meth:`border` gave, or None when the nonzero columns of ``J_NR``
-        overrun the budget or the bordered blocks are singular."""
+        """A :class:`_Bordered` solver of ``sys.J`` (CSC, not yet scaled)
+        on the dofs ``R`` that :meth:`border` gave, or None when the
+        nonzero columns of ``J_NR`` overrun the budget or the bordered
+        blocks are singular.
+
+        The right-hand sides of ``Z = J0^-1 E_R`` and of ``J0^-1 J_NR`` are
+        formed already divided by the base's row norms, as :meth:`solve`
+        would divide them, and handed straight to SuperLU, whose own copy
+        is the solution: each block exists twice at most."""
         J, n = sys.J, sys.J.shape[0]
         in_R = np.zeros(n, dtype=bool)
         in_R[R] = True
@@ -468,18 +514,21 @@ class _Base:
         if self._over_budget(R, nz.size):
             return None
 
-        E_R = np.zeros((n, R.size))
-        E_R[R, np.arange(R.size)] = 1.0
-        Z = self.solve(E_R)
-        J_NR = np.zeros((n, nz.size))
-        J_NR[JR.row[keep], np.searchsorted(nz, JR.col[keep])] = JR.data[keep]
-        rows = J[R].tocoo()
+        Z = np.zeros((n, R.size))
+        Z[R, np.arange(R.size)] = 1.0 / self.pc[R]
+        Z = self.lu.solve(Z)
+        at = JR.row[keep]
+        Y = np.zeros((n, nz.size))
+        Y[at, np.searchsorted(nz, JR.col[keep])] = JR.data[keep] / self.pc[at]
+        Y = self.lu.solve(Y)
+        J_R = J[R]
+        rows = J_R.tocoo()
         out = ~in_R[rows.col]
         J_RN = sp.csr_matrix(
             (rows.data[out], (rows.row[out], rows.col[out])), shape=(R.size, n)
         )
         try:
-            return _Bordered(self, pc, R, Z, J_NR, nz, J_RN, J[R][:, R].toarray())
+            return _Bordered(self, pc, R, Z, Y, nz, J_RN, J_R[:, R].toarray())
         except np.linalg.LinAlgError:
             return None
 
@@ -494,25 +543,27 @@ class _Bordered:
     on ``R`` through the Schur complement ``S = J_RR - J_RN A^-1 J_NR``:
     one base solve and a few dense products per call.  Vectors of length
     ``n`` stand for their ``N`` part with zeros at ``R``; ``J_NR`` holds only
-    its nonzero columns, at positions ``nz`` of ``R``.
+    its nonzero columns, at positions ``nz`` of ``R``, and comes as ``Y =
+    J0^-1 J_NR``.  ``Y`` and ``J_RR`` become ``W`` and ``S`` in place.
     """
 
-    def __init__(self, base, pc, R, Z, J_NR, nz, J_RN, J_RR):
+    def __init__(self, base, pc, R, Z, Y, nz, J_RN, J_RR):
         self.base, self.pc, self.R, self.Z, self.J_RN = base, pc, R, Z, J_RN
         self.T = Z[R]
         self.nz = nz
-        self.W = self._a_inv(base.solve(J_NR))  # A^-1 J_NR
-        self.S = J_RR.copy()
+        self.W = self._a_inv(Y)  # A^-1 J_NR
+        self.S = J_RR
         self.S[:, nz] -= J_RN @ self.W
         # np.linalg.solve raises LinAlgError on a singular T (just above) or
         # S (here), so that solve() cannot
         np.linalg.solve(self.S, np.zeros(R.size))
 
     def _a_inv(self, y):
-        """``A^-1 v`` from ``y = J0^-1 v`` (``v`` zero at ``R``)."""
-        out = y - self.Z @ np.linalg.solve(self.T, y[self.R])
-        out[self.R] = 0.0
-        return out
+        """``A^-1 v`` from ``y = J0^-1 v`` (``v`` zero at ``R``), in place
+        of ``y``."""
+        y -= self.Z @ np.linalg.solve(self.T, y[self.R])
+        y[self.R] = 0.0
+        return y
 
     def solve(self, r):
         b = r * self.pc
@@ -532,18 +583,19 @@ class SystemCache:
     :func:`assemble_stiffness` returns it), the rank probe, the last system
     built with its row norms ``pc``, that system's ``Jbar``, the solver
     ``lu`` serving it, and the base, the last fresh factorization
-    (:class:`_Base`).  A system that is factored afresh drops its ``J``
-    first (:meth:`_factor`).  K's free block is not kept:
-    :func:`build_system` forms ``J`` from K's arrays once per new
-    assignment, and only ``J`` holds it.  Mesh, material and friction must
-    not change under it, and :meth:`solve` solves only the system that
-    :meth:`system` returned last.
+    (:class:`_Base`).  Each system's matrix exists once: the CSC ``J``
+    that :func:`build_system` forms becomes its ``Jbar`` in place when its
+    solver is made, and the system drops ``J`` then (:meth:`_factor`).
+    K's free block is not kept: :func:`build_system` forms ``J`` from K's
+    arrays once per new assignment, and only ``J`` holds it.  Mesh,
+    material and friction must not change under it, and :meth:`solve`
+    solves only the system that :meth:`system` returned last.
 
     What serves a solve is decided once, in :meth:`system`.  A state loop
     whose state codes and free dofs repeat the last system's reuses its blocks,
-    ``J``, ``pc`` and solver, and only its residual is formed again.  For a
+    ``Jbar``, ``pc`` and solver, and only its residual is formed again.  For a
     new assignment, as soon as its contact blocks exist and before its ``J``
-    does, the last system, its copies and its solver are dropped, and the
+    does, the last system, its ``Jbar`` and its solver are dropped, and the
     base gives the multiplier dofs ``R`` of the pairs that flipped since it
     (:meth:`_Base.border`).  Only their rows and columns differ, as one run
     and one ``free`` share one displacement block ``K[free][:, free]``, so
@@ -563,7 +615,7 @@ class SystemCache:
         self.clear()
 
     def clear(self):
-        """Drop every system, copy and factorization but ``K`` and the rank
+        """Drop every system, matrix and factorization but ``K`` and the rank
         probe: the next system is served as by a new cache."""
         self.sys = self.pc = None
         self.Jbar = self.lu = self.base = self.border_dofs = None
@@ -611,23 +663,25 @@ class SystemCache:
         bordered on ``border_dofs``, or else a fresh factorization that
         becomes the base; then probe its rank.
 
-        Nothing reads ``J`` once ``Jbar`` exists and no bordering is
-        planned, so before a fresh factorization both systems drop ``J``
-        and the freed heap is handed back (:func:`_release_heap`): SuperLU's
-        factor then lands neither on ``J`` nor on the holes that earlier
-        arrays left in the heap.  The heap is handed back once more after
-        the factorization, whose freed workspace would otherwise stay
-        resident beside the factor while the rank probe and the refinement
-        allocate on top of it.  ``Jbar`` is formed once per system, so a
-        bordered solver's fallback to a fresh factorization reuses it."""
+        The bordered solver reads its blocks of ``J`` first.  Then ``J``
+        is scaled into ``Jbar`` in place, and both systems drop it: no
+        system keeps an unscaled ``J`` once its solver exists.  Before a
+        fresh factorization the freed heap is handed back
+        (:func:`_release_heap`), so SuperLU's factor does not land on the
+        holes that earlier arrays left in the heap.  The heap is handed back
+        once more after the factorization, whose freed workspace would
+        otherwise stay resident beside the factor while the rank probe and
+        the refinement allocate on top of it.  ``Jbar`` is formed once per
+        system, so a bordered solver's fallback to a fresh factorization
+        reuses it."""
         R = self.border_dofs
         lu = None if R is None else self.base.bordered_solver(self.sys, self.pc, R)
         if lu is None:
             self.base = None
         if self.Jbar is None:
-            self.Jbar = _row_scaled(self.sys.J, self.pc)
-        if lu is None:
+            self.Jbar = _scale_rows(self.sys.J, self.pc)
             self.sys.J = sys.J = None
+        if lu is None:
             _release_heap()
             lu = _splu(self.Jbar)
             _release_heap()

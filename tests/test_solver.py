@@ -821,15 +821,31 @@ def cached_systems(mesh, cfg):
 def with_J(cache, sys):
     """``sys``, built through ``cache``, with its ``J`` formed again from
     the cache's ``K`` and the system's blocks, as :func:`build_system`
-    forms it (the same bits): a system the cache has factored afresh no
-    longer holds its ``J``."""
-    J = solver._saddle_matrix(cache.K, sys.blocks, sys.free, sys.mult_scale)
+    forms it (the same bits): a system the cache has made a solver for no
+    longer holds its ``J``, which became the cache's ``Jbar``."""
+    J, _ = solver._saddle_matrix(cache.K, sys.blocks, sys.free, sys.mult_scale)
     return dataclasses.replace(sys, J=J)
 
 
 def is_bordered(cache):
     """True when the cache's current solver borders its base."""
     return isinstance(cache.lu, solver._Bordered)
+
+
+class _BlockCounting:
+    """A SuperLU factorization that records the column count of each block
+    of right-hand sides it solves."""
+
+    def __init__(self, lu, blocks):
+        self.lu, self.blocks = lu, blocks
+
+    def solve(self, y):
+        if y.ndim == 2:
+            self.blocks.append(y.shape[1])
+        return self.lu.solve(y)
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
 
 
 class TestFactorReuse:
@@ -1026,29 +1042,23 @@ class TestBorderedUpdate:
         nd = sys.n_disp
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9]))
         np.testing.assert_array_equal(cache.lu.nz, [2])
-        fresh = linear_solve(sys, pc)
+        assert sys.J is None  # it became the cache's Jbar
+        fresh = linear_solve(with_J(cache, sys), pc)
         assert len(calls) == 2
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
         assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
 
-        # one more pair opens: the base solves for the six J^-1 columns of
-        # the new border, then for the one nonzero J_NR column
+        # one more pair opens: the base's factor solves for the six J^-1
+        # columns of the new border, then for the one nonzero J_NR column
         sys = system(self.flipped(stick, {2: OPEN, 4: SLIP, 6: OPEN}))
         blocks = []
-        real = solver._Base.solve
-
-        def solve(self, y):
-            if y.ndim == 2:
-                blocks.append(y.shape[1])
-            return real(self, y)
-
-        monkeypatch.setattr(solver._Base, "solve", solve)
+        cache.base.lu = _BlockCounting(cache.base.lu, blocks)
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 2
         assert blocks == [6, 1]
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9, 12, 13]))
-        fresh = linear_solve(sys, pc)
+        fresh = linear_solve(with_J(cache, sys), pc)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
         assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
 
@@ -1066,6 +1076,7 @@ class TestBorderedUpdate:
         assert is_bordered(cache) and len(calls) == 1
         nd = sys.n_disp
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([8, 9]))
+        sys = with_J(cache, sys)
         diff = (sys.J - base.J).tocoo()
         changed = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
         np.testing.assert_array_equal(changed, [nd + 9])
@@ -1081,9 +1092,9 @@ class TestBorderedUpdate:
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
         J, nd = sys.J, sys.n_disp
-        rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
-        J.data[(rows < nd) & (J.indices < nd)] *= 1.5
-        ref = dataclasses.replace(sys)  # keeps J past its fresh factorization
+        cols = np.repeat(np.arange(J.shape[1]), np.diff(J.indptr))  # J is CSC
+        J.data[(J.indices < nd) & (cols < nd)] *= 1.5
+        ref = dataclasses.replace(sys, J=J.copy())  # the solve scales J in place
         bordered = []
         _counted(monkeypatch, solver._Bordered, "solve", bordered)
         dx = cache.solve(sys)
@@ -1103,7 +1114,7 @@ class TestBorderedUpdate:
             real(self)
 
         monkeypatch.setattr(SystemCache, "check_rank", probe)
-        ref = dataclasses.replace(sys)  # keeps J past its fresh factorization
+        ref = dataclasses.replace(sys, J=sys.J.copy())  # the solve scales J in place
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
         np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
@@ -1114,10 +1125,11 @@ class TestBorderedUpdate:
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
         sys.J.data[0] = np.nextafter(sys.J.data[0], np.inf)  # one ulp in K_ff
+        ref = dataclasses.replace(sys, J=sys.J.copy())  # the solve scales J in place
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
-        fresh = linear_solve(sys, pc)
+        fresh = linear_solve(ref, pc)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
         assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
 
@@ -1129,7 +1141,7 @@ class TestBorderedUpdate:
         # released as soon as the system is built, before its solve
         assert sys.J.shape[0] * 2 * mesh.n_pairs > budget
         assert cache.base is None and cache.border_dofs is None
-        ref = dataclasses.replace(sys)  # keeps J past its fresh factorization
+        ref = dataclasses.replace(sys, J=sys.J.copy())  # the solve scales J in place
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
         assert np.array_equal(cache.base.codes, sys.codes)
@@ -1146,6 +1158,7 @@ class TestBorderedUpdate:
         calls = TestFactorReuse.count_splu(monkeypatch)
         subs, borders, solves, flips = [], [], [], []
         _counted(monkeypatch, sp.csr_matrix, "__sub__", subs)
+        _counted(monkeypatch, sp.csc_matrix, "__sub__", subs)
         _counted(monkeypatch, solver._Base, "border", borders)
         _counted(monkeypatch, solver._Base, "solve", solves)
 
@@ -1195,9 +1208,9 @@ class TestBorderedUpdate:
                 c.Jbar is not None,
                 any(ref() is not None for ref in systems),
             ))
-            J = real_saddle_matrix(*args)
+            J, norms = real_saddle_matrix(*args)
             systems.append(weakref.ref(J))
-            return J
+            return J, norms
 
         monkeypatch.setattr(solver, "_saddle_matrix", saddle_matrix)
         res = stick_run(mesh, cfg)
@@ -1304,6 +1317,39 @@ class TestBorderedUpdate:
         ref = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
         np.testing.assert_array_equal(got, ref)
 
+    @pytest.mark.parametrize("case", ["crossing-multi", "inclined-flips"])
+    def test_bordered_solver_keeps_the_bits_of_unit_columns(self, monkeypatch, case):
+        # the right-hand sides formed already divided by the base's row
+        # norms, the one slice of J[R], the uncopied J_RR and the in-place
+        # A^-1 give the blocks and solutions of the construction they
+        # replaced bit for bit: crossing-multi's two borders (no J_NR
+        # column) and the coarse inclined crack's (one J_NR column each)
+        seen = []
+        real = solver._Base.bordered_solver
+
+        def compared(self, sys, pc, R):
+            ref = _ref_bordered(self, sys.J.tocsr(), pc, R)
+            out = real(self, sys, pc, R)
+            r = np.random.default_rng(R.size).standard_normal(sys.J.shape[0])
+            seen.append((out.nz.size, all(
+                solver._same_bits(a, b)
+                for a, b in zip((out.Z, out.W, out.S, out.solve(r)), ref(r))
+            )))
+            return out
+
+        monkeypatch.setattr(solver._Base, "bordered_solver", compared)
+        if case == "crossing-multi":
+            mesh, cfg = _workload(case)
+            res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
+                                 cfg.solver)
+            assert res[-1].converged and seen == [(0, True), (0, True)]
+            return
+        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        stick = stick_codes(mesh)
+        for flips in ({2: OPEN, 4: SLIP}, {2: OPEN, 4: SLIP, 6: OPEN}):
+            cache.solve(system(self.flipped(stick, flips)))
+        assert seen == [(1, True), (1, True)] and len(calls) == 1
+
     @pytest.mark.parametrize("bad", [1.0, np.nan])
     def test_bordered_miss_falls_back_to_one_fresh_factorization(
         self, monkeypatch, bad
@@ -1312,7 +1358,7 @@ class TestBorderedUpdate:
         monkeypatch.setattr(solver._Bordered, "solve",
                             lambda self, r: np.full_like(r, bad))
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
-        ref = dataclasses.replace(sys)  # keeps J past its fresh factorization
+        ref = dataclasses.replace(sys, J=sys.J.copy())  # the solve scales J in place
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
         assert np.array_equal(cache.base.codes, sys.codes)
@@ -1339,6 +1385,53 @@ def _ref_saddle_J(mesh, mat, blocks, K, free):
         J_full = K.tocsr()
     keep = np.concatenate([free, n2 + np.arange(m2, dtype=np.int64)])
     return J_full[keep][:, keep].tocsr()
+
+
+def _ref_bordered(base, J, pc, R):
+    """A function of ``r`` that gives the blocks ``(Z, W, S)`` of a
+    bordered solver of the CSR ``J`` on ``R`` and its solution of ``r``, as
+    :meth:`solver._Base.bordered_solver` and :class:`solver._Bordered`
+    formed them with unit columns divided by the base's row norms in
+    :meth:`solver._Base.solve`, kept verbatim (but for the closures) to pin
+    the pre-scaled construction bit for bit."""
+    n = J.shape[0]
+    in_R = np.zeros(n, dtype=bool)
+    in_R[R] = True
+    JR = J[:, R].tocoo()
+    keep = ~in_R[JR.row]
+    nz = np.unique(JR.col[keep])
+    E_R = np.zeros((n, R.size))
+    E_R[R, np.arange(R.size)] = 1.0
+    Z = base.solve(E_R)
+    J_NR = np.zeros((n, nz.size))
+    J_NR[JR.row[keep], np.searchsorted(nz, JR.col[keep])] = JR.data[keep]
+    rows = J[R].tocoo()
+    out = ~in_R[rows.col]
+    J_RN = sp.csr_matrix(
+        (rows.data[out], (rows.row[out], rows.col[out])), shape=(R.size, n)
+    )
+    T = Z[R]
+
+    def a_inv(y):
+        out = y - Z @ np.linalg.solve(T, y[R])
+        out[R] = 0.0
+        return out
+
+    W = a_inv(base.solve(J_NR))
+    S = J[R][:, R].toarray().copy()
+    S[:, nz] -= J_RN @ W
+
+    def solve(r):
+        b = r * pc
+        v = b.copy()
+        v[R] = 0.0
+        u = a_inv(base.solve(v))
+        x_R = np.linalg.solve(S, b[R] - J_RN @ u)
+        x = u - W @ x_R[nz]
+        x[R] = x_R
+        return Z, W, S, x
+
+    return solve
 
 
 def _ref_bmat_J(K, blocks, free, s):
@@ -1437,16 +1530,17 @@ def _preset_systems(name):
 
 
 class TestSlicedAssembly:
-    """J from K's free block and the sliced contact blocks, and the row
-    scaling, equal the constructions they replaced bit for bit."""
+    """J from K's free block and the sliced contact blocks, its row norms
+    and the row scaling equal the constructions they replaced bit for bit
+    (J in CSC, the reference converted)."""
 
     @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     def test_J_equals_full_bmat_then_restriction(self, name, mix):
         mesh, cfg, K, (F, fixed, free, U), systems = _preset_systems(name)
         sys = systems[mix]
-        ref = _ref_saddle_J(mesh, cfg.material, sys.blocks, K, free)
-        assert _same_csr(sys.J, ref)
+        ref = _ref_saddle_J(mesh, cfg.material, sys.blocks, K, free).tocsc()
+        assert sys.J.format == "csc" and _same_csr(sys.J, ref)
         # through the run's cache
         cache = SystemCache(K)
         st_ = SolutionState(U=U, lam=np.zeros(sys.n_lam),
@@ -1459,22 +1553,35 @@ class TestSlicedAssembly:
     @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     def test_row_scaling_equals_diagonal_product(self, name, mix):
-        *_, systems = _preset_systems(name)
-        J = systems[mix].J
-        pc = build_preconditioner(systems[mix])
-        before = J.copy()
-        got = solver._row_scaled(J, pc)
-        ref = (sp.diags(1.0 / pc) @ J).tocsc()
-        assert got.format == "csc" and _same_csr(got, ref)
+        # J scaled in place has the bits of diag(1/pc) times the CSR
+        # reference, converted to CSC; linear_solve scales a copy and
+        # leaves J itself alone
+        mesh, cfg, K, (F, fixed, free, U), systems = _preset_systems(name)
+        sys = systems[mix]
+        pc = build_preconditioner(sys)
+        ref = _ref_saddle_J(mesh, cfg.material, sys.blocks, K, free)
+        J = sys.J.copy()
+        got = solver._scale_rows(J, pc)
+        assert got is J and got.format == "csc"
+        assert _same_csr(got, (sp.diags(1.0 / pc) @ ref).tocsc())
         assert np.count_nonzero(got.data) == got.nnz
-        assert _same_csr(J, before)  # J itself is left alone
+        if mix == "stick":
+            before = sys.J.copy()
+            linear_solve(sys, pc)
+            assert _same_csr(sys.J, before)
 
     @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     def test_row_norms_equal_elementwise_product_sums(self, name, mix):
-        *_, systems = _preset_systems(name)
+        # the norms summed as J is formed, and those summed from J by a
+        # system that brings none, equal the CSR reference's bit for bit
+        mesh, cfg, K, (F, fixed, free, U), systems = _preset_systems(name)
         sys = systems[mix]
-        assert solver._same_bits(build_preconditioner(sys), _ref_row_norms(sys.J))
+        ref = _ref_row_norms(_ref_saddle_J(mesh, cfg.material, sys.blocks, K, free))
+        assert sys.row_norms is not None
+        assert solver._same_bits(build_preconditioner(sys), ref)
+        bare = dataclasses.replace(sys, row_norms=None)
+        assert solver._same_bits(build_preconditioner(bare), ref)
         if (name, mix) == ("sneddon", "mix"):
             assert np.count_nonzero(sys.J.data) == sys.J.nnz
 
@@ -1508,12 +1615,14 @@ class TestSlicedAssembly:
         n, s = 24, 2.5e10
         K, blocks = _synthetic_saddle(n, m2, np.random.default_rng(len(fixed)))
         free = np.setdiff1d(np.arange(n, dtype=np.int64), fixed)
-        got = solver._saddle_matrix(K, blocks, free, s)
-        assert _same_csr(got, _ref_bmat_J(K, blocks, free, s))
-        assert got.format == "csr" and got.has_sorted_indices
+        got, norms = solver._saddle_matrix(K, blocks, free, s)
+        ref = _ref_bmat_J(K, blocks, free, s)
+        assert _same_csr(got, ref.tocsc())
+        assert got.format == "csc" and got.has_sorted_indices
         assert np.all(got.data != 0.0)
+        assert solver._same_bits(norms, _ref_row_norms(ref))
         if not m2:
-            assert _same_csr(got, full_stiffness(K)[free][:, free])
+            assert _same_csr(got, full_stiffness(K)[free][:, free].tocsc())
 
     def test_mesh_without_pairs_gives_free_block(self):
         mesh = built(generate_rect_mesh(1.0, 1.0, 4, 4))
@@ -1528,7 +1637,7 @@ class TestSlicedAssembly:
         st_ = SolutionState(U=U, lam=np.zeros(0), codes=np.zeros(0, np.int8))
         sys = build_system(mesh, MAT, FRIC30, st_, K, F, fixed, free)
         assert sys.n_lam == 0 and fixed.size and free.size
-        assert _same_csr(sys.J, full_stiffness(K)[free][:, free])
+        assert _same_csr(sys.J, full_stiffness(K)[free][:, free].tocsc())
 
     def test_free_dofs_equal_set_difference(self):
         mesh, cfg = small_inclined_setup()
@@ -1726,15 +1835,18 @@ WORKLOAD_FACTORIZATIONS = [("sneddon", 1), ("crossing-multi", 2), ("inclined-ram
 
 
 class TestFreshFactorMemory:
-    """A fresh factorization starts with its system's J released and the
-    free heap handed back; neither changes a bit of the result."""
+    """Each system's matrix exists once: the J that build_system forms is
+    scaled into the Jbar that its solver serves, and a fresh factorization
+    starts with the free heap handed back; neither changes a bit of the
+    result."""
 
     @pytest.mark.parametrize("name, fresh", WORKLOAD_FACTORIZATIONS)
     def test_no_J_alive_during_a_fresh_factorization(self, monkeypatch, name, fresh):
-        # crossing-multi's bordered loops keep their J, but no J of any
-        # state loop, the factored system's included, outlives the start
-        # of a fresh factorization; the heap is handed back before and
-        # after each
+        # only the matrix being factored is alive in splu: of the matrices
+        # that the state loops formed, crossing-multi's bordered ones
+        # included, only the factored system's own, scaled into Jbar in
+        # place, outlives the start of a fresh factorization; the heap is
+        # handed back before and after each
         import weakref
 
         mesh, cfg = _workload(name)
@@ -1742,34 +1854,109 @@ class TestFreshFactorMemory:
         real_saddle_matrix = solver._saddle_matrix
 
         def saddle_matrix(*args):
-            J = real_saddle_matrix(*args)
+            J, norms = real_saddle_matrix(*args)
             formed.append(weakref.ref(J))
-            return J
+            return J, norms
 
         monkeypatch.setattr(solver, "_saddle_matrix", saddle_matrix)
-        _counted(monkeypatch, solver, "_splu", alive,
-                 lambda Jbar: [k for k, ref in enumerate(formed) if ref() is not None])
+        _counted(monkeypatch, solver, "_splu", alive, lambda Jbar: [
+            (k, ref() is Jbar) for k, ref in enumerate(formed) if ref() is not None
+        ])
         _counted(monkeypatch, solver, "_release_heap", released)
         res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
         assert res[-1].converged and formed
-        assert alive == [[]] * fresh and len(released) == 2 * fresh
+        assert alive == [[(k, True)] for k in range(fresh)]
+        assert len(released) == 2 * fresh
 
     def test_which_systems_keep_J(self):
-        # the cache's system and the repeat of it that a state loop solves
-        # drop J at their fresh factorization; build_system's system and a
-        # bordered one keep theirs
+        # no system keeps an unscaled J once its solver exists: the
+        # cache's system and the repeat of it that a state loop solves drop
+        # J at their fresh factorization, a bordered system at its bordered
+        # solver, and each J is the cache's Jbar then; build_system's own
+        # system keeps its J
         mesh, cfg = small_inclined_setup()
         cache, system = cached_systems(mesh, cfg)
         first = system(stick_codes(mesh))
         again = system(stick_codes(mesh))  # a repeat, not yet solved
         assert again is not first and again.J is first.J
+        J = first.J
         built = make_system(mesh, cfg)
         cache.solve(again)
         assert first.J is None and again.J is None and cache.sys.J is None
-        assert built.J is not None
+        assert cache.Jbar is J and built.J is not None
         sys = system(TestBorderedUpdate.flipped(stick_codes(mesh), {2: OPEN}))
+        J = sys.J
         cache.solve(sys)
-        assert is_bordered(cache) and sys.J is not None
+        assert is_bordered(cache) and sys.J is None and cache.Jbar is J
+
+    @pytest.mark.parametrize("name, kinds", [
+        ("sneddon", [False]),
+        ("crossing-multi", [False, False, True, True]),
+        ("inclined-ramp", [False, False]),
+    ])
+    def test_each_solver_serves_the_matrix_build_system_formed(
+        self, monkeypatch, name, kinds
+    ):
+        # on a run's path each system's matrix exists once: the Jbar of
+        # every new solver, fresh or bordered, is the J that build_system
+        # formed, sharing its values, and has the bits of diag(1/pc) times
+        # the CSR reference, converted to CSC
+        mesh, cfg = _workload(name)
+        built, seen = [], []
+        real_build, real_rank = solver.build_system, SystemCache.check_rank
+
+        def build(*args, **kwargs):
+            sys = real_build(*args, **kwargs)
+            built.append(sys.J.data)
+            return sys
+
+        def check_rank(self):
+            ref = _ref_saddle_J(mesh, cfg.material, self.sys.blocks, self.K,
+                                self.sys.free)
+            seen.append((
+                is_bordered(self),
+                np.shares_memory(self.Jbar.data, built[-1]),
+                self.sys.J is None,
+                _same_csr(self.Jbar, (sp.diags(1.0 / self.pc) @ ref).tocsc()),
+            ))
+            return real_rank(self)
+
+        monkeypatch.setattr(solver, "build_system", build)
+        monkeypatch.setattr(SystemCache, "check_rank", check_rank)
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        assert res[-1].converged
+        assert seen == [(kind, True, True, True) for kind in kinds]
+
+    def test_bordered_setup_holds_each_block_twice_at_most(self, monkeypatch):
+        # crossing-multi borders its base on 4, then 12 dofs.  The unit
+        # columns, formed already divided by the base's row norms, and
+        # SuperLU's copy of them (its solution) are the largest blocks of
+        # the setup, and the J_NR columns and W take two more n x nz blocks
+        # at most; the slack covers the index arrays and masks.  A unit
+        # block kept beside its scaled copy breaks the bound.
+        import tracemalloc
+
+        mesh, cfg = _workload("crossing-multi")
+        seen = []
+        real = solver._Base.bordered_solver
+
+        def traced(self, sys, pc, R):
+            tracemalloc.start()
+            try:
+                out = real(self, sys, pc, R)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            seen.append((sys.J.shape[0], R.size, out.nz.size, peak))
+            return out
+
+        monkeypatch.setattr(solver._Base, "bordered_solver", traced)
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        assert res[-1].converged
+        assert [(n, r) for n, r, *_ in seen] == [(15_102, 4), (15_102, 12)]
+        slack = 64 * 1024
+        for n, r, nz, peak in seen:
+            assert peak <= 8 * (2 * n * r + 2 * n * nz) + slack, (r, nz, peak)
 
     def test_heap_release_without_malloc_trim_is_a_no_op(self, monkeypatch):
         class NoTrim:  # a C library without the symbol
