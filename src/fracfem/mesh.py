@@ -120,10 +120,12 @@ class ChainNode:
 
 @dataclass
 class Intersection:
-    """Bookkeeping for one two-fracture crossing."""
+    """Bookkeeping for one two-fracture crossing: ``path_index`` holds the
+    node's index in the path of each of ``fractures``."""
 
     node: int
     fractures: tuple
+    path_index: tuple
     quadrants: dict
 
 
@@ -682,8 +684,9 @@ def _sector_side(p, dir_next, dir_prev, h_local):
     return side_of
 
 
-def _path_rays(mesh, path, k):
-    """Directions from path[k] toward the next/previous path nodes.
+def _path_side(mesh, path, k):
+    """The :func:`_sector_side` classifier of the path node ``path[k]``,
+    from the rays toward the next and previous path nodes.
 
     Endpoints get the straight extension of their single segment so the
     classifier degenerates to a half-plane test.
@@ -697,7 +700,8 @@ def _path_rays(mesh, path, k):
         d_prev = mesh.nodes[path[k - 1]] - p
     else:
         d_prev = -d_next
-    return d_next, d_prev
+    h_local = max(np.hypot(*d_next), np.hypot(*d_prev))
+    return _sector_side(p, d_next, d_prev, h_local)
 
 
 def split_fractures(mesh):
@@ -765,9 +769,7 @@ def split_fractures(mesh):
             interior = 0 < k < last
             if not interior and nid not in boundary:
                 continue  # crack tip: keep a single node
-            d_next, d_prev = _path_rays(mesh, path, k)
-            h_local = max(np.hypot(*d_next), np.hypot(*d_prev))
-            side_of = _sector_side(mesh.nodes[nid], d_next, d_prev, h_local)
+            side_of = _path_side(mesh, path, k)
             minus_id = alloc(mesh.nodes[nid])
             for e in around[nid]:
                 if side_of(centroids[e]) < 0:
@@ -777,14 +779,7 @@ def split_fractures(mesh):
 
     for nid, uses in crossing_nodes.items():
         (f1, k1), (f2, k2) = uses
-        classifiers = []
-        for fid, k in uses:
-            path = frac_by_id[fid].nodes
-            d_next, d_prev = _path_rays(mesh, path, k)
-            h_local = max(np.hypot(*d_next), np.hypot(*d_prev))
-            classifiers.append(
-                _sector_side(mesh.nodes[nid], d_next, d_prev, h_local)
-            )
+        classifiers = [_path_side(mesh, frac_by_id[fid].nodes, k) for fid, k in uses]
         quadrants = {}
         elems_by_quadrant = {}
         for e in around[nid]:
@@ -804,7 +799,9 @@ def split_fractures(mesh):
             for e in elems:
                 elements[e][elements[e] == nid] = quadrants[key]
         intersections.append(
-            Intersection(node=nid, fractures=(f1, f2), quadrants=quadrants)
+            Intersection(
+                node=nid, fractures=(f1, f2), path_index=(k1, k2), quadrants=quadrants
+            )
         )
 
     out = Mesh(
@@ -848,6 +845,7 @@ def build_contact_pairs(mesh):
         raise ValueError("contact pairs already built")
 
     inter_by_node = {rec.node: rec for rec in mesh.intersections}
+    paths = {f.id: f.nodes for f in mesh.fractures}
     pairs = []
     chains = []
 
@@ -866,7 +864,7 @@ def build_contact_pairs(mesh):
             if nid in inter_by_node:
                 rec = inter_by_node[nid]
                 chain.append(
-                    _crossing_chain_node(mesh, frac, rec, path, k, eta, seg_len, pairs)
+                    _crossing_chain_node(mesh, frac, rec, paths, eta, seg_len, pairs)
                 )
             elif nid in mesh.minus_map:
                 normal = _path_normal(mesh, path, k)
@@ -893,23 +891,20 @@ def build_contact_pairs(mesh):
     return replace(mesh, pairs=pairs, chains=chains)
 
 
-def _crossing_chain_node(mesh, frac, rec, path, k, eta, seg_len, pairs):
-    """Chain entry plus the two crossing pairs owned by ``frac`` at ``rec``."""
-    this_first = rec.fractures[0] == frac.id
+def _crossing_chain_node(mesh, frac, rec, paths, eta, seg_len, pairs):
+    """Chain entry plus the two crossing pairs owned by ``frac`` at ``rec``
+    (``paths`` maps each fracture id to its path)."""
+    this = rec.fractures.index(frac.id)
+    path, k = paths[frac.id], rec.path_index[this]
 
     def quad(s_this, s_other):
-        key = (s_this, s_other) if this_first else (s_other, s_this)
+        key = (s_this, s_other) if this == 0 else (s_other, s_this)
         return rec.quadrants[key]
 
     # which side of the OTHER fracture each sub-segment lies on
-    other_fid, other_k = next(
-        u for u in _record_uses(rec, mesh) if u[0] != frac.id
+    side_other = _path_side(
+        mesh, paths[rec.fractures[1 - this]], rec.path_index[1 - this]
     )
-    other_path = next(f.nodes for f in mesh.fractures if f.id == other_fid)
-    d_next, d_prev = _path_rays(mesh, other_path, other_k)
-    h_local = max(np.hypot(*d_next), np.hypot(*d_prev))
-    side_other = _sector_side(mesh.nodes[rec.node], d_next, d_prev, h_local)
-
     p = mesh.nodes[rec.node]
     s_left = side_other(p + 0.5 * (mesh.nodes[path[k - 1]] - p))
     s_right = side_other(p + 0.5 * (mesh.nodes[path[k + 1]] - p))
@@ -944,15 +939,6 @@ def _crossing_chain_node(mesh, frac, rec, path, k, eta, seg_len, pairs):
             )
         )
     return node
-
-
-def _record_uses(rec, mesh):
-    """(fracture id, path index) of the crossing node in both fractures."""
-    out = []
-    for f in mesh.fractures:
-        if f.id in rec.fractures and rec.node in f.nodes:
-            out.append((f.id, f.nodes.index(rec.node)))
-    return out
 
 
 # ---------------------------------------------------------------------------

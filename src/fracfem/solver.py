@@ -143,18 +143,16 @@ class SaddleSystem:
     :func:`newton_loop` forms the residual after its solve from them, and
     :class:`SystemCache` compares ``codes`` to tell which pairs' rows and
     columns differ between two systems.
-    :func:`build_system` returns ``J`` in CSC, the form SuperLU factors,
-    with its row 2-norms ``row_norms``.  A :class:`SystemCache` turns that
-    very matrix into ``Jbar = diag(1/row_norms) J`` when it makes the
+    :func:`build_system` returns ``J`` in CSC, the form SuperLU factors.  A
+    :class:`SystemCache` turns that very matrix into ``Jbar = diag(1/pc) J``
+    (``pc`` its row norms, :func:`build_preconditioner`) when it makes the
     system's solver, so a system it built holds None there from then on.
-    A system assembled by hand may give a CSR ``J`` and no ``row_norms``.
+    A system assembled by hand may give a CSR ``J``.
     """
 
     J: sp.csc_matrix | sp.csr_matrix | None
     R: np.ndarray
     free: np.ndarray
-    n_disp: int
-    n_lam: int
     blocks: object
     mult_scale: float = 1.0
     # residual in physical units (forces / gap integrals); the convergence
@@ -162,7 +160,6 @@ class SaddleSystem:
     # floating-point floor of eps * lambda * mult_scale
     R_phys: np.ndarray | None = None
     codes: np.ndarray | None = None
-    row_norms: np.ndarray | None = None
 
 
 def step_data(mesh, bcs, step, n_steps):
@@ -193,7 +190,7 @@ def _free_columns(A, is_free, shift, free_rows=False):
     kept column drops by ``shift``, the count of fixed dofs at or below
     each dof, which for a free dof is the count below it."""
     keep = is_free[A.indices]
-    counts = _row_sums(keep, A.indptr, dtype=A.indices.dtype)
+    counts = np.diff(_indptr(keep, A.indices.dtype)[A.indptr])
     if free_rows:
         keep &= np.repeat(is_free, np.diff(A.indptr))
         counts = counts[is_free]
@@ -202,13 +199,13 @@ def _free_columns(A, is_free, shift, free_rows=False):
     return A.data[keep], indices, counts
 
 
-def _stacked_rows(K_ff, upper, lower, corner, is_free, shift, s, values_only=False):
+def _stacked_rows(K_ff, upper, lower, corner, is_free, shift, s):
     """(data, column indices, row lengths) of the CSR rows of
     ``[[K_ff, s upper[free]], [s lower[:, free], s² corner]]``, with
-    ``K_ff`` given as the (data, indices, counts) of its rows; only (data,
-    row lengths) if ``values_only``.  Each free row's ``s upper[free]``
-    entries are inserted at that row's end, then the ``[s lower[:, free],
-    s² corner]`` rows are appended, with one ``np.insert`` per array."""
+    ``K_ff`` given as the (data, indices, counts) of its rows.  Each free
+    row's ``s upper[free]`` entries are inserted at that row's end, then
+    the ``[s lower[:, free], s² corner]`` rows are appended, with one
+    ``np.insert`` per array."""
     data, indices, counts = K_ff
     n_free = counts.size
     u_lengths = np.diff(upper.indptr)
@@ -219,18 +216,15 @@ def _stacked_rows(K_ff, upper, lower, corner, is_free, shift, s, values_only=Fal
     # the multiplier rows: each row of lower's free columns, then corner's
     l_at = np.repeat(np.cumsum(l_counts), c_counts)
     lam_data = np.insert(l_data * s, l_at, corner.data * (s * s))
+    lam_indices = np.insert(l_indices, l_at, corner.indices + n_free)
     at = np.concatenate([
         np.repeat(np.cumsum(counts), u_counts), np.full(lam_data.size, data.size)
     ])
     data = np.insert(data, at, np.concatenate([upper.data[u_keep] * s, lam_data]))
-    lengths = np.concatenate([counts + u_counts, l_counts + c_counts])
-    if values_only:
-        return data, lengths
-    lam_indices = np.insert(l_indices, l_at, corner.indices + n_free)
     indices = np.insert(
         indices, at, np.concatenate([upper.indices[u_keep] + n_free, lam_indices])
     )
-    return data, indices, lengths
+    return data, indices, np.concatenate([counts + u_counts, l_counts + c_counts])
 
 
 def _indptr(lengths, dtype):
@@ -241,13 +235,12 @@ def _indptr(lengths, dtype):
 
 
 def _saddle_matrix(K, blocks, free, s):
-    """``(J, row norms)``: ``J = [[K_ff, s B_up[free]], [s C[:, free], s²
-    D]]`` in CSC, the form SuperLU factors, with ``K_ff`` the free block of
-    the symmetric stiffness whose upper triangle ``K`` holds, and the 2-norm
-    of each row of ``J``.  ``J`` holds bit for bit what ``sp.bmat`` of the
-    four blocks gives, converted to CSC, and is ``K_ff`` itself on a mesh
-    without pairs.  The full stiffness (:func:`full_stiffness`) lives only
-    until pass 1 has read it.
+    """``J = [[K_ff, s B_up[free]], [s C[:, free], s² D]]`` in CSC, the form
+    SuperLU factors, with ``K_ff`` the free block of the symmetric stiffness
+    whose upper triangle ``K`` holds.  ``J`` holds bit for bit what
+    ``sp.bmat`` of the four blocks gives, converted to CSC, and is ``K_ff``
+    itself on a mesh without pairs.  The full stiffness
+    (:func:`full_stiffness`) lives only until pass 1 has read it.
 
     Pass 1 eliminates the Dirichlet dofs.  One keep-mask over K's entries
     marks the free rows and free columns, ``data`` and ``indices`` are
@@ -256,11 +249,8 @@ def _saddle_matrix(K, blocks, free, s):
     its columns, and the CSC arrays of ``J`` are the CSR arrays of ``Jᵀ =
     [[K_ff, s C[:, free]ᵀ], [s B_up[free]ᵀ, s² Dᵀ]]``: pass 2 stacks the
     transposed contact blocks, which are small, around K's rows
-    (:func:`_stacked_rows`).  The row norms are summed over the squares of
-    J's values in J's own row order, exactly as ``J.multiply(J).sum(axis=1)``
-    sums a CSR ``J``: one values-only insert of the ``s B_up[free]``
-    entries and the multiplier rows, squared in place.  No sparse matrix
-    but the full stiffness and ``J`` is formed.
+    (:func:`_stacked_rows`).  No sparse matrix but the full stiffness and
+    ``J`` is formed.
     """
     K = full_stiffness(K)
     is_free = np.zeros(K.shape[0], dtype=bool)
@@ -270,17 +260,12 @@ def _saddle_matrix(K, blocks, free, s):
     del K
 
     B, C, D = blocks.B_up, blocks.C, blocks.D
-    values, lengths = _stacked_rows(K_ff, B, C, D, is_free, shift, s, values_only=True)
-    values *= values
-    norms = np.sqrt(_row_sums(values, _indptr(lengths, shift.dtype)))
-    del values
     data, indices, lengths = _stacked_rows(
         K_ff, C.T.tocsr(), B.T.tocsr(), D.T.tocsr(), is_free, shift, s
     )
-    J = sp.csc_matrix(
+    return sp.csc_matrix(
         (data, indices, _indptr(lengths, indices.dtype)), shape=(lengths.size,) * 2
     )
-    return J, norms
 
 
 def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
@@ -290,8 +275,8 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
     ``F``, ``fixed`` and ``free`` come from :func:`step_data`; ``blocks``
     are the contact blocks of ``state.codes`` on ``fixed`` (built here when
     not given).  ``J`` is formed once, in CSC, straight from the arrays of
-    ``K`` and the blocks, together with its row norms
-    (:func:`_saddle_matrix`), so K's free block exists only inside it.
+    ``K`` and the blocks (:func:`_saddle_matrix`), so K's free block exists
+    only inside it.
     The caller must have written the prescribed Dirichlet values into
     ``state.U`` beforehand (then the fixed increments are identically zero
     and elimination is a plain row/column restriction).
@@ -301,54 +286,38 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
 
     s = mat.E  # multiplier nondimensionalization (see SaddleSystem docs)
     R, R_phys = _reduced_residual(K, blocks, F, state.U, state.lam, free, s)
-    J, row_norms = _saddle_matrix(K, blocks, free, s)
 
     return SaddleSystem(
-        J=J,
+        J=_saddle_matrix(K, blocks, free, s),
         R=R,
         free=free,
-        n_disp=free.size,
-        n_lam=2 * mesh.n_pairs,
         blocks=blocks,
         mult_scale=s,
         R_phys=R_phys,
         codes=state.codes.copy(),
-        row_norms=row_norms,
     )
 
 
 def _dof_description(sys, row):
-    if row < sys.n_disp:
+    n_disp = sys.free.size
+    if row < n_disp:
         dof = sys.free[row]
         return f"displacement dof {dof} (node {dof // 2}, {'xy'[dof % 2]})"
-    k = row - sys.n_disp
+    k = row - n_disp
     return f"multiplier dof of pair {k // 2} ({'normal' if k % 2 == 0 else 'tangential'})"
-
-
-def _row_sums(values, indptr, dtype=float):
-    """Per-row sums of ``values`` laid out by ``indptr``, as SciPy sums CSR
-    rows: ``np.add.reduceat`` over each non-empty row, 0 for an empty one."""
-    out = np.zeros(indptr.size - 1, dtype=dtype)
-    rows = np.flatnonzero(np.diff(indptr))
-    out[rows] = np.add.reduceat(values, indptr[rows], dtype=dtype)
-    return out
 
 
 def build_preconditioner(sys):
     """Row 2-norms of the assembled Jacobian, the left scaling of the solve.
 
     Returns one vector over all rows (displacement rows, then multiplier
-    rows); a zero row is an error.  The squares are summed exactly as
-    ``J.multiply(J).sum(axis=1)`` sums them, without forming ``J∘J``: row
-    by row over the nonzero products in column order (``J`` is canonical
-    and stores no zero, as :func:`build_system` builds it).  A built system
-    brings the norms that :func:`_saddle_matrix` summed as it formed ``J``;
-    for one without them they are summed here, from ``J`` in CSR.
+    rows); a zero row is an error.  The squares of each row are summed in
+    column order, from the arrays of ``J`` in CSC (a CSR ``J`` assembled by
+    hand is converted first), without forming ``J∘J``.  A row that stores
+    only zeros, or values whose squares underflow, is a zero row.
     """
-    norms = sys.row_norms
-    if norms is None:
-        J = sys.J.tocsr()
-        norms = np.sqrt(_row_sums(J.data * J.data, J.indptr))
+    J = sys.J.tocsc()
+    norms = np.sqrt(np.bincount(J.indices, J.data * J.data, minlength=J.shape[0]))
     zero = np.where(norms == 0.0)[0]
     if zero.size:
         raise SingularRowError(
@@ -471,8 +440,8 @@ class _Base:
         self.pc, self.lu = pc, lu
 
     def solve(self, y):
-        """``J^-1 y`` for a vector or a block of columns."""
-        return self.lu.solve(y / (self.pc if y.ndim == 1 else self.pc[:, None]))
+        """``J^-1 y`` for a vector ``y``."""
+        return self.lu.solve(y / self.pc)
 
     def _over_budget(self, R, extra=0):
         """True when the dense columns of a bordered solve on ``R`` (its
@@ -638,7 +607,7 @@ class SystemCache:
             )
             return replace(self.sys, R=R, R_phys=R_phys)
         blocks = assemble_contact_blocks(mesh, state.codes, fric, fixed_dofs=fixed)
-        # free what the new system cannot use before its J and row norms
+        # free what the new system cannot use before its J
         self.sys = self.pc = self.Jbar = self.lu = None
         self.border_dofs = (
             None if self.base is None
@@ -860,8 +829,8 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, codes, step,
                 result.residual_norm = rnorm  # of the system that failed
                 result.message = str(exc)
                 return result
-            U[free] += dx[: sys.n_disp]
-            lam += sys.mult_scale * dx[sys.n_disp :]
+            U[free] += dx[: free.size]
+            lam += sys.mult_scale * dx[free.size :]
             lam[sys.blocks.pinned] = 0.0  # identity rows solve to exactly 0
             result.newton_iters += 1
             _, R_phys = _reduced_residual(

@@ -218,7 +218,7 @@ class TestCriterion5Preconditioner:
         norm_dev = np.abs(norms - 1.0).max()
 
         scaled = linear_solve(sys, pc)
-        unscaled = linear_solve(sys, np.ones(sys.n_disp + sys.n_lam))
+        unscaled = linear_solve(sys, np.ones(sys.J.shape[0]))
         sol_dev = np.linalg.norm(scaled - unscaled) / np.linalg.norm(unscaled)
         ok = norm_dev <= 1e-12 and sol_dev <= 1e-8
         assert report(

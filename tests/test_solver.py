@@ -97,13 +97,13 @@ class TestBuildSystem:
         sys = make_system(mesh, cfg, codes=codes_of(mesh, OPEN))
         pc = build_preconditioner(sys)
         dx = linear_solve(sys, pc)
-        d_lam = dx[sys.n_disp :]
+        d_lam = dx[sys.free.size :]
         np.testing.assert_allclose(d_lam, 0.0, atol=1e-12)
         # displacement part equals the plain elastic solve
         K = assemble_stiffness(mesh, cfg.material)
         K_red = full_stiffness(K)[sys.free][:, sys.free].tocsc()
-        du = spla.spsolve(K_red, -sys.R[: sys.n_disp])
-        np.testing.assert_allclose(dx[: sys.n_disp], du, rtol=1e-8)
+        du = spla.spsolve(K_red, -sys.R[: sys.free.size])
+        np.testing.assert_allclose(dx[: sys.free.size], du, rtol=1e-8)
 
     def test_all_stick_jacobian_symmetric(self):
         mesh, cfg = small_inclined_setup()
@@ -116,7 +116,7 @@ class TestBuildSystem:
         # lower-right block in the all-stick state
         mesh, cfg = small_inclined_setup()
         sys = make_system(mesh, cfg)
-        n, m = sys.n_disp, sys.n_lam
+        n, m = sys.free.size, 2 * mesh.n_pairs
         assert sys.J.shape == (n + m, n + m)
         lower_right = sys.J[n:, n:].toarray()
         np.testing.assert_allclose(lower_right, 0.0)
@@ -126,23 +126,21 @@ class TestBuildSystem:
     def test_dimensions(self):
         mesh, cfg = small_inclined_setup()
         sys = make_system(mesh, cfg)
-        assert sys.n_lam == 2 * mesh.n_pairs
         _, fixed, _, _ = step_data(mesh, cfg.bcs, None, 1)
-        assert sys.n_disp == 2 * mesh.n_nodes - len(fixed)
+        assert sys.free.size == 2 * mesh.n_nodes - len(fixed)
+        assert sys.J.shape[0] == sys.free.size + 2 * mesh.n_pairs
 
 
 class TestPreconditioner:
     def test_pythagorean_row(self):
         J = sp.csr_matrix(np.array([[3.0, 4.0], [0.0, 1.0]]))
-        sys = SaddleSystem(J=J, R=np.zeros(2), free=np.arange(2),
-                           n_disp=2, n_lam=0, blocks=None)
+        sys = SaddleSystem(J=J, R=np.zeros(2), free=np.arange(2), blocks=None)
         pc = build_preconditioner(sys)
         assert pc[0] == pytest.approx(5.0)
 
     def test_identity_maps_to_identity(self):
         J = sp.identity(4, format="csr")
-        sys = SaddleSystem(J=J, R=np.zeros(4), free=np.arange(4),
-                           n_disp=4, n_lam=0, blocks=None)
+        sys = SaddleSystem(J=J, R=np.zeros(4), free=np.arange(4), blocks=None)
         pc = build_preconditioner(sys)
         np.testing.assert_allclose(pc, 1.0)
         np.testing.assert_allclose(
@@ -155,8 +153,7 @@ class TestPreconditioner:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((12, 12)) * np.logspace(-6, 9, 12)[:, None]
         J = sp.csr_matrix(A)
-        sys = SaddleSystem(J=J, R=np.zeros(12), free=np.arange(12),
-                           n_disp=12, n_lam=0, blocks=None)
+        sys = SaddleSystem(J=J, R=np.zeros(12), free=np.arange(12), blocks=None)
         pc = build_preconditioner(sys)
         Jbar = sp.diags(1.0 / pc) @ J
         norms = np.sqrt(np.asarray(Jbar.multiply(Jbar).sum(axis=1)).ravel())
@@ -164,8 +161,7 @@ class TestPreconditioner:
 
     def test_zero_row_error_names_dof(self):
         J = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        sys = SaddleSystem(J=J, R=np.zeros(2), free=np.array([4, 5]),
-                           n_disp=2, n_lam=0, blocks=None)
+        sys = SaddleSystem(J=J, R=np.zeros(2), free=np.array([4, 5]), blocks=None)
         with pytest.raises(SingularRowError) as err:
             build_preconditioner(sys)
         assert "dof 5" in str(err.value)
@@ -177,23 +173,22 @@ class TestPreconditioner:
     @pytest.mark.parametrize("zero_row", [[0.0, 0.0], [1e-200, 0.0]])
     def test_stored_zero_row_error_names_dof(self, n_disp, message, zero_row):
         # a row that stores only zeros, or entries whose squares underflow,
-        # is a zero row as it was when J∘J was formed
+        # is a zero row
         J = sp.csr_matrix((np.array([1.0, *zero_row]), np.array([0, 0, 1]),
                            np.array([0, 1, 3])), shape=(2, 2))
         assert J.nnz == 3
         sys = SaddleSystem(J=J, R=np.zeros(2), free=np.array([4, 5])[:n_disp],
-                           n_disp=n_disp, n_lam=2 - n_disp, blocks=None)
+                           blocks=None)
         with pytest.raises(SingularRowError) as err:
             build_preconditioner(sys)
         assert str(err.value) == f"zero Jacobian row: {message}"
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
-    def test_row_norms_equal_elementwise_product_sums(self, seed):
-        # rows of 1 to 40 entries (pairwise summation works in blocks of 8)
-        # over 40 orders of magnitude, summed to the same bits as
-        # J.multiply(J).sum(axis=1); like every J a run builds, it stores no
-        # zero and no entry whose square underflows
+    def test_row_norms_equal_column_order_sums(self, seed):
+        # rows of 1 to 40 entries over 40 orders of magnitude; like every J
+        # a run builds, it stores no zero and no entry whose square
+        # underflows. A hand-built CSR J and its CSC copy give the same bits
         rng = np.random.default_rng(seed)
         n = 30
         lengths = rng.integers(1, 41, n)
@@ -205,9 +200,10 @@ class TestPreconditioner:
         data[indptr[:-1]] = rng.uniform(1.0, 2.0, n)  # no zero row
         J = sp.csr_matrix((data, indices, indptr), shape=(n, n + 20))
         assert J.nnz == indices.size
-        sys = SaddleSystem(J=J, R=np.zeros(n), free=np.arange(n),
-                           n_disp=n, n_lam=0, blocks=None)
-        assert solver._same_bits(build_preconditioner(sys), _ref_row_norms(J))
+        ref = _ref_row_norms(J)
+        for A in (J, J.tocsc()):
+            sys = SaddleSystem(J=A, R=np.zeros(n), free=np.arange(n), blocks=None)
+            assert solver._same_bits(build_preconditioner(sys), ref)
 
     def test_scaling_beats_unscaled_conditioning(self):
         mesh, cfg = small_inclined_setup()
@@ -244,8 +240,7 @@ def _cond_estimate(A, iters=40, seed=0):
 class TestLinearSolve:
     def _sys(self, J, R):
         return SaddleSystem(J=sp.csr_matrix(J), R=np.asarray(R, dtype=float),
-                            free=np.arange(len(R)), n_disp=len(R), n_lam=0,
-                            blocks=None)
+                            free=np.arange(len(R)), blocks=None)
 
     def test_diagonal_two_by_two(self):
         sys = self._sys([[2.0, 0.0], [0.0, 4.0]], [2.0, 4.0])
@@ -823,7 +818,7 @@ def with_J(cache, sys):
     the cache's ``K`` and the system's blocks, as :func:`build_system`
     forms it (the same bits): a system the cache has made a solver for no
     longer holds its ``J``, which became the cache's ``Jbar``."""
-    J, _ = solver._saddle_matrix(cache.K, sys.blocks, sys.free, sys.mult_scale)
+    J = solver._saddle_matrix(cache.K, sys.blocks, sys.free, sys.mult_scale)
     return dataclasses.replace(sys, J=J)
 
 
@@ -1039,7 +1034,7 @@ class TestBorderedUpdate:
         assert is_bordered(cache) and len(calls) == 1
         # open pair 2 changes both its rows; slip pair 4 its tangential row
         # and its normal column (friction), the one column with J_NR entries
-        nd = sys.n_disp
+        nd = sys.free.size
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9]))
         np.testing.assert_array_equal(cache.lu.nz, [2])
         assert sys.J is None  # it became the cache's Jbar
@@ -1074,7 +1069,7 @@ class TestBorderedUpdate:
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
-        nd = sys.n_disp
+        nd = sys.free.size
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([8, 9]))
         sys = with_J(cache, sys)
         diff = (sys.J - base.J).tocoo()
@@ -1091,7 +1086,7 @@ class TestBorderedUpdate:
         # on the true J and is repeated on a fresh factorization
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
-        J, nd = sys.J, sys.n_disp
+        J, nd = sys.J, sys.free.size
         cols = np.repeat(np.arange(J.shape[1]), np.diff(J.indptr))  # J is CSC
         J.data[(J.indices < nd) & (cols < nd)] *= 1.5
         ref = dataclasses.replace(sys, J=J.copy())  # the solve scales J in place
@@ -1208,9 +1203,9 @@ class TestBorderedUpdate:
                 c.Jbar is not None,
                 any(ref() is not None for ref in systems),
             ))
-            J, norms = real_saddle_matrix(*args)
+            J = real_saddle_matrix(*args)
             systems.append(weakref.ref(J))
-            return J, norms
+            return J
 
         monkeypatch.setattr(solver, "_saddle_matrix", saddle_matrix)
         res = stick_run(mesh, cfg)
@@ -1308,10 +1303,10 @@ class TestBorderedUpdate:
                                 fixed, free)
 
         sys0, sys1 = system(codes0), system(codes1)
-        got = sys1.n_disp + flipped_dofs(
+        got = sys1.free.size + flipped_dofs(
             sys0.codes, sys1.codes, sys0.blocks.pinned, sys1.blocks.pinned
         )
-        nd = sys1.n_disp
+        nd = sys1.free.size
         diff = (sys1.J - sys0.J).tocoo()
         assert not np.any((diff.row < nd) & (diff.col < nd))
         ref = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
@@ -1392,8 +1387,12 @@ def _ref_bordered(base, J, pc, R):
     bordered solver of the CSR ``J`` on ``R`` and its solution of ``r``, as
     :meth:`solver._Base.bordered_solver` and :class:`solver._Bordered`
     formed them with unit columns divided by the base's row norms in
-    :meth:`solver._Base.solve`, kept verbatim (but for the closures) to pin
-    the pre-scaled construction bit for bit."""
+    :meth:`solver._Base.solve` (``base_solve``), kept verbatim (but for the
+    closures) to pin the pre-scaled construction bit for bit."""
+
+    def base_solve(y):
+        return base.lu.solve(y / (base.pc if y.ndim == 1 else base.pc[:, None]))
+
     n = J.shape[0]
     in_R = np.zeros(n, dtype=bool)
     in_R[R] = True
@@ -1402,7 +1401,7 @@ def _ref_bordered(base, J, pc, R):
     nz = np.unique(JR.col[keep])
     E_R = np.zeros((n, R.size))
     E_R[R, np.arange(R.size)] = 1.0
-    Z = base.solve(E_R)
+    Z = base_solve(E_R)
     J_NR = np.zeros((n, nz.size))
     J_NR[JR.row[keep], np.searchsorted(nz, JR.col[keep])] = JR.data[keep]
     rows = J[R].tocoo()
@@ -1417,7 +1416,7 @@ def _ref_bordered(base, J, pc, R):
         out[R] = 0.0
         return out
 
-    W = a_inv(base.solve(J_NR))
+    W = a_inv(base_solve(J_NR))
     S = J[R][:, R].toarray().copy()
     S[:, nz] -= J_RN @ W
 
@@ -1425,7 +1424,7 @@ def _ref_bordered(base, J, pc, R):
         b = r * pc
         v = b.copy()
         v[R] = 0.0
-        u = a_inv(base.solve(v))
+        u = a_inv(base_solve(v))
         x_R = np.linalg.solve(S, b[R] - J_RN @ u)
         x = u - W @ x_R[nz]
         x[R] = x_R
@@ -1481,10 +1480,12 @@ def _synthetic_saddle(n, m2, rng):
 
 
 def _ref_row_norms(J):
-    """Row 2-norms as :func:`build_preconditioner` formed them from J∘J."""
-    sq = J.multiply(J)
-    norms = np.sqrt(np.asarray(sq.sum(axis=1)).ravel())
-    return norms
+    """Row 2-norms summed in column order: the square of each entry of
+    ``J`` in CSC added to its row's sum one at a time, column by column."""
+    J = J.tocsc()
+    sums = np.zeros(J.shape[0])
+    np.add.at(sums, J.indices, J.data * J.data)
+    return np.sqrt(sums)
 
 
 def _same_csr(a, b):
@@ -1530,9 +1531,9 @@ def _preset_systems(name):
 
 
 class TestSlicedAssembly:
-    """J from K's free block and the sliced contact blocks, its row norms
-    and the row scaling equal the constructions they replaced bit for bit
-    (J in CSC, the reference converted)."""
+    """J from K's free block and the sliced contact blocks and the row
+    scaling equal the constructions they replaced bit for bit (J in CSC,
+    the reference converted); the row norms equal the column-order sums."""
 
     @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
@@ -1543,7 +1544,7 @@ class TestSlicedAssembly:
         assert sys.J.format == "csc" and _same_csr(sys.J, ref)
         # through the run's cache
         cache = SystemCache(K)
-        st_ = SolutionState(U=U, lam=np.zeros(sys.n_lam),
+        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs),
                             codes=_state_mixes(mesh.n_pairs,
                                                np.random.default_rng(5))[mix])
         got = cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed, free)
@@ -1572,16 +1573,15 @@ class TestSlicedAssembly:
 
     @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
-    def test_row_norms_equal_elementwise_product_sums(self, name, mix):
-        # the norms summed as J is formed, and those summed from J by a
-        # system that brings none, equal the CSR reference's bit for bit
+    def test_row_norms_equal_column_order_sums(self, name, mix):
+        # the norms of the built CSC J, and of a CSR copy of it, equal the
+        # column-order sums over the CSR reference's entries bit for bit
         mesh, cfg, K, (F, fixed, free, U), systems = _preset_systems(name)
         sys = systems[mix]
         ref = _ref_row_norms(_ref_saddle_J(mesh, cfg.material, sys.blocks, K, free))
-        assert sys.row_norms is not None
         assert solver._same_bits(build_preconditioner(sys), ref)
-        bare = dataclasses.replace(sys, row_norms=None)
-        assert solver._same_bits(build_preconditioner(bare), ref)
+        as_csr = dataclasses.replace(sys, J=sys.J.tocsr())
+        assert solver._same_bits(build_preconditioner(as_csr), ref)
         if (name, mix) == ("sneddon", "mix"):
             assert np.count_nonzero(sys.J.data) == sys.J.nnz
 
@@ -1596,7 +1596,8 @@ class TestSlicedAssembly:
         sys = systems[mix]
         if tan_phi == "zero":
             fric = FrictionParams(cohesion=cfg.friction.cohesion, friction_angle=0.0)
-            st_ = SolutionState(U=U, lam=np.zeros(sys.n_lam), codes=sys.codes.copy())
+            st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs),
+                                codes=sys.codes.copy())
             sys = build_system(mesh, cfg.material, fric, st_, K, F, fixed, free)
             D = sys.blocks.D  # only its identity rows' diagonal is left
             assert D.nnz == np.count_nonzero(D.diagonal())
@@ -1615,12 +1616,11 @@ class TestSlicedAssembly:
         n, s = 24, 2.5e10
         K, blocks = _synthetic_saddle(n, m2, np.random.default_rng(len(fixed)))
         free = np.setdiff1d(np.arange(n, dtype=np.int64), fixed)
-        got, norms = solver._saddle_matrix(K, blocks, free, s)
+        got = solver._saddle_matrix(K, blocks, free, s)
         ref = _ref_bmat_J(K, blocks, free, s)
         assert _same_csr(got, ref.tocsc())
         assert got.format == "csc" and got.has_sorted_indices
         assert np.all(got.data != 0.0)
-        assert solver._same_bits(norms, _ref_row_norms(ref))
         if not m2:
             assert _same_csr(got, full_stiffness(K)[free][:, free].tocsc())
 
@@ -1636,7 +1636,7 @@ class TestSlicedAssembly:
         U[fixed] = vals
         st_ = SolutionState(U=U, lam=np.zeros(0), codes=np.zeros(0, np.int8))
         sys = build_system(mesh, MAT, FRIC30, st_, K, F, fixed, free)
-        assert sys.n_lam == 0 and fixed.size and free.size
+        assert sys.J.shape[0] == free.size and fixed.size and free.size
         assert _same_csr(sys.J, full_stiffness(K)[free][:, free].tocsc())
 
     def test_free_dofs_equal_set_difference(self):
@@ -1817,7 +1817,7 @@ class TestSystemReuse:
         more = np.sort(np.append(fixed, free[0]))
         other = system(codes_of(mesh, SLIP), more, free[1:])
         assert other.J is not slip.J
-        assert other.n_disp == free.size - 1
+        assert other.free.size == free.size - 1
 
 
 def _workload(name):
@@ -1854,9 +1854,9 @@ class TestFreshFactorMemory:
         real_saddle_matrix = solver._saddle_matrix
 
         def saddle_matrix(*args):
-            J, norms = real_saddle_matrix(*args)
+            J = real_saddle_matrix(*args)
             formed.append(weakref.ref(J))
-            return J, norms
+            return J
 
         monkeypatch.setattr(solver, "_saddle_matrix", saddle_matrix)
         _counted(monkeypatch, solver, "_splu", alive, lambda Jbar: [
