@@ -5,15 +5,22 @@ edges.  Splitting duplicates the nodes along each path so the two faces can
 displace independently; contact pairs then couple the duplicated nodes back
 together through the contact solver.
 
-Side convention: walking a path in node order, the tangent points forward and
-the unit normal is the tangent rotated +90 degrees, i.e. it points to the
-LEFT of the walking direction.  The left side is the "plus" face, so the
-normal points from the minus face toward the plus face.  The tangent stored
-on a pair is the normal rotated -90 degrees, which recovers the walking
-direction on straight paths.
+Split rule: cut the fracture edges.  The elements around a fracture node then
+fall into groups connected across the node's other edges, and each group gets
+one copy of the node.  That is one copy at a crack tip, two at an interior or
+boundary node and four at a two-fracture crossing; any other count is a
+:class:`NonConformingPathError` naming the node.  The rule reads connectivity
+only: no angle, centroid or tolerance.
 
-At a two-fracture intersection the shared node is duplicated four times, one
-copy per quadrant of elements.  The two diagonal pairings of those four
+Face convention: the plus face of a segment ``u -> v`` is the element holding
+the directed edge ``u -> v`` in its CCW order, the minus face the one holding
+``v -> u``.  So the plus face lies to the LEFT of the walking direction.  The
+unit normal is the tangent rotated +90 degrees and points from the minus face
+toward the plus face; the tangent stored on a pair is the normal rotated -90
+degrees, which recovers the walking direction on straight paths.
+
+At a crossing the four copies sit one per quadrant, and the group on the plus
+side of both fractures keeps the node's id.  The two diagonal pairings of the
 copies, instantiated once per fracture with that fracture's frame, are the
 "crossing pairs" that prevent interpenetration at the intersection.
 """
@@ -28,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
 BOUNDARY_SIDES = ("left", "right", "bottom", "top")
 PATTERNS = ("diagonal", "crossed")  # generate_rect_mesh triangulations
 # boundary-side tolerance, relative to the larger span of the bounding box
@@ -47,10 +53,6 @@ class MeshFormatError(ValueError):
 
 class NonConformingPathError(ValueError):
     """A fracture segment does not coincide with a mesh edge."""
-
-
-class AmbiguousSideError(ValueError):
-    """An element centroid sits on the fracture line within tolerance."""
 
 
 @dataclass
@@ -101,9 +103,10 @@ class ChainNode:
     """One station along a fracture, used for per-segment bookkeeping
     (tributary lengths, face loads, face-edge identification).
 
-    ``lp``/``lm`` are the plus/minus node ids seen by the segment arriving
-    from lower arc coordinate, ``rp``/``rm`` by the departing segment.  At
-    crack tips all four collapse to the unduplicated node (zero jump); at
+    ``lp``/``lm`` are the node's copies on the plus/minus face of the
+    segment arriving from lower arc coordinate, ``rp``/``rm`` on those of
+    the departing segment (an endpoint's missing segment repeats the other).
+    At crack tips all four collapse to the unduplicated node (zero jump); at
     intersections the two sides differ because the opposite fracture cuts
     the face.  ``pair`` is the regular contact pair collocated here, or None
     for tips and intersections.
@@ -120,13 +123,10 @@ class ChainNode:
 
 @dataclass
 class Intersection:
-    """Bookkeeping for one two-fracture crossing: ``path_index`` holds the
-    node's index in the path of each of ``fractures``."""
+    """Bookkeeping for one two-fracture crossing."""
 
     node: int
     fractures: tuple
-    path_index: tuple
-    quadrants: dict
 
 
 class PairArrays(NamedTuple):
@@ -146,7 +146,9 @@ class Mesh:
 
     ``nodes`` is (n, 2) float64, ``elements`` (m, 3) int with CCW
     connectivity.  After :func:`split_fractures` the duplicated-node maps are
-    filled; after :func:`build_contact_pairs` the pairs and per-fracture
+    filled, and ``faces`` holds one list per fracture with, for each segment
+    ``u -> v``, the copies (plus at ``u``, minus at ``u``, plus at ``v``,
+    minus at ``v``); after :func:`build_contact_pairs` the pairs and per-fracture
     chains exist.  A fully built mesh is treated as immutable; an unsplit
     one is read-only from its ``edge_table`` on.
     """
@@ -158,6 +160,7 @@ class Mesh:
     plus_map: dict = field(default_factory=dict)
     minus_map: dict = field(default_factory=dict)
     intersections: list = field(default_factory=list)
+    faces: list = field(default_factory=list)
     chains: list = field(default_factory=list)
     split_done: bool = False
 
@@ -643,74 +646,53 @@ def _lattice_path(a, b, nx, ny, hx, hy, pattern, corner, center, fid):
 # ---------------------------------------------------------------------------
 
 def _elements_around(mesh, nodes):
-    """({node: ids of the elements around it, ascending}, {element:
-    centroid}) for the ``nodes`` given; no other element is read past one
+    """({node: ids of the elements around it, ascending}, {element: its
+    node ids}) for the ``nodes`` given; no other element is read past one
     lookup of its node ids."""
     marked = np.zeros(mesh.n_nodes, dtype=bool)
     marked[list(nodes)] = True
     ids = np.flatnonzero(marked[mesh.elements].any(axis=1))
-    tris = mesh.elements[ids]
+    tris = dict(zip(ids.tolist(), mesh.elements[ids].tolist()))
     around = {}
-    for e, tri in zip(ids.tolist(), tris.tolist()):
+    for e, tri in tris.items():
         for n in tri:
             if marked[n]:
                 around.setdefault(n, []).append(e)
-    return around, dict(zip(ids.tolist(), mesh.nodes[tris].mean(axis=1)))
+    return around, tris
 
 
-def _sector_side(p, dir_next, dir_prev, h_local):
-    """Return a classifier point -> +1 (left of travel) / -1 (right).
+def _groups(nid, elems, tris, owner, cut):
+    """The elements ``elems`` around node ``nid`` as sets connected across
+    its edges not in ``cut``; ``owner`` maps each directed edge to the
+    element holding it in CCW order."""
+    root = {e: e for e in elems}
 
-    The elements fanning around a path node are separated by the two rays
-    toward the next and previous path nodes; everything swept CCW from the
-    next-ray to the prev-ray lies on the left (plus) side.
-    """
-    th_next = math.atan2(dir_next[1], dir_next[0])
-    th_prev = math.atan2(dir_prev[1], dir_prev[0])
-    width = (th_prev - th_next) % TWO_PI
-    rays = (_unit(dir_next), _unit(dir_prev))
+    def find(e):
+        while root[e] != e:
+            e = root[e]
+        return e
 
-    def side_of(point):
-        v = point - p
-        for d in rays:
-            if v @ d > 0.0 and abs(d[0] * v[1] - d[1] * v[0]) < 1e-12 * h_local:
-                raise AmbiguousSideError(
-                    f"centroid {tuple(point)} lies on the fracture line at node "
-                    f"{tuple(p)}"
-                )
-        ang = (math.atan2(v[1], v[0]) - th_next) % TWO_PI
-        return 1 if ang < width else -1
-
-    return side_of
-
-
-def _path_side(mesh, path, k):
-    """The :func:`_sector_side` classifier of the path node ``path[k]``,
-    from the rays toward the next and previous path nodes.
-
-    Endpoints get the straight extension of their single segment so the
-    classifier degenerates to a half-plane test.
-    """
-    p = mesh.nodes[path[k]]
-    if k + 1 < len(path):
-        d_next = mesh.nodes[path[k + 1]] - p
-    else:
-        d_next = p - mesh.nodes[path[k - 1]]
-    if k > 0:
-        d_prev = mesh.nodes[path[k - 1]] - p
-    else:
-        d_prev = -d_next
-    h_local = max(np.hypot(*d_next), np.hypot(*d_prev))
-    return _sector_side(p, d_next, d_prev, h_local)
+    for e in elems:
+        tri = tris[e]
+        w = tri[tri.index(nid) - 1]  # e holds w -> nid; its neighbour, nid -> w
+        if _edge_key(nid, w) not in cut and (nid, w) in owner:
+            root[find(e)] = find(owner[nid, w])
+    groups = {}
+    for e in elems:
+        groups.setdefault(find(e), set()).add(e)
+    return list(groups.values())
 
 
 def split_fractures(mesh):
     """Duplicate nodes along every registered fracture path.
 
-    Interior path nodes become plus/minus copies (the plus side keeps the
-    original id); nodes shared by two crossing paths become four copies, one
-    per element quadrant.  Crack tips interior to the domain are left intact
-    so the jump vanishes there.  Returns a new Mesh.
+    Cutting the fracture edges leaves the elements around each path node in
+    groups connected across its other edges, and each group gets one copy
+    of the node: one at a crack tip (so the jump vanishes there), two at an
+    interior or boundary node, four at a crossing.  The group on the plus
+    side of every fracture through the node keeps the original id; the
+    others take new ids in the order of their sides, (1, -1), (-1, 1),
+    (-1, -1).  Returns a new Mesh.
     """
     if mesh.split_done:
         raise ValueError("fractures already split")
@@ -720,100 +702,99 @@ def split_fractures(mesh):
     for frac in mesh.fractures:
         for k, nid in enumerate(frac.nodes):
             usage.setdefault(nid, []).append((frac.id, k))
-        seen = set(frac.nodes)
-        if len(seen) != len(frac.nodes):
-            raise NonConformingPathError(
-                f"fracture {frac.id} visits a node twice"
-            )
+        if len(set(frac.nodes)) != len(frac.nodes):
+            raise NonConformingPathError(f"fracture {frac.id} visits a node twice")
 
-    frac_by_id = {f.id: f for f in mesh.fractures}
-    boundary = _boundary_nodes(table)
-
-    crossing_nodes = {}
+    paths = {f.id: f.nodes for f in mesh.fractures}
     for nid, uses in usage.items():
-        if len(uses) == 1:
-            continue
         if len(uses) > 2:
             raise NonConformingPathError(
                 f"node {nid} is shared by more than two fractures (unsupported)"
             )
-        for fid, k in uses:
-            if k == 0 or k == len(frac_by_id[fid].nodes) - 1:
+        for fid, k in uses if len(uses) == 2 else ():
+            if k == 0 or k == len(paths[fid]) - 1:
                 raise NonConformingPathError(
                     f"node {nid} is a fracture endpoint on another fracture "
                     "(T-junctions are unsupported)"
                 )
-        crossing_nodes[nid] = sorted(uses)
 
-    around, centroids = _elements_around(mesh, usage)
-    new_nodes = [mesh.nodes]
-    elements = mesh.elements.copy()
-    next_id = mesh.n_nodes
+    around, tris = _elements_around(mesh, usage)
+    owner = {(t[i - 1], t[i]): e for e, t in tris.items() for i in range(3)}
+    segments = {f.id: list(zip(f.nodes, f.nodes[1:])) for f in mesh.fractures}
+    for fid, segs in segments.items():
+        for u, v in segs:
+            if (u, v) not in owner or (v, u) not in owner:
+                raise NonConformingPathError(
+                    f"fracture {fid}: segment {u}-{v} lies on the boundary"
+                )
+    cut = {_edge_key(u, v) for segs in segments.values() for u, v in segs}
+    boundary = _boundary_nodes(table)
+
+    copy_of = {}  # (node, element) -> the node's copy in that element
+    sources = []  # the node each new copy duplicates, in id order
     plus_map = {}
     minus_map = {}
     intersections = []
-
-    def alloc(xy):
-        nonlocal next_id
-        new_nodes.append(np.asarray(xy, dtype=float).reshape(1, 2))
-        nid = next_id
-        next_id += 1
-        return nid
-
-    for frac in mesh.fractures:
-        path = frac.nodes
-        last = len(path) - 1
-        for k, nid in enumerate(path):
-            if nid in crossing_nodes:
-                continue  # handled below, once per crossing
-            interior = 0 < k < last
-            if not interior and nid not in boundary:
-                continue  # crack tip: keep a single node
-            side_of = _path_side(mesh, path, k)
-            minus_id = alloc(mesh.nodes[nid])
-            for e in around[nid]:
-                if side_of(centroids[e]) < 0:
-                    elements[e][elements[e] == nid] = minus_id
-            plus_map[nid] = nid
-            minus_map[nid] = minus_id
-
-    for nid, uses in crossing_nodes.items():
-        (f1, k1), (f2, k2) = uses
-        classifiers = [_path_side(mesh, frac_by_id[fid].nodes, k) for fid, k in uses]
-        quadrants = {}
-        elems_by_quadrant = {}
-        for e in around[nid]:
-            key = (classifiers[0](centroids[e]), classifiers[1](centroids[e]))
-            elems_by_quadrant.setdefault(key, []).append(e)
-        if len(elems_by_quadrant) != 4:
+    single = [n for f in mesh.fractures for n in f.nodes if len(usage[n]) == 1]
+    crossings = [n for n, uses in usage.items() if len(uses) == 2]
+    for nid in single + crossings:  # copies take ids in this order
+        uses = sorted(usage[nid])
+        groups = _groups(nid, around[nid], tris, owner, cut)
+        # a group's side of each fracture through the node is +1 where it
+        # holds the plus face of that fracture's segment in or out
+        plus = [{owner[s] for s in segments[f][max(k - 1, 0) : k + 1]} for f, k in uses]
+        sides = {tuple(1 if g & p else -1 for p in plus): g for g in groups}
+        if len(uses) == 2:
+            expected = 4
+        else:
+            fid, k = uses[0]
+            interior = 0 < k < len(paths[fid]) - 1
+            expected = 2 if interior or nid in boundary else 1
+        if not len(sides) == len(groups) == expected:
+            if len(uses) == 2:
+                raise NonConformingPathError(
+                    f"crossing at node {nid} does not separate elements into four "
+                    "quadrants (crossings on the boundary are unsupported)"
+                )
             raise NonConformingPathError(
-                f"crossing at node {nid} does not separate elements into four "
-                "quadrants (crossings on the boundary are unsupported)"
+                f"node {nid}: the fracture edges split its elements into "
+                f"{len(groups)} groups, expected {expected}"
             )
-        quadrants[(1, 1)] = nid
-        for key in ((1, -1), (-1, 1), (-1, -1)):
-            quadrants[key] = alloc(mesh.nodes[nid])
-        for key, elems in elems_by_quadrant.items():
-            if key == (1, 1):
-                continue
-            for e in elems:
-                elements[e][elements[e] == nid] = quadrants[key]
-        intersections.append(
-            Intersection(
-                node=nid, fractures=(f1, f2), path_index=(k1, k2), quadrants=quadrants
-            )
-        )
+        first = mesh.n_nodes + len(sources)
+        sources += [nid] * (expected - 1)
+        copies = [nid, *range(first, first + expected - 1)]
+        for c, key in zip(copies, sorted(sides, reverse=True)):
+            for e in sides[key]:
+                copy_of[nid, e] = c
+        if len(uses) == 2:
+            fractures = tuple(f for f, _ in uses)
+            intersections.append(Intersection(node=nid, fractures=fractures))
+        elif expected == 2:
+            plus_map[nid], minus_map[nid] = copies
 
-    out = Mesh(
-        nodes=np.vstack(new_nodes),
+    elements = mesh.elements.copy()
+    for (n, e), c in copy_of.items():
+        if c != n:
+            elements[e, tris[e].index(n)] = c
+    faces = []
+    for frac in mesh.fractures:
+        faces.append([])
+        for u, v in segments[frac.id]:
+            p, m = owner[u, v], owner[v, u]
+            faces[-1].append(
+                (copy_of[u, p], copy_of[u, m], copy_of[v, p], copy_of[v, m])
+            )
+
+    return Mesh(
+        nodes=np.vstack([mesh.nodes, mesh.nodes[sources]]),
         elements=elements,
         fractures=[replace(f) for f in mesh.fractures],
         plus_map=plus_map,
         minus_map=minus_map,
         intersections=intersections,
+        faces=faces,
         split_done=True,
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -835,21 +816,21 @@ def build_contact_pairs(mesh):
     """Create contact pairs and per-fracture integration chains.
 
     One pair per duplicated regular node; at every crossing, the two diagonal
-    pairings of the four duplicates are instantiated for each fracture with
-    that fracture's own frame (four crossing pairs total).  Returns a new
-    Mesh with ``pairs`` and ``chains`` populated.
+    pairings of the four duplicates, (``lp``, ``rm``) and (``rp``, ``lm``),
+    are instantiated for each fracture with that fracture's own frame (four
+    crossing pairs total), the one whose plus copy kept the node's id
+    first.  Returns a new Mesh with ``pairs`` and ``chains`` populated.
     """
     if not mesh.split_done:
         raise ValueError("split_fractures must run before build_contact_pairs")
     if mesh.pairs:
         raise ValueError("contact pairs already built")
 
-    inter_by_node = {rec.node: rec for rec in mesh.intersections}
-    paths = {f.id: f.nodes for f in mesh.fractures}
+    crossings = {rec.node for rec in mesh.intersections}
     pairs = []
     chains = []
 
-    for frac in mesh.fractures:
+    for frac, faces in zip(mesh.fractures, mesh.faces):
         path = frac.nodes
         last = len(path) - 1
         xy = mesh.nodes[path]
@@ -861,84 +842,41 @@ def build_contact_pairs(mesh):
         chain = []
         for k, nid in enumerate(path):
             eta = float(etas[k])
-            if nid in inter_by_node:
-                rec = inter_by_node[nid]
-                chain.append(
-                    _crossing_chain_node(mesh, frac, rec, paths, eta, seg_len, pairs)
-                )
-            elif nid in mesh.minus_map:
+            # the copies on the arriving and departing segment's faces; an
+            # endpoint's missing segment sees those of the other
+            lp, lm = faces[k - 1][2:] if k else faces[k][:2]
+            rp, rm = faces[k][:2] if k < last else (lp, lm)
+            if nid in crossings:
+                kind, weight = "crossing", 0.25 * (seg_len[k - 1] + seg_len[k])
+                couples = [(lp, rm), (rp, lm)] if lp == nid else [(rp, lm), (lp, rm)]
+            elif lp != lm:
+                kind, weight, couples = "pair", float(trib[k]), [(lp, lm)]
+            else:
+                kind, couples = "tip", []
+            chain.append(
+                ChainNode(eta, len(pairs) if kind == "pair" else None,
+                          lp, lm, rp, rm, kind)
+            )
+            if couples:
                 normal = _path_normal(mesh, path, k)
-                pid = len(pairs)
+            for node_plus, node_minus in couples:
                 pairs.append(
                     ContactPair(
-                        id=pid,
-                        node_plus=mesh.plus_map[nid],
-                        node_minus=mesh.minus_map[nid],
+                        id=len(pairs),
+                        node_plus=node_plus,
+                        node_minus=node_minus,
                         fracture=frac.id,
                         arc_coord=eta,
                         normal=normal,
                         tangent=rot_minus90(normal),
+                        is_crossing_pair=kind == "crossing",
                         gap0=frac.gap0,
-                        weight=float(trib[k]),
+                        weight=weight,
                     )
                 )
-                p, m = mesh.plus_map[nid], mesh.minus_map[nid]
-                chain.append(ChainNode(eta, pid, p, m, p, m, "pair"))
-            else:
-                chain.append(ChainNode(eta, None, nid, nid, nid, nid, "tip"))
         chains.append(chain)
 
     return replace(mesh, pairs=pairs, chains=chains)
-
-
-def _crossing_chain_node(mesh, frac, rec, paths, eta, seg_len, pairs):
-    """Chain entry plus the two crossing pairs owned by ``frac`` at ``rec``
-    (``paths`` maps each fracture id to its path)."""
-    this = rec.fractures.index(frac.id)
-    path, k = paths[frac.id], rec.path_index[this]
-
-    def quad(s_this, s_other):
-        key = (s_this, s_other) if this == 0 else (s_other, s_this)
-        return rec.quadrants[key]
-
-    # which side of the OTHER fracture each sub-segment lies on
-    side_other = _path_side(
-        mesh, paths[rec.fractures[1 - this]], rec.path_index[1 - this]
-    )
-    p = mesh.nodes[rec.node]
-    s_left = side_other(p + 0.5 * (mesh.nodes[path[k - 1]] - p))
-    s_right = side_other(p + 0.5 * (mesh.nodes[path[k + 1]] - p))
-
-    node = ChainNode(
-        eta,
-        None,
-        quad(1, s_left),
-        quad(-1, s_left),
-        quad(1, s_right),
-        quad(-1, s_right),
-        "crossing",
-    )
-
-    normal = _path_normal(mesh, path, k)
-    tangent = rot_minus90(normal)
-    weight = 0.25 * (seg_len[k - 1] + seg_len[k])
-    for plus_key, minus_key in (((1, 1), (-1, -1)), ((1, -1), (-1, 1))):
-        pid = len(pairs)
-        pairs.append(
-            ContactPair(
-                id=pid,
-                node_plus=quad(*plus_key),
-                node_minus=quad(*minus_key),
-                fracture=frac.id,
-                arc_coord=eta,
-                normal=normal,
-                tangent=tangent,
-                is_crossing_pair=True,
-                gap0=frac.gap0,
-                weight=weight,
-            )
-        )
-    return node
 
 
 # ---------------------------------------------------------------------------

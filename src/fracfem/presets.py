@@ -82,8 +82,24 @@ def inclined_crack(
 
 
 def inclined_crack_case(config=None):
-    """Analytic case object matching :func:`inclined_crack` defaults."""
+    """Analytic case object matching :func:`inclined_crack` defaults.
+
+    The closed form knows the remote compression and the friction angle
+    only, so a config with cohesion, a top shear or a fracture pressure
+    raises a ConfigError rather than get a reference that ignores them.
+    """
     cfg = config or inclined_crack()
+    for name, value in (
+        ("friction.cohesion", cfg.friction.cohesion),
+        ("the top shear traction", cfg.bcs[0].traction[0]),
+        ("a fracture_pressure condition",
+         any(b.kind == "fracture_pressure" for b in cfg.bcs)),
+    ):
+        if value:
+            raise ConfigError(
+                f"inclined-crack reference: {name} is not in the closed form, "
+                "which covers remote compression and friction angle only"
+            )
     sigma = -cfg.bcs[0].traction[1]
     return InclinedCrackCase(
         alpha=math.pi / 4,

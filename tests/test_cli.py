@@ -707,6 +707,22 @@ class TestRunAndCli:
             assert err.startswith(f"error: {mfile}: not UTF-8 text")
             assert "Traceback" not in err
 
+    def test_cli_bow_tie_mesh_exit_two(self, tmp_path, capsys):
+        # element (1, 2, 3) meets the other two at node 1 only: the run
+        # names the node instead of raising out of the split
+        mfile = tmp_path / "bow-tie.msh"
+        mfile.write_text(
+            "NODES 6\n0 -1 0\n1 0 0\n2 1 -1\n3 1 1\n4 -1 1\n5 -1 -1\n"
+            "ELEMENTS 3\n0 1 2 3\n1 0 1 4\n2 0 5 1\n"
+            "FRACTURES 1\n0 2 0 1\nEND\n"
+        )
+        path = write_yaml(tmp_path, dict(MINIMAL, mesh={"file": str(mfile)}))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: node 1: ")
+        assert "3 groups" in err
+        assert "Traceback" not in err
+
     def test_import_leaves_yaml_unloaded(self):
         # PyYAML is imported only to read or write a config file
         src = Path(__file__).resolve().parent.parent / "src"

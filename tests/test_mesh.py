@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from fracfem.mesh import (
     BOUNDARY_SIDES,
-    AmbiguousSideError,
     FracturePath,
     FractureSpec,
     Mesh,
@@ -31,6 +31,18 @@ SQRT2 = math.sqrt(2.0)
 
 def built(mesh):
     return build_contact_pairs(split_fractures(mesh))
+
+
+def bow_tie_mesh():
+    """A fracture 0-1 ending at node 1, where element (1, 2, 3) meets the
+    other two elements at that node only."""
+    nodes = np.array([
+        [-1.0, 0.0], [0.0, 0.0], [1.0, -1.0], [1.0, 1.0],
+        [-1.0, 1.0], [-1.0, -1.0],
+    ])
+    elements = np.array([[1, 2, 3], [0, 1, 4], [0, 5, 1]])
+    return Mesh(nodes=nodes, elements=elements,
+                fractures=[FracturePath(id=0, nodes=[0, 1])])
 
 
 class TestGenerator:
@@ -239,8 +251,12 @@ class TestSplit:
         # 18 interior non-crossing nodes per path -> 1 copy each, crossing -> 3
         assert s.n_nodes == m.n_nodes + 36 + 3
         assert len(s.intersections) == 1
-        rec = s.intersections[0]
-        assert len(set(rec.quadrants.values())) == 4
+        # the copies at the crossing station: one per quadrant
+        node = s.intersections[0].node
+        for chain in build_contact_pairs(s).chains:
+            (c,) = [c for c in chain if c.kind == "crossing"]
+            assert node in {c.lp, c.rp}
+            assert len({c.lp, c.lm, c.rp, c.rm}) == 4
 
     def test_areas_preserved_by_split(self):
         m = generate_rect_mesh(
@@ -273,26 +289,119 @@ class TestSplit:
         m = generate_rect_mesh(
             4.0, 4.0, 8, 8, fractures=[(1, 2, 3, 2), (2, 2, 2, 3.5)]
         )
-        with pytest.raises(NonConformingPathError):
+        with pytest.raises(NonConformingPathError,
+                           match="node 40 .*T-junctions are unsupported"):
             split_fractures(m)
 
-    def test_ambiguous_centroid_raises(self):
-        # element (p, s, t) has its centroid exactly on the fracture line
-        nodes = np.array([
-            [-1.0, 0.0], [0.0, 0.0], [1.0, -1.0], [1.0, 1.0],
-            [-1.0, 1.0], [-1.0, -1.0],
-        ])
-        elements = np.array([
-            [1, 2, 3],   # centroid (2/3, 0) on the line y = 0
-            [0, 1, 4],
-            [0, 5, 1],
-        ])
-        mesh = Mesh(
-            nodes=nodes, elements=elements,
-            fractures=[FracturePath(id=0, nodes=[0, 1])],
+    def test_node_on_three_fractures_rejected(self):
+        m = generate_rect_mesh(
+            4.0, 4.0, 4, 4, pattern="crossed",
+            fractures=[(1, 2, 3, 2), (2, 1, 2, 3), (1, 1, 3, 3)],
         )
-        with pytest.raises(AmbiguousSideError):
+        with pytest.raises(NonConformingPathError,
+                           match="node 12 is shared by more than two fractures"):
+            split_fractures(m)
+
+    def test_crossing_on_the_boundary_rejected(self):
+        # a fan of six elements around node 0 on the bottom boundary; both
+        # fractures pass through node 0, which leaves five groups
+        angles = np.radians([0, 30, 60, 90, 120, 150, 180])
+        rim = np.column_stack([np.cos(angles), np.sin(angles)])
+        nodes = np.vstack([[0.0, 0.0], rim])
+        elements = np.array([[0, i, i + 1] for i in range(1, 7)])
+        mesh = Mesh(nodes=nodes, elements=elements, fractures=[
+            FracturePath(id=0, nodes=[2, 0, 5]), FracturePath(id=1, nodes=[3, 0, 6]),
+        ])
+        with pytest.raises(NonConformingPathError,
+                           match="crossing at node 0 .*crossings on the boundary"):
             split_fractures(mesh)
+
+    def test_touching_fractures_rejected(self):
+        # both paths turn at node 12 without crossing: four groups, but two
+        # of them lie on the minus side of both fractures
+        m = generate_rect_mesh(4.0, 4.0, 4, 4)
+        mesh = Mesh(nodes=m.nodes, elements=m.elements, fractures=[
+            FracturePath(id=0, nodes=[11, 12, 13]),
+            FracturePath(id=1, nodes=[17, 12, 18]),
+        ])
+        with pytest.raises(NonConformingPathError, match="crossing at node 12"):
+            split_fractures(mesh)
+
+    def test_segment_on_the_boundary_rejected(self):
+        m = generate_rect_mesh(1.0, 1.0, 4, 4)
+        mesh = Mesh(nodes=m.nodes, elements=m.elements,
+                    fractures=[FracturePath(id=0, nodes=[6, 1, 2])])
+        with pytest.raises(NonConformingPathError,
+                           match="segment 1-2 lies on the boundary"):
+            split_fractures(mesh)
+
+    def test_bow_tie_node_named(self):
+        # element (1, 2, 3) touches the other two at node 1 only, so the
+        # elements around node 1 fall into three groups
+        with pytest.raises(NonConformingPathError, match="node 1: .* 3 groups"):
+            split_fractures(bow_tie_mesh())
+
+
+def split_digest(mesh):
+    """sha256 of a built mesh's split: nodes, elements, every pair array
+    and each chain station's (pair, lp, lm, rp, rm, kind)."""
+    h = hashlib.sha256()
+    for a in (mesh.nodes, mesh.elements, *mesh.pair_arrays):
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    chains = [[(c.pair, int(c.lp), int(c.lm), int(c.rp), int(c.rm), c.kind)
+               for c in chain] for chain in mesh.chains]
+    h.update(repr(chains).encode())
+    return h.hexdigest()
+
+
+# generate_rect_mesh arguments of the pinned crossing meshes
+PINNED_MESHES = {
+    "axis-40": (4.0, 4.0, 40, 40, [(1, 2, 3, 2), (2, 1, 2, 3)], "diagonal"),
+    "two-crossings": (8.0, 4.0, 16, 8, [(1, 2, 7, 2), (2, 1, 2, 3), (5, 1, 5, 3)],
+                      "diagonal"),
+    "through-crossed": (4.0, 4.0, 8, 8, [(0, 2, 4, 2), (2, 1, 2, 3)], "diagonal"),
+    "axis-reversed": (4.0, 4.0, 8, 8, [(3, 2, 1, 2), (2, 3, 2, 1)], "diagonal"),
+    "diag-45": (4.0, 4.0, 8, 8, [(1, 1, 3, 3), (1, 3, 3, 1)], "crossed"),
+    "diag-45-reversed": (4.0, 4.0, 8, 8, [(3, 3, 1, 1), (3, 1, 1, 3)], "crossed"),
+    "axis-crossed-lattice": (4.0, 4.0, 8, 8, [(1, 2, 3, 2), (2, 1, 2, 3)], "crossed"),
+    "axis-and-45": (4.0, 4.0, 8, 8, [(1, 2, 3, 2), (1, 1, 3, 3)], "crossed"),
+}
+
+# split_digest of each preset and pinned mesh, recorded with the centroid
+# angle classifier that the connected-group rule replaced
+SPLIT_DIGESTS = {
+    "crossing-multi": "3177ea202c4482aac8084c63953a3294f1ecad1fc92ff1b512466ff093a39fed",
+    "crossing-single": "253a0e8abc9a15b220c867b7122955fdc72317b3885ce6b397c03f3ec850cefd",
+    "inclined-crack": "d06be26935d00ceb61b3a55d42b2aa06fe9f76290df9a7a7a38aca8c2408683f",
+    "shear-throughgoing": "d3431cb3ded98d0e16d2dbd4d92a7c4595c2f105631cfb3c1ef79df9588a9562",
+    "sneddon": "160acc7f0461d00dea624abd5ab60963a60c741cd5f75dba5afed973ac64c20f",
+    "axis-40": "36cc72ae02c705de6c77a82e5ccf1227aff434489c8aa2c70439f19fc5811321",
+    "two-crossings": "c763ba58194ca7519ae77fbd296d5f4e6d5ee442905d42587289c8850f1b995a",
+    "through-crossed": "581e7df957492d840814d2c5140dba3e5b02aa603a0a538dc73f8953414c7cb1",
+    "axis-reversed": "c167786227f12835940029a1d0611a7189cbe2c99fc2f29647e3daf4f9c22077",
+    "diag-45": "fb4020c35fc37e8024090c4de766054560722be786bd94ef4dff4890835df017",
+    "diag-45-reversed": "1479a8839bfad90db1e7fd8f1a2175987f7b1d0bc35896c98ee46104981d37f4",
+    "axis-crossed-lattice": "582e5003923ee75dcbd7f7d5edb0107bdee02bab96ab6b606678123db6118ea7",
+    "axis-and-45": "3f88b211cde63f414ec978532595bc4da48e7f5d8715623410d33982b9402885",
+}
+
+
+class TestSplitPin:
+    @pytest.mark.parametrize("name", sorted(SPLIT_DIGESTS))
+    def test_split_is_bit_for_bit(self, name):
+        from fracfem import presets
+        from fracfem.config import build_mesh
+
+        if name in presets.PRESETS:
+            mesh = build_mesh(presets.get(name))
+        else:
+            w, h, nx, ny, fractures, pattern = PINNED_MESHES[name]
+            mesh = built(generate_rect_mesh(w, h, nx, ny, fractures=fractures,
+                                            pattern=pattern))
+            assert sum(c.kind == "crossing" for ch in mesh.chains for c in ch) > 0
+        assert split_digest(mesh) == SPLIT_DIGESTS[name]
 
 
 class TestContactPairs:
@@ -331,8 +440,10 @@ class TestContactPairs:
         kinds = [c.kind for c in built_mesh.chains[0]]
         assert kinds.count("crossing") == 2
         assert kinds[0] == "tip" and kinds[-1] == "tip"
-        for rec in built_mesh.intersections:
-            copies = set(rec.quadrants.values())
+        stations = [c for c in built_mesh.chains[0] if c.kind == "crossing"]
+        for rec, c in zip(built_mesh.intersections, stations):
+            copies = {c.lp, c.lm, c.rp, c.rm}
+            assert rec.node in copies and len(copies) == 4
             at_node = [
                 p for p in built_mesh.pairs
                 if p.is_crossing_pair and {p.node_plus, p.node_minus} <= copies
@@ -646,15 +757,14 @@ class TestEdgeTable:
             fractures=[FractureSpec(**f) for f in cfg.fractures], **cfg.generator
         )
         nodes = {n for f in mesh.fractures for n in f.nodes}
-        around, centroids = _elements_around(mesh, nodes)
+        around, tris = _elements_around(mesh, nodes)
         for n in nodes:
             assert around[n] == np.flatnonzero((mesh.elements == n).any(axis=1)).tolist()
-        assert sorted(centroids) == sorted(set().union(*around.values()))
-        assert len(centroids) == 544 < mesh.n_elements
-        full = mesh.centroids()
-        for e, c in centroids.items():
-            assert c.tobytes() == full[e].tobytes()
-        # no centroid of the whole mesh is formed
+        assert sorted(tris) == sorted(set().union(*around.values()))
+        assert len(tris) == 544 < mesh.n_elements
+        for e, tri in tris.items():
+            assert tri == mesh.elements[e].tolist()
+        # no centroid is formed
         monkeypatch.setattr(Mesh, "centroids", None)
         assert split_fractures(mesh).intersections
 

@@ -228,3 +228,24 @@ class TestProfileError:
         vals = [99.0, 99.0, 1.0, 1.0, 1.0, 99.0, 99.0]
         err = profile_error(eta, vals, lambda e: 1.0, length=2.0)
         assert err.rel_l2 == pytest.approx(0.0, abs=1e-15)
+
+
+class TestInclinedCrackCaseGuard:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"cohesion": 1e6}, "friction.cohesion"),
+        ({"shear": 1e6}, "top shear"),
+        ({"pressure": 1e6}, "fracture_pressure"),
+    ], ids=["cohesion", "shear", "pressure"])
+    def test_parameters_outside_the_closed_form_raise(self, kwargs, message):
+        from fracfem import presets
+        from fracfem.elasticity import ConfigError
+
+        with pytest.raises(ConfigError, match=message):
+            presets.inclined_crack_case(presets.inclined_crack(**kwargs))
+
+    def test_defaults_and_ramp_keep_their_case(self):
+        from fracfem import presets
+
+        for cfg in (None, presets.inclined_crack(n_load_steps=8)):
+            case = presets.inclined_crack_case(cfg)
+            assert case.sigma_inf == 10e6 and case.alpha == math.pi / 4
