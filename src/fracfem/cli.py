@@ -8,32 +8,31 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import presets
 from .config import build_mesh, parse_config
+from .contact import OPEN
 from .elasticity import ConfigError
 from .export import export_field, export_profiles, max_penetration, write_summary
-from .mesh import MeshFormatError, NonConformingPathError, load_mesh
+from .mesh import MeshFormatError, NonConformingPathError, arc_coordinates, load_mesh
 from .solver import run_load_steps, wall_timed
-
-
-def _state_counts(result):
-    counts = {"stick": 0, "slip": 0, "open": 0}
-    for st in result.states:
-        counts[st.label] += 1
-    return counts
 
 
 def _print_step_table(results):
     print(f"{'step':>4} {'newton':>7} {'loops':>6} {'residual':>12} "
           f"{'stick':>6} {'slip':>6} {'open':>6}")
     for res in results:
-        c = _state_counts(res)
+        # pairs per state code: -1 and +1 slip, 0 sticks, OPEN is open
+        slip_minus, stick, slip_plus, n_open = np.bincount(
+            res.codes + 1, minlength=OPEN + 2
+        ).tolist()
         flag = "  restarted from all stick" if res.restarted else ""
         flag += "" if res.converged else "  NOT CONVERGED"
         print(
             f"{res.step:>4} {res.newton_iters:>7} {res.state_loops:>6} "
-            f"{res.residual_norm:>12.3e} {c['stick']:>6} {c['slip']:>6} "
-            f"{c['open']:>6}{flag}"
+            f"{res.residual_norm:>12.3e} {stick:>6} {slip_minus + slip_plus:>6} "
+            f"{n_open:>6}{flag}"
         )
 
 
@@ -118,10 +117,7 @@ def cmd_mesh_info(args):
     print(f"bbox:      [{lo[0]}, {hi[0]}] x [{lo[1]}, {hi[1]}]")
     print(f"area:      {areas.sum()}")
     for frac in mesh.fractures:
-        xy = mesh.nodes[frac.nodes]
-        length = float(sum(
-            ((xy[i + 1] - xy[i]) ** 2).sum() ** 0.5 for i in range(len(xy) - 1)
-        ))
+        length = arc_coordinates(mesh, frac.id)[-1]
         kind = "through-going" if frac.is_through_going else "embedded"
         print(f"  fracture {frac.id}: {len(frac.nodes)} nodes, "
               f"length {length:.6g} m, {kind}")

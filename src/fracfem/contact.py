@@ -101,6 +101,9 @@ _STATES = np.array([
     PairState(StateKind.SLIP, -1), PairState(StateKind.STICK),
     PairState(StateKind.SLIP, 1), PairState(StateKind.OPEN),
 ], dtype=object)
+# LABELS[code + 1]: the label of each code, as the profiles and step table
+# print it
+LABELS = tuple(s.label for s in _STATES)
 
 
 def pair_states(codes):

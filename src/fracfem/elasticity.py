@@ -241,8 +241,9 @@ def assemble_loads(mesh, bcs, step=None, n_steps=1):
 
     Edge tractions use 2-point Gauss along each boundary segment (exact here
     since the traction is constant and shape functions linear).  Fracture
-    pressure is applied as +-p*n on the chain face nodes; at unsplit crack
-    tips the two contributions land on the same node and cancel.
+    pressure is applied as +-p*n on the copies of each segment's two faces
+    (``Mesh.faces``); at unsplit crack tips the two contributions land on
+    the same node and cancel.
     """
     F = np.zeros(2 * mesh.n_nodes)
 
@@ -257,24 +258,20 @@ def assemble_loads(mesh, bcs, step=None, n_steps=1):
                     f"got {bc.fracture!r}"
                 )
             p = float(bc.pressure) * bc.scale(step, n_steps)
-            if not 0 <= bc.fracture < len(mesh.chains):
+            if not 0 <= bc.fracture < len(mesh.faces):
                 raise ConfigError(
                     f"fracture_pressure bc references unknown fracture "
                     f"{bc.fracture}"
                 )
-            chain = mesh.chains[bc.fracture]
-            for ca, cb in zip(chain[:-1], chain[1:]):
-                xa = mesh.nodes[[ca.rp, ca.rm]].mean(axis=0)
-                xb = mesh.nodes[[cb.lp, cb.lm]].mean(axis=0)
+            for pu, mu, pv, mv in mesh.faces[bc.fracture]:
+                xa = mesh.nodes[[pu, mu]].mean(axis=0)
+                xb = mesh.nodes[[pv, mv]].mean(axis=0)
                 d = xb - xa
                 L = float(np.hypot(*d))
                 n = np.array([-d[1], d[0]]) / L
-                for node_p, node_m, w in (
-                    (ca.rp, ca.rm, 0.5 * L),
-                    (cb.lp, cb.lm, 0.5 * L),
-                ):
-                    F[2 * node_p : 2 * node_p + 2] += w * p * n
-                    F[2 * node_m : 2 * node_m + 2] -= w * p * n
+                for node_p, node_m in ((pu, mu), (pv, mv)):
+                    F[2 * node_p : 2 * node_p + 2] += 0.5 * L * p * n
+                    F[2 * node_m : 2 * node_m + 2] -= 0.5 * L * p * n
         elif bc.kind == "dirichlet":
             continue
         else:

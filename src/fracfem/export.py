@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .contact import pair_jumps
+from .contact import LABELS, pair_jumps
 from .elasticity import element_stresses
+from .mesh import arc_coordinates
 
 VTK_HEADER = "# vtk DataFile Version 3.0"
 _VTK_TRIANGLE = 5  # VTK cell type id of a linear triangle
@@ -36,10 +37,10 @@ def fracture_profiles(mesh, state):
     """Per-fracture profile records sorted by arc coordinate."""
     out = {f.id: [] for f in mesh.fractures}
     crossing_seen = {}
-    lengths = {f.id: mesh.chains[f.id][-1].eta for f in mesh.fractures}
+    lengths = {f.id: arc_coordinates(mesh, f.id)[-1] for f in mesh.fractures}
     jumps = pair_jumps(mesh, state.U)
     columns = [c.tolist() for c in (*jumps, state.lam[0::2], state.lam[1::2])]
-    for pair, st, *values in zip(mesh.pairs, state.states, *columns):
+    for pair, code, *values in zip(mesh.pairs, state.codes.tolist(), *columns):
         eta = pair.arc_coord
         if pair.is_crossing_pair:
             k = crossing_seen.get((pair.fracture, pair.arc_coord), 0)
@@ -47,7 +48,7 @@ def fracture_profiles(mesh, state):
             nudge = _CROSSING_ETA_NUDGE * max(lengths[pair.fracture], 1.0)
             eta += -nudge if k == 0 else nudge
         out[pair.fracture].append(
-            FractureProfileRecord(pair.fracture, eta, *values, st.label)
+            FractureProfileRecord(pair.fracture, eta, *values, LABELS[code + 1])
         )
     for records in out.values():
         records.sort(key=lambda r: r.eta)

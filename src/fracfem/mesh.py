@@ -71,7 +71,7 @@ class ContactPair:
 
     ``normal`` points from the minus face to the plus face and is fixed for
     the whole simulation.  ``weight`` scales the pair's constraint rows: a
-    regular pair's tributary arc length (half of each adjacent chain
+    regular pair's tributary arc length (half of each adjacent path
     segment), a quarter of the two adjacent segments for a crossing pair's
     point constraint.
     """
@@ -98,37 +98,6 @@ class ContactPair:
         )
 
 
-@dataclass
-class ChainNode:
-    """One station along a fracture, used for per-segment bookkeeping
-    (tributary lengths, face loads, face-edge identification).
-
-    ``lp``/``lm`` are the node's copies on the plus/minus face of the
-    segment arriving from lower arc coordinate, ``rp``/``rm`` on those of
-    the departing segment (an endpoint's missing segment repeats the other).
-    At crack tips all four collapse to the unduplicated node (zero jump); at
-    intersections the two sides differ because the opposite fracture cuts
-    the face.  ``pair`` is the regular contact pair collocated here, or None
-    for tips and intersections.
-    """
-
-    eta: float
-    pair: int | None
-    lp: int
-    lm: int
-    rp: int
-    rm: int
-    kind: str  # "pair" | "tip" | "crossing"
-
-
-@dataclass
-class Intersection:
-    """Bookkeeping for one two-fracture crossing."""
-
-    node: int
-    fractures: tuple
-
-
 class PairArrays(NamedTuple):
     """Pair data as arrays, one row per pair in id order."""
 
@@ -145,23 +114,20 @@ class Mesh:
     """Triangular mesh with fracture bookkeeping.
 
     ``nodes`` is (n, 2) float64, ``elements`` (m, 3) int with CCW
-    connectivity.  After :func:`split_fractures` the duplicated-node maps are
-    filled, and ``faces`` holds one list per fracture with, for each segment
-    ``u -> v``, the copies (plus at ``u``, minus at ``u``, plus at ``v``,
-    minus at ``v``); after :func:`build_contact_pairs` the pairs and per-fracture
-    chains exist.  A fully built mesh is treated as immutable; an unsplit
-    one is read-only from its ``edge_table`` on.
+    connectivity.  After :func:`split_fractures`, ``faces`` holds one list
+    per fracture with, for each segment ``u -> v``, the copies (plus at
+    ``u``, minus at ``u``, plus at ``v``, minus at ``v``); it is the one
+    record of which copy sits on which face, and the loads, the boundary
+    queries and the pairs all read it.  :func:`build_contact_pairs` adds
+    the pairs.  A fully built mesh is treated as immutable; an unsplit one
+    is read-only from its ``edge_table`` on.
     """
 
     nodes: np.ndarray
     elements: np.ndarray
     fractures: list
     pairs: list = field(default_factory=list)
-    plus_map: dict = field(default_factory=dict)
-    minus_map: dict = field(default_factory=dict)
-    intersections: list = field(default_factory=list)
     faces: list = field(default_factory=list)
-    chains: list = field(default_factory=list)
     split_done: bool = False
 
     @property
@@ -426,7 +392,7 @@ def load_mesh(path):
 
     n_frac = section_count("FRACTURES", 0)
 
-    fractures = [None] * n_frac  # ids index the per-fracture chains
+    fractures = [None] * n_frac  # ids index the per-fracture faces
     for _ in range(n_frac):
         ln, f = next_line()
         try:
@@ -732,9 +698,6 @@ def split_fractures(mesh):
 
     copy_of = {}  # (node, element) -> the node's copy in that element
     sources = []  # the node each new copy duplicates, in id order
-    plus_map = {}
-    minus_map = {}
-    intersections = []
     single = [n for f in mesh.fractures for n in f.nodes if len(usage[n]) == 1]
     crossings = [n for n, uses in usage.items() if len(uses) == 2]
     for nid in single + crossings:  # copies take ids in this order
@@ -766,11 +729,6 @@ def split_fractures(mesh):
         for c, key in zip(copies, sorted(sides, reverse=True)):
             for e in sides[key]:
                 copy_of[nid, e] = c
-        if len(uses) == 2:
-            fractures = tuple(f for f, _ in uses)
-            intersections.append(Intersection(node=nid, fractures=fractures))
-        elif expected == 2:
-            plus_map[nid], minus_map[nid] = copies
 
     elements = mesh.elements.copy()
     for (n, e), c in copy_of.items():
@@ -789,17 +747,21 @@ def split_fractures(mesh):
         nodes=np.vstack([mesh.nodes, mesh.nodes[sources]]),
         elements=elements,
         fractures=[replace(f) for f in mesh.fractures],
-        plus_map=plus_map,
-        minus_map=minus_map,
-        intersections=intersections,
         faces=faces,
         split_done=True,
     )
 
 
 # ---------------------------------------------------------------------------
-# contact pairs and integration chains
+# contact pairs
 # ---------------------------------------------------------------------------
+
+def arc_coordinates(mesh, fid):
+    """Arc coordinate of each node on fracture ``fid``'s path, as Python
+    floats: 0 at the first node, then the running sum of segment lengths."""
+    xy = mesh.nodes[mesh.fractures[fid].nodes]
+    return [0.0, *np.cumsum(np.hypot(*np.diff(xy, axis=0).T)).tolist()]
+
 
 def _path_normal(mesh, path, k):
     """Unit normal at a path node: averaged adjacent segment normals."""
@@ -813,52 +775,45 @@ def _path_normal(mesh, path, k):
 
 
 def build_contact_pairs(mesh):
-    """Create contact pairs and per-fracture integration chains.
+    """Create the contact pairs from the face copies of each path node.
 
-    One pair per duplicated regular node; at every crossing, the two diagonal
-    pairings of the four duplicates, (``lp``, ``rm``) and (``rp``, ``lm``),
-    are instantiated for each fracture with that fracture's own frame (four
+    A node is read at its station on each fracture's path: ``lp``/``lm``
+    are its copies on the plus/minus face of the segment arriving there,
+    ``rp``/``rm`` those of the departing segment (an endpoint's missing
+    segment repeats the other).  Where the two differ the other fracture
+    cuts the faces, so the station is a crossing: the two diagonal pairings
+    of its four copies, (``lp``, ``rm``) and (``rp``, ``lm``), are
+    instantiated for each fracture with that fracture's own frame (four
     crossing pairs total), the one whose plus copy kept the node's id
-    first.  Returns a new Mesh with ``pairs`` and ``chains`` populated.
+    first.  Elsewhere a node with two copies gets one regular pair and a
+    crack tip (one copy) none.  Returns a new Mesh with ``pairs`` populated.
     """
     if not mesh.split_done:
         raise ValueError("split_fractures must run before build_contact_pairs")
     if mesh.pairs:
         raise ValueError("contact pairs already built")
 
-    crossings = {rec.node for rec in mesh.intersections}
     pairs = []
-    chains = []
-
     for frac, faces in zip(mesh.fractures, mesh.faces):
         path = frac.nodes
         last = len(path) - 1
-        xy = mesh.nodes[path]
-        seg_len = np.hypot(*(xy[1:] - xy[:-1]).T)
-        etas = np.concatenate([[0.0], np.cumsum(seg_len)])
+        seg_len = np.hypot(*np.diff(mesh.nodes[path], axis=0).T)
+        etas = arc_coordinates(mesh, frac.id)
         # tributary arc length: half of the segment before, then after
         half = 0.5 * np.diff(etas)
         trib = np.concatenate([[0.0], half]) + np.concatenate([half, [0.0]])
-        chain = []
         for k, nid in enumerate(path):
-            eta = float(etas[k])
-            # the copies on the arriving and departing segment's faces; an
-            # endpoint's missing segment sees those of the other
             lp, lm = faces[k - 1][2:] if k else faces[k][:2]
             rp, rm = faces[k][:2] if k < last else (lp, lm)
-            if nid in crossings:
-                kind, weight = "crossing", 0.25 * (seg_len[k - 1] + seg_len[k])
+            crossing = (lp, lm) != (rp, rm)
+            if crossing:
+                weight = 0.25 * (seg_len[k - 1] + seg_len[k])
                 couples = [(lp, rm), (rp, lm)] if lp == nid else [(rp, lm), (lp, rm)]
             elif lp != lm:
-                kind, weight, couples = "pair", float(trib[k]), [(lp, lm)]
+                weight, couples = float(trib[k]), [(lp, lm)]
             else:
-                kind, couples = "tip", []
-            chain.append(
-                ChainNode(eta, len(pairs) if kind == "pair" else None,
-                          lp, lm, rp, rm, kind)
-            )
-            if couples:
-                normal = _path_normal(mesh, path, k)
+                continue
+            normal = _path_normal(mesh, path, k)
             for node_plus, node_minus in couples:
                 pairs.append(
                     ContactPair(
@@ -866,45 +821,32 @@ def build_contact_pairs(mesh):
                         node_plus=node_plus,
                         node_minus=node_minus,
                         fracture=frac.id,
-                        arc_coord=eta,
+                        arc_coord=etas[k],
                         normal=normal,
                         tangent=rot_minus90(normal),
-                        is_crossing_pair=kind == "crossing",
+                        is_crossing_pair=crossing,
                         gap0=frac.gap0,
                         weight=weight,
                     )
                 )
-        chains.append(chain)
 
-    return replace(mesh, pairs=pairs, chains=chains)
+    return replace(mesh, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
 # boundary queries
 # ---------------------------------------------------------------------------
 
-def fracture_face_edges(mesh):
-    """Set of sorted node-id tuples lying on fracture faces."""
-    faces = set()
-    for chain in mesh.chains:
-        for a, b in zip(chain[:-1], chain[1:]):
-            faces.add(_edge_key(a.rp, b.lp))
-            faces.add(_edge_key(a.rm, b.lm))
-    return faces
-
-
 def external_boundary_edges(mesh):
-    """(n_e, 2) array of node pairs on the external boundary.
-
-    Single-adjacency edges that are not fracture faces.  Requires a mesh with
-    built pairs when fractures are present (the chains identify the faces).
-    """
-    if mesh.split_done and mesh.fractures and not mesh.chains:
-        raise ValueError("build_contact_pairs must run before boundary queries")
+    """(n_e, 2) array of node pairs on the external boundary: the
+    single-adjacency edges that are not fracture faces.  A split mesh
+    answers as soon as :func:`split_fractures` has recorded its faces."""
     keys, counts, base = _edge_table(mesh.elements)
     single = keys[counts == 1]
-    if mesh.chains:
-        faces = _edge_keys(list(fracture_face_edges(mesh)), base)
+    if mesh.faces:
+        # each segment's plus face joins (pu, pv), its minus face (mu, mv)
+        copies = np.array([seg for segs in mesh.faces for seg in segs], dtype=np.int64)
+        faces = _edge_keys(copies[:, [0, 2, 1, 3]], base)
         single = single[~np.isin(single, faces)]
     return np.column_stack([single // base, single % base])
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from .contact import FrictionParams, pair_kinematics
 from .elasticity import MaterialParams
+from .mesh import arc_coordinates
 
 
 @dataclass(frozen=True)
@@ -110,17 +111,16 @@ def sif_components(mesh, state, fracture_id, tip, mat):
     du_T the magnitude of the tangential jump, both at distance r from the
     tip along the fracture.
     """
-    chain = mesh.chains[fracture_id]
     regular = [
-        mesh.pairs[c.pair] for c in chain if c.pair is not None
+        p for p in mesh.pairs if p.fracture == fracture_id and not p.is_crossing_pair
     ]
     if not regular:
         raise ValueError(f"fracture {fracture_id} has no regular pairs")
     if tip == "start":
-        eta_tip = chain[0].eta
+        eta_tip = 0.0
         pair = regular[0]
     elif tip == "end":
-        eta_tip = chain[-1].eta
+        eta_tip = arc_coordinates(mesh, fracture_id)[-1]
         pair = regular[-1]
     else:
         raise ValueError(f"tip must be 'start' or 'end', got {tip!r}")

@@ -13,6 +13,7 @@ from .config import RunConfig
 from .contact import FrictionParams
 from .elasticity import BoundaryCondition, ConfigError, MaterialParams
 from .export import fracture_profiles
+from .mesh import arc_coordinates
 from .oracles import (
     InclinedCrackCase,
     constant_slip_reference,
@@ -253,7 +254,7 @@ def reference_error(name, config, mesh, state, window=(0.1, 0.9)):
         recs = profiles[0]
         eta = [r.eta for r in recs]
         vals = [r.jump_n for r in recs]
-        l = 0.5 * mesh.chains[0][-1].eta
+        l = 0.5 * arc_coordinates(mesh, 0)[-1]
         p = next(b.pressure for b in config.bcs if b.kind == "fracture_pressure")
         return profile_error(
             eta, vals, lambda e: sneddon_opening(e - l, p, l, config.material),
@@ -265,7 +266,7 @@ def reference_error(name, config, mesh, state, window=(0.1, 0.9)):
         vals = [abs(r.jump_t) for r in recs]
         ref = constant_slip_reference()
         return profile_error(
-            eta, vals, lambda e: ref, length=mesh.chains[0][-1].eta,
+            eta, vals, lambda e: ref, length=arc_coordinates(mesh, 0)[-1],
             window=window,
         ).rel_l2
     return None

@@ -19,6 +19,7 @@ from fracfem.elasticity import (
     symmetric_product,
 )
 from fracfem.export import fracture_profiles, max_penetration
+from fracfem.mesh import arc_coordinates
 from fracfem.oracles import (
     inclined_crack_slip,
     inclined_crack_traction,
@@ -67,7 +68,7 @@ def inclined(runs):
 
 
 def window_records(mesh, state, fid=0):
-    length = mesh.chains[fid][-1].eta
+    length = arc_coordinates(mesh, fid)[-1]
     recs = [
         r for r in fracture_profiles(mesh, state)[fid]
         if WINDOW[0] * length <= r.eta <= WINDOW[1] * length
@@ -146,7 +147,7 @@ class TestCriterion3Sneddon:
         state = results[-1]
         assert state.converged
         recs = fracture_profiles(mesh, state)[0]
-        length = mesh.chains[0][-1].eta
+        length = arc_coordinates(mesh, 0)[-1]
         half = 0.5 * length
         p = next(b.pressure for b in config.bcs
                  if b.kind == "fracture_pressure")

@@ -734,12 +734,17 @@ class TestRunAndCli:
 
 
 class TestCrossingProfileExport:
-    def test_crossing_pairs_nudged_but_ordered(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def solved(self):
         cfg = presets.crossing_single()
         mesh = build_mesh(cfg)
         res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs,
                              cfg.solver)[-1]
         assert res.converged
+        return mesh, res
+
+    def test_crossing_pairs_nudged_but_ordered(self, solved):
+        mesh, res = solved
         profiles = fracture_profiles(mesh, res)
         for fid, records in profiles.items():
             etas = [r.eta for r in records]
@@ -750,3 +755,23 @@ class TestCrossingProfileExport:
                 if p.fracture == fid and not p.is_crossing_pair
             )
             assert len(records) == n_regular + 2
+
+    def test_crossing_csv_fields_parse(self, solved, tmp_path):
+        # the nudged crossing etas print as plain floats, on either side of
+        # their station, and the labels are those of the pairs' states
+        mesh, res = solved
+        paths = export_profiles(res, mesh, tmp_path / "profiles.csv")
+        assert len(paths) == len(mesh.fractures) == 2
+        for fid, path in enumerate(paths):
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            etas = [float(r[0]) for r in rows]
+            assert all(float(v) == float(v) for r in rows for v in r[1:5])
+            assert all(b > a for a, b in zip(etas, etas[1:]))
+            (station,) = {p.arc_coord for p in mesh.pairs
+                          if p.fracture == fid and p.is_crossing_pair}
+            below, above = [e for e in etas if abs(e - station) < 1e-6]
+            assert below < station < above
+            labels = [st.label for p, st in zip(mesh.pairs, res.states)
+                      if p.fracture == fid]
+            assert sorted(r[5] for r in rows) == sorted(labels)

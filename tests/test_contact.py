@@ -31,7 +31,12 @@ from fracfem.contact import (
     pair_jumps,
     pair_kinematics,
 )
-from fracfem.mesh import build_contact_pairs, generate_rect_mesh, split_fractures
+from fracfem.mesh import (
+    arc_coordinates,
+    build_contact_pairs,
+    generate_rect_mesh,
+    split_fractures,
+)
 from fracfem.solver import step_data
 
 SQRT2 = math.sqrt(2.0)
@@ -423,13 +428,14 @@ def _ref_tributary_weights(mesh):
     """Arc length owned by each regular pair: half of every adjacent
     segment (the row sum of the 1D linear-hat mass matrix)."""
     trib = np.zeros(mesh.n_pairs)
-    for chain in mesh.chains:
-        for ca, cb in zip(chain[:-1], chain[1:]):
-            L = cb.eta - ca.eta
-            if ca.pair is not None:
-                trib[ca.pair] += 0.5 * L
-            if cb.pair is not None:
-                trib[cb.pair] += 0.5 * L
+    for pair in mesh.pairs:
+        if pair.is_crossing_pair:
+            continue
+        etas = arc_coordinates(mesh, pair.fracture)
+        k = etas.index(pair.arc_coord)
+        for a, b in ((k - 1, k), (k, k + 1)):
+            if 0 <= a and b < len(etas):
+                trib[pair.id] += 0.5 * (etas[b] - etas[a])
     return trib
 
 

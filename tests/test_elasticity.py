@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -265,8 +266,10 @@ class TestLoads:
                                pressure=10e6)
         F = assemble_loads(mesh, [bc])
         plus, minus = np.zeros(2), np.zeros(2)
-        minus_ids = set(mesh.minus_map.values())
-        plus_ids = set(mesh.plus_map.values())
+        (faces,) = mesh.faces
+        plus_ids = {n for pu, _, pv, _ in faces for n in (pu, pv)}
+        minus_ids = {n for _, mu, _, mv in faces for n in (mu, mv)}
+        assert not plus_ids & minus_ids
         for n in range(mesh.n_nodes):
             f = F[2 * n : 2 * n + 2]
             if n in minus_ids:
@@ -408,21 +411,20 @@ def _ref_assemble_loads(mesh, bcs, step=None, n_steps=1):
                 F[2 * b : 2 * b + 2] += fb * t
         elif bc.kind == "fracture_pressure":
             p = float(bc.pressure) * bc.scale(step, n_steps)
-            if not 0 <= bc.fracture < len(mesh.chains):
+            if not 0 <= bc.fracture < len(mesh.faces):
                 raise ConfigError(
                     f"fracture_pressure bc references unknown fracture "
                     f"{bc.fracture}"
                 )
-            chain = mesh.chains[bc.fracture]
-            for ca, cb in zip(chain[:-1], chain[1:]):
-                xa = mesh.nodes[[ca.rp, ca.rm]].mean(axis=0)
-                xb = mesh.nodes[[cb.lp, cb.lm]].mean(axis=0)
+            for pu, mu, pv, mv in mesh.faces[bc.fracture]:
+                xa = mesh.nodes[[pu, mu]].mean(axis=0)
+                xb = mesh.nodes[[pv, mv]].mean(axis=0)
                 d = xb - xa
                 L = float(np.hypot(*d))
                 n = np.array([-d[1], d[0]]) / L
                 for node_p, node_m, w in (
-                    (ca.rp, ca.rm, 0.5 * L),
-                    (cb.lp, cb.lm, 0.5 * L),
+                    (pu, mu, 0.5 * L),
+                    (pv, mv, 0.5 * L),
                 ):
                     F[2 * node_p : 2 * node_p + 2] += w * p * n
                     F[2 * node_m : 2 * node_m + 2] -= w * p * n
@@ -507,9 +509,36 @@ def _ramp8(explicit):
     return cfg
 
 
+# sha256 prefix of the 1 MPa fracture_pressure load of each crossed fracture,
+# recorded when the loads read per-station chain records instead of the
+# face copies of each segment
+CROSSED_PRESSURE_LOADS = {
+    ("crossing-single", 0): "58b841d4deffe96b",
+    ("crossing-single", 1): "c12bb5e3c26a547e",
+    ("crossing-multi", 0): "a9e76f75fb4b024d",
+    ("crossing-multi", 1): "9fa172bff49136f2",
+    ("crossing-multi", 2): "caec2a44c45886a2",
+    ("crossing-multi", 3): "647a47c92630401d",
+    ("crossing-multi", 4): "e382d85b1924e712",
+    ("crossing-multi", 5): "67f68149c808bef8",
+}
+
+
 class TestArrayKernelsMatchReference:
     """Loads and Dirichlet data from array operations equal the loops they
     replaced bit for bit: same dofs, same value bits, same errors."""
+
+    @pytest.mark.parametrize("name, fid", sorted(CROSSED_PRESSURE_LOADS))
+    def test_pressure_on_crossed_fractures(self, name, fid):
+        # at a crossing the copies on the arriving segment's faces differ
+        # from those on the departing one's
+        mesh = build_mesh(presets.get(name))
+        assert any(p.is_crossing_pair for p in mesh.pairs if p.fracture == fid)
+        bcs = [BoundaryCondition(kind="fracture_pressure", fracture=fid,
+                                 pressure=1e6)]
+        assert_kernels_match_reference(mesh, bcs, None, 1)
+        digest = hashlib.sha256(assemble_loads(mesh, bcs).tobytes()).hexdigest()
+        assert digest[:16] == CROSSED_PRESSURE_LOADS[name, fid]
 
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     def test_presets(self, name):

@@ -17,6 +17,7 @@ from fracfem.mesh import (
     Mesh,
     MeshFormatError,
     NonConformingPathError,
+    arc_coordinates,
     build_contact_pairs,
     external_boundary_edges,
     generate_rect_mesh,
@@ -31,6 +32,19 @@ SQRT2 = math.sqrt(2.0)
 
 def built(mesh):
     return build_contact_pairs(split_fractures(mesh))
+
+
+def stations(faces):
+    """(lp, lm, rp, rm) at each node of one fracture's path: its copies on
+    the faces of the segment arriving there, then of the one departing (an
+    endpoint repeats its one segment's).  A crossing is where they differ."""
+    arriving = [faces[0][:2], *(seg[2:] for seg in faces)]
+    departing = [*(seg[:2] for seg in faces), faces[-1][2:]]
+    return [(*a, *d) for a, d in zip(arriving, departing)]
+
+
+def crossing_stations(faces):
+    return [s for s in stations(faces) if s[:2] != s[2:]]
 
 
 def bow_tie_mesh():
@@ -156,7 +170,7 @@ class TestMeshFile:
          ("FRACTURES 2\n0 2 0 2\n0 2 0 2\n", "duplicate fracture id 0", 11)],
     )
     def test_bad_fracture_id(self, tmp_path, fracture_lines, message, line):
-        # ids index the per-fracture chains, so they must be 0..k-1, once each
+        # ids index the per-fracture faces, so they must be 0..k-1, once each
         path = tmp_path / "bad.msh"
         path.write_text(
             "NODES 4\n0 0 0\n1 1 0\n2 1 1\n3 0 1\n"
@@ -250,13 +264,12 @@ class TestSplit:
         s = split_fractures(m)
         # 18 interior non-crossing nodes per path -> 1 copy each, crossing -> 3
         assert s.n_nodes == m.n_nodes + 36 + 3
-        assert len(s.intersections) == 1
+        (node,) = set(s.fractures[0].nodes) & set(s.fractures[1].nodes)
         # the copies at the crossing station: one per quadrant
-        node = s.intersections[0].node
-        for chain in build_contact_pairs(s).chains:
-            (c,) = [c for c in chain if c.kind == "crossing"]
-            assert node in {c.lp, c.rp}
-            assert len({c.lp, c.lm, c.rp, c.rm}) == 4
+        for faces in s.faces:
+            ((lp, lm, rp, rm),) = crossing_stations(faces)
+            assert node in {lp, rp}
+            assert len({lp, lm, rp, rm}) == 4
 
     def test_areas_preserved_by_split(self):
         m = generate_rect_mesh(
@@ -270,8 +283,10 @@ class TestSplit:
         m = generate_rect_mesh(1.0, 1.0, 6, 6, fractures=[(0.0, 0.5, 1.0, 0.5)])
         s = split_fractures(m)
         cents = s.centroids()
-        minus_ids = set(s.minus_map.values())
-        plus_ids = set(s.plus_map.values())
+        (faces,) = s.faces
+        plus_ids = {n for pu, _, pv, _ in faces for n in (pu, pv)}
+        minus_ids = {n for _, mu, _, mv in faces for n in (mu, mv)}
+        assert not plus_ids & minus_ids
         for e, tri in enumerate(s.elements):
             for n in tri:
                 if n in minus_ids:
@@ -344,15 +359,14 @@ class TestSplit:
 
 def split_digest(mesh):
     """sha256 of a built mesh's split: nodes, elements, every pair array
-    and each chain station's (pair, lp, lm, rp, rm, kind)."""
+    and each segment's face copies (pu, mu, pv, mv)."""
     h = hashlib.sha256()
     for a in (mesh.nodes, mesh.elements, *mesh.pair_arrays):
         a = np.ascontiguousarray(a)
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
-    chains = [[(c.pair, int(c.lp), int(c.lm), int(c.rp), int(c.rm), c.kind)
-               for c in chain] for chain in mesh.chains]
-    h.update(repr(chains).encode())
+    faces = [[tuple(int(c) for c in seg) for seg in segs] for segs in mesh.faces]
+    h.update(repr(faces).encode())
     return h.hexdigest()
 
 
@@ -369,22 +383,24 @@ PINNED_MESHES = {
     "axis-and-45": (4.0, 4.0, 8, 8, [(1, 2, 3, 2), (1, 1, 3, 3)], "crossed"),
 }
 
-# split_digest of each preset and pinned mesh, recorded with the centroid
-# angle classifier that the connected-group rule replaced
+# split_digest of each preset and pinned mesh, recorded while the mesh
+# still derived chains, plus/minus maps and intersection records from its
+# faces; on that tree the digests of nodes, elements, pair arrays and chains
+# recorded with the centroid angle classifier held as well
 SPLIT_DIGESTS = {
-    "crossing-multi": "3177ea202c4482aac8084c63953a3294f1ecad1fc92ff1b512466ff093a39fed",
-    "crossing-single": "253a0e8abc9a15b220c867b7122955fdc72317b3885ce6b397c03f3ec850cefd",
-    "inclined-crack": "d06be26935d00ceb61b3a55d42b2aa06fe9f76290df9a7a7a38aca8c2408683f",
-    "shear-throughgoing": "d3431cb3ded98d0e16d2dbd4d92a7c4595c2f105631cfb3c1ef79df9588a9562",
-    "sneddon": "160acc7f0461d00dea624abd5ab60963a60c741cd5f75dba5afed973ac64c20f",
-    "axis-40": "36cc72ae02c705de6c77a82e5ccf1227aff434489c8aa2c70439f19fc5811321",
-    "two-crossings": "c763ba58194ca7519ae77fbd296d5f4e6d5ee442905d42587289c8850f1b995a",
-    "through-crossed": "581e7df957492d840814d2c5140dba3e5b02aa603a0a538dc73f8953414c7cb1",
-    "axis-reversed": "c167786227f12835940029a1d0611a7189cbe2c99fc2f29647e3daf4f9c22077",
-    "diag-45": "fb4020c35fc37e8024090c4de766054560722be786bd94ef4dff4890835df017",
-    "diag-45-reversed": "1479a8839bfad90db1e7fd8f1a2175987f7b1d0bc35896c98ee46104981d37f4",
-    "axis-crossed-lattice": "582e5003923ee75dcbd7f7d5edb0107bdee02bab96ab6b606678123db6118ea7",
-    "axis-and-45": "3f88b211cde63f414ec978532595bc4da48e7f5d8715623410d33982b9402885",
+    "crossing-multi": "cb2d6254411ae3c55cbba74dae0e1edcfdc169a47c2a72832573f7e6772ece7b",
+    "crossing-single": "d8e945da7d5eabecff709d8ec8e3d681ba13fce46ff5315d79dfb5c4e2b65004",
+    "inclined-crack": "e8ce1da2d5299a0f9ef904af1d33616b164b24dcd231f1a5ef5e3003fff32997",
+    "shear-throughgoing": "b17220ae48f179743aee81180c53f0427b80479f5a37eb95e68479fca60ff57e",
+    "sneddon": "c27c1337ecaa495e272f415a36a21ee987f407f67b866bb16424683118ff4e33",
+    "axis-40": "94d1b28bce67f40d6f62411320b023a4845f7f63609d039f297f00822992c046",
+    "two-crossings": "cd4148c858abaafa9f78bd816b1fff1cd9a74f5625b5c3506ed7fecb35e8bb75",
+    "through-crossed": "55006885a7ea1ec2c05454f53839da941ae4384a222b8c90d5f3bcc6ff58a3d6",
+    "axis-reversed": "38413d22d5d59f90af1ae2d69b24e1891ed7ebd42aee02808bf1b0d279768940",
+    "diag-45": "f28648a7dd0079d3cba37dd4231d79f0e1e759c35ada008680c378e13ee466fe",
+    "diag-45-reversed": "66e81f9ddbc088ce76546d47936739cfe0aa46b94dac6c80d524cf35eb85d223",
+    "axis-crossed-lattice": "cea0bc61d6e92d0002b4654c5f79cd38b2ed75c2ba9f73fc8921576b8e84939a",
+    "axis-and-45": "c776287b468cb6a2a5d32e35534ff6f4de5bdea6c9ce31ce7c3c1d67f3e7494d",
 }
 
 
@@ -400,7 +416,7 @@ class TestSplitPin:
             w, h, nx, ny, fractures, pattern = PINNED_MESHES[name]
             mesh = built(generate_rect_mesh(w, h, nx, ny, fractures=fractures,
                                             pattern=pattern))
-            assert sum(c.kind == "crossing" for ch in mesh.chains for c in ch) > 0
+            assert all(crossing_stations(faces) for faces in mesh.faces)
         assert split_digest(mesh) == SPLIT_DIGESTS[name]
 
 
@@ -428,7 +444,9 @@ class TestContactPairs:
             fractures=[(1, 2, 7, 2), (2, 1, 2, 3), (5, 1, 5, 3)],
         )
         s = split_fractures(m)
-        assert len(s.intersections) == 2
+        nodes = [set(f.nodes) for f in s.fractures]
+        shared = sorted(nodes[0] & (nodes[1] | nodes[2]))
+        assert len(shared) == 2
         # F1: 11 interior nodes, 2 of them crossings -> 9 plain splits;
         # F2/F3: 3 interior each, 1 crossing -> 2 plain splits; each
         # crossing adds 3 copies
@@ -437,13 +455,12 @@ class TestContactPairs:
         crossing = [p for p in built_mesh.pairs if p.is_crossing_pair]
         assert len(crossing) == 8
         assert len(built_mesh.pairs) == 13 + 8
-        kinds = [c.kind for c in built_mesh.chains[0]]
-        assert kinds.count("crossing") == 2
-        assert kinds[0] == "tip" and kinds[-1] == "tip"
-        stations = [c for c in built_mesh.chains[0] if c.kind == "crossing"]
-        for rec, c in zip(built_mesh.intersections, stations):
-            copies = {c.lp, c.lm, c.rp, c.rm}
-            assert rec.node in copies and len(copies) == 4
+        f1 = stations(built_mesh.faces[0])
+        # unduplicated tips at both ends
+        assert len(set(f1[0])) == 1 and len(set(f1[-1])) == 1
+        for node, c in zip(shared, crossing_stations(built_mesh.faces[0]), strict=True):
+            copies = set(c)
+            assert node in copies and len(copies) == 4
             at_node = [
                 p for p in built_mesh.pairs
                 if p.is_crossing_pair and {p.node_plus, p.node_minus} <= copies
@@ -463,12 +480,12 @@ class TestContactPairs:
                 pattern=g["pattern"],
             )
         )
-        records = copy.deepcopy(split.intersections)
-        assert len(records) == 3
+        records = copy.deepcopy(split.faces)
+        assert sum(len(crossing_stations(faces)) for faces in records) == 2 * 3
         first = build_contact_pairs(split)
         second = build_contact_pairs(split)
-        assert split.intersections == records
-        assert first.intersections == records
+        assert split.faces == records
+        assert first.faces == records
         assert first.pairs == second.pairs
         assert first.pairs == build_mesh(cfg).pairs
 
@@ -519,13 +536,15 @@ class TestContactPairs:
             assert abs(np.linalg.norm(pair.tangent) - 1.0) < 1e-12
             assert abs(pair.normal @ pair.tangent) < 1e-12
 
-    def test_chain_etas_increase(self):
+    def test_arc_coordinates_increase(self):
         m = built(
             generate_rect_mesh(2.0, 2.0, 20, 20, fractures=[(0.5, 0.5, 1.5, 1.5)])
         )
-        for chain in m.chains:
-            etas = [c.eta for c in chain]
-            assert all(b > a for a, b in zip(etas, etas[1:]))
+        etas = arc_coordinates(m, 0)
+        assert etas[0] == 0.0 and all(b > a for a, b in zip(etas, etas[1:]))
+        assert all(type(e) is float for e in etas)
+        # a pair sits at its station's arc coordinate
+        assert [p.arc_coord for p in m.pairs] == etas[1:-1]
 
 
 class TestBoundaryQueries:
@@ -601,10 +620,12 @@ def _ref_boundary_nodes(elements):
 
 
 def _ref_external_boundary_edges(mesh):
-    from fracfem.mesh import fracture_face_edges
-
     counts = _ref_edge_counts(mesh.elements)
-    faces = fracture_face_edges(mesh) if mesh.chains else set()
+    faces = set()
+    for segs in mesh.faces:
+        for pu, mu, pv, mv in segs:
+            faces.add(_ref_edge_key(pu, pv))
+            faces.add(_ref_edge_key(mu, mv))
     edges = [e for e, c in counts.items() if c == 1 and e not in faces]
     edges.sort()
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
@@ -675,11 +696,11 @@ class TestEdgeTable:
         before = external_boundary_edges(raw)
         assert len(before) == 32  # unsplit: the fracture is interior
         split = split_fractures(raw)
-        with pytest.raises(ValueError, match="build_contact_pairs"):
-            external_boundary_edges(split)
+        self.assert_matches_reference(split)
         m = build_contact_pairs(split)
         self.assert_matches_reference(m)
         after = external_boundary_edges(m)
+        np.testing.assert_array_equal(external_boundary_edges(split), after)
         # splitting the through-going path renumbers one end of the edges
         # beside its endpoints; the fracture faces are not external
         assert len(after) == 32
@@ -766,7 +787,7 @@ class TestEdgeTable:
             assert tri == mesh.elements[e].tolist()
         # no centroid is formed
         monkeypatch.setattr(Mesh, "centroids", None)
-        assert split_fractures(mesh).intersections
+        assert split_fractures(mesh).faces
 
     def test_fracture_checks_run_on_every_split(self):
         # the table is cached, the fracture checks are not: fractures edited

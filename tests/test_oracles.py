@@ -150,10 +150,9 @@ class TestSifRatio:
             U=np.zeros(2 * mesh.n_nodes), lam=np.zeros(2 * mesh.n_pairs),
             codes=np.zeros(mesh.n_pairs, np.int8),
         )
-        pair = next(p for p in mesh.pairs if p.fracture == 0)
-        chain = mesh.chains[0]
-        last_pair = mesh.pairs[[c.pair for c in chain if c.pair is not None][-1]]
-        for p in (pair, last_pair):
+        regular = [p for p in mesh.pairs
+                   if p.fracture == 0 and not p.is_crossing_pair]
+        for p in (regular[0], regular[-1]):
             state.U[2 * p.node_plus : 2 * p.node_plus + 2] = jump
         return mesh, state
 
