@@ -216,6 +216,11 @@ def config_from_dict(raw):
         generator = _fields(generator, "mesh.generator", {
             "width": _number, "height": _number, "nx": _count, "ny": _count,
         }, other=("pattern",))
+        for key in ("width", "height", "nx", "ny"):
+            if generator[key] <= 0:
+                raise ConfigError(
+                    f"mesh.generator.{key}: must be positive, got {generator[key]!r}"
+                )
         if generator.get("pattern", PATTERNS[0]) not in PATTERNS:
             raise ConfigError(f"mesh.generator.pattern: must be one of {PATTERNS}")
     coords = dict.fromkeys(("x0", "y0", "x1", "y1", "gap0"), _number)

@@ -457,9 +457,14 @@ def generate_rect_mesh(width, height, nx, ny, fractures=(), pattern="diagonal"):
     ``pattern="diagonal"`` splits every cell into 2 triangles along the
     bottom-left/top-right diagonal; ``pattern="crossed"`` adds a cell-center
     node and 4 triangles per cell (needed when fractures of both +-45 degree
-    orientations must conform).  Fracture segments must run along grid lines
-    or along the 45-degree lattice directions and their endpoints must land
-    on grid nodes.
+    orientations must conform).
+
+    Fractures follow the lattice.  Its point ``(I, J)``, in half-cell units,
+    sits at ``(I*hx/2, J*hy/2)``: a corner where both indices are even, a
+    cell center (``crossed`` only) where both are odd.  Each endpoint must
+    land on one.  An axis-aligned fracture runs corner to corner along a grid
+    line off the external boundary; a 45-degree one needs square cells, and
+    ``diagonal`` has +45 degree edges only.
     """
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
@@ -467,13 +472,6 @@ def generate_rect_mesh(width, height, nx, ny, fractures=(), pattern="diagonal"):
     hy = height / ny
 
     n_corner = (nx + 1) * (ny + 1)
-
-    def corner(i, j):
-        return j * (nx + 1) + i
-
-    def center(i, j):
-        return n_corner + j * nx + i
-
     xs, ys = np.meshgrid(np.arange(nx + 1) * hx, np.arange(ny + 1) * hy)
     nodes = [np.column_stack([xs.ravel(), ys.ravel()])]
     ids = np.arange(n_corner).reshape(ny + 1, nx + 1)
@@ -493,20 +491,14 @@ def generate_rect_mesh(width, height, nx, ny, fractures=(), pattern="diagonal"):
     snap_tol = 1e-8 * min(hx, hy)
 
     def snap(x, y, what):
-        i = round(x / hx)
-        j = round(y / hy)
-        if 0 <= i <= nx and 0 <= j <= ny:
-            if abs(i * hx - x) <= snap_tol and abs(j * hy - y) <= snap_tol:
-                return ("corner", i, j)
-        if pattern == "crossed":
-            ic = round(x / hx - 0.5)
-            jc = round(y / hy - 0.5)
-            if 0 <= ic < nx and 0 <= jc < ny:
-                if (
-                    abs((ic + 0.5) * hx - x) <= snap_tol
-                    and abs((jc + 0.5) * hy - y) <= snap_tol
-                ):
-                    return ("center", ic, jc)
+        """The lattice index ``(I, J)`` of the point (x, y)."""
+        i, j = round(2 * x / hx), round(2 * y / hy)
+        if (
+            0 <= i <= 2 * nx and 0 <= j <= 2 * ny
+            and i % 2 == j % 2 and (i % 2 == 0 or pattern == "crossed")
+            and abs(i * hx / 2 - x) <= snap_tol and abs(j * hy / 2 - y) <= snap_tol
+        ):
+            return i, j
         raise NonConformingPathError(
             f"{what} ({x}, {y}) does not coincide with a grid node"
         )
@@ -517,7 +509,7 @@ def generate_rect_mesh(width, height, nx, ny, fractures=(), pattern="diagonal"):
             spec = FractureSpec(*spec)
         a = snap(spec.x0, spec.y0, f"fracture {k} start")
         b = snap(spec.x1, spec.y1, f"fracture {k} end")
-        path = _lattice_path(a, b, nx, ny, hx, hy, pattern, corner, center, k)
+        path = _lattice_path(a, b, nx, ny, hx, hy, pattern, k)
         paths.append(FracturePath(id=k, nodes=path, gap0=spec.gap0))
 
     mesh = Mesh(nodes=nodes, elements=elements, fractures=paths)
@@ -525,86 +517,46 @@ def generate_rect_mesh(width, height, nx, ny, fractures=(), pattern="diagonal"):
     return mesh
 
 
-def _lattice_path(a, b, nx, ny, hx, hy, pattern, corner, center, fid):
-    """Walk the lattice from snapped endpoint a to b, returning node ids."""
-    ax = (a[1] + (0.5 if a[0] == "center" else 0.0)) * hx
-    ay = (a[2] + (0.5 if a[0] == "center" else 0.0)) * hy
-    bx = (b[1] + (0.5 if b[0] == "center" else 0.0)) * hx
-    by = (b[2] + (0.5 if b[0] == "center" else 0.0)) * hy
-    dx, dy = bx - ax, by - ay
+def _lattice_path(a, b, nx, ny, hx, hy, pattern, fid):
+    """Node ids of the straight walk from lattice index ``a`` to ``b``.
 
-    horizontal = abs(dy) < 1e-12 * hy
-    vertical = abs(dx) < 1e-12 * hx
-    diagonal = abs(abs(dx) - abs(dy)) < 1e-12 * max(hx, hy)
-
-    if horizontal and vertical:
+    A step is 2 along an axis or a ``diagonal`` cell diagonal, and 1 (half
+    a cell diagonal, corner to center) in ``crossed``.
+    """
+    di, dj = b[0] - a[0], b[1] - a[1]
+    if di == dj == 0:
         raise NonConformingPathError(f"fracture {fid} has zero length")
-
-    if horizontal or vertical:
-        if a[0] != "corner" or b[0] != "corner":
+    if di == 0 or dj == 0:
+        if a[0] % 2 or b[0] % 2:
             raise NonConformingPathError(
                 f"fracture {fid}: axis-aligned fractures must follow grid lines"
             )
-        i0, j0, i1, j1 = a[1], a[2], b[1], b[2]
-        if (i0 == 0 and i1 == 0) or (i0 == nx and i1 == nx) or (
-            j0 == 0 and j1 == 0
-        ) or (j0 == ny and j1 == ny):
+        if (di == 0 and a[0] in (0, 2 * nx)) or (dj == 0 and a[1] in (0, 2 * ny)):
             raise NonConformingPathError(
                 f"fracture {fid} lies along the external boundary"
             )
-        if horizontal:
-            step = 1 if i1 > i0 else -1
-            return [corner(i, j0) for i in range(i0, i1 + step, step)]
-        step = 1 if j1 > j0 else -1
-        return [corner(i0, j) for j in range(j0, j1 + step, step)]
-
-    if not diagonal:
-        raise NonConformingPathError(
-            f"fracture {fid}: direction is neither axis-aligned nor 45 degrees"
-        )
-    if abs(hx - hy) > 1e-12 * max(hx, hy):
-        raise NonConformingPathError(
-            f"fracture {fid}: 45-degree fractures need square cells"
-        )
-
-    sx = 1 if dx > 0 else -1
-    sy = 1 if dy > 0 else -1
-
-    if pattern == "diagonal":
-        # Only the bottom-left/top-right diagonal exists as edges.
-        if sx != sy:
+        stride = 2
+    else:
+        # physical lengths, so non-square cells fail on "square cells" below
+        if abs(abs(di) * hx - abs(dj) * hy) >= 2e-12 * max(hx, hy):
             raise NonConformingPathError(
-                f"fracture {fid}: this lattice has no {'anti-' if sx != sy else ''}"
-                "diagonal edges; use pattern='crossed'"
+                f"fracture {fid}: direction is neither axis-aligned nor 45 degrees"
             )
-        if a[0] != "corner" or b[0] != "corner":
+        if abs(hx - hy) > 1e-12 * max(hx, hy):
             raise NonConformingPathError(
-                f"fracture {fid}: diagonal-pattern fractures start on corners"
+                f"fracture {fid}: 45-degree fractures need square cells"
             )
-        n_hops = abs(round(dx / hx))
-        return [corner(a[1] + sx * k, a[2] + sy * k) for k in range(n_hops + 1)]
-
-    # crossed pattern: hop alternates corner <-> center along the diagonal
-    n_hops = abs(round(2.0 * dx / hx))
-    path = []
-    kind, i, j = a
-    for _ in range(n_hops + 1):
-        if kind == "corner":
-            path.append(corner(i, j))
-            # move half a cell to the next center
-            ic = i if sx > 0 else i - 1
-            jc = j if sy > 0 else j - 1
-            if not (0 <= ic < nx and 0 <= jc < ny):
-                ic = jc = None
-            kind, i, j = "center", ic, jc
-        else:
-            if i is None:
-                raise NonConformingPathError(
-                    f"fracture {fid} leaves the domain"
-                )
-            path.append(center(i, j))
-            kind, i, j = "corner", i + (1 if sx > 0 else 0), j + (1 if sy > 0 else 0)
-    return path
+        if pattern == "diagonal" and (di > 0) != (dj > 0):
+            raise NonConformingPathError(
+                f"fracture {fid}: this lattice has no anti-diagonal edges; "
+                "use pattern='crossed'"
+            )
+        stride = 2 if pattern == "diagonal" else 1
+    n = max(abs(di), abs(dj)) // stride
+    k = np.arange(n + 1)
+    i, j = a[0] + k * (di // n), a[1] + k * (dj // n)
+    odd = i % 2  # a cell center: its ids follow the (nx+1)*(ny+1) corners
+    return (odd * (nx + 1) * (ny + 1) + j // 2 * (nx + 1 - odd) + i // 2).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .solver import SolverConfig
 
 def inclined_crack(
     sigma=10e6,
-    alpha=math.pi / 4,
     pressure=0.0,
     shear=0.0,
     k_hops=22,
@@ -42,14 +41,9 @@ def inclined_crack(
 
     The crack conforms to the crossed lattice with ``k_hops`` corner/center
     hops over its full length (k_hops must be even).  Other inclinations
-    need an externally supplied mesh, the structured lattice only carries
-    axis-aligned and 45-degree paths.
+    need a mesh file, the structured lattice only carries axis-aligned and
+    45-degree paths.
     """
-    if abs(alpha - math.pi / 4) > 1e-12:
-        raise ConfigError(
-            "alpha: the structured lattice only conforms at 45 degrees; "
-            "supply a mesh file for other inclinations"
-        )
     if k_hops % 2:
         raise ConfigError("k_hops must be even")
     if nx % 2:

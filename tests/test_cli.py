@@ -149,6 +149,10 @@ MALFORMED = [
     (("mesh", "fractures"), {"x0": 0.0}, "mesh.fractures"),
     (("name",), None, "name"),
     (("name",), [1], "name"),
+    (("mesh", "generator", "nx"), 0, "mesh.generator.nx"),
+    (("mesh", "generator", "nx"), -4, "mesh.generator.nx"),
+    (("mesh", "generator", "width"), 0.0, "mesh.generator.width"),
+    (("mesh", "generator", "width"), -1.0, "mesh.generator.width"),
 ]
 
 # (keys, the section whose unknown key the error names)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from fracfem.mesh import (
     BOUNDARY_SIDES,
+    PATTERNS,
     FracturePath,
     FractureSpec,
     Mesh,
@@ -59,6 +60,25 @@ def bow_tie_mesh():
                 fractures=[FracturePath(id=0, nodes=[0, 1])])
 
 
+# sha256 of TestGenerator.test_lattice_paths_pinned's walk, recorded while
+# the generator walked its paths in float coordinates: square cells, cells
+# twice as high as wide and cells twice as wide as high
+LATTICE_PATH_DIGESTS = {
+    (4.0, 4.0, 4, 4, "diagonal"):
+        "4a41cce5cfacc7b10551e7c7387bcf2deacdd16b1ee059896262b05d3bc7d709",
+    (4.0, 4.0, 4, 4, "crossed"):
+        "c8efe1a7d975072b4fa303be277f8a52de2ebf8f166ae64bde7f60418b0e1ae2",
+    (3.0, 4.0, 3, 2, "diagonal"):
+        "c1844fd3a95f0345140406db42fdf89cf2f59359a9197aa3d6a49aa4d5073ddc",
+    (3.0, 4.0, 3, 2, "crossed"):
+        "ec2c72f889d0cc1ee7db04017a9d3d27e11d7548459b568fb02f8e44e56560e6",
+    (2.0, 1.0, 2, 2, "diagonal"):
+        "410f472fc2631754fbeff38e91b742940902515d416537ab728ec051328e66a3",
+    (2.0, 1.0, 2, 2, "crossed"):
+        "fdec505cf72df026a0899fccd4967049c7d7af6122fd1459d619c2e7a0850b67",
+}
+
+
 class TestGenerator:
     def test_unit_square_diagonal(self):
         m = generate_rect_mesh(1.0, 1.0, 1, 1)
@@ -99,24 +119,73 @@ class TestGenerator:
         assert np.all(m.signed_areas() > 0)
 
     def test_antidiagonal_needs_crossed_pattern(self):
-        with pytest.raises(NonConformingPathError):
+        with pytest.raises(NonConformingPathError,
+                           match="fracture 0: this lattice has no anti-diagonal edges"):
             generate_rect_mesh(2.0, 2.0, 10, 10, fractures=[(0.4, 1.6, 1.6, 0.4)])
         m = generate_rect_mesh(
             2.0, 2.0, 10, 10, fractures=[(0.4, 1.6, 1.6, 0.4)], pattern="crossed"
         )
         assert len(m.fractures[0].nodes) == 13  # 12 half-diagonal hops
 
-    def test_off_grid_endpoint_rejected(self):
-        with pytest.raises(NonConformingPathError):
-            generate_rect_mesh(1.0, 1.0, 4, 4, fractures=[(0.13, 0.5, 0.75, 0.5)])
+    @pytest.mark.parametrize("fracture, pattern, message", [
+        ((0.13, 0.5, 0.75, 0.5), "diagonal",
+         r"^fracture 0 start \(0.13, 0.5\) does not coincide with a grid node$"),
+        # a cell center exists on the crossed lattice only
+        ((0.25, 0.5, 0.125, 0.125), "diagonal",
+         r"^fracture 0 end \(0.125, 0.125\) does not coincide"),
+        # half a cell off in x only: neither a corner nor a center
+        ((0.125, 0.25, 0.75, 0.75), "crossed",
+         r"^fracture 0 start \(0.125, 0.25\) does not coincide"),
+        ((0.25, 0.5, 1.25, 0.5), "diagonal", r"^fracture 0 end \(1.25, 0.5\)"),
+        ((0.5, 0.5, 0.5, 0.5), "diagonal", r"^fracture 0 has zero length$"),
+        ((0.125, 0.375, 0.625, 0.375), "crossed",
+         r"^fracture 0: axis-aligned fractures must follow grid lines$"),
+        ((0.0, 0.25, 1.0, 0.75), "diagonal",
+         r"^fracture 0: direction is neither axis-aligned nor 45 degrees$"),
+        ((0.0, 0.0, 1.0, 0.0), "diagonal",
+         r"^fracture 0 lies along the external boundary$"),
+        ((1.0, 0.25, 1.0, 0.75), "crossed",
+         r"^fracture 0 lies along the external boundary$"),
+    ], ids=["off-grid", "center-on-diagonal", "half-cell-x", "outside", "zero-length",
+            "between-grid-lines", "not-45", "bottom-side", "right-side"])
+    def test_non_conforming_fracture_rejected(self, fracture, pattern, message):
+        with pytest.raises(NonConformingPathError, match=message):
+            generate_rect_mesh(1.0, 1.0, 4, 4, fractures=[fracture], pattern=pattern)
 
-    def test_non_45_direction_rejected(self):
-        with pytest.raises(NonConformingPathError):
-            generate_rect_mesh(2.0, 2.0, 4, 4, fractures=[(0.0, 0.5, 2.0, 1.5)])
+    def test_45_degrees_needs_square_cells(self):
+        # cells 0.5 x 1: (0.5, 1) -> (1.5, 2) is 45 degrees in space but two
+        # cells wide per cell high; equal cell counts are not 45 degrees
+        square = r"^fracture 0: 45-degree fractures need square cells$"
+        for pattern in PATTERNS:
+            with pytest.raises(NonConformingPathError, match=square):
+                generate_rect_mesh(2.0, 4.0, 4, 4, fractures=[(0.5, 1.0, 1.5, 2.0)],
+                                   pattern=pattern)
+            with pytest.raises(NonConformingPathError, match="neither axis-aligned"):
+                generate_rect_mesh(2.0, 4.0, 4, 4, fractures=[(0.5, 1.0, 1.5, 3.0)],
+                                   pattern=pattern)
 
-    def test_boundary_fracture_rejected(self):
-        with pytest.raises(NonConformingPathError):
-            generate_rect_mesh(1.0, 1.0, 4, 4, fractures=[(0.0, 0.0, 1.0, 0.0)])
+    def test_rejection_names_the_fracture(self):
+        with pytest.raises(NonConformingPathError, match=r"^fracture 1 has zero length$"):
+            generate_rect_mesh(1.0, 1.0, 4, 4,
+                               fractures=[(0.25, 0.5, 0.75, 0.5), (0.5, 0.25, 0.5, 0.25)])
+
+    @pytest.mark.parametrize("width, height, nx, ny, pattern", sorted(LATTICE_PATH_DIGESTS))
+    def test_lattice_paths_pinned(self, width, height, nx, ny, pattern):
+        """Every ordered pair of half-cell lattice points as one fracture:
+        the path's node ids, or the message that rejects it."""
+        points = [(i * width / (2 * nx), j * height / (2 * ny))
+                  for j in range(2 * ny + 1) for i in range(2 * nx + 1)]
+        h = hashlib.sha256()
+        for a in points:
+            for b in points:
+                try:
+                    m = generate_rect_mesh(width, height, nx, ny,
+                                           fractures=[(*a, *b)], pattern=pattern)
+                except NonConformingPathError as exc:
+                    h.update(str(exc).encode())
+                else:  # repr tells Python ints from NumPy ones
+                    h.update(repr(m.fractures[0].nodes).encode())
+        assert h.hexdigest() == LATTICE_PATH_DIGESTS[width, height, nx, ny, pattern]
 
 
 class TestMeshFile:
