@@ -12,11 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import select_boundary_edges
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; message carries the offending field path."""
+from .mesh import ConfigError, select_boundary_edges
 
 
 @dataclass(frozen=True)
@@ -184,10 +180,13 @@ def full_stiffness(K):
     return K + sp.triu(K, 1).T
 
 
-def symmetric_product(K, u):
+def symmetric_product(K, u, diagonal=None):
     """``K u`` for the symmetric stiffness of which ``K`` stores the upper
-    triangle (:func:`assemble_stiffness`)."""
-    return K @ u + K.T @ u - K.diagonal() * u
+    triangle (:func:`assemble_stiffness`); ``diagonal`` is
+    ``K.diagonal()``, formed here when not given."""
+    if diagonal is None:
+        diagonal = K.diagonal()
+    return K @ u + K.T @ u - diagonal * u
 
 
 def element_stresses(mesh, mat, U):

@@ -28,6 +28,7 @@ copies, instantiated once per fracture with that fracture's frame, are the
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -39,6 +40,11 @@ BOUNDARY_SIDES = ("left", "right", "bottom", "top")
 PATTERNS = ("diagonal", "crossed")  # generate_rect_mesh triangulations
 # boundary-side tolerance, relative to the larger span of the bounding box
 SIDE_TOL = 1e-9
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration; message carries the offending field path
+    (or the argument, for a function called with an invalid one)."""
 
 
 class MeshFormatError(ValueError):
@@ -465,9 +471,22 @@ def generate_rect_mesh(width, height, nx, ny, fractures=(), pattern="diagonal"):
     land on one.  An axis-aligned fracture runs corner to corner along a grid
     line off the external boundary; a 45-degree one needs square cells, and
     ``diagonal`` has +45 degree edges only.
+
+    ``width`` and ``height`` must be positive finite numbers and ``nx`` and
+    ``ny`` positive integers, else a :class:`ConfigError` names the argument.
     """
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
+    for name, value, count in (
+        ("width", width, False), ("height", height, False),
+        ("nx", nx, True), ("ny", ny, True),
+    ):
+        kind = numbers.Integral if count else numbers.Real
+        if isinstance(value, bool) or not (
+            isinstance(value, kind) and math.isfinite(value) and value > 0
+        ):
+            what = "a positive integer" if count else "positive and finite"
+            raise ConfigError(f"generate_rect_mesh: {name} must be {what}, got {value!r}")
     hx = width / nx
     hy = height / ny
 

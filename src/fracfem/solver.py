@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import ctypes
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,7 +140,7 @@ class SaddleSystem:
     otherwise leave the assembled Jacobian with a condition number around
     1e13 that no row equilibration can repair.  All public quantities stay
     physical; only this system and its increments live in the scaled
-    variable.  ``blocks`` are the contact blocks ``J`` was built from, for
+    variable.  ``blocks`` are the contact blocks ``J`` is built from, for
     the state codes ``codes`` (a copy of the iterate's own);
     :func:`newton_loop` forms the residual after its solve from them, and
     :class:`SystemCache` compares ``codes`` to tell which pairs' rows and
@@ -146,8 +148,10 @@ class SaddleSystem:
     :func:`build_system` returns ``J`` in CSC, the form SuperLU factors.  A
     :class:`SystemCache` turns that very matrix into ``Jbar = diag(1/pc) J``
     (``pc`` its row norms, :func:`build_preconditioner`) when it makes the
-    system's solver, so a system it built holds None there from then on.
-    A system assembled by hand may give a CSR ``J``.
+    system's solver, so a system it built holds None there from then on; a
+    system it borders holds None from the start, as its ``J`` is never
+    formed (:class:`_ScaledSaddle`).  A system assembled by hand may give a
+    CSR ``J``.
     """
 
     J: sp.csc_matrix | sp.csr_matrix | None
@@ -176,11 +180,12 @@ def step_data(mesh, bcs, step, n_steps):
     return F, fixed, fixed_vals, np.flatnonzero(is_free)
 
 
-def _reduced_residual(K, blocks, F, U, lam, free, s):
+def _reduced_residual(K, blocks, F, U, lam, free, s, diagonal):
     """(scaled, physical) residual on the free dofs and the multipliers;
-    ``K`` is the stiffness's upper triangle (:func:`symmetric_product`)."""
+    ``K`` is the stiffness's upper triangle and ``diagonal`` its diagonal,
+    or None (:func:`symmetric_product`)."""
     ru_c, rlam = contact_residuals(blocks, U, lam)
-    ru = (symmetric_product(K, U) + ru_c - F)[free]
+    ru = (symmetric_product(K, U, diagonal) + ru_c - F)[free]
     return np.concatenate([ru, s * rlam]), np.concatenate([ru, rlam])
 
 
@@ -268,10 +273,27 @@ def _saddle_matrix(K, blocks, free, s):
     )
 
 
-def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
+def _system_without_J(K, blocks, F, state, free, s, diagonal):
+    """The :class:`SaddleSystem` of ``blocks`` at ``state``'s iterate with its
+    residual, but no ``J``."""
+    R, R_phys = _reduced_residual(K, blocks, F, state.U, state.lam, free, s, diagonal)
+    return SaddleSystem(
+        J=None,
+        R=R,
+        free=free,
+        blocks=blocks,
+        mult_scale=s,
+        R_phys=R_phys,
+        codes=state.codes.copy(),
+    )
+
+
+def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None,
+                 diagonal=None):
     """Assemble the reduced saddle system for the current codes/iterate.
 
-    ``K`` is the stiffness's upper triangle (:func:`assemble_stiffness`);
+    ``K`` is the stiffness's upper triangle (:func:`assemble_stiffness`) and
+    ``diagonal`` its diagonal (formed here when not given);
     ``F``, ``fixed`` and ``free`` come from :func:`step_data`; ``blocks``
     are the contact blocks of ``state.codes`` on ``fixed`` (built here when
     not given).  ``J`` is formed once, in CSC, straight from the arrays of
@@ -285,17 +307,9 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None):
         blocks = assemble_contact_blocks(mesh, state.codes, fric, fixed_dofs=fixed)
 
     s = mat.E  # multiplier nondimensionalization (see SaddleSystem docs)
-    R, R_phys = _reduced_residual(K, blocks, F, state.U, state.lam, free, s)
-
-    return SaddleSystem(
-        J=_saddle_matrix(K, blocks, free, s),
-        R=R,
-        free=free,
-        blocks=blocks,
-        mult_scale=s,
-        R_phys=R_phys,
-        codes=state.codes.copy(),
-    )
+    sys = _system_without_J(K, blocks, F, state, free, s, diagonal)
+    sys.J = _saddle_matrix(K, blocks, free, s)
+    return sys
 
 
 def _dof_description(sys, row):
@@ -307,23 +321,32 @@ def _dof_description(sys, row):
     return f"multiplier dof of pair {k // 2} ({'normal' if k % 2 == 0 else 'tangential'})"
 
 
+def _checked_norms(sys, sums, rows=None):
+    """The square roots of the row sums of squares ``sums`` of the rows
+    ``rows`` (all rows when None) of ``sys``'s Jacobian; a zero row is a
+    SingularRowError that names its dof."""
+    norms = np.sqrt(sums)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        row = zero[0] if rows is None else rows[zero[0]]
+        raise SingularRowError(f"zero Jacobian row: {_dof_description(sys, int(row))}")
+    return norms
+
+
 def build_preconditioner(sys):
     """Row 2-norms of the assembled Jacobian, the left scaling of the solve.
 
     Returns one vector over all rows (displacement rows, then multiplier
     rows); a zero row is an error.  The squares of each row are summed in
     column order, from the arrays of ``J`` in CSC (a CSR ``J`` assembled by
-    hand is converted first), without forming ``J∘J``.  A row that stores
-    only zeros, or values whose squares underflow, is a zero row.
+    hand is converted first), as the product of the CSC matrix of the
+    squares, on J's own index arrays, with a vector of ones: no ``J∘J`` and
+    no copy of the indices is formed.  A row that stores only zeros, or
+    values whose squares underflow, is a zero row.
     """
     J = sys.J.tocsc()
-    norms = np.sqrt(np.bincount(J.indices, J.data * J.data, minlength=J.shape[0]))
-    zero = np.where(norms == 0.0)[0]
-    if zero.size:
-        raise SingularRowError(
-            f"zero Jacobian row: {_dof_description(sys, int(zero[0]))}"
-        )
-    return norms
+    squares = sp.csc_matrix((J.data * J.data, J.indices, J.indptr), shape=J.shape)
+    return _checked_norms(sys, squares @ np.ones(J.shape[1]))
 
 
 def _same_bits(a, b):
@@ -340,27 +363,34 @@ def _scale_rows(J, pc):
     return J
 
 
-def _signs(Jbar):
-    """The sign of each stored value of ``Jbar``, +1 or -1 as ``int8``: one
+def _signs(A):
+    """The sign of each stored value of ``A``, +1 or -1 as ``int8``: one
     byte per entry, where a copy of the values takes eight."""
-    signs = np.signbit(Jbar.data).view(np.int8)
+    signs = np.signbit(A.data).view(np.int8)
     signs *= -2
     signs += 1
     return signs
 
 
-def _abs_product(Jbar, v, signs):
-    """``|Jbar| v`` with no copy of ``Jbar``'s values: they are multiplied
-    in place by their ``signs`` (:func:`_signs`) for the product and back
-    after it.  Multiplying by -1 is exact, so both the product and the
-    restored values have the bits of the product with ``|Jbar|`` and of
-    ``Jbar`` (for every value but a NaN, whose sign a product keeps)."""
-    data = Jbar.data
-    np.multiply(data, signs, out=data)
+@contextmanager
+def _abs_values(A, signs):
+    """``A`` with its stored values made nonnegative in place by their
+    ``signs`` (:func:`_signs`) inside the block and restored after it.
+    Multiplying by -1 is exact, so the values inside have the bits of
+    ``|A|``'s and those restored ``A``'s (for every value but a NaN, whose
+    sign a product keeps)."""
+    np.multiply(A.data, signs, out=A.data)
     try:
-        return Jbar @ v
+        yield A
     finally:
-        np.multiply(data, signs, out=data)
+        np.multiply(A.data, signs, out=A.data)
+
+
+def _abs_product(Jbar, v, signs):
+    """``|Jbar| v`` with no copy of ``Jbar``'s values (:func:`_abs_values`):
+    the bits of the product with a copy of ``|Jbar|``."""
+    with _abs_values(Jbar, signs):
+        return Jbar @ v
 
 
 def _splu(Jbar):
@@ -376,7 +406,8 @@ def _splu(Jbar):
 
 def _refined_solve(Jbar, lu, rhs):
     """``dx`` of ``Jbar dx = rhs`` with the solver ``lu``, refined until its
-    backward error meets the 1e-10 contract, else a LinearSolveError."""
+    backward error meets the 1e-10 contract, else a LinearSolveError.
+    ``Jbar`` is a CSC matrix or a :class:`_ScaledSaddle`."""
     dx = lu.solve(rhs)
     # Accuracy control on the row-equilibrated system, where every row is
     # O(1): the backward error |Jbar dx - rhs| / (|rhs| + |Jbar||dx|).
@@ -385,10 +416,13 @@ def _refined_solve(Jbar, lu, rhs):
     # larger than the residual; iterative refinement with the same
     # factorization recovers the digits a single pass loses.
     rhs_norm = _norm(rhs)
-    signs = _signs(Jbar)
+    if isinstance(Jbar, _ScaledSaddle):
+        abs_product = Jbar.abs_product
+    else:
+        abs_product = partial(_abs_product, Jbar, signs=_signs(Jbar))
 
     def backward_error(v):
-        denom = rhs_norm + _norm(_abs_product(Jbar, np.abs(v), signs))
+        denom = rhs_norm + _norm(abs_product(np.abs(v)))
         return _norm(Jbar @ v - rhs) / denom
 
     rel = backward_error(dx)
@@ -464,20 +498,21 @@ class _Base:
             return None
         return R
 
-    def bordered_solver(self, sys, pc, R):
-        """A :class:`_Bordered` solver of ``sys.J`` (CSC, not yet scaled)
-        on the dofs ``R`` that :meth:`border` gave, or None when the
-        nonzero columns of ``J_NR`` overrun the budget or the bordered
-        blocks are singular.
+    def bordered_solver(self, G, pc, R):
+        """A :class:`_Bordered` solver, on the dofs ``R`` that :meth:`border`
+        gave, of the system whose (unscaled) ``J`` has the rows and columns
+        ``R`` of ``G`` (:attr:`_ScaledSaddle.G`, as ``R`` are multiplier
+        dofs), or None when the nonzero columns of ``J_NR`` overrun the
+        budget or the bordered blocks are singular.
 
         The right-hand sides of ``Z = J0^-1 E_R`` and of ``J0^-1 J_NR`` are
         formed already divided by the base's row norms, as :meth:`solve`
         would divide them, and handed straight to SuperLU, whose own copy
         is the solution: each block exists twice at most."""
-        J, n = sys.J, sys.J.shape[0]
+        n = G.shape[0]
         in_R = np.zeros(n, dtype=bool)
         in_R[R] = True
-        JR = J[:, R].tocoo()  # J_NR: its entries in rows outside R
+        JR = G[:, R].tocoo()  # J_NR: its entries in rows outside R
         keep = ~in_R[JR.row]
         nz = np.unique(JR.col[keep])  # positions in R of nonzero J_NR columns
         if self._over_budget(R, nz.size):
@@ -490,7 +525,7 @@ class _Base:
         Y = np.zeros((n, nz.size))
         Y[at, np.searchsorted(nz, JR.col[keep])] = JR.data[keep] / self.pc[at]
         Y = self.lu.solve(Y)
-        J_R = J[R]
+        J_R = G[R]
         rows = J_R.tocoo()
         out = ~in_R[rows.col]
         J_RN = sp.csr_matrix(
@@ -545,49 +580,143 @@ class _Bordered:
         return x
 
 
+def _stiffness_rows(K, dofs, is_free, free):
+    """COO ``(row, column, value)`` of the rows ``dofs`` (sorted) of the
+    symmetric stiffness whose upper triangle ``K`` holds, on the free
+    columns, numbered as ``J`` numbers them; row ``k`` is ``dofs[k]``'s.
+    A row's entries left of its diagonal are its column in ``K``, the rest
+    its row."""
+    lower = K[:, dofs].tocoo()
+    left = lower.row < dofs[lower.col]
+    upper = K[dofs].tocoo()
+    rows = np.concatenate([lower.col[left], upper.row])
+    cols = np.concatenate([lower.row[left], upper.col])
+    vals = np.concatenate([lower.data[left], upper.data])
+    keep = is_free[cols]
+    return rows[keep], np.searchsorted(free, cols[keep]), vals[keep]
+
+
+class _ScaledSaddle:
+    """``Jbar = diag(1/pc) J`` of a saddle system as an operator, with no
+    ``J``: its displacement block ``K_ff`` is read from the stiffness's
+    upper triangle ``K`` with its ``diagonal`` (:func:`symmetric_product`
+    on the displacement part padded to all dofs), and every other entry
+    from ``G = [[0, s B_up[free]], [s C[:, free], s² D]]``, in CSR with the
+    bits of ``J``'s entries (:func:`_saddle_matrix`), so ``J``'s multiplier
+    rows and columns are ``G``'s.  ``pc`` is set by :meth:`row_norms`.
+    ``rows`` are the rows whose entries can differ between two systems on
+    ``free``: the free pair dofs' and the multipliers'; every other row is a
+    row of ``K_ff`` alone.
+    """
+
+    def __init__(self, K, diagonal, blocks, free, s, pair_dofs):
+        self.K, self.diagonal, self.free = K, diagonal, free
+        self.G = sp.bmat([
+            [None, s * blocks.B_up[free]], [s * blocks.C[:, free], (s * s) * blocks.D]
+        ], format="csr")
+        self.shape = self.G.shape
+        self.signs = _signs(K)
+        self.is_free = np.zeros(K.shape[0], dtype=bool)
+        self.is_free[free] = True
+        dofs = np.unique(pair_dofs)
+        self.dofs = dofs[self.is_free[dofs]]
+        self.rows = np.concatenate([
+            np.searchsorted(free, self.dofs), np.arange(free.size, self.shape[0])
+        ])
+        self.pc = None
+
+    def row_norms(self, sys, pc):
+        """The row norms of ``J`` from ``pc``, those of a system on the same
+        free dofs, with ``rows`` summed again; kept as ``pc``.  Each row's
+        squares are summed in column order, K's then G's, as
+        :func:`build_preconditioner` sums them on the ``J`` that
+        :func:`_saddle_matrix` forms, so the norms have its bits.  A zero
+        row is a SingularRowError."""
+        n = self.shape[0]
+        k_rows, k_cols, k_vals = _stiffness_rows(self.K, self.dofs, self.is_free, self.free)
+        g = self.G[self.rows].tocoo()
+        vals = np.concatenate([k_vals, g.data])
+        at = np.concatenate([k_rows, g.row]), np.concatenate([k_cols, g.col])
+        squares = sp.csr_matrix((vals * vals, at), shape=(self.rows.size, n))
+        norms = _checked_norms(sys, squares @ np.ones(n), self.rows)
+        self.pc = pc.copy()
+        self.pc[self.rows] = norms
+        return self.pc
+
+    def _stiffness_product(self, v, diagonal):
+        """``K_ff`` times the displacement part of ``v``."""
+        u = np.zeros(self.K.shape[0])
+        u[self.free] = v[: self.free.size]
+        return symmetric_product(self.K, u, diagonal)[self.free]
+
+    def __matmul__(self, v):
+        out = self.G @ v
+        out[: self.free.size] += self._stiffness_product(v, self.diagonal)
+        out /= self.pc
+        return out
+
+    def abs_product(self, v):
+        """``|Jbar| v``, with K's values made nonnegative in place for the
+        product (:func:`_abs_values`), not copied."""
+        out = abs(self.G) @ v
+        with _abs_values(self.K, self.signs):
+            out[: self.free.size] += self._stiffness_product(v, np.abs(self.diagonal))
+        out /= self.pc
+        return out
+
+
 class SystemCache:
     """The saddle systems and factorizations of one run.
 
     It owns ``K`` (the stiffness's upper triangle, as
-    :func:`assemble_stiffness` returns it), the rank probe, the last system
-    built with its row norms ``pc``, that system's ``Jbar``, the solver
-    ``lu`` serving it, and the base, the last fresh factorization
-    (:class:`_Base`).  Each system's matrix exists once: the CSC ``J``
-    that :func:`build_system` forms becomes its ``Jbar`` in place when its
-    solver is made, and the system drops ``J`` then (:meth:`_factor`).
-    K's free block is not kept: :func:`build_system` forms ``J`` from K's
-    arrays once per new assignment, and only ``J`` holds it.  Mesh,
-    material and friction must not change under it, and :meth:`solve`
-    solves only the system that :meth:`system` returned last.
+    :func:`assemble_stiffness` returns it) with its ``diagonal``, formed
+    once, the rank probe, the last system built with its row norms ``pc``,
+    that system's ``Jbar``, the solver ``lu`` serving it, and the base, the
+    last fresh factorization (:class:`_Base`).  Each system's matrix exists
+    once at most: the CSC ``J`` that :func:`build_system` forms becomes its
+    ``Jbar`` in place when its solver is made, and the system drops ``J``
+    then (:meth:`_fresh_factor`).  K's free block is not kept: :func:`build_system`
+    forms ``J`` from K's arrays once per fresh factorization, and only
+    ``J`` holds it.  Mesh, material and friction must not change under it,
+    and :meth:`solve` solves only the system that :meth:`system` returned
+    last.
 
     What serves a solve is decided once, in :meth:`system`.  A state loop
     whose state codes and free dofs repeat the last system's reuses its blocks,
     ``Jbar``, ``pc`` and solver, and only its residual is formed again.  For a
-    new assignment, as soon as its contact blocks exist and before its ``J``
-    does, the last system, its ``Jbar`` and its solver are dropped, and the
-    base gives the multiplier dofs ``R`` of the pairs that flipped since it
+    new assignment, as soon as its contact blocks exist, the last system,
+    its ``Jbar`` and its solver are dropped, and the base gives the
+    multiplier dofs ``R`` of the pairs that flipped since it
     (:meth:`_Base.border`).  Only their rows and columns differ, as one run
     and one ``free`` share one displacement block ``K[free][:, free]``, so
-    ``J`` is solved by bordering the base on ``R`` (:class:`_Bordered`);
-    when the base cannot border it, the base is dropped too and
-    :meth:`solve` factors afresh.  At most one factorization is alive at a
-    time.  Every new solver, fresh or bordered, has its rank probed once
-    (:meth:`check_rank`).  A bordered solver that fails that probe or misses
-    the backward-error contract (a base whose displacement block differs
-    after all) is replaced by a fresh factorization, so only that one
-    raises.
+    ``J`` is solved by bordering the base on ``R`` (:class:`_Bordered`), and
+    never formed: the system's ``Jbar`` is a :class:`_ScaledSaddle`, whose
+    row norms are the base's but on the rows that contact touches.  When
+    the base cannot border it, the base is dropped too, :func:`build_system`
+    forms ``J`` and :meth:`solve` factors afresh.  At most one
+    factorization is alive at a time.  Every new solver, fresh or bordered,
+    has its rank probed once (:meth:`check_rank`).  A bordered solver that
+    fails that probe or misses the backward-error contract (a base whose
+    displacement block differs after all) is replaced by a fresh
+    factorization, of the ``J`` formed then, so only that one raises.
     """
 
     def __init__(self, K):
         self.K = K
+        self.diagonal = K.diagonal()
         self.probe = None
         self.clear()
 
     def clear(self):
-        """Drop every system, matrix and factorization but ``K`` and the rank
-        probe: the next system is served as by a new cache."""
+        """Drop every system, matrix and factorization but ``K`` with its
+        diagonal and the rank probe: the next system is served as by a new
+        cache."""
         self.sys = self.pc = None
         self.Jbar = self.lu = self.base = self.border_dofs = None
+
+    def residual(self, blocks, F, U, lam, free, s):
+        """:func:`_reduced_residual` on ``K`` and its one ``diagonal``."""
+        return _reduced_residual(self.K, blocks, F, U, lam, free, s, self.diagonal)
 
     def _repeats(self, codes, free):
         """True when the last system was built for ``codes`` and ``free``."""
@@ -599,15 +728,14 @@ class SystemCache:
 
     def system(self, mesh, mat, fric, state, F, fixed, free):
         """The :class:`SaddleSystem` of ``state``, as :func:`build_system`
-        returns it."""
+        returns it, but with no ``J`` when the base borders it."""
         if self._repeats(state.codes, free):
-            blocks, s = self.sys.blocks, self.sys.mult_scale
-            R, R_phys = _reduced_residual(
-                self.K, blocks, F, state.U, state.lam, free, s
+            R, R_phys = self.residual(
+                self.sys.blocks, F, state.U, state.lam, free, self.sys.mult_scale
             )
             return replace(self.sys, R=R, R_phys=R_phys)
         blocks = assemble_contact_blocks(mesh, state.codes, fric, fixed_dofs=fixed)
-        # free what the new system cannot use before its J
+        # free what the new system cannot use before it is built
         self.sys = self.pc = self.Jbar = self.lu = None
         self.border_dofs = (
             None if self.base is None
@@ -615,48 +743,61 @@ class SystemCache:
         )
         if self.border_dofs is None:
             self.base = None
-        self.sys = build_system(
-            mesh, mat, fric, state, self.K, F, fixed, free, blocks=blocks
+            self.sys = build_system(mesh, mat, fric, state, self.K, F, fixed, free,
+                                    blocks=blocks, diagonal=self.diagonal)
+            return self.sys
+        s = mat.E
+        self.sys = _system_without_J(self.K, blocks, F, state, free, s, self.diagonal)
+        self.Jbar = _ScaledSaddle(
+            self.K, self.diagonal, blocks, free, s, mesh.pair_arrays.dofs
         )
         return self.sys
 
     def preconditioner(self):
-        """:func:`build_preconditioner` of the last system, built once."""
+        """The row norms of the last system, built once: from the base's
+        for a bordered system (:meth:`_ScaledSaddle.row_norms`), else
+        :func:`build_preconditioner`."""
         if self.pc is None:
-            self.pc = build_preconditioner(self.sys)
+            if isinstance(self.Jbar, _ScaledSaddle):
+                self.pc = self.Jbar.row_norms(self.sys, self.base.pc)
+            else:
+                self.pc = build_preconditioner(self.sys)
         return self.pc
 
     def _factor(self, sys):
         """Make ``lu`` solve ``diag(1/pc) J x = r`` for the last system
         (``sys`` is it or a copy of it with another residual): the base
         bordered on ``border_dofs``, or else a fresh factorization that
-        becomes the base; then probe its rank.
-
-        The bordered solver reads its blocks of ``J`` first.  Then ``J``
-        is scaled into ``Jbar`` in place, and both systems drop it: no
-        system keeps an unscaled ``J`` once its solver exists.  Before a
-        fresh factorization the freed heap is handed back
-        (:func:`_release_heap`), so SuperLU's factor does not land on the
-        holes that earlier arrays left in the heap.  The heap is handed back
-        once more after the factorization, whose freed workspace would
-        otherwise stay resident beside the factor while the rank probe and
-        the refinement allocate on top of it.  ``Jbar`` is formed once per
-        system, so a bordered solver's fallback to a fresh factorization
-        reuses it."""
+        becomes the base (:meth:`_fresh_factor`); then probe its rank."""
         R = self.border_dofs
-        lu = None if R is None else self.base.bordered_solver(self.sys, self.pc, R)
-        if lu is None:
-            self.base = None
-        if self.Jbar is None:
-            self.Jbar = _scale_rows(self.sys.J, self.pc)
-            self.sys.J = sys.J = None
-        if lu is None:
-            _release_heap()
-            lu = _splu(self.Jbar)
-            _release_heap()
-            self.base = _Base(self.sys, self.pc, lu)
-        self.lu = lu
+        lu = None if R is None else self.base.bordered_solver(self.Jbar.G, self.pc, R)
+        self.lu = self._fresh_factor(sys) if lu is None else lu
         self.check_rank()
+
+    def _fresh_factor(self, sys):
+        """A fresh factorization of ``Jbar``, which becomes the base.
+
+        The base is dropped first.  A bordered system's ``J`` is formed
+        only now, in place of its :class:`_ScaledSaddle`.  ``J`` is scaled
+        into ``Jbar`` in place, and both systems drop it: no system keeps an
+        unscaled ``J`` once its solver exists.  Before the factorization
+        the freed heap is handed back (:func:`_release_heap`), so SuperLU's
+        factor does not land on the holes that earlier arrays left in the
+        heap.  The heap is handed back once more after it, as its freed
+        workspace would otherwise stay resident beside the factor while the
+        rank probe and the refinement allocate on top of it."""
+        self.lu = self.base = None
+        J = self.sys.J
+        if J is None:
+            self.Jbar = None
+            J = _saddle_matrix(self.K, self.sys.blocks, self.sys.free, self.sys.mult_scale)
+        self.sys.J = sys.J = None
+        self.Jbar = _scale_rows(J, self.pc)
+        _release_heap()
+        lu = _splu(self.Jbar)
+        _release_heap()
+        self.base = _Base(self.sys, self.pc, lu)
+        return lu
 
     def solve(self, sys):
         """``dx`` of ``J dx = -R`` for ``sys``, the system :meth:`system`
@@ -833,9 +974,7 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, codes, step,
             lam += sys.mult_scale * dx[free.size :]
             lam[sys.blocks.pinned] = 0.0  # identity rows solve to exactly 0
             result.newton_iters += 1
-            _, R_phys = _reduced_residual(
-                systems.K, sys.blocks, F, U, lam, free, sys.mult_scale
-            )
+            _, R_phys = systems.residual(sys.blocks, F, U, lam, free, sys.mult_scale)
             rnorm = _norm(R_phys)
         del sys  # the next loop's system is assembled without this one alive
         result.residual_norm = rnorm

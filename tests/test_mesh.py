@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from fracfem.mesh import (
     BOUNDARY_SIDES,
     PATTERNS,
+    ConfigError,
     FracturePath,
     FractureSpec,
     Mesh,
@@ -117,6 +119,32 @@ class TestGenerator:
         m = generate_rect_mesh(3.0, 2.0, nx, ny, pattern=pattern)
         assert m.signed_areas().sum() == pytest.approx(6.0, rel=1e-12)
         assert np.all(m.signed_areas() > 0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 1.0, 0, 2), "nx must be a positive integer, got 0"),
+        ((1.0, 1.0, -2, 2), "nx must be a positive integer, got -2"),
+        ((1.0, 1.0, 2, 0), "ny must be a positive integer, got 0"),
+        ((1.0, 1.0, 2.5, 2), "nx must be a positive integer, got 2.5"),
+        ((1.0, 1.0, True, 2), "nx must be a positive integer, got True"),
+        ((0.0, 1.0, 2, 2), "width must be positive and finite, got 0.0"),
+        ((-1.0, 1.0, 2, 2), "width must be positive and finite, got -1.0"),
+        ((1.0, 0, 2, 2), "height must be positive and finite, got 0"),
+        ((math.inf, 1.0, 2, 2), "width must be positive and finite, got inf"),
+        ((1.0, math.nan, 2, 2), "height must be positive and finite, got nan"),
+    ])
+    def test_sizes_checked(self, args, message):
+        # called from Python, not through a config, the generator names the
+        # bad argument and its value, where it raised a ZeroDivisionError,
+        # a NumPy reduction error or a misleading element-area error
+        match = f"^generate_rect_mesh: {re.escape(message)}$"
+        with pytest.raises(ConfigError, match=match):
+            generate_rect_mesh(*args)
+
+    def test_sizes_of_numpy_types_accepted(self):
+        ref = generate_rect_mesh(2.0, 1.0, 4, 2)
+        m = generate_rect_mesh(np.float64(2.0), np.int64(1), np.int64(4), np.int32(2))
+        np.testing.assert_array_equal(m.nodes, ref.nodes)
+        np.testing.assert_array_equal(m.elements, ref.elements)
 
     def test_antidiagonal_needs_crossed_pattern(self):
         with pytest.raises(NonConformingPathError,

@@ -205,6 +205,24 @@ class TestPreconditioner:
             sys = SaddleSystem(J=A, R=np.zeros(n), free=np.arange(n), blocks=None)
             assert solver._same_bits(build_preconditioner(sys), ref)
 
+    def test_row_norms_hold_one_array_of_squares(self):
+        # besides the squares of J's values and vectors of J's size, the
+        # sum allocates nothing near nnz(J): no copy of J's row indices
+        import tracemalloc
+
+        *_, systems = _preset_systems("crossing-multi")
+        sys = systems["mix"]
+        ref = build_preconditioner(sys)  # first-call set-up untraced
+        tracemalloc.start()
+        try:
+            got = build_preconditioner(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, nnz = sys.J.shape[0], sys.J.nnz
+        assert peak <= 8 * nnz + 8 * 3 * n + 64 * 1024, (peak, nnz, n)
+        assert solver._same_bits(got, ref)
+
     def test_scaling_beats_unscaled_conditioning(self):
         mesh, cfg = small_inclined_setup()
         sys = make_system(mesh, cfg)
@@ -981,10 +999,27 @@ def _ref_abs(Jbar):
     return sp.csc_matrix((data, Jbar.indices, Jbar.indptr), shape=Jbar.shape)
 
 
-def _backward_error(cache, dx, rhs):
+def _scaled(J, pc):
+    """``diag(1/pc) J`` in CSC, a row-scaled copy of a ``J`` the test formed."""
+    return (sp.diags(1.0 / pc) @ J).tocsc()
+
+
+def _backward_error(Jbar, dx, rhs):
     """The contract's backward error of ``dx`` on the row-scaled system."""
-    denom = np.linalg.norm(rhs) + np.linalg.norm(_ref_abs(cache.Jbar) @ np.abs(dx))
-    return np.linalg.norm(cache.Jbar @ dx - rhs) / denom
+    denom = np.linalg.norm(rhs) + np.linalg.norm(_ref_abs(Jbar) @ np.abs(dx))
+    return np.linalg.norm(Jbar @ dx - rhs) / denom
+
+
+def _operator_error(op, Jbar, seed=0):
+    """The largest error of the products ``op @ v`` and ``op.abs_product(|v|)``
+    of a :class:`solver._ScaledSaddle` against those of the row-scaled
+    matrix ``Jbar``, relative to each row's ``|Jbar||v|``."""
+    v = np.random.default_rng(seed).standard_normal(Jbar.shape[1])
+    scale = _ref_abs(Jbar) @ np.abs(v)
+    return max(
+        np.max(np.abs(op @ v - Jbar @ v) / scale),
+        np.max(np.abs(op.abs_product(np.abs(v)) - scale) / scale),
+    )
 
 
 SLIP = 1
@@ -1037,11 +1072,13 @@ class TestBorderedUpdate:
         nd = sys.free.size
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9]))
         np.testing.assert_array_equal(cache.lu.nz, [2])
-        assert sys.J is None  # it became the cache's Jbar
-        fresh = linear_solve(with_J(cache, sys), pc)
+        assert sys.J is None  # a bordered system's J is never formed
+        ref = with_J(cache, sys)
+        assert solver._same_bits(pc, build_preconditioner(ref))
+        fresh = linear_solve(ref, pc)
         assert len(calls) == 2
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
+        assert _backward_error(_scaled(ref.J, pc), dx, -sys.R / pc) <= 1e-10
 
         # one more pair opens: the base's factor solves for the six J^-1
         # columns of the new border, then for the one nonzero J_NR column
@@ -1053,9 +1090,11 @@ class TestBorderedUpdate:
         assert is_bordered(cache) and len(calls) == 2
         assert blocks == [6, 1]
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9, 12, 13]))
-        fresh = linear_solve(with_J(cache, sys), pc)
+        ref = with_J(cache, sys)
+        assert solver._same_bits(pc, build_preconditioner(ref))
+        fresh = linear_solve(ref, pc)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
+        assert _backward_error(_scaled(ref.J, pc), dx, -sys.R / pc) <= 1e-10
 
     def test_frictionless_flip_borders_a_superset(self, monkeypatch):
         # with tan(phi) = 0 a stick -> slip flip leaves the normal column as
@@ -1077,24 +1116,29 @@ class TestBorderedUpdate:
         np.testing.assert_array_equal(changed, [nd + 9])
         fresh = linear_solve(sys, pc)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
+        assert _backward_error(_scaled(sys.J, pc), dx, -sys.R / pc) <= 1e-10
 
     def test_changed_displacement_block_fails_the_contract(self, monkeypatch):
         # the bordered update takes the base's displacement block as the
-        # system's; when it differs after all (here changed in place before
-        # the solve), the bordered solve misses the backward-error contract
-        # on the true J and is repeated on a fresh factorization
+        # system's; when it differs after all (here K changed in place after
+        # the base is factored), the bordered solve misses the backward-error
+        # contract on the true J and is repeated on a fresh factorization
         mesh, calls, cache, system = self.setup_base(monkeypatch)
+        self.perturb_stiffness(cache, slice(None), lambda k: 1.5 * k)
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
-        J, nd = sys.J, sys.free.size
-        cols = np.repeat(np.arange(J.shape[1]), np.diff(J.indptr))  # J is CSC
-        J.data[(J.indices < nd) & (cols < nd)] *= 1.5
-        ref = dataclasses.replace(sys, J=J.copy())  # the solve scales J in place
+        ref = with_J(cache, sys)  # the J of the changed K
         bordered = []
         _counted(monkeypatch, solver._Bordered, "solve", bordered)
         dx = cache.solve(sys)
         assert bordered and len(calls) == 2 and not is_bordered(cache)
         np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
+
+    @staticmethod
+    def perturb_stiffness(cache, at, change):
+        """Change the values ``at`` of the cache's ``K`` in place, and its
+        one diagonal with them."""
+        cache.K.data[at] = change(cache.K.data[at])
+        cache.diagonal = cache.K.diagonal()
 
     def test_bordered_solver_failing_the_rank_probe_refactors(self, monkeypatch):
         # a bordered solver that the probe refuses is replaced by a fresh
@@ -1109,7 +1153,7 @@ class TestBorderedUpdate:
             real(self)
 
         monkeypatch.setattr(SystemCache, "check_rank", probe)
-        ref = dataclasses.replace(sys, J=sys.J.copy())  # the solve scales J in place
+        ref = with_J(cache, sys)
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
         np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
@@ -1118,15 +1162,17 @@ class TestBorderedUpdate:
         # a change the contract tolerates is served by the bordered solve
         # and its refinement on the true J, without a fresh factorization
         mesh, calls, cache, system = self.setup_base(monkeypatch)
+        # one ulp in K_ff: the diagonal entry of the first free dof
+        first = cache.K.indptr[cache.sys.free[0]]
+        self.perturb_stiffness(cache, first, lambda k: np.nextafter(k, np.inf))
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
-        sys.J.data[0] = np.nextafter(sys.J.data[0], np.inf)  # one ulp in K_ff
-        ref = dataclasses.replace(sys, J=sys.J.copy())  # the solve scales J in place
+        ref = with_J(cache, sys)  # the J of the changed K
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
         fresh = linear_solve(ref, pc)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        assert _backward_error(cache, dx, -sys.R / pc) <= 1e-10
+        assert _backward_error(_scaled(ref.J, pc), dx, -sys.R / pc) <= 1e-10
 
     def test_update_over_budget_refactors(self, monkeypatch):
         mesh, calls, cache, system = self.setup_base(monkeypatch)
@@ -1176,9 +1222,10 @@ class TestBorderedUpdate:
     def test_one_factorization_alive_while_the_next_system_is_built(
         self, monkeypatch, name, bordered, base_kept
     ):
-        # when a state loop's J is formed, no row-scaled copy, no solver and
-        # no earlier system are alive, and the base only when it borders the
-        # new system: from all stick, inclined-crack's (42 flipped dofs) and
+        # when a state loop's system is built (its J formed, or the operator
+        # that stands for it), no row-scaled copy, no solver and no earlier
+        # system are alive, and the base only when it borders the new
+        # system: from all stick, inclined-crack's (42 flipped dofs) and
         # sneddon's (38) second loops are over budget, crossing-multi's
         # second loop too, and its base then borders loops 3 and 4 on 6 and
         # 14 dofs
@@ -1195,19 +1242,29 @@ class TestBorderedUpdate:
         _counted(monkeypatch, solver._Bordered, "__init__", sizes,
                  lambda self, base, pc, R, *a: R.size)
         real_saddle_matrix = solver._saddle_matrix
+        real_operator = solver._ScaledSaddle.__init__
 
-        def saddle_matrix(*args):
+        def record():
             c = caches[-1]
             alive.append((
                 c.base is not None, c.lu is not None,
                 c.Jbar is not None,
                 any(ref() is not None for ref in systems),
             ))
+
+        def saddle_matrix(*args):
+            record()
             J = real_saddle_matrix(*args)
             systems.append(weakref.ref(J))
             return J
 
+        def operator(self, *args):
+            record()
+            real_operator(self, *args)
+            systems.append(weakref.ref(self))
+
         monkeypatch.setattr(solver, "_saddle_matrix", saddle_matrix)
+        monkeypatch.setattr(solver._ScaledSaddle, "__init__", operator)
         res = stick_run(mesh, cfg)
         assert res[-1].converged and len(calls) == 2 and sizes == bordered
         assert len(alive) == res[-1].state_loops == len(base_kept) + 1
@@ -1253,7 +1310,8 @@ class TestBorderedUpdate:
 
     def test_earlier_jacobian_dies_with_its_assignment(self, monkeypatch):
         # crossing-multi's loop 2 factors afresh and stays the base that
-        # borders loops 3 and 4, but its J is gone once loop 3's system exists
+        # borders loops 3 and 4, but its J is gone once loop 3's system (the
+        # operator that stands for its J) exists
         import weakref
 
         from fracfem.config import build_mesh
@@ -1261,16 +1319,24 @@ class TestBorderedUpdate:
         cfg = presets.get("crossing-multi")
         mesh = build_mesh(cfg)
         refs, loop2_alive = [], []
-        real = solver.build_system
+        real, real_operator = solver.build_system, solver._ScaledSaddle.__init__
+
+        def record(matrix):
+            if len(refs) == 2:
+                loop2_alive.append(refs[1]() is not None)
+            refs.append(weakref.ref(matrix))
 
         def build(*args, **kwargs):
             sys = real(*args, **kwargs)
-            if len(refs) == 2:
-                loop2_alive.append(refs[1]() is not None)
-            refs.append(weakref.ref(sys.J))
+            record(sys.J)
             return sys
 
+        def operator(self, *args):
+            real_operator(self, *args)
+            record(self)
+
         monkeypatch.setattr(solver, "build_system", build)
+        monkeypatch.setattr(solver._ScaledSaddle, "__init__", operator)
         res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
         assert res[-1].converged and len(refs) == res[-1].state_loops == 4
         assert loop2_alive == [False]
@@ -1286,23 +1352,9 @@ class TestBorderedUpdate:
         # flipped): the flipped pairs' dofs are exactly the multiplier rows
         # and columns in which J - J0 keeps an entry
         mesh, cfg, K, (F, fixed, free, U), _ = _preset_systems(name)
-        rng = np.random.default_rng(seed)
         fully_fixed = np.isin(mesh.pair_arrays.dofs, fixed).all(axis=1)
         assert fully_fixed.sum() == (2 if name == "shear-throughgoing" else 0)
-        reach = [(0, OPEN) if c else _STATE_CHOICES for c in mesh.pair_arrays.crossing]
-        codes0 = np.array([opts[rng.integers(len(opts))] for opts in reach], np.int8)
-        share = rng.random()
-        codes1 = codes0.copy()
-        for p in np.flatnonzero((rng.random(mesh.n_pairs) < share) | fully_fixed):
-            others = [s for s in reach[p] if s != codes0[p]]
-            codes1[p] = others[rng.integers(len(others))]
-
-        def system(codes):
-            st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), codes=codes)
-            return build_system(mesh, cfg.material, cfg.friction, st_, K, F,
-                                fixed, free)
-
-        sys0, sys1 = system(codes0), system(codes1)
+        sys0, sys1 = _drawn_flip_systems(name, seed)
         got = sys1.free.size + flipped_dofs(
             sys0.codes, sys1.codes, sys0.blocks.pinned, sys1.blocks.pinned
         )
@@ -1312,6 +1364,26 @@ class TestBorderedUpdate:
         ref = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
         np.testing.assert_array_equal(got, ref)
 
+    @pytest.mark.parametrize("name", sorted(presets.PRESETS))
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=12, deadline=None)
+    def test_operator_matches_the_formed_J(self, name, seed):
+        # on the drawn flip sets above, the operator that stands for the
+        # second system's J sums its row norms from the first system's and
+        # gets those of the J that the test forms, bit for bit, and its
+        # products agree with diag(1/pc) J to 1e-14 of |Jbar||v|
+        mesh, cfg, K, (F, fixed, free, U), _ = _preset_systems(name)
+        sys0, sys1 = _drawn_flip_systems(name, seed)
+        op = solver._ScaledSaddle(K, K.diagonal(), sys1.blocks, free,
+                                  sys1.mult_scale, mesh.pair_arrays.dofs)
+        pc = op.row_norms(sys1, build_preconditioner(sys0))
+        ref = _ref_saddle_J(mesh, cfg.material, sys1.blocks, K, free)
+        assert solver._same_bits(pc, _ref_row_norms(ref))
+        assert solver._same_bits(pc, build_preconditioner(sys1))
+        before = K.data.copy()
+        assert _operator_error(op, _scaled(ref, pc), seed) <= 1e-14
+        assert solver._same_bits(K.data, before)  # |K| was not kept
+
     @pytest.mark.parametrize("case", ["crossing-multi", "inclined-flips"])
     def test_bordered_solver_keeps_the_bits_of_unit_columns(self, monkeypatch, case):
         # the right-hand sides formed already divided by the base's row
@@ -1319,13 +1391,15 @@ class TestBorderedUpdate:
         # A^-1 give the blocks and solutions of the construction they
         # replaced bit for bit: crossing-multi's two borders (no J_NR
         # column) and the coarse inclined crack's (one J_NR column each)
-        seen = []
+        seen, caches = [], []
         real = solver._Base.bordered_solver
+        _counted(monkeypatch, SystemCache, "__init__", caches, lambda self, K: self)
 
-        def compared(self, sys, pc, R):
-            ref = _ref_bordered(self, sys.J.tocsr(), pc, R)
-            out = real(self, sys, pc, R)
-            r = np.random.default_rng(R.size).standard_normal(sys.J.shape[0])
+        def compared(self, G, pc, R):
+            J = with_J(caches[-1], caches[-1].sys).J  # the J the system stands for
+            ref = _ref_bordered(self, J.tocsr(), pc, R)
+            out = real(self, G, pc, R)
+            r = np.random.default_rng(R.size).standard_normal(J.shape[0])
             seen.append((out.nz.size, all(
                 solver._same_bits(a, b)
                 for a, b in zip((out.Z, out.W, out.S, out.solve(r)), ref(r))
@@ -1353,7 +1427,7 @@ class TestBorderedUpdate:
         monkeypatch.setattr(solver._Bordered, "solve",
                             lambda self, r: np.full_like(r, bad))
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
-        ref = dataclasses.replace(sys, J=sys.J.copy())  # the solve scales J in place
+        ref = with_J(cache, sys)
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
         assert np.array_equal(cache.base.codes, sys.codes)
@@ -1365,6 +1439,29 @@ class TestBorderedUpdate:
 # sliced once per run, kept verbatim to pin the sliced construction bit for bit
 # (on the full stiffness that K's stored upper triangle mirrors).
 # ---------------------------------------------------------------------------
+
+def _drawn_flip_systems(name, seed):
+    """Two systems, built with their J, of a preset at U = 0 under two state
+    assignments the classifier can reach (crossing pairs stick or open,
+    slips of either sign), drawn from ``seed``: a random share of the pairs
+    of the first, and every fully fixed pair, flipped in the second."""
+    mesh, cfg, K, (F, fixed, free, U), _ = _preset_systems(name)
+    rng = np.random.default_rng(seed)
+    fully_fixed = np.isin(mesh.pair_arrays.dofs, fixed).all(axis=1)
+    reach = [(0, OPEN) if c else _STATE_CHOICES for c in mesh.pair_arrays.crossing]
+    codes0 = np.array([opts[rng.integers(len(opts))] for opts in reach], np.int8)
+    share = rng.random()
+    codes1 = codes0.copy()
+    for p in np.flatnonzero((rng.random(mesh.n_pairs) < share) | fully_fixed):
+        others = [s for s in reach[p] if s != codes0[p]]
+        codes1[p] = others[rng.integers(len(others))]
+
+    def system(codes):
+        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), codes=codes)
+        return build_system(mesh, cfg.material, cfg.friction, st_, K, F, fixed, free)
+
+    return system(codes0), system(codes1)
+
 
 def _ref_saddle_J(mesh, mat, blocks, K, free):
     K = full_stiffness(K)
@@ -1871,9 +1968,9 @@ class TestFreshFactorMemory:
     def test_which_systems_keep_J(self):
         # no system keeps an unscaled J once its solver exists: the
         # cache's system and the repeat of it that a state loop solves drop
-        # J at their fresh factorization, a bordered system at its bordered
-        # solver, and each J is the cache's Jbar then; build_system's own
-        # system keeps its J
+        # J at their fresh factorization, and it is the cache's Jbar then; a
+        # bordered system never holds one, and the cache's Jbar is the
+        # operator built with it; build_system's own system keeps its J
         mesh, cfg = small_inclined_setup()
         cache, system = cached_systems(mesh, cfg)
         first = system(stick_codes(mesh))
@@ -1885,9 +1982,10 @@ class TestFreshFactorMemory:
         assert first.J is None and again.J is None and cache.sys.J is None
         assert cache.Jbar is J and built.J is not None
         sys = system(TestBorderedUpdate.flipped(stick_codes(mesh), {2: OPEN}))
-        J = sys.J
+        op = cache.Jbar
+        assert sys.J is None and isinstance(op, solver._ScaledSaddle)
         cache.solve(sys)
-        assert is_bordered(cache) and sys.J is None and cache.Jbar is J
+        assert is_bordered(cache) and sys.J is None and cache.Jbar is op
 
     @pytest.mark.parametrize("name, kinds", [
         ("sneddon", [False]),
@@ -1897,10 +1995,13 @@ class TestFreshFactorMemory:
     def test_each_solver_serves_the_matrix_build_system_formed(
         self, monkeypatch, name, kinds
     ):
-        # on a run's path each system's matrix exists once: the Jbar of
-        # every new solver, fresh or bordered, is the J that build_system
-        # formed, sharing its values, and has the bits of diag(1/pc) times
-        # the CSR reference, converted to CSC
+        # on a run's path each system's matrix exists once at most: the
+        # Jbar of every fresh solver is the J that build_system formed,
+        # sharing its values, and has the bits of diag(1/pc) times the CSR
+        # reference, converted to CSC; a bordered solver's Jbar is the
+        # operator built with its system, which forms no J, and its row
+        # norms have the bits of the reference's, its products agree with
+        # diag(1/pc) times the reference to 1e-14 of |Jbar||v|
         mesh, cfg = _workload(name)
         built, seen = [], []
         real_build, real_rank = solver.build_system, SystemCache.check_rank
@@ -1913,12 +2014,15 @@ class TestFreshFactorMemory:
         def check_rank(self):
             ref = _ref_saddle_J(mesh, cfg.material, self.sys.blocks, self.K,
                                 self.sys.free)
-            seen.append((
-                is_bordered(self),
-                np.shares_memory(self.Jbar.data, built[-1]),
-                self.sys.J is None,
-                _same_csr(self.Jbar, (sp.diags(1.0 / self.pc) @ ref).tocsc()),
-            ))
+            Jbar = (sp.diags(1.0 / self.pc) @ ref).tocsc()
+            if is_bordered(self):
+                serves = isinstance(self.Jbar, solver._ScaledSaddle)
+                same = (solver._same_bits(self.pc, _ref_row_norms(ref))
+                        and _operator_error(self.Jbar, Jbar) <= 1e-14)
+            else:
+                serves = np.shares_memory(self.Jbar.data, built[-1])
+                same = _same_csr(self.Jbar, Jbar)
+            seen.append((is_bordered(self), serves, self.sys.J is None, same))
             return real_rank(self)
 
         monkeypatch.setattr(solver, "build_system", build)
@@ -1926,6 +2030,7 @@ class TestFreshFactorMemory:
         res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
         assert res[-1].converged
         assert seen == [(kind, True, True, True) for kind in kinds]
+        assert len(built) == kinds.count(False)
 
     def test_bordered_setup_holds_each_block_twice_at_most(self, monkeypatch):
         # crossing-multi borders its base on 4, then 12 dofs.  The unit
@@ -1940,14 +2045,14 @@ class TestFreshFactorMemory:
         seen = []
         real = solver._Base.bordered_solver
 
-        def traced(self, sys, pc, R):
+        def traced(self, G, pc, R):
             tracemalloc.start()
             try:
-                out = real(self, sys, pc, R)
+                out = real(self, G, pc, R)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            seen.append((sys.J.shape[0], R.size, out.nz.size, peak))
+            seen.append((G.shape[0], R.size, out.nz.size, peak))
             return out
 
         monkeypatch.setattr(solver._Base, "bordered_solver", traced)
@@ -2204,15 +2309,20 @@ class TestBenchmarkWorkloads:
     def test_loops_factorizations_and_final_states(
         self, monkeypatch, name, loops, fresh, bordered, counts
     ):
+        # a bordered loop forms no J, so J is formed once per fresh
+        # factorization, and the stiffness diagonal once per run
         mesh, cfg = _workload(name)
         calls = TestFactorReuse.count_splu(monkeypatch)
-        borders = []
+        borders, builds, diagonals = [], [], []
         _counted(monkeypatch, solver._Bordered, "__init__", borders)
+        _counted(monkeypatch, solver, "_saddle_matrix", builds)
+        _counted(monkeypatch, sp.csr_matrix, "diagonal", diagonals)
         res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
         assert all(r.converged and not r.restarted for r in res)
         assert [r.state_loops for r in res] == loops
         assert [r.newton_iters for r in res] == loops
         assert (len(calls), len(borders)) == (fresh, bordered)
+        assert (len(builds), len(diagonals)) == (fresh, 1)
         codes = res[-1].codes
         assert tuple(
             np.count_nonzero(hit) for hit in (np.abs(codes) == 1, codes == 0, codes == OPEN)
