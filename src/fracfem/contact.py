@@ -57,9 +57,9 @@ class FrictionParams:
     friction_angle: float
 
     def __post_init__(self):
-        if self.cohesion < 0.0:
+        if not 0.0 <= self.cohesion < math.inf:
             raise ConfigError(
-                f"friction.cohesion must be >= 0, got {self.cohesion}"
+                f"friction.cohesion must be finite and >= 0, got {self.cohesion}"
             )
         if not 0.0 <= self.friction_angle < 0.5 * math.pi:
             raise ConfigError(
@@ -237,14 +237,15 @@ class ContactBlocks:
     identity rows, slip tangential relations, crossing tangential pins).
     ``g``: constant part of the multiplier residual (integrated initial gaps
     and cohesion constants).  ``f_slip``: cohesion load on the displacement
-    equations.
+    equations, the scalar 0.0 at zero cohesion (it adds to a vector what a
+    zero vector adds, the sign of a zero included, and holds no n-vector).
     """
 
     C: sp.csr_matrix
     B_up: sp.csr_matrix
     D: sp.csr_matrix
     g: np.ndarray
-    f_slip: np.ndarray
+    f_slip: np.ndarray | float
     pinned: np.ndarray  # multiplier dofs held at exactly zero (identity rows)
 
 
@@ -319,8 +320,9 @@ def assemble_contact_blocks(mesh, codes, fric, fixed_dofs=None):
     g = np.zeros(m2)
     g[2 * closed] += a.gap0[closed] * a.weight[closed]
     g[slip_t] = -sign[slip] * fric.cohesion
-    f_slip = np.zeros(n2)
+    f_slip = 0.0
     if fric.cohesion != 0.0:
+        f_slip = np.zeros(n2)
         coh = (fric.cohesion * sign[slip]) * a.weight[slip]
         _, dofs, loads = _coupling(slip, a.dofs[slip], coh[:, None] * a.tangent[slip])
         np.add.at(f_slip, dofs, loads)  # in pair order, as nodes may repeat

@@ -7,6 +7,7 @@ elimination on the assembled saddle system, never by penalties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,8 @@ class MaterialParams:
     nu: float
 
     def __post_init__(self):
-        if self.E <= 0.0:
-            raise ConfigError(f"material.E must be positive, got {self.E}")
+        if not 0.0 < self.E < math.inf:
+            raise ConfigError(f"material.E must be positive and finite, got {self.E}")
         if not 0.0 <= self.nu < 0.5:
             raise ConfigError(f"material.nu must be in [0, 0.5), got {self.nu}")
 

@@ -10,6 +10,7 @@ displacements and multipliers in one algebraic block).
 from __future__ import annotations
 
 import ctypes
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -96,8 +97,10 @@ class SolverConfig:
     n_load_steps: int = 1
 
     def __post_init__(self):
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(
+                f"newton_tol must be positive and finite, got {self.newton_tol}"
+            )
         for name in ("max_state_loops", "n_load_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -151,11 +154,12 @@ class SaddleSystem:
     system's solver, so a system it built holds None there from then on; a
     system it borders holds None from the start, as its ``J`` is never
     formed (:class:`_ScaledSaddle`).  A system assembled by hand may give a
-    CSR ``J``.
+    CSR ``J``.  :meth:`SystemCache.solve` drops ``R`` and ``R_phys`` too,
+    once its right-hand side is formed.
     """
 
     J: sp.csc_matrix | sp.csr_matrix | None
-    R: np.ndarray
+    R: np.ndarray | None
     free: np.ndarray
     blocks: object
     mult_scale: float = 1.0
@@ -670,16 +674,17 @@ class SystemCache:
 
     It owns ``K`` (the stiffness's upper triangle, as
     :func:`assemble_stiffness` returns it) with its ``diagonal``, formed
-    once, the rank probe, the last system built with its row norms ``pc``,
-    that system's ``Jbar``, the solver ``lu`` serving it, and the base, the
-    last fresh factorization (:class:`_Base`).  Each system's matrix exists
-    once at most: the CSC ``J`` that :func:`build_system` forms becomes its
-    ``Jbar`` in place when its solver is made, and the system drops ``J``
-    then (:meth:`_fresh_factor`).  K's free block is not kept: :func:`build_system`
-    forms ``J`` from K's arrays once per fresh factorization, and only
-    ``J`` holds it.  Mesh, material and friction must not change under it,
-    and :meth:`solve` solves only the system that :meth:`system` returned
-    last.
+    once and again after each fresh factorization, the rank probe, the last
+    system built with its row norms ``pc``, that system's ``Jbar``, the
+    solver ``lu`` serving it, and the base, the last fresh factorization
+    (:class:`_Base`).  Each system's matrix exists once at most: the CSC
+    ``J`` that :func:`build_system` forms becomes its ``Jbar`` in place
+    when its solver is made, and the system drops ``J`` then
+    (:meth:`_fresh_factor`), as it drops its residuals in :meth:`solve`.
+    K's free block is not kept: :func:`build_system` forms ``J`` from K's
+    arrays once per fresh factorization, and only ``J`` holds it.  Mesh,
+    material and friction must not change under it, and :meth:`solve`
+    solves only the system that :meth:`system` returned last.
 
     What serves a solve is decided once, in :meth:`system`.  A state loop
     whose state codes and free dofs repeat the last system's reuses its blocks,
@@ -785,7 +790,9 @@ class SystemCache:
         factor does not land on the holes that earlier arrays left in the
         heap.  The heap is handed back once more after it, as its freed
         workspace would otherwise stay resident beside the factor while the
-        rank probe and the refinement allocate on top of it."""
+        rank probe and the refinement allocate on top of it.  The stiffness
+        diagonal is not alive during the factorization either: it is formed
+        again once the factorization is done or has failed."""
         self.lu = self.base = None
         J = self.sys.J
         if J is None:
@@ -793,9 +800,13 @@ class SystemCache:
             J = _saddle_matrix(self.K, self.sys.blocks, self.sys.free, self.sys.mult_scale)
         self.sys.J = sys.J = None
         self.Jbar = _scale_rows(J, self.pc)
-        _release_heap()
-        lu = _splu(self.Jbar)
-        _release_heap()
+        self.diagonal = None
+        try:
+            _release_heap()
+            lu = _splu(self.Jbar)
+            _release_heap()
+        finally:
+            self.diagonal = self.K.diagonal()
         self.base = _Base(self.sys, self.pc, lu)
         return lu
 
@@ -803,11 +814,14 @@ class SystemCache:
         """``dx`` of ``J dx = -R`` for ``sys``, the system :meth:`system`
         returned last, as :func:`linear_solve` gives it (to its 1e-10
         backward-error contract) but from the solver decided for it, which
-        raises a LinearSolveError on a nearly singular ``J`` too."""
+        raises a LinearSolveError on a nearly singular ``J`` too.  Once
+        ``-R/pc`` is formed, ``sys`` and the cache's system drop ``R`` and
+        ``R_phys``, which no solve reads, so read ``R_phys`` first."""
         pc = self.preconditioner()
         if _norm(sys.R) == 0.0:
             return np.zeros_like(sys.R)
         rhs = -sys.R / pc
+        sys.R = sys.R_phys = self.sys.R = self.sys.R_phys = None
         try:
             if self.lu is None:
                 self._factor(sys)
@@ -959,7 +973,7 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, codes, step,
     for loop in range(1, cfg.max_state_loops + 1):
         result.state_loops = loop
         sys = systems.system(mesh, mat, fric, result, F, fixed, free)
-        rnorm = _norm(sys.R_phys)
+        rnorm = _norm(sys.R_phys)  # before the solve drops R_phys
         # After a state change the fresh constraint rows can sit below the
         # (force-scaled) tolerance without being enforced at all, so every
         # loop after the first solves unless the residual is exactly zero.

@@ -31,6 +31,7 @@ from fracfem.contact import (
     pair_jumps,
     pair_kinematics,
 )
+from fracfem.elasticity import ConfigError
 from fracfem.mesh import (
     arc_coordinates,
     build_contact_pairs,
@@ -143,6 +144,11 @@ class TestMohrCoulomb:
             FrictionParams(cohesion=-1.0, friction_angle=0.1)
         with pytest.raises(Exception):
             FrictionParams(cohesion=0.0, friction_angle=math.pi / 2)
+
+    @pytest.mark.parametrize("cohesion", [math.inf, math.nan])
+    def test_non_finite_cohesion_raises(self, cohesion):
+        with pytest.raises(ConfigError, match=r"friction\.cohesion must be finite"):
+            FrictionParams(cohesion=cohesion, friction_angle=0.1)
 
 
 class TestClassifyState:
@@ -345,6 +351,23 @@ class TestContactResiduals:
         )
         assert np.all(ru == 0.0)
         assert np.all(rlam == 0.0)
+
+    def test_scalar_zero_cohesion_load_adds_what_a_zero_vector_adds(self):
+        # f_slip is the scalar 0.0 at zero cohesion: R^u has the bits it
+        # has with a zero vector, signed zeros included
+        mesh = horizontal_mesh()
+        codes = np.array([0, 1, -1, OPEN] * mesh.n_pairs, np.int8)[: mesh.n_pairs]
+        blocks = assemble_contact_blocks(mesh, codes, FRIC30)
+        assert blocks.f_slip == 0.0 and np.ndim(blocks.f_slip) == 0
+        rng = np.random.default_rng(3)
+        U = rng.standard_normal(2 * mesh.n_nodes)
+        for lam in (rng.standard_normal(2 * mesh.n_pairs), np.full(2 * mesh.n_pairs, -0.0)):
+            ru, rlam = contact_residuals(blocks, U, lam)
+            blocks.f_slip = np.zeros(2 * mesh.n_nodes)
+            ref_ru, ref_rlam = contact_residuals(blocks, U, lam)
+            blocks.f_slip = 0.0
+            _assert_same_bits(ru, ref_ru)
+            _assert_same_bits(rlam, ref_rlam)
 
     def test_rigid_translation_stick_residual_is_gap(self):
         mesh = built(
@@ -581,8 +604,12 @@ class TestArrayAssemblyMatchesLoops:
                 assert a.format == b.format == "csr" and a.shape == b.shape
                 for part in ("indptr", "indices", "data"):
                     _assert_same_bits(getattr(a, part), getattr(b, part))
-            for field in ("g", "f_slip", "pinned"):
+            for field in ("g", "pinned"):
                 _assert_same_bits(getattr(got, field), getattr(ref, field))
+            # at zero cohesion f_slip is the scalar 0.0 that stands for the
+            # reference's zero vector
+            assert np.ndim(got.f_slip) == (fric.cohesion != 0.0)
+            _assert_same_bits(np.broadcast_to(got.f_slip, ref.f_slip.shape), ref.f_slip)
 
     def test_fully_fixed_pairs_of_presets(self):
         mesh, fixed = _preset_mesh("shear-throughgoing")

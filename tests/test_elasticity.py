@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,11 @@ class TestPlaneStrainD:
             MaterialParams(E=-1.0, nu=0.3)
         with pytest.raises(ConfigError):
             MaterialParams(E=1.0, nu=0.5)
+
+    @pytest.mark.parametrize("E", [math.inf, math.nan])
+    def test_non_finite_modulus_raises(self, E):
+        with pytest.raises(ConfigError, match=r"material\.E must be positive and finite"):
+            MaterialParams(E=E, nu=0.3)
 
 
 class TestElementStiffness:

@@ -301,6 +301,13 @@ class TestLinearSolve:
 
 
 class TestNewtonLoop:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_newton_tol_raises(self, tol):
+        # an infinite tolerance would let a first loop skip its solve and
+        # report a converged zero solution
+        with pytest.raises(ValueError, match="newton_tol must be positive and finite"):
+            SolverConfig(newton_tol=tol)
+
     def test_unfractured_linear_problem_single_iteration(self):
         mesh = built(generate_rect_mesh(1.0, 1.0, 4, 4))
         bcs = [
@@ -1064,6 +1071,7 @@ class TestBorderedUpdate:
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         stick = stick_codes(mesh)
         sys = system(self.flipped(stick, {2: OPEN, 4: SLIP}))
+        R = sys.R  # the solve drops it from the system
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
@@ -1073,16 +1081,18 @@ class TestBorderedUpdate:
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9]))
         np.testing.assert_array_equal(cache.lu.nz, [2])
         assert sys.J is None  # a bordered system's J is never formed
-        ref = with_J(cache, sys)
+        assert sys.R is None
+        ref = dataclasses.replace(with_J(cache, sys), R=R)
         assert solver._same_bits(pc, build_preconditioner(ref))
         fresh = linear_solve(ref, pc)
         assert len(calls) == 2
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        assert _backward_error(_scaled(ref.J, pc), dx, -sys.R / pc) <= 1e-10
+        assert _backward_error(_scaled(ref.J, pc), dx, -R / pc) <= 1e-10
 
         # one more pair opens: the base's factor solves for the six J^-1
         # columns of the new border, then for the one nonzero J_NR column
         sys = system(self.flipped(stick, {2: OPEN, 4: SLIP, 6: OPEN}))
+        R = sys.R
         blocks = []
         cache.base.lu = _BlockCounting(cache.base.lu, blocks)
         dx = cache.solve(sys)
@@ -1090,11 +1100,11 @@ class TestBorderedUpdate:
         assert is_bordered(cache) and len(calls) == 2
         assert blocks == [6, 1]
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9, 12, 13]))
-        ref = with_J(cache, sys)
+        ref = dataclasses.replace(with_J(cache, sys), R=R)
         assert solver._same_bits(pc, build_preconditioner(ref))
         fresh = linear_solve(ref, pc)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        assert _backward_error(_scaled(ref.J, pc), dx, -sys.R / pc) <= 1e-10
+        assert _backward_error(_scaled(ref.J, pc), dx, -R / pc) <= 1e-10
 
     def test_frictionless_flip_borders_a_superset(self, monkeypatch):
         # with tan(phi) = 0 a stick -> slip flip leaves the normal column as
@@ -1105,12 +1115,13 @@ class TestBorderedUpdate:
         mesh, calls, cache, system = self.setup_base(monkeypatch, frictionless)
         base = with_J(cache, system(stick_codes(mesh)))  # the base's system
         sys = system(self.flipped(stick_codes(mesh), {4: SLIP}))
+        R = sys.R  # the solve drops it from the system
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
         nd = sys.free.size
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([8, 9]))
-        sys = with_J(cache, sys)
+        sys = dataclasses.replace(with_J(cache, sys), R=R)
         diff = (sys.J - base.J).tocoo()
         changed = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
         np.testing.assert_array_equal(changed, [nd + 9])
@@ -1166,13 +1177,13 @@ class TestBorderedUpdate:
         first = cache.K.indptr[cache.sys.free[0]]
         self.perturb_stiffness(cache, first, lambda k: np.nextafter(k, np.inf))
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
-        ref = with_J(cache, sys)  # the J of the changed K
+        ref = with_J(cache, sys)  # the J of the changed K, and sys's R
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
         fresh = linear_solve(ref, pc)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        assert _backward_error(_scaled(ref.J, pc), dx, -sys.R / pc) <= 1e-10
+        assert _backward_error(_scaled(ref.J, pc), dx, -ref.R / pc) <= 1e-10
 
     def test_update_over_budget_refactors(self, monkeypatch):
         mesh, calls, cache, system = self.setup_base(monkeypatch)
@@ -1965,6 +1976,44 @@ class TestFreshFactorMemory:
         assert alive == [[(k, True)] for k in range(fresh)]
         assert len(released) == 2 * fresh
 
+    @pytest.mark.parametrize("name, fresh", WORKLOAD_FACTORIZATIONS)
+    def test_what_is_alive_at_a_fresh_factorization(self, monkeypatch, name, fresh):
+        # at each splu neither the cache's system nor the one the state
+        # loop solves holds a residual, the cache holds no stiffness
+        # diagonal, and the zero-cohesion blocks hold no cohesion load
+        # vector.  On sneddon what is left is Jbar (8.5 MiB), K (5.2 MiB),
+        # the mesh (1.8 MiB) and five n-vectors of 0.44 MiB: U, F, free,
+        # pc and the right-hand side, 18.0 MiB in all; holding those four
+        # n-vectors too reads 19.7 MiB
+        import tracemalloc
+
+        seen, solving = [], []
+        _counted(monkeypatch, SystemCache, "solve", solving,
+                 lambda cache, sys: (cache, sys))
+
+        def alive(Jbar):
+            cache, sys = solving[-1]
+            return (
+                [getattr(s, f) is None for s in (cache.sys, sys) for f in ("R", "R_phys")],
+                cache.diagonal is None,
+                np.ndim(cache.sys.blocks.f_slip),
+                tracemalloc.get_traced_memory()[0],
+            )
+
+        _counted(monkeypatch, solver, "_splu", seen, alive)
+        tracemalloc.start()
+        try:
+            mesh, cfg = _workload(name)
+            res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        finally:
+            tracemalloc.stop()
+        assert res[-1].converged and cfg.friction.cohesion == 0.0
+        assert len(seen) == fresh
+        for dropped, no_diagonal, f_slip_dims, _ in seen:
+            assert dropped == [True] * 4 and no_diagonal and f_slip_dims == 0
+        if name == "sneddon":
+            assert seen[0][-1] <= 18.5 * 2**20
+
     def test_which_systems_keep_J(self):
         # no system keeps an unscaled J once its solver exists: the
         # cache's system and the repeat of it that a state loop solves drop
@@ -2298,8 +2347,16 @@ class TestStateLabels:
 
 class TestBenchmarkWorkloads:
     """The benchmark's three workloads take the state loops, solves and
-    factorizations, and end in the contact states, recorded here, so that
-    no roundoff change to K or J moves them unseen."""
+    factorizations, and end in the contact states and residual norms,
+    recorded here, so that no roundoff change to K or J moves them unseen."""
+
+    # the final step's residual_norm, as the step table and summary.json
+    # print it (the benchmark's hash covers only U and lam)
+    RESIDUAL_NORMS = {
+        "sneddon": "0x1.107cf4731c994p-21",
+        "crossing-multi": "0x1.1a9e98d75fadfp-18",
+        "inclined-ramp": "0x1.b9cd96a13088bp-21",
+    }
 
     @pytest.mark.parametrize("name, loops, fresh, bordered, counts", [
         ("sneddon", [1], 1, 0, (0, 0, 19)),
@@ -2310,7 +2367,8 @@ class TestBenchmarkWorkloads:
         self, monkeypatch, name, loops, fresh, bordered, counts
     ):
         # a bordered loop forms no J, so J is formed once per fresh
-        # factorization, and the stiffness diagonal once per run
+        # factorization; the stiffness diagonal is formed once per run and
+        # again after each fresh factorization, during which it is dropped
         mesh, cfg = _workload(name)
         calls = TestFactorReuse.count_splu(monkeypatch)
         borders, builds, diagonals = [], [], []
@@ -2322,8 +2380,9 @@ class TestBenchmarkWorkloads:
         assert [r.state_loops for r in res] == loops
         assert [r.newton_iters for r in res] == loops
         assert (len(calls), len(borders)) == (fresh, bordered)
-        assert (len(builds), len(diagonals)) == (fresh, 1)
+        assert (len(builds), len(diagonals)) == (fresh, 1 + fresh)
         codes = res[-1].codes
         assert tuple(
             np.count_nonzero(hit) for hit in (np.abs(codes) == 1, codes == 0, codes == OPEN)
         ) == counts
+        assert res[-1].residual_norm.hex() == self.RESIDUAL_NORMS[name]
