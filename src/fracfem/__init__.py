@@ -50,15 +50,6 @@ from .oracles import (
     sif_ratio,
     sneddon_opening,
 )
-from .solver import (
-    SaddleSystem,
-    SolutionState,
-    SolverConfig,
-    build_preconditioner,
-    build_system,
-    linear_solve,
-    newton_loop,
-    run_load_steps,
-)
+from .solver import SolutionState, SolverConfig, run_load_steps
 
 __version__ = "0.1.0"

@@ -124,6 +124,12 @@ _P, _Q = np.triu_indices(6)
 _UPPER, _MIRROR = 6 * _P + _Q, 6 * _Q + _P
 
 
+def index_dtype(n):
+    """The dtype of dof indices on ``n`` dofs: ``int32`` when it holds them
+    all, else ``int64``."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 def assemble_stiffness(mesh, mat):
     """Upper triangle (with the diagonal) of the global sparse stiffness,
     2 dofs per node, deterministic scatter-add.
@@ -151,8 +157,7 @@ def assemble_stiffness(mesh, mat):
     blocks[1, 0] = ((ci * D[1, 0]) * bj + (bi * D[2, 2]) * cj) * areas
     blocks[1, 1] = ((ci * D[1, 1]) * cj + (bi * D[2, 2]) * bj) * areas
 
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    dofs = np.empty((m, 3, 2), dtype=index)
+    dofs = np.empty((m, 3, 2), dtype=index_dtype(n))
     dofs[:, :, 0] = 2 * mesh.elements
     dofs[:, :, 1] = 2 * mesh.elements + 1
     dofs = dofs.reshape(m, 6)

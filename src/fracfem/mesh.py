@@ -212,9 +212,6 @@ class Mesh:
             - (x[:, 2, 0] - x[:, 0, 0]) * (x[:, 1, 1] - x[:, 0, 1])
         )
 
-    def centroids(self):
-        return self.nodes[self.elements].mean(axis=1)
-
 
 def rot90(v):
     """Rotate a 2-vector by +90 degrees (left normal of a direction)."""

@@ -36,6 +36,7 @@ from .elasticity import (
     assemble_stiffness,
     dirichlet_constraints,
     full_stiffness,
+    index_dtype,
     symmetric_product,
 )
 
@@ -176,12 +177,15 @@ def step_data(mesh, bcs, step, n_steps):
     The load vector, the Dirichlet dofs with their values and the free dofs
     stay the same for every state loop of a load step, so they are built
     once per step (see ``BoundaryCondition.scale`` for the load level).
+    ``free`` is sorted, in the index dtype of the stiffness
+    (:func:`index_dtype`).
     """
     fixed, fixed_vals = dirichlet_constraints(mesh, bcs, step=step, n_steps=n_steps)
     F = assemble_loads(mesh, bcs, step=step, n_steps=n_steps)
-    is_free = np.ones(2 * mesh.n_nodes, dtype=bool)
+    n = 2 * mesh.n_nodes
+    is_free = np.ones(n, dtype=bool)
     is_free[fixed] = False
-    return F, fixed, fixed_vals, np.flatnonzero(is_free)
+    return F, fixed, fixed_vals, np.arange(n, dtype=index_dtype(n))[is_free]
 
 
 def _reduced_residual(K, blocks, F, U, lam, free, s, diagonal):
@@ -193,47 +197,13 @@ def _reduced_residual(K, blocks, F, U, lam, free, s, diagonal):
     return np.concatenate([ru, s * rlam]), np.concatenate([ru, rlam])
 
 
-def _free_columns(A, is_free, shift, free_rows=False):
-    """(data, column indices, row counts) of the entries of CSR ``A`` in
-    the free columns, and in the free rows only if ``free_rows``.  Each
-    kept column drops by ``shift``, the count of fixed dofs at or below
-    each dof, which for a free dof is the count below it."""
-    keep = is_free[A.indices]
-    counts = np.diff(_indptr(keep, A.indices.dtype)[A.indptr])
-    if free_rows:
-        keep &= np.repeat(is_free, np.diff(A.indptr))
-        counts = counts[is_free]
-    indices = A.indices[keep]
-    indices -= shift[indices]
-    return A.data[keep], indices, counts
-
-
-def _stacked_rows(K_ff, upper, lower, corner, is_free, shift, s):
-    """(data, column indices, row lengths) of the CSR rows of
-    ``[[K_ff, s upper[free]], [s lower[:, free], s² corner]]``, with
-    ``K_ff`` given as the (data, indices, counts) of its rows.  Each free
-    row's ``s upper[free]`` entries are inserted at that row's end, then
-    the ``[s lower[:, free], s² corner]`` rows are appended, with one
-    ``np.insert`` per array."""
-    data, indices, counts = K_ff
-    n_free = counts.size
-    u_lengths = np.diff(upper.indptr)
-    u_keep = np.repeat(is_free, u_lengths)
-    u_counts = u_lengths[is_free]
-    l_data, l_indices, l_counts = _free_columns(lower, is_free, shift)
-    c_counts = np.diff(corner.indptr)
-    # the multiplier rows: each row of lower's free columns, then corner's
-    l_at = np.repeat(np.cumsum(l_counts), c_counts)
-    lam_data = np.insert(l_data * s, l_at, corner.data * (s * s))
-    lam_indices = np.insert(l_indices, l_at, corner.indices + n_free)
-    at = np.concatenate([
-        np.repeat(np.cumsum(counts), u_counts), np.full(lam_data.size, data.size)
-    ])
-    data = np.insert(data, at, np.concatenate([upper.data[u_keep] * s, lam_data]))
-    indices = np.insert(
-        indices, at, np.concatenate([upper.indices[u_keep] + n_free, lam_indices])
-    )
-    return data, indices, np.concatenate([counts + u_counts, l_counts + c_counts])
+def _contact_entries(blocks, free, s):
+    """``G = [[0, s B_up[free]], [s C[:, free], s² D]]`` in CSR: every entry
+    of the saddle matrix ``J`` outside its displacement block, with the
+    multipliers scaled by ``s`` (see :class:`SaddleSystem`)."""
+    return sp.bmat([
+        [None, s * blocks.B_up[free]], [s * blocks.C[:, free], (s * s) * blocks.D]
+    ], format="csr")
 
 
 def _indptr(lengths, dtype):
@@ -255,25 +225,31 @@ def _saddle_matrix(K, blocks, free, s):
     marks the free rows and free columns, ``data`` and ``indices`` are
     gathered once, and the kept columns are renumbered by the count of
     fixed dofs below each.  ``K_ff`` is exactly symmetric, so its rows are
-    its columns, and the CSC arrays of ``J`` are the CSR arrays of ``Jᵀ =
-    [[K_ff, s C[:, free]ᵀ], [s B_up[free]ᵀ, s² Dᵀ]]``: pass 2 stacks the
-    transposed contact blocks, which are small, around K's rows
-    (:func:`_stacked_rows`).  No sparse matrix but the full stiffness and
-    ``J`` is formed.
+    its columns.  Pass 2 appends to each the same column of the contact
+    entries ``G`` (:func:`_contact_entries`), which holds only multiplier
+    rows there, with one ``np.insert`` per array; a multiplier column is
+    ``G``'s alone.  Besides ``J``, only the full stiffness and the small
+    ``G`` (in CSR, then CSC) are formed as sparse matrices.
     """
     K = full_stiffness(K)
     is_free = np.zeros(K.shape[0], dtype=bool)
     is_free[free] = True
-    shift = np.cumsum(~is_free, dtype=K.indices.dtype)
-    K_ff = _free_columns(K, is_free, shift, free_rows=True)
-    del K
+    keep = is_free[K.indices]
+    keep &= np.repeat(is_free, np.diff(K.indptr))
+    counts = np.diff(_indptr(keep, K.indices.dtype)[K.indptr])[is_free]
+    indices = K.indices[keep]
+    indices -= np.cumsum(~is_free, dtype=indices.dtype)[indices]
+    data = K.data[keep]
+    del K, keep
 
-    B, C, D = blocks.B_up, blocks.C, blocks.D
-    data, indices, lengths = _stacked_rows(
-        K_ff, C.T.tocsr(), B.T.tocsr(), D.T.tocsr(), is_free, shift, s
-    )
+    G = _contact_entries(blocks, free, s).tocsc()
+    g_counts = np.diff(G.indptr)
+    counts = np.concatenate([counts, np.zeros(g_counts.size - counts.size, counts.dtype)])
+    at = np.repeat(np.cumsum(counts), g_counts)
+    data = np.insert(data, at, G.data)
+    indices = np.insert(indices, at, G.indices)
     return sp.csc_matrix(
-        (data, indices, _indptr(lengths, indices.dtype)), shape=(lengths.size,) * 2
+        (data, indices, _indptr(counts + g_counts, indices.dtype)), shape=G.shape
     )
 
 
@@ -408,10 +384,12 @@ def _splu(Jbar):
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
 
 
-def _refined_solve(Jbar, lu, rhs):
+def linear_solve(Jbar, lu, rhs):
     """``dx`` of ``Jbar dx = rhs`` with the solver ``lu``, refined until its
-    backward error meets the 1e-10 contract, else a LinearSolveError.
-    ``Jbar`` is a CSC matrix or a :class:`_ScaledSaddle`."""
+    backward error reaches 1e-10, else a LinearSolveError.  ``Jbar =
+    diag(1/pc) J`` is a CSC matrix or a :class:`_ScaledSaddle`, and ``lu``
+    its fresh factorization (:func:`_splu`) or a :class:`_Bordered` solver:
+    every solve of a run is refined here (:meth:`SystemCache.solve`)."""
     dx = lu.solve(rhs)
     # Accuracy control on the row-equilibrated system, where every row is
     # O(1): the backward error |Jbar dx - rhs| / (|rhs| + |Jbar||dx|).
@@ -444,27 +422,6 @@ def _refined_solve(Jbar, lu, rhs):
             "(structurally singular system?)"
         )
     return dx
-
-
-def linear_solve(sys, pc):
-    """Solve J dx = -R through the row-scaled system with a fresh SuperLU
-    factorization.
-
-    SuperLU is the only linear solver.  It factors ``Jbar = diag(1/pc) J``
-    under a minimum-degree ordering of ``Jbar + Jbar^T``, then refines
-    iteratively until the backward error on the row-equilibrated system
-    reaches 1e-10 (equivalent to the relative-residual contract whenever
-    that quantity is evaluable in double precision); a larger error raises
-    :class:`LinearSolveError`.  ``Jbar`` is a CSC copy, so ``sys.J`` is
-    left as it was.  A run solves through its :class:`SystemCache`, which
-    keeps and borders factorizations and scales ``J`` itself.
-    """
-    if _norm(sys.R) == 0.0:
-        return np.zeros_like(sys.R)
-    rhs = -sys.R / pc
-    Jbar = _scale_rows(sys.J.tocsc(copy=True), pc)
-    lu = _splu(Jbar)
-    return _refined_solve(Jbar, lu, rhs)
 
 
 class _Base:
@@ -605,9 +562,9 @@ class _ScaledSaddle:
     ``J``: its displacement block ``K_ff`` is read from the stiffness's
     upper triangle ``K`` with its ``diagonal`` (:func:`symmetric_product`
     on the displacement part padded to all dofs), and every other entry
-    from ``G = [[0, s B_up[free]], [s C[:, free], s² D]]``, in CSR with the
-    bits of ``J``'s entries (:func:`_saddle_matrix`), so ``J``'s multiplier
-    rows and columns are ``G``'s.  ``pc`` is set by :meth:`row_norms`.
+    from ``G`` (:func:`_contact_entries`, the very entries
+    :func:`_saddle_matrix` puts in ``J``), so ``J``'s multiplier rows and
+    columns are ``G``'s.  ``pc`` is set by :meth:`row_norms`.
     ``rows`` are the rows whose entries can differ between two systems on
     ``free``: the free pair dofs' and the multipliers'; every other row is a
     row of ``K_ff`` alone.
@@ -615,9 +572,7 @@ class _ScaledSaddle:
 
     def __init__(self, K, diagonal, blocks, free, s, pair_dofs):
         self.K, self.diagonal, self.free = K, diagonal, free
-        self.G = sp.bmat([
-            [None, s * blocks.B_up[free]], [s * blocks.C[:, free], (s * s) * blocks.D]
-        ], format="csr")
+        self.G = _contact_entries(blocks, free, s)
         self.shape = self.G.shape
         self.signs = _signs(K)
         self.is_free = np.zeros(K.shape[0], dtype=bool)
@@ -812,9 +767,9 @@ class SystemCache:
 
     def solve(self, sys):
         """``dx`` of ``J dx = -R`` for ``sys``, the system :meth:`system`
-        returned last, as :func:`linear_solve` gives it (to its 1e-10
-        backward-error contract) but from the solver decided for it, which
-        raises a LinearSolveError on a nearly singular ``J`` too.  Once
+        returned last, from the solver decided for it, refined by
+        :func:`linear_solve` to its 1e-10 backward-error contract; a
+        nearly singular ``J`` raises a LinearSolveError too.  Once
         ``-R/pc`` is formed, ``sys`` and the cache's system drop ``R`` and
         ``R_phys``, which no solve reads, so read ``R_phys`` first."""
         pc = self.preconditioner()
@@ -825,13 +780,13 @@ class SystemCache:
         try:
             if self.lu is None:
                 self._factor(sys)
-            return _refined_solve(self.Jbar, self.lu, rhs)
+            return linear_solve(self.Jbar, self.lu, rhs)
         except LinearSolveError:
             if not isinstance(self.lu, _Bordered):
                 raise
         self.lu = self.base = self.border_dofs = None
         self._factor(sys)
-        return _refined_solve(self.Jbar, self.lu, rhs)
+        return linear_solve(self.Jbar, self.lu, rhs)
 
     def check_rank(self):
         """The growth of a solve of a fixed random right-hand side by the
@@ -905,9 +860,10 @@ def newton_loop(mesh, mat, fric, bcs, cfg, warm=None, step=None, systems=None):
     """Monolithic-updated active-set loop for one load step.
 
     Each state loop solves the saddle system of the current state assignment
-    once (it is linear), requires the residual 2-norm after that solve to be
-    below ``newton_tol``, then reclassifies all pair states against the new
-    iterate; any change starts another loop.  Failure modes (a residual left
+    once (it is linear) unless its residual is exactly zero, requires the
+    residual 2-norm after that solve to be below ``newton_tol``, then
+    reclassifies all pair states against the new iterate; any change starts
+    another loop.  Failure modes (a residual left
     above the tolerance, a failed solve, the loop cap, state cycling) return
     a non-converged SolutionState with diagnostics, never a silent success.
     A nearly singular system is a failed solve in every attempt (a block
@@ -974,10 +930,11 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, codes, step,
         result.state_loops = loop
         sys = systems.system(mesh, mat, fric, result, F, fixed, free)
         rnorm = _norm(sys.R_phys)  # before the solve drops R_phys
-        # After a state change the fresh constraint rows can sit below the
-        # (force-scaled) tolerance without being enforced at all, so every
-        # loop after the first solves unless the residual is exactly zero.
-        if not (rnorm == 0.0 or (loop == 1 and rnorm < cfg.newton_tol)):
+        # A residual below the (force-scaled) tolerance can still belong to
+        # an unsolved iterate (a load too small for that scale, or fresh
+        # constraint rows after a state change), so every loop solves,
+        # the first included, unless the residual is exactly zero.
+        if rnorm != 0.0:
             try:
                 dx = systems.solve(sys)
             except (SingularRowError, LinearSolveError) as exc:

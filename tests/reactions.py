@@ -1,9 +1,25 @@
-"""Support reactions of a solved step, shared by the solver and acceptance
-tests (criterion 8's force balance reads them)."""
+"""Helpers shared by the solver and acceptance tests: the support reactions
+of a solved step (criterion 8's force balance reads them) and the reference
+solve of a saddle system through a fresh factorization."""
 
+import numpy as np
+
+from fracfem import solver
 from fracfem.contact import assemble_contact_blocks, contact_residuals
 from fracfem.elasticity import assemble_stiffness, symmetric_product
 from fracfem.solver import step_data
+
+
+def fresh_solve(sys, pc):
+    """``dx`` of ``J dx = -R`` for the :class:`~fracfem.solver.SaddleSystem`
+    ``sys`` through a fresh SuperLU factorization of ``diag(1/pc) J``,
+    refined as every solve of a run is (:func:`fracfem.solver.linear_solve`).
+    The scaled matrix is a CSC copy, so ``sys.J`` is left as it was."""
+    if solver._norm(sys.R) == 0.0:
+        return np.zeros_like(sys.R)
+    rhs = -sys.R / pc
+    Jbar = solver._scale_rows(sys.J.tocsc(copy=True), pc)
+    return solver.linear_solve(Jbar, solver._splu(Jbar), rhs)
 
 
 def reaction_forces(mesh, mat, fric, bcs, result, step=None, K=None, n_steps=1):

@@ -379,7 +379,7 @@ class TestSplit:
     def test_sides_reference_consistent_duplicates(self):
         m = generate_rect_mesh(1.0, 1.0, 6, 6, fractures=[(0.0, 0.5, 1.0, 0.5)])
         s = split_fractures(m)
-        cents = s.centroids()
+        cents = s.nodes[s.elements].mean(axis=1)
         (faces,) = s.faces
         plus_ids = {n for pu, _, pv, _ in faces for n in (pu, pv)}
         minus_ids = {n for _, mu, _, mv in faces for n in (mu, mv)}
@@ -866,9 +866,9 @@ class TestEdgeTable:
         assert split.elements.flags.writeable
         assert "edge_table" not in vars(split)
 
-    def test_split_reads_only_the_elements_around_its_paths(self, monkeypatch):
+    def test_split_reads_only_the_elements_around_its_paths(self):
         from fracfem import presets
-        from fracfem.mesh import FractureSpec, Mesh, _elements_around
+        from fracfem.mesh import FractureSpec, _elements_around
 
         cfg = presets.get("crossing-multi")
         mesh = generate_rect_mesh(
@@ -882,8 +882,6 @@ class TestEdgeTable:
         assert len(tris) == 544 < mesh.n_elements
         for e, tri in tris.items():
             assert tri == mesh.elements[e].tolist()
-        # no centroid is formed
-        monkeypatch.setattr(Mesh, "centroids", None)
         assert split_fractures(mesh).faces
 
     def test_fracture_checks_run_on_every_split(self):

@@ -42,13 +42,12 @@ from fracfem.solver import (
     SystemCache,
     build_preconditioner,
     build_system,
-    linear_solve,
     newton_loop,
     run_load_steps,
     step_data,
 )
 
-from reactions import reaction_forces
+from reactions import fresh_solve, reaction_forces
 
 MAT = MaterialParams(E=25e9, nu=0.25)
 FRIC30 = FrictionParams(cohesion=0.0, friction_angle=math.radians(30.0))
@@ -96,7 +95,7 @@ class TestBuildSystem:
         mesh, cfg = small_inclined_setup()
         sys = make_system(mesh, cfg, codes=codes_of(mesh, OPEN))
         pc = build_preconditioner(sys)
-        dx = linear_solve(sys, pc)
+        dx = fresh_solve(sys, pc)
         d_lam = dx[sys.free.size :]
         np.testing.assert_allclose(d_lam, 0.0, atol=1e-12)
         # displacement part equals the plain elastic solve
@@ -263,7 +262,7 @@ class TestLinearSolve:
     def test_diagonal_two_by_two(self):
         sys = self._sys([[2.0, 0.0], [0.0, 4.0]], [2.0, 4.0])
         pc = build_preconditioner(sys)
-        dx = linear_solve(sys, pc)
+        dx = fresh_solve(sys, pc)
         np.testing.assert_allclose(dx, [-1.0, -1.0], rtol=1e-14)
 
     def test_matches_unpreconditioned_elasticity(self):
@@ -278,7 +277,7 @@ class TestLinearSolve:
                         solver=SolverConfig(), generator={"width": 1})
         sys = make_system(mesh, cfg)
         pc = build_preconditioner(sys)
-        dx = linear_solve(sys, pc)
+        dx = fresh_solve(sys, pc)
         direct = spla.spsolve(sys.J.tocsc(), -sys.R)
         np.testing.assert_allclose(dx, direct, rtol=1e-7, atol=1e-16)
 
@@ -286,7 +285,7 @@ class TestLinearSolve:
         mesh, cfg = small_inclined_setup()
         sys = make_system(mesh, cfg)
         pc = build_preconditioner(sys)
-        scaled = linear_solve(sys, pc)
+        scaled = fresh_solve(sys, pc)
         unscaled = spla.spsolve(sys.J.tocsc(), -sys.R)
         assert (
             np.linalg.norm(scaled - unscaled)
@@ -297,14 +296,13 @@ class TestLinearSolve:
         sys = self._sys([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
         pc = build_preconditioner(sys)
         with pytest.raises(LinearSolveError):
-            linear_solve(sys, pc)
+            fresh_solve(sys, pc)
 
 
 class TestNewtonLoop:
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_non_finite_newton_tol_raises(self, tol):
-        # an infinite tolerance would let a first loop skip its solve and
-        # report a converged zero solution
+        # an infinite tolerance would accept any iterate as converged
         with pytest.raises(ValueError, match="newton_tol must be positive and finite"):
             SolverConfig(newton_tol=tol)
 
@@ -332,6 +330,30 @@ class TestNewtonLoop:
         assert res.message.startswith(f"residual {res.residual_norm:.3e}")
         assert "newton_tol=1e-30" in res.message
         assert "after the open start failed: residual " in res.message
+
+    def test_residual_below_tolerance_before_any_solve_is_solved(self):
+        # sigma and E both 1e-12 of the SI case: the load's residual starts
+        # far below newton_tol, yet the first loop solves, so the step ends
+        # where the SI case does, not at U = 0 with no solve
+        from fracfem.config import build_mesh
+
+        si = presets.inclined_crack(k_hops=10, nx=16)
+        tiny = presets.inclined_crack(sigma=10e6 * 1e-12, E=25e9 * 1e-12,
+                                      k_hops=10, nx=16)
+        mesh = build_mesh(si)
+        ref, got = (
+            run_load_steps(mesh, c.material, c.friction, c.bcs, c.solver)[-1]
+            for c in (si, tiny)
+        )
+        assert ref.converged and got.converged
+        assert got.newton_iters == ref.newton_iters == 2
+        np.testing.assert_array_equal(got.codes, ref.codes)
+        assert np.all(np.abs(got.codes) == 1)  # every pair slips, as in SI
+        u_max = np.abs(ref.U).max()
+        assert u_max > 0.0
+        np.testing.assert_allclose(got.U, ref.U, rtol=0, atol=1e-10 * u_max)
+        np.testing.assert_allclose(got.lam * 1e12, ref.lam, rtol=0,
+                                   atol=1e-10 * np.abs(ref.lam).max())
 
     @pytest.mark.parametrize("name", [*presets.PRESETS, "inclined-ramp"])
     def test_one_solve_per_state_loop(self, monkeypatch, name):
@@ -624,7 +646,7 @@ class TestColdStart:
         cache.solve(system(stick_codes(mesh)))
         cache.check_rank()
         sys = system(codes_of(mesh, OPEN))
-        dx = linear_solve(sys, build_preconditioner(sys))
+        dx = fresh_solve(sys, build_preconditioner(sys))
         assert np.all(np.isfinite(dx))  # the 1e-10 contract holds
         with pytest.raises(LinearSolveError, match="nearly singular"):
             cache.solve(sys)
@@ -958,7 +980,7 @@ class TestFactorReuse:
 
     def test_fresh_factorization_equals_reference_bits(self, monkeypatch):
         # the cache's fresh factorization, that of another run's cache and
-        # linear_solve's all solve to the same bits
+        # fresh_solve's all solve to the same bits
         mesh, cfg = small_inclined_setup()
         calls = self.count_splu(monkeypatch)
         solves = []
@@ -968,7 +990,7 @@ class TestFactorReuse:
             solves.append(cache.solve(sys))
             assert not is_bordered(cache)
         ref = make_system(mesh, cfg)  # the same system, with its J
-        solves.append(linear_solve(ref, build_preconditioner(ref)))
+        solves.append(fresh_solve(ref, build_preconditioner(ref)))
         assert len(calls) == 3
         for dx in solves[1:]:
             np.testing.assert_array_equal(dx.view(np.uint64), solves[0].view(np.uint64))
@@ -1084,7 +1106,7 @@ class TestBorderedUpdate:
         assert sys.R is None
         ref = dataclasses.replace(with_J(cache, sys), R=R)
         assert solver._same_bits(pc, build_preconditioner(ref))
-        fresh = linear_solve(ref, pc)
+        fresh = fresh_solve(ref, pc)
         assert len(calls) == 2
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
         assert _backward_error(_scaled(ref.J, pc), dx, -R / pc) <= 1e-10
@@ -1102,7 +1124,7 @@ class TestBorderedUpdate:
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9, 12, 13]))
         ref = dataclasses.replace(with_J(cache, sys), R=R)
         assert solver._same_bits(pc, build_preconditioner(ref))
-        fresh = linear_solve(ref, pc)
+        fresh = fresh_solve(ref, pc)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
         assert _backward_error(_scaled(ref.J, pc), dx, -R / pc) <= 1e-10
 
@@ -1125,7 +1147,7 @@ class TestBorderedUpdate:
         diff = (sys.J - base.J).tocoo()
         changed = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
         np.testing.assert_array_equal(changed, [nd + 9])
-        fresh = linear_solve(sys, pc)
+        fresh = fresh_solve(sys, pc)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
         assert _backward_error(_scaled(sys.J, pc), dx, -sys.R / pc) <= 1e-10
 
@@ -1142,7 +1164,7 @@ class TestBorderedUpdate:
         _counted(monkeypatch, solver._Bordered, "solve", bordered)
         dx = cache.solve(sys)
         assert bordered and len(calls) == 2 and not is_bordered(cache)
-        np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner()))
 
     @staticmethod
     def perturb_stiffness(cache, at, change):
@@ -1167,7 +1189,7 @@ class TestBorderedUpdate:
         ref = with_J(cache, sys)
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
-        np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner()))
 
     def test_one_ulp_in_displacement_block_stays_bordered(self, monkeypatch):
         # a change the contract tolerates is served by the bordered solve
@@ -1181,7 +1203,7 @@ class TestBorderedUpdate:
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
-        fresh = linear_solve(ref, pc)
+        fresh = fresh_solve(ref, pc)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
         assert _backward_error(_scaled(ref.J, pc), dx, -ref.R / pc) <= 1e-10
 
@@ -1197,7 +1219,7 @@ class TestBorderedUpdate:
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
         assert np.array_equal(cache.base.codes, sys.codes)
-        np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner()))
 
     def test_over_budget_miss_forms_no_difference(self, monkeypatch):
         # from all stick, sneddon's second loop opens all 19 pairs, 38
@@ -1442,7 +1464,7 @@ class TestBorderedUpdate:
         dx = cache.solve(sys)
         assert len(calls) == 2 and not is_bordered(cache)
         assert np.array_equal(cache.base.codes, sys.codes)
-        np.testing.assert_array_equal(dx, linear_solve(ref, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner()))
 
 
 # ---------------------------------------------------------------------------
@@ -1663,7 +1685,7 @@ class TestSlicedAssembly:
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
     def test_row_scaling_equals_diagonal_product(self, name, mix):
         # J scaled in place has the bits of diag(1/pc) times the CSR
-        # reference, converted to CSC; linear_solve scales a copy and
+        # reference, converted to CSC; fresh_solve scales a copy and
         # leaves J itself alone
         mesh, cfg, K, (F, fixed, free, U), systems = _preset_systems(name)
         sys = systems[mix]
@@ -1676,7 +1698,7 @@ class TestSlicedAssembly:
         assert np.count_nonzero(got.data) == got.nnz
         if mix == "stick":
             before = sys.J.copy()
-            linear_solve(sys, pc)
+            fresh_solve(sys, pc)
             assert _same_csr(sys.J, before)
 
     @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
@@ -1748,10 +1770,12 @@ class TestSlicedAssembly:
         assert _same_csr(sys.J, full_stiffness(K)[free][:, free].tocsc())
 
     def test_free_dofs_equal_set_difference(self):
+        # free is held in K's index dtype, half the bytes of an int64 array
         mesh, cfg = small_inclined_setup()
         _, fixed, _, free = step_data(mesh, cfg.bcs, None, 1)
         ref = np.setdiff1d(np.arange(2 * mesh.n_nodes, dtype=np.int64), fixed)
-        assert free.dtype == ref.dtype
+        assert free.dtype == assemble_stiffness(mesh, cfg.material).indices.dtype
+        assert free.dtype == np.int32
         np.testing.assert_array_equal(free, ref)
 
 
@@ -1980,11 +2004,12 @@ class TestFreshFactorMemory:
     def test_what_is_alive_at_a_fresh_factorization(self, monkeypatch, name, fresh):
         # at each splu neither the cache's system nor the one the state
         # loop solves holds a residual, the cache holds no stiffness
-        # diagonal, and the zero-cohesion blocks hold no cohesion load
-        # vector.  On sneddon what is left is Jbar (8.5 MiB), K (5.2 MiB),
-        # the mesh (1.8 MiB) and five n-vectors of 0.44 MiB: U, F, free,
-        # pc and the right-hand side, 18.0 MiB in all; holding those four
-        # n-vectors too reads 19.7 MiB
+        # diagonal, the zero-cohesion blocks hold no cohesion load vector,
+        # and the free dofs are held in K's index dtype.  On sneddon what
+        # is left is Jbar (8.5 MiB), K (5.2 MiB), the mesh (1.8 MiB), four
+        # n-vectors of 0.44 MiB (U, F, pc and the right-hand side) and free
+        # at half that; holding the residuals, the diagonal and the
+        # cohesion load too reads 19.7 MiB
         import tracemalloc
 
         seen, solving = [], []
@@ -1997,6 +2022,7 @@ class TestFreshFactorMemory:
                 [getattr(s, f) is None for s in (cache.sys, sys) for f in ("R", "R_phys")],
                 cache.diagonal is None,
                 np.ndim(cache.sys.blocks.f_slip),
+                sys.free.dtype == cache.K.indices.dtype == np.int32,
                 tracemalloc.get_traced_memory()[0],
             )
 
@@ -2009,8 +2035,9 @@ class TestFreshFactorMemory:
             tracemalloc.stop()
         assert res[-1].converged and cfg.friction.cohesion == 0.0
         assert len(seen) == fresh
-        for dropped, no_diagonal, f_slip_dims, _ in seen:
+        for dropped, no_diagonal, f_slip_dims, free_as_K, _ in seen:
             assert dropped == [True] * 4 and no_diagonal and f_slip_dims == 0
+            assert free_as_K
         if name == "sneddon":
             assert seen[0][-1] <= 18.5 * 2**20
 
@@ -2165,7 +2192,7 @@ class TestFreshFactorMemory:
         # they were
         Jbar = cache.Jbar
         before = Jbar.data.copy()
-        solver._refined_solve(Jbar, cache.lu, rng.standard_normal(Jbar.shape[0]))
+        solver.linear_solve(Jbar, cache.lu, rng.standard_normal(Jbar.shape[0]))
         assert solver._same_bits(Jbar.data, before)
 
 
@@ -2183,6 +2210,8 @@ def test_benchmark_tracer_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failures"] == []
+    # every solve refines through solver.linear_solve, the span refine_s reads
+    assert result["layers"]["solver.refine_s"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -2368,19 +2397,25 @@ class TestBenchmarkWorkloads:
     ):
         # a bordered loop forms no J, so J is formed once per fresh
         # factorization; the stiffness diagonal is formed once per run and
-        # again after each fresh factorization, during which it is dropped
+        # again after each fresh factorization, during which it is dropped.
+        # Each new system's contact entries are built once, by one
+        # function, whether J is formed or bordered, and every solve is
+        # refined by one function
         mesh, cfg = _workload(name)
         calls = TestFactorReuse.count_splu(monkeypatch)
-        borders, builds, diagonals = [], [], []
+        borders, builds, diagonals, entries, solves = [], [], [], [], []
         _counted(monkeypatch, solver._Bordered, "__init__", borders)
         _counted(monkeypatch, solver, "_saddle_matrix", builds)
         _counted(monkeypatch, sp.csr_matrix, "diagonal", diagonals)
+        _counted(monkeypatch, solver, "_contact_entries", entries)
+        _counted(monkeypatch, solver, "linear_solve", solves)
         res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
         assert all(r.converged and not r.restarted for r in res)
         assert [r.state_loops for r in res] == loops
         assert [r.newton_iters for r in res] == loops
         assert (len(calls), len(borders)) == (fresh, bordered)
         assert (len(builds), len(diagonals)) == (fresh, 1 + fresh)
+        assert (len(entries), len(solves)) == (fresh + bordered, sum(loops))
         codes = res[-1].codes
         assert tuple(
             np.count_nonzero(hit) for hit in (np.abs(codes) == 1, codes == 0, codes == OPEN)
