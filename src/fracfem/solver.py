@@ -213,23 +213,23 @@ def _indptr(lengths, dtype):
     return indptr
 
 
-def _saddle_matrix(K, blocks, free, s):
+def _saddle_matrix(K, free, G):
     """``J = [[K_ff, s B_up[free]], [s C[:, free], s² D]]`` in CSC, the form
     SuperLU factors, with ``K_ff`` the free block of the symmetric stiffness
-    whose upper triangle ``K`` holds.  ``J`` holds bit for bit what
-    ``sp.bmat`` of the four blocks gives, converted to CSC, and is ``K_ff``
-    itself on a mesh without pairs.  The full stiffness
+    whose upper triangle ``K`` holds and ``G`` the contact entries
+    (:func:`_contact_entries`) of the free dofs ``free``.  ``J`` holds bit
+    for bit what ``sp.bmat`` of the four blocks gives, converted to CSC, and
+    is ``K_ff`` itself on a mesh without pairs.  The full stiffness
     (:func:`full_stiffness`) lives only until pass 1 has read it.
 
     Pass 1 eliminates the Dirichlet dofs.  One keep-mask over K's entries
     marks the free rows and free columns, ``data`` and ``indices`` are
     gathered once, and the kept columns are renumbered by the count of
     fixed dofs below each.  ``K_ff`` is exactly symmetric, so its rows are
-    its columns.  Pass 2 appends to each the same column of the contact
-    entries ``G`` (:func:`_contact_entries`), which holds only multiplier
-    rows there, with one ``np.insert`` per array; a multiplier column is
-    ``G``'s alone.  Besides ``J``, only the full stiffness and the small
-    ``G`` (in CSR, then CSC) are formed as sparse matrices.
+    its columns.  Pass 2 appends to each the same column of ``G``, which
+    holds only multiplier rows there, with one ``np.insert`` per array; a
+    multiplier column is ``G``'s alone.  Besides ``J``, only the full
+    stiffness and ``G``'s CSC copy are formed as sparse matrices.
     """
     K = full_stiffness(K)
     is_free = np.zeros(K.shape[0], dtype=bool)
@@ -242,7 +242,7 @@ def _saddle_matrix(K, blocks, free, s):
     data = K.data[keep]
     del K, keep
 
-    G = _contact_entries(blocks, free, s).tocsc()
+    G = G.tocsc()
     g_counts = np.diff(G.indptr)
     counts = np.concatenate([counts, np.zeros(g_counts.size - counts.size, counts.dtype)])
     at = np.repeat(np.cumsum(counts), g_counts)
@@ -277,8 +277,8 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None,
     ``F``, ``fixed`` and ``free`` come from :func:`step_data`; ``blocks``
     are the contact blocks of ``state.codes`` on ``fixed`` (built here when
     not given).  ``J`` is formed once, in CSC, straight from the arrays of
-    ``K`` and the blocks (:func:`_saddle_matrix`), so K's free block exists
-    only inside it.
+    ``K`` and the blocks' contact entries (:func:`_saddle_matrix`), so K's
+    free block exists only inside it.
     The caller must have written the prescribed Dirichlet values into
     ``state.U`` beforehand (then the fixed increments are identically zero
     and elimination is a plain row/column restriction).
@@ -288,7 +288,7 @@ def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None,
 
     s = mat.E  # multiplier nondimensionalization (see SaddleSystem docs)
     sys = _system_without_J(K, blocks, F, state, free, s, diagonal)
-    sys.J = _saddle_matrix(K, blocks, free, s)
+    sys.J = _saddle_matrix(K, free, _contact_entries(blocks, free, s))
     return sys
 
 
@@ -428,11 +428,13 @@ class _Base:
     """A fresh factorization ``lu`` of ``diag(1/pc) J``, with the records of
     its system that bordering reads: the state codes ``codes``, the contact
     blocks' ``pinned`` mask and the free dofs ``free``.  It holds no
-    ``J``."""
+    ``J``, but it carries the unit columns ``J^-1 e_r`` of its last bordered
+    set-up (``carried``, by dof), which the next set-up reuses."""
 
     def __init__(self, sys, pc, lu):
         self.codes, self.pinned, self.free = sys.codes, sys.blocks.pinned, sys.free
         self.pc, self.lu = pc, lu
+        self.carried = {}
 
     def solve(self, y):
         """``J^-1 y`` for a vector ``y``."""
@@ -459,6 +461,38 @@ class _Base:
             return None
         return R
 
+    def unit_columns(self, R):
+        """``Z = J^-1 E_R`` as a column-major block.  Column ``k`` is a
+        one-column solve of the unit vector at ``R[k]``, formed already
+        divided by its row norm as :meth:`solve` would divide it and
+        written straight into the block, or the column that the last
+        set-up solved for that dof.  The block's columns are carried from
+        then on, in place of the last set-up's."""
+        Z = np.empty((self.lu.shape[0], R.size), order="F")
+        e = np.zeros(Z.shape[0])
+        for z, r in zip(Z.T, R.tolist()):
+            if r in self.carried:
+                z[:] = self.carried[r]
+            else:
+                e[r] = 1.0 / self.pc[r]
+                z[:] = self.lu.solve(e)
+                e[r] = 0.0
+        self.carried = dict(zip(R.tolist(), Z.T))
+        return Z
+
+    def columns(self, B):
+        """``J^-1 B`` as a column-major block, for a CSC matrix ``B``
+        already divided by the row norms: one one-column solve per column,
+        written straight into the block."""
+        out = np.empty(B.shape, order="F")
+        y = np.zeros(B.shape[0])
+        for k, col in enumerate(out.T):
+            rows = B.indices[B.indptr[k]:B.indptr[k + 1]]
+            y[rows] = B.data[B.indptr[k]:B.indptr[k + 1]]
+            col[:] = self.lu.solve(y)
+            y[rows] = 0.0
+        return out
+
     def bordered_solver(self, G, pc, R):
         """A :class:`_Bordered` solver, on the dofs ``R`` that :meth:`border`
         gave, of the system whose (unscaled) ``J`` has the rows and columns
@@ -466,26 +500,23 @@ class _Base:
         dofs), or None when the nonzero columns of ``J_NR`` overrun the
         budget or the bordered blocks are singular.
 
-        The right-hand sides of ``Z = J0^-1 E_R`` and of ``J0^-1 J_NR`` are
-        formed already divided by the base's row norms, as :meth:`solve`
-        would divide them, and handed straight to SuperLU, whose own copy
-        is the solution: each block exists twice at most."""
+        ``Z = J0^-1 E_R`` (:meth:`unit_columns`) and ``J0^-1 J_NR``
+        (:meth:`columns`) are solved one column at a time, each right-hand
+        side formed already divided by the base's row norms, and no block of
+        right-hand sides is formed: a set-up holds each dense block once,
+        beside the columns the base carries."""
         n = G.shape[0]
         in_R = np.zeros(n, dtype=bool)
         in_R[R] = True
         JR = G[:, R].tocoo()  # J_NR: its entries in rows outside R
         keep = ~in_R[JR.row]
-        nz = np.unique(JR.col[keep])  # positions in R of nonzero J_NR columns
+        at = JR.row[keep]
+        J_NR = sp.csc_matrix(
+            (JR.data[keep] / self.pc[at], (at, JR.col[keep])), shape=(n, R.size)
+        )
+        nz = np.flatnonzero(np.diff(J_NR.indptr))  # positions in R of nonzero J_NR columns
         if self._over_budget(R, nz.size):
             return None
-
-        Z = np.zeros((n, R.size))
-        Z[R, np.arange(R.size)] = 1.0 / self.pc[R]
-        Z = self.lu.solve(Z)
-        at = JR.row[keep]
-        Y = np.zeros((n, nz.size))
-        Y[at, np.searchsorted(nz, JR.col[keep])] = JR.data[keep] / self.pc[at]
-        Y = self.lu.solve(Y)
         J_R = G[R]
         rows = J_R.tocoo()
         out = ~in_R[rows.col]
@@ -493,7 +524,7 @@ class _Base:
             (rows.data[out], (rows.row[out], rows.col[out])), shape=(R.size, n)
         )
         try:
-            return _Bordered(self, pc, R, Z, Y, nz, J_RN, J_R[:, R].toarray())
+            return _Bordered(self, pc, R, J_NR[:, nz], nz, J_RN, J_R[:, R].toarray())
         except np.linalg.LinAlgError:
             return None
 
@@ -508,24 +539,28 @@ class _Bordered:
     on ``R`` through the Schur complement ``S = J_RR - J_RN A^-1 J_NR``:
     one base solve and a few dense products per call.  Vectors of length
     ``n`` stand for their ``N`` part with zeros at ``R``; ``J_NR`` holds only
-    its nonzero columns, at positions ``nz`` of ``R``, and comes as ``Y =
-    J0^-1 J_NR``.  ``Y`` and ``J_RR`` become ``W`` and ``S`` in place.
+    its nonzero columns, at positions ``nz`` of ``R``, divided by the base's
+    row norms.  ``W = A^-1 J_NR`` is formed column by column in the block
+    of the base's solves, and ``S`` in place of ``J_RR``.
     """
 
-    def __init__(self, base, pc, R, Z, Y, nz, J_RN, J_RR):
-        self.base, self.pc, self.R, self.Z, self.J_RN = base, pc, R, Z, J_RN
-        self.T = Z[R]
-        self.nz = nz
-        self.W = self._a_inv(Y)  # A^-1 J_NR
+    def __init__(self, base, pc, R, J_NR, nz, J_RN, J_RR):
+        self.base, self.pc, self.R, self.nz, self.J_RN = base, pc, R, nz, J_RN
+        self.Z = base.unit_columns(R)
+        self.T = self.Z[R]
+        self.W = base.columns(J_NR)
+        for w in self.W.T:
+            self._a_inv(w)
         self.S = J_RR
         self.S[:, nz] -= J_RN @ self.W
-        # np.linalg.solve raises LinAlgError on a singular T (just above) or
-        # S (here), so that solve() cannot
-        np.linalg.solve(self.S, np.zeros(R.size))
+        # np.linalg.solve raises LinAlgError on a singular T or S, so that
+        # solve() cannot
+        for M in (self.T, self.S):
+            np.linalg.solve(M, np.zeros(R.size))
 
     def _a_inv(self, y):
         """``A^-1 v`` from ``y = J0^-1 v`` (``v`` zero at ``R``), in place
-        of ``y``."""
+        of the vector ``y``."""
         y -= self.Z @ np.linalg.solve(self.T, y[self.R])
         y[self.R] = 0.0
         return y
@@ -737,8 +772,10 @@ class SystemCache:
     def _fresh_factor(self, sys):
         """A fresh factorization of ``Jbar``, which becomes the base.
 
-        The base is dropped first.  A bordered system's ``J`` is formed
-        only now, in place of its :class:`_ScaledSaddle`.  ``J`` is scaled
+        The base is dropped first.  A system without ``J`` (a bordered
+        one, or one whose ``J`` an earlier factorization consumed) has it
+        formed only now; a bordered system's from the contact entries of
+        its :class:`_ScaledSaddle`, which it replaces.  ``J`` is scaled
         into ``Jbar`` in place, and both systems drop it: no system keeps an
         unscaled ``J`` once its solver exists.  Before the factorization
         the freed heap is handed back (:func:`_release_heap`), so SuperLU's
@@ -751,8 +788,13 @@ class SystemCache:
         self.lu = self.base = None
         J = self.sys.J
         if J is None:
+            # a bordered system's contact entries are its operator's
+            G = self.Jbar.G if isinstance(self.Jbar, _ScaledSaddle) else None
             self.Jbar = None
-            J = _saddle_matrix(self.K, self.sys.blocks, self.sys.free, self.sys.mult_scale)
+            if G is None:
+                G = _contact_entries(self.sys.blocks, self.sys.free, self.sys.mult_scale)
+            J = _saddle_matrix(self.K, self.sys.free, G)
+            del G
         self.sys.J = sys.J = None
         self.Jbar = _scale_rows(J, self.pc)
         self.diagonal = None
@@ -943,11 +985,15 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, codes, step,
                 return result
             U[free] += dx[: free.size]
             lam += sys.mult_scale * dx[free.size :]
+            del dx
             lam[sys.blocks.pinned] = 0.0  # identity rows solve to exactly 0
             result.newton_iters += 1
-            _, R_phys = systems.residual(sys.blocks, F, U, lam, free, sys.mult_scale)
-            rnorm = _norm(R_phys)
-        del sys  # the next loop's system is assembled without this one alive
+            rnorm = _norm(
+                systems.residual(sys.blocks, F, U, lam, free, sys.mult_scale)[1]
+            )
+        # the next loop's system is assembled without this one, its
+        # increment or its residuals alive
+        del sys
         result.residual_norm = rnorm
         if not rnorm < cfg.newton_tol:
             result.message = (

@@ -865,7 +865,8 @@ def with_J(cache, sys):
     the cache's ``K`` and the system's blocks, as :func:`build_system`
     forms it (the same bits): a system the cache has made a solver for no
     longer holds its ``J``, which became the cache's ``Jbar``."""
-    J = solver._saddle_matrix(cache.K, sys.blocks, sys.free, sys.mult_scale)
+    G = solver._contact_entries(sys.blocks, sys.free, sys.mult_scale)
+    J = solver._saddle_matrix(cache.K, sys.free, G)
     return dataclasses.replace(sys, J=J)
 
 
@@ -874,20 +875,38 @@ def is_bordered(cache):
     return isinstance(cache.lu, solver._Bordered)
 
 
-class _BlockCounting:
-    """A SuperLU factorization that records the column count of each block
-    of right-hand sides it solves."""
+class _ColumnCounting:
+    """A SuperLU factorization that records the column count of each
+    right-hand side it solves (1 for a vector)."""
 
-    def __init__(self, lu, blocks):
-        self.lu, self.blocks = lu, blocks
+    def __init__(self, lu, columns):
+        self.lu, self.columns = lu, columns
 
     def solve(self, y):
-        if y.ndim == 2:
-            self.blocks.append(y.shape[1])
+        self.columns.append(1 if y.ndim == 1 else y.shape[1])
         return self.lu.solve(y)
 
     def __getattr__(self, name):
         return getattr(self.lu, name)
+
+
+def set_up_solves(monkeypatch):
+    """A list that gets, for each bordered set-up, the column counts of the
+    right-hand sides that the base's factorization solves in it."""
+    set_ups = []
+    real = solver._Base.bordered_solver
+
+    def counted(self, G, pc, R):
+        lu, columns = self.lu, []
+        self.lu = _ColumnCounting(lu, columns)
+        try:
+            return real(self, G, pc, R)
+        finally:
+            self.lu = lu
+            set_ups.append(columns)
+
+    monkeypatch.setattr(solver._Base, "bordered_solver", counted)
+    return set_ups
 
 
 class TestFactorReuse:
@@ -1091,12 +1110,15 @@ class TestBorderedUpdate:
 
     def test_bordered_solve_matches_fresh_factorization(self, monkeypatch):
         mesh, calls, cache, system = self.setup_base(monkeypatch)
+        set_ups = set_up_solves(monkeypatch)
         stick = stick_codes(mesh)
         sys = system(self.flipped(stick, {2: OPEN, 4: SLIP}))
         R = sys.R  # the solve drops it from the system
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
+        # four unit columns and one J_NR column, each solved on its own
+        assert set_ups == [[1] * 5]
         # open pair 2 changes both its rows; slip pair 4 its tangential row
         # and its normal column (friction), the one column with J_NR entries
         nd = sys.free.size
@@ -1111,17 +1133,17 @@ class TestBorderedUpdate:
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
         assert _backward_error(_scaled(ref.J, pc), dx, -R / pc) <= 1e-10
 
-        # one more pair opens: the base's factor solves for the six J^-1
-        # columns of the new border, then for the one nonzero J_NR column
+        # one more pair opens: of the six J^-1 columns of the new border,
+        # the base carries four from the last set-up, so its factor solves
+        # the two new ones, then the one nonzero J_NR column, one at a time
         sys = system(self.flipped(stick, {2: OPEN, 4: SLIP, 6: OPEN}))
         R = sys.R
-        blocks = []
-        cache.base.lu = _BlockCounting(cache.base.lu, blocks)
         dx = cache.solve(sys)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 2
-        assert blocks == [6, 1]
+        assert set_ups[1:] == [[1, 1, 1]]
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9, 12, 13]))
+        assert sorted(cache.base.carried) == cache.lu.R.tolist()
         ref = dataclasses.replace(with_J(cache, sys), R=R)
         assert solver._same_bits(pc, build_preconditioner(ref))
         fresh = fresh_solve(ref, pc)
@@ -1420,10 +1442,13 @@ class TestBorderedUpdate:
     @pytest.mark.parametrize("case", ["crossing-multi", "inclined-flips"])
     def test_bordered_solver_keeps_the_bits_of_unit_columns(self, monkeypatch, case):
         # the right-hand sides formed already divided by the base's row
-        # norms, the one slice of J[R], the uncopied J_RR and the in-place
-        # A^-1 give the blocks and solutions of the construction they
-        # replaced bit for bit: crossing-multi's two borders (no J_NR
-        # column) and the coarse inclined crack's (one J_NR column each)
+        # norms, the one-column solves written into the blocks, the unit
+        # columns carried from the last set-up, the one slice of J[R], the
+        # uncopied J_RR and the in-place A^-1 give the blocks and solutions
+        # of the construction they replaced, with each column solved on its
+        # own, bit for bit: crossing-multi's two borders (no J_NR column;
+        # the second reuses the first's four unit columns) and the coarse
+        # inclined crack's (one J_NR column each)
         seen, caches = [], []
         real = solver._Base.bordered_solver
         _counted(monkeypatch, SystemCache, "__init__", caches, lambda self, K: self)
@@ -1456,13 +1481,18 @@ class TestBorderedUpdate:
     def test_bordered_miss_falls_back_to_one_fresh_factorization(
         self, monkeypatch, bad
     ):
+        # the fresh factorization's J is formed from the contact entries
+        # of the bordered operator, which are built once for the system
         mesh, calls, cache, system = self.setup_base(monkeypatch)
         monkeypatch.setattr(solver._Bordered, "solve",
                             lambda self, r: np.full_like(r, bad))
+        entries = []
+        _counted(monkeypatch, solver, "_contact_entries", entries)
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
-        ref = with_J(cache, sys)
+        R = sys.R  # the solve drops it from the system
         dx = cache.solve(sys)
-        assert len(calls) == 2 and not is_bordered(cache)
+        assert len(calls) == 2 and not is_bordered(cache) and len(entries) == 1
+        ref = dataclasses.replace(with_J(cache, sys), R=R)
         assert np.array_equal(cache.base.codes, sys.codes)
         np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner()))
 
@@ -1518,10 +1548,17 @@ def _ref_bordered(base, J, pc, R):
     :meth:`solver._Base.bordered_solver` and :class:`solver._Bordered`
     formed them with unit columns divided by the base's row norms in
     :meth:`solver._Base.solve` (``base_solve``), kept verbatim (but for the
-    closures) to pin the pre-scaled construction bit for bit."""
+    closures) to pin the pre-scaled construction bit for bit; but
+    ``base_solve`` solves a block's columns each on its own, as the base's
+    one-column solves do, into a column-major block."""
 
     def base_solve(y):
-        return base.lu.solve(y / (base.pc if y.ndim == 1 else base.pc[:, None]))
+        if y.ndim == 1:
+            return base.lu.solve(y / base.pc)
+        out = np.empty(y.shape, order="F")
+        for k, c in enumerate(y.T):
+            out[:, k] = base.lu.solve(c / base.pc)
+        return out
 
     n = J.shape[0]
     in_R = np.zeros(n, dtype=bool)
@@ -1746,7 +1783,7 @@ class TestSlicedAssembly:
         n, s = 24, 2.5e10
         K, blocks = _synthetic_saddle(n, m2, np.random.default_rng(len(fixed)))
         free = np.setdiff1d(np.arange(n, dtype=np.int64), fixed)
-        got = solver._saddle_matrix(K, blocks, free, s)
+        got = solver._saddle_matrix(K, free, solver._contact_entries(blocks, free, s))
         ref = _ref_bmat_J(K, blocks, free, s)
         assert _same_csr(got, ref.tocsc())
         assert got.format == "csc" and got.has_sorted_indices
@@ -2009,12 +2046,27 @@ class TestFreshFactorMemory:
         # is left is Jbar (8.5 MiB), K (5.2 MiB), the mesh (1.8 MiB), four
         # n-vectors of 0.44 MiB (U, F, pc and the right-hand side) and free
         # at half that; holding the residuals, the diagonal and the
-        # cohesion load too reads 19.7 MiB
+        # cohesion load too reads 19.7 MiB.  No earlier loop's increment
+        # dx, nor the residual pair formed after its solve, is alive either
         import tracemalloc
+        import weakref
 
-        seen, solving = [], []
-        _counted(monkeypatch, SystemCache, "solve", solving,
-                 lambda cache, sys: (cache, sys))
+        seen, solving, earlier = [], [], []
+        real_solve, real_residual = SystemCache.solve, SystemCache.residual
+
+        def solve(cache, sys):
+            solving.append((cache, sys))
+            dx = real_solve(cache, sys)
+            earlier.append(weakref.ref(dx))
+            return dx
+
+        def residual(cache, *args):
+            pair = real_residual(cache, *args)
+            earlier.extend(weakref.ref(r) for r in pair)
+            return pair
+
+        monkeypatch.setattr(SystemCache, "solve", solve)
+        monkeypatch.setattr(SystemCache, "residual", residual)
 
         def alive(Jbar):
             cache, sys = solving[-1]
@@ -2023,6 +2075,7 @@ class TestFreshFactorMemory:
                 cache.diagonal is None,
                 np.ndim(cache.sys.blocks.f_slip),
                 sys.free.dtype == cache.K.indices.dtype == np.int32,
+                sum(ref() is not None for ref in earlier),
                 tracemalloc.get_traced_memory()[0],
             )
 
@@ -2034,10 +2087,10 @@ class TestFreshFactorMemory:
         finally:
             tracemalloc.stop()
         assert res[-1].converged and cfg.friction.cohesion == 0.0
-        assert len(seen) == fresh
-        for dropped, no_diagonal, f_slip_dims, free_as_K, _ in seen:
+        assert len(seen) == fresh and len(earlier) >= 3 * sum(r.newton_iters for r in res)
+        for dropped, no_diagonal, f_slip_dims, free_as_K, earlier_alive, _ in seen:
             assert dropped == [True] * 4 and no_diagonal and f_slip_dims == 0
-            assert free_as_K
+            assert free_as_K and earlier_alive == 0
         if name == "sneddon":
             assert seen[0][-1] <= 18.5 * 2**20
 
@@ -2108,13 +2161,15 @@ class TestFreshFactorMemory:
         assert seen == [(kind, True, True, True) for kind in kinds]
         assert len(built) == kinds.count(False)
 
-    def test_bordered_setup_holds_each_block_twice_at_most(self, monkeypatch):
-        # crossing-multi borders its base on 4, then 12 dofs.  The unit
-        # columns, formed already divided by the base's row norms, and
-        # SuperLU's copy of them (its solution) are the largest blocks of
-        # the setup, and the J_NR columns and W take two more n x nz blocks
-        # at most; the slack covers the index arrays and masks.  A unit
-        # block kept beside its scaled copy breaks the bound.
+    def test_bordered_setup_holds_each_block_once(self, monkeypatch):
+        # crossing-multi borders its base on 4, then 12 dofs.  Each unit
+        # column and each J_NR column is solved on its own and written
+        # straight into its block, so a set-up allocates the n x |R| block
+        # Z and the n x nz block W once each, beside a few n-vectors (the
+        # right-hand side, SuperLU's copy and solution, the A^-1 product);
+        # the slack covers the index arrays and masks.  The columns the base
+        # carries from its last set-up were allocated before it.  A block
+        # of right-hand sides beside its solution breaks the bound.
         import tracemalloc
 
         mesh, cfg = _workload("crossing-multi")
@@ -2137,7 +2192,18 @@ class TestFreshFactorMemory:
         assert [(n, r) for n, r, *_ in seen] == [(15_102, 4), (15_102, 12)]
         slack = 64 * 1024
         for n, r, nz, peak in seen:
-            assert peak <= 8 * (2 * n * r + 2 * n * nz) + slack, (r, nz, peak)
+            assert peak <= 8 * n * (r + nz) + 4 * 8 * n + slack, (r, nz, peak)
+
+    def test_each_unit_column_solved_once_per_base(self, monkeypatch):
+        # crossing-multi's base borders loop 3 on 4 dofs and loop 4 on 12
+        # that include them: the base's factorization solves 4, then the 8
+        # new unit columns, each as a one-column solve, and no J_NR column
+        # (there is none)
+        set_ups = set_up_solves(monkeypatch)
+        mesh, cfg = _workload("crossing-multi")
+        res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
+        assert res[-1].converged
+        assert set_ups == [[1] * 4, [1] * 8]
 
     def test_heap_release_without_malloc_trim_is_a_no_op(self, monkeypatch):
         class NoTrim:  # a C library without the symbol
@@ -2383,7 +2449,7 @@ class TestBenchmarkWorkloads:
     # print it (the benchmark's hash covers only U and lam)
     RESIDUAL_NORMS = {
         "sneddon": "0x1.107cf4731c994p-21",
-        "crossing-multi": "0x1.1a9e98d75fadfp-18",
+        "crossing-multi": "0x1.1902840a2eb1bp-18",
         "inclined-ramp": "0x1.b9cd96a13088bp-21",
     }
 
