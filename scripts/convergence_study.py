@@ -11,8 +11,6 @@ import sys
 
 from fracfem import presets
 from fracfem.config import build_mesh
-from fracfem.export import fracture_profiles
-from fracfem.oracles import inclined_crack_slip, profile_error
 from fracfem.solver import run_load_steps, wall_timed
 
 
@@ -35,16 +33,10 @@ def main(argv=None):
             print(f"hops {k}: did not converge ({state.message})",
                   file=sys.stderr)
             return 1
-        case = presets.inclined_crack_case(config)
-        recs = fracture_profiles(mesh, state)[0]
-        err = profile_error(
-            [r.eta for r in recs], [abs(r.jump_t) for r in recs],
-            lambda e: inclined_crack_slip(e, case),
-            length=2.0 * case.half_length,
-        )
+        err = presets.reference_error("inclined-crack", config, mesh, state)
         h = 2.0 * 2.0**0.5 / k
         print(f"{k:>5} {h:>8.4f} {mesh.n_elements:>7} "
-              f"{err.rel_l2:>8.4f} {elapsed:>8.2f}")
+              f"{err:>8.4f} {elapsed:>8.2f}")
     return 0
 
 

@@ -231,36 +231,39 @@ def get(name):
     return PRESETS[name]()
 
 
-def reference_error(name, config, mesh, state, window=(0.1, 0.9)):
-    """Relative L2 error of the run against its closed-form reference, or
-    None for scenarios without one."""
-    profiles = fracture_profiles(mesh, state)
-    if name == "inclined-crack":
-        case = inclined_crack_case(config)
-        recs = profiles[0]
-        eta = [r.eta for r in recs]
-        vals = [abs(r.jump_t) for r in recs]
-        return profile_error(
-            eta, vals, lambda e: inclined_crack_slip(e, case),
-            length=2.0 * case.half_length, window=window,
-        ).rel_l2
-    if name == "sneddon":
-        recs = profiles[0]
-        eta = [r.eta for r in recs]
-        vals = [r.jump_n for r in recs]
-        l = 0.5 * arc_coordinates(mesh, 0)[-1]
-        p = next(b.pressure for b in config.bcs if b.kind == "fracture_pressure")
-        return profile_error(
-            eta, vals, lambda e: sneddon_opening(e - l, p, l, config.material),
-            length=2.0 * l, window=window,
-        ).rel_l2
-    if name == "shear-throughgoing":
-        recs = profiles[0]
-        eta = [r.eta for r in recs]
-        vals = [abs(r.jump_t) for r in recs]
-        ref = constant_slip_reference()
-        return profile_error(
-            eta, vals, lambda e: ref, length=arc_coordinates(mesh, 0)[-1],
-            window=window,
-        ).rel_l2
-    return None
+def _inclined_crack_reference(config, mesh):
+    case = inclined_crack_case(config)
+    return (lambda e: inclined_crack_slip(e, case)), 2.0 * case.half_length
+
+
+def _sneddon_reference(config, mesh):
+    l = 0.5 * arc_coordinates(mesh, 0)[-1]
+    p = next(b.pressure for b in config.bcs if b.kind == "fracture_pressure")
+    return (lambda e: sneddon_opening(e - l, p, l, config.material)), 2.0 * l
+
+
+def _constant_slip_reference(config, mesh):
+    ref = constant_slip_reference()
+    return (lambda e: ref), arc_coordinates(mesh, 0)[-1]
+
+
+# preset name -> (profile column of fracture 0, closed form and its length)
+_REFERENCES = {
+    "inclined-crack": (lambda r: abs(r.jump_t), _inclined_crack_reference),
+    "sneddon": (lambda r: r.jump_n, _sneddon_reference),
+    "shear-throughgoing": (lambda r: abs(r.jump_t), _constant_slip_reference),
+}
+
+
+def reference_error(name, config, mesh, state):
+    """Relative L2 error of fracture 0's profile against the scenario's
+    closed form (:func:`~fracfem.oracles.profile_error` on its default
+    window), or None for scenarios without one."""
+    if name not in _REFERENCES:
+        return None
+    column, reference = _REFERENCES[name]
+    analytic, length = reference(config, mesh)
+    recs = fracture_profiles(mesh, state)[0]
+    return profile_error(
+        [r.eta for r in recs], [column(r) for r in recs], analytic, length
+    ).rel_l2

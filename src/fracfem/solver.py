@@ -13,7 +13,7 @@ import ctypes
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -134,7 +134,7 @@ class SolutionState:
 
 @dataclass
 class SaddleSystem:
-    """Reduced block-2x2 Jacobian and residual at the iterate it was built at.
+    """Reduced block-2x2 Jacobian of one contact-state assignment.
 
     Displacement dofs come first (Dirichlet rows/columns eliminated; ``free``
     lists the kept ones), then the multiplier dofs.  The multiplier unknowns
@@ -143,31 +143,27 @@ class SaddleSystem:
     elastic modulus): tractions in Pa against displacements in meters would
     otherwise leave the assembled Jacobian with a condition number around
     1e13 that no row equilibration can repair.  All public quantities stay
-    physical; only this system and its increments live in the scaled
+    physical, the residual included (:meth:`SystemCache.residual`); only
+    this system, the right-hand side and the increments live in the scaled
     variable.  ``blocks`` are the contact blocks ``J`` is built from, for
     the state codes ``codes`` (a copy of the iterate's own);
-    :func:`newton_loop` forms the residual after its solve from them, and
+    :func:`newton_loop` forms each residual from them, and
     :class:`SystemCache` compares ``codes`` to tell which pairs' rows and
-    columns differ between two systems.
+    columns differ between two systems.  A system holds no residual: the
+    matrix belongs to the assignment, the residual to the iterate.
     :func:`build_system` returns ``J`` in CSC, the form SuperLU factors.  A
     :class:`SystemCache` turns that very matrix into ``Jbar = diag(1/pc) J``
     (``pc`` its row norms, :func:`build_preconditioner`) when it makes the
     system's solver, so a system it built holds None there from then on; a
     system it borders holds None from the start, as its ``J`` is never
     formed (:class:`_ScaledSaddle`).  A system assembled by hand may give a
-    CSR ``J``.  :meth:`SystemCache.solve` drops ``R`` and ``R_phys`` too,
-    once its right-hand side is formed.
+    CSR ``J``.
     """
 
     J: sp.csc_matrix | sp.csr_matrix | None
-    R: np.ndarray | None
     free: np.ndarray
     blocks: object
     mult_scale: float = 1.0
-    # residual in physical units (forces / gap integrals); the convergence
-    # norm lives here because the scaled multiplier rows of R have a
-    # floating-point floor of eps * lambda * mult_scale
-    R_phys: np.ndarray | None = None
     codes: np.ndarray | None = None
 
 
@@ -186,15 +182,6 @@ def step_data(mesh, bcs, step, n_steps):
     is_free = np.ones(n, dtype=bool)
     is_free[fixed] = False
     return F, fixed, fixed_vals, np.arange(n, dtype=index_dtype(n))[is_free]
-
-
-def _reduced_residual(K, blocks, F, U, lam, free, s, diagonal):
-    """(scaled, physical) residual on the free dofs and the multipliers;
-    ``K`` is the stiffness's upper triangle and ``diagonal`` its diagonal,
-    or None (:func:`symmetric_product`)."""
-    ru_c, rlam = contact_residuals(blocks, U, lam)
-    ru = (symmetric_product(K, U, diagonal) + ru_c - F)[free]
-    return np.concatenate([ru, s * rlam]), np.concatenate([ru, rlam])
 
 
 def _contact_entries(blocks, free, s):
@@ -253,43 +240,23 @@ def _saddle_matrix(K, free, G):
     )
 
 
-def _system_without_J(K, blocks, F, state, free, s, diagonal):
-    """The :class:`SaddleSystem` of ``blocks`` at ``state``'s iterate with its
-    residual, but no ``J``."""
-    R, R_phys = _reduced_residual(K, blocks, F, state.U, state.lam, free, s, diagonal)
-    return SaddleSystem(
-        J=None,
-        R=R,
-        free=free,
-        blocks=blocks,
-        mult_scale=s,
-        R_phys=R_phys,
-        codes=state.codes.copy(),
-    )
+def build_system(mesh, mat, fric, codes, K, fixed, free, blocks=None):
+    """Assemble the reduced saddle system of the state codes ``codes``.
 
-
-def build_system(mesh, mat, fric, state, K, F, fixed, free, blocks=None,
-                 diagonal=None):
-    """Assemble the reduced saddle system for the current codes/iterate.
-
-    ``K`` is the stiffness's upper triangle (:func:`assemble_stiffness`) and
-    ``diagonal`` its diagonal (formed here when not given);
-    ``F``, ``fixed`` and ``free`` come from :func:`step_data`; ``blocks``
-    are the contact blocks of ``state.codes`` on ``fixed`` (built here when
-    not given).  ``J`` is formed once, in CSC, straight from the arrays of
-    ``K`` and the blocks' contact entries (:func:`_saddle_matrix`), so K's
-    free block exists only inside it.
-    The caller must have written the prescribed Dirichlet values into
-    ``state.U`` beforehand (then the fixed increments are identically zero
-    and elimination is a plain row/column restriction).
+    ``K`` is the stiffness's upper triangle (:func:`assemble_stiffness`);
+    ``fixed`` and ``free`` come from :func:`step_data`; ``blocks`` are the
+    contact blocks of ``codes`` on ``fixed`` (built here when not given).
+    ``J`` is formed once, in CSC, straight from the arrays of ``K`` and the
+    blocks' contact entries (:func:`_saddle_matrix`), so K's free block
+    exists only inside it.  The system holds no residual
+    (:meth:`SystemCache.residual` forms it).
     """
     if blocks is None:
-        blocks = assemble_contact_blocks(mesh, state.codes, fric, fixed_dofs=fixed)
-
+        blocks = assemble_contact_blocks(mesh, codes, fric, fixed_dofs=fixed)
     s = mat.E  # multiplier nondimensionalization (see SaddleSystem docs)
-    sys = _system_without_J(K, blocks, F, state, free, s, diagonal)
-    sys.J = _saddle_matrix(K, free, _contact_entries(blocks, free, s))
-    return sys
+    J = _saddle_matrix(K, free, _contact_entries(blocks, free, s))
+    return SaddleSystem(J=J, free=free, blocks=blocks, mult_scale=s,
+                        codes=codes.copy())
 
 
 def _dof_description(sys, row):
@@ -670,15 +637,17 @@ class SystemCache:
     (:class:`_Base`).  Each system's matrix exists once at most: the CSC
     ``J`` that :func:`build_system` forms becomes its ``Jbar`` in place
     when its solver is made, and the system drops ``J`` then
-    (:meth:`_fresh_factor`), as it drops its residuals in :meth:`solve`.
+    (:meth:`_fresh_factor`).  No system holds a residual: the state loop
+    forms each one through :meth:`residual`, and :meth:`solve` turns it into
+    the right-hand side in place.
     K's free block is not kept: :func:`build_system` forms ``J`` from K's
     arrays once per fresh factorization, and only ``J`` holds it.  Mesh,
     material and friction must not change under it, and :meth:`solve`
     solves only the system that :meth:`system` returned last.
 
     What serves a solve is decided once, in :meth:`system`.  A state loop
-    whose state codes and free dofs repeat the last system's reuses its blocks,
-    ``Jbar``, ``pc`` and solver, and only its residual is formed again.  For a
+    whose state codes and free dofs repeat the last system's is served that
+    very system, with its blocks, ``Jbar``, ``pc`` and solver.  For a
     new assignment, as soon as its contact blocks exist, the last system,
     its ``Jbar`` and its solver are dropped, and the base gives the
     multiplier dofs ``R`` of the pairs that flipped since it
@@ -709,9 +678,20 @@ class SystemCache:
         self.sys = self.pc = None
         self.Jbar = self.lu = self.base = self.border_dofs = None
 
-    def residual(self, blocks, F, U, lam, free, s):
-        """:func:`_reduced_residual` on ``K`` and its one ``diagonal``."""
-        return _reduced_residual(self.K, blocks, F, U, lam, free, s, self.diagonal)
+    def residual(self, blocks, F, U, lam, free):
+        """The residual ``[ru, rlam]`` at ``U`` and ``lam`` in physical
+        units (forces on the free dofs, then gap integrals on the
+        multipliers) for the contact blocks ``blocks``, on ``K`` and its
+        one ``diagonal``: the only place a residual is formed.  Its norm is
+        the convergence test's, as the scaled multiplier rows have a
+        floating-point floor of eps * lambda * mult_scale, and :meth:`solve`
+        turns it into the right-hand side in place.  ``U`` must hold the
+        prescribed Dirichlet values, so that the fixed increments are
+        identically zero and elimination is a plain row/column
+        restriction."""
+        ru_c, rlam = contact_residuals(blocks, U, lam)
+        ru = (symmetric_product(self.K, U, self.diagonal) + ru_c - F)[free]
+        return np.concatenate([ru, rlam])
 
     def _repeats(self, codes, free):
         """True when the last system was built for ``codes`` and ``free``."""
@@ -721,28 +701,27 @@ class SystemCache:
             and _same_bits(free, self.sys.free)
         )
 
-    def system(self, mesh, mat, fric, state, F, fixed, free):
-        """The :class:`SaddleSystem` of ``state``, as :func:`build_system`
-        returns it, but with no ``J`` when the base borders it."""
-        if self._repeats(state.codes, free):
-            R, R_phys = self.residual(
-                self.sys.blocks, F, state.U, state.lam, free, self.sys.mult_scale
-            )
-            return replace(self.sys, R=R, R_phys=R_phys)
-        blocks = assemble_contact_blocks(mesh, state.codes, fric, fixed_dofs=fixed)
+    def system(self, mesh, mat, fric, codes, fixed, free):
+        """The :class:`SaddleSystem` of the state codes ``codes``, as
+        :func:`build_system` returns it, but with no ``J`` when the base
+        borders it; the cache's own system when the last one was built for
+        ``codes`` and ``free``."""
+        if self._repeats(codes, free):
+            return self.sys
+        blocks = assemble_contact_blocks(mesh, codes, fric, fixed_dofs=fixed)
         # free what the new system cannot use before it is built
         self.sys = self.pc = self.Jbar = self.lu = None
         self.border_dofs = (
-            None if self.base is None
-            else self.base.border(state.codes, blocks.pinned, free)
+            None if self.base is None else self.base.border(codes, blocks.pinned, free)
         )
         if self.border_dofs is None:
             self.base = None
-            self.sys = build_system(mesh, mat, fric, state, self.K, F, fixed, free,
-                                    blocks=blocks, diagonal=self.diagonal)
+            self.sys = build_system(mesh, mat, fric, codes, self.K, fixed, free,
+                                    blocks=blocks)
             return self.sys
         s = mat.E
-        self.sys = _system_without_J(self.K, blocks, F, state, free, s, self.diagonal)
+        self.sys = SaddleSystem(J=None, free=free, blocks=blocks, mult_scale=s,
+                                codes=codes.copy())
         self.Jbar = _ScaledSaddle(
             self.K, self.diagonal, blocks, free, s, mesh.pair_arrays.dofs
         )
@@ -759,24 +738,23 @@ class SystemCache:
                 self.pc = build_preconditioner(self.sys)
         return self.pc
 
-    def _factor(self, sys):
-        """Make ``lu`` solve ``diag(1/pc) J x = r`` for the last system
-        (``sys`` is it or a copy of it with another residual): the base
-        bordered on ``border_dofs``, or else a fresh factorization that
+    def _factor(self):
+        """Make ``lu`` solve ``diag(1/pc) J x = r`` for the last system: the
+        base bordered on ``border_dofs``, or else a fresh factorization that
         becomes the base (:meth:`_fresh_factor`); then probe its rank."""
         R = self.border_dofs
         lu = None if R is None else self.base.bordered_solver(self.Jbar.G, self.pc, R)
-        self.lu = self._fresh_factor(sys) if lu is None else lu
+        self.lu = self._fresh_factor() if lu is None else lu
         self.check_rank()
 
-    def _fresh_factor(self, sys):
+    def _fresh_factor(self):
         """A fresh factorization of ``Jbar``, which becomes the base.
 
         The base is dropped first.  A system without ``J`` (a bordered
         one, or one whose ``J`` an earlier factorization consumed) has it
         formed only now; a bordered system's from the contact entries of
         its :class:`_ScaledSaddle`, which it replaces.  ``J`` is scaled
-        into ``Jbar`` in place, and both systems drop it: no system keeps an
+        into ``Jbar`` in place, and the system drops it: no system keeps an
         unscaled ``J`` once its solver exists.  Before the factorization
         the freed heap is handed back (:func:`_release_heap`), so SuperLU's
         factor does not land on the holes that earlier arrays left in the
@@ -795,7 +773,7 @@ class SystemCache:
                 G = _contact_entries(self.sys.blocks, self.sys.free, self.sys.mult_scale)
             J = _saddle_matrix(self.K, self.sys.free, G)
             del G
-        self.sys.J = sys.J = None
+        self.sys.J = None
         self.Jbar = _scale_rows(J, self.pc)
         self.diagonal = None
         try:
@@ -807,27 +785,30 @@ class SystemCache:
         self.base = _Base(self.sys, self.pc, lu)
         return lu
 
-    def solve(self, sys):
-        """``dx`` of ``J dx = -R`` for ``sys``, the system :meth:`system`
-        returned last, from the solver decided for it, refined by
-        :func:`linear_solve` to its 1e-10 backward-error contract; a
-        nearly singular ``J`` raises a LinearSolveError too.  Once
-        ``-R/pc`` is formed, ``sys`` and the cache's system drop ``R`` and
-        ``R_phys``, which no solve reads, so read ``R_phys`` first."""
+    def solve(self, R):
+        """The increment ``dx`` (multipliers scaled, see
+        :class:`SaddleSystem`) of ``J dx = -[ru, s rlam]`` for the system
+        :meth:`system` returned last and its nonzero physical residual
+        ``R = [ru, rlam]`` (:meth:`residual`; ``s`` the system's
+        mult_scale), from the solver decided for it, refined by
+        :func:`linear_solve` to its 1e-10 backward-error contract; a nearly
+        singular ``J`` raises a LinearSolveError too.  ``R`` becomes the
+        right-hand side ``-[ru, s rlam]/pc`` in place, so no second vector
+        of its size is formed."""
         pc = self.preconditioner()
-        if _norm(sys.R) == 0.0:
-            return np.zeros_like(sys.R)
-        rhs = -sys.R / pc
-        sys.R = sys.R_phys = self.sys.R = self.sys.R_phys = None
+        rhs = R
+        rhs[self.sys.free.size :] *= self.sys.mult_scale
+        np.negative(rhs, out=rhs)
+        rhs /= pc
         try:
             if self.lu is None:
-                self._factor(sys)
+                self._factor()
             return linear_solve(self.Jbar, self.lu, rhs)
         except LinearSolveError:
             if not isinstance(self.lu, _Bordered):
                 raise
         self.lu = self.base = self.border_dofs = None
-        self._factor(sys)
+        self._factor()
         return linear_solve(self.Jbar, self.lu, rhs)
 
     def check_rank(self):
@@ -970,27 +951,27 @@ def _active_set(mesh, mat, fric, cfg, systems, data, U, lam, codes, step,
 
     for loop in range(1, cfg.max_state_loops + 1):
         result.state_loops = loop
-        sys = systems.system(mesh, mat, fric, result, F, fixed, free)
-        rnorm = _norm(sys.R_phys)  # before the solve drops R_phys
+        sys = systems.system(mesh, mat, fric, codes, fixed, free)
+        R = systems.residual(sys.blocks, F, U, lam, free)
+        rnorm = _norm(R)
         # A residual below the (force-scaled) tolerance can still belong to
         # an unsolved iterate (a load too small for that scale, or fresh
         # constraint rows after a state change), so every loop solves,
         # the first included, unless the residual is exactly zero.
         if rnorm != 0.0:
             try:
-                dx = systems.solve(sys)
+                dx = systems.solve(R)  # R becomes the right-hand side
             except (SingularRowError, LinearSolveError) as exc:
                 result.residual_norm = rnorm  # of the system that failed
                 result.message = str(exc)
                 return result
+            del R
             U[free] += dx[: free.size]
             lam += sys.mult_scale * dx[free.size :]
             del dx
             lam[sys.blocks.pinned] = 0.0  # identity rows solve to exactly 0
             result.newton_iters += 1
-            rnorm = _norm(
-                systems.residual(sys.blocks, F, U, lam, free, sys.mult_scale)[1]
-            )
+            rnorm = _norm(systems.residual(sys.blocks, F, U, lam, free))
         # the next loop's system is assembled without this one, its
         # increment or its residuals alive
         del sys

@@ -10,16 +10,23 @@ from fracfem.elasticity import assemble_stiffness, symmetric_product
 from fracfem.solver import step_data
 
 
-def fresh_solve(sys, pc):
+def fresh_solve(sys, pc, R):
     """``dx`` of ``J dx = -R`` for the :class:`~fracfem.solver.SaddleSystem`
-    ``sys`` through a fresh SuperLU factorization of ``diag(1/pc) J``,
-    refined as every solve of a run is (:func:`fracfem.solver.linear_solve`).
-    The scaled matrix is a CSC copy, so ``sys.J`` is left as it was."""
-    if solver._norm(sys.R) == 0.0:
-        return np.zeros_like(sys.R)
-    rhs = -sys.R / pc
+    ``sys`` and the physical residual ``R`` (``[ru, rlam]``, as
+    :meth:`~fracfem.solver.SystemCache.residual` forms it) through a fresh
+    SuperLU factorization of ``diag(1/pc) J``, refined as every solve of a
+    run is (:func:`fracfem.solver.linear_solve`).  The right-hand side
+    ``-[ru, s rlam]/pc`` is formed on a copy of ``R``, and the scaled matrix
+    is a CSC copy, so ``R`` and ``sys.J`` are left as they were."""
     Jbar = solver._scale_rows(sys.J.tocsc(copy=True), pc)
-    return solver.linear_solve(Jbar, solver._splu(Jbar), rhs)
+    return solver.linear_solve(Jbar, solver._splu(Jbar), scaled_rhs(sys, R, pc))
+
+
+def scaled_rhs(sys, R, pc):
+    """The right-hand side ``-[ru, s rlam]/pc`` of the physical residual
+    ``R = [ru, rlam]`` for ``sys`` (``s`` its mult_scale), on a copy."""
+    n = sys.free.size
+    return -np.concatenate([R[:n], sys.mult_scale * R[n:]]) / pc
 
 
 def reaction_forces(mesh, mat, fric, bcs, result, step=None, K=None, n_steps=1):

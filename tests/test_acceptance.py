@@ -28,7 +28,7 @@ from fracfem.oracles import (
     sneddon_opening,
 )
 from fracfem.solver import (
-    SolutionState,
+    SystemCache,
     build_preconditioner,
     build_system,
     run_load_steps,
@@ -208,17 +208,17 @@ class TestCriterion5Preconditioner:
         lam = np.zeros(2 * mesh.n_pairs)
         F, fixed, vals, free = step_data(mesh, config.bcs, None, 1)
         U[fixed] = vals
-        state = SolutionState(U=U, lam=lam, codes=np.zeros(mesh.n_pairs, np.int8))
         K = assemble_stiffness(mesh, config.material)
-        sys = build_system(mesh, config.material, config.friction, state,
-                           K, F, fixed, free)
+        sys = build_system(mesh, config.material, config.friction,
+                           np.zeros(mesh.n_pairs, np.int8), K, fixed, free)
+        R = SystemCache(K).residual(sys.blocks, F, U, lam, free)
         pc = build_preconditioner(sys)
         Jbar = sp.diags(1.0 / pc) @ sys.J
         norms = np.sqrt(np.asarray(Jbar.multiply(Jbar).sum(axis=1)).ravel())
         norm_dev = np.abs(norms - 1.0).max()
 
-        scaled = fresh_solve(sys, pc)
-        unscaled = fresh_solve(sys, np.ones(sys.J.shape[0]))
+        scaled = fresh_solve(sys, pc, R)
+        unscaled = fresh_solve(sys, np.ones(sys.J.shape[0]), R)
         sol_dev = np.linalg.norm(scaled - unscaled) / np.linalg.norm(unscaled)
         ok = norm_dev <= 1e-12 and sol_dev <= 1e-8
         assert report(
@@ -226,6 +226,21 @@ class TestCriterion5Preconditioner:
             f"scaled row norms within {norm_dev:.2e} of 1 (<= 1e-12); "
             f"scaled/unscaled solutions differ by {sol_dev:.2e} (<= 1e-8)",
         )
+
+
+class TestReferenceErrors:
+    """Each closed-form preset's rel_L2 against its reference, pinned bit
+    for bit, so that no roundoff change moves it unseen."""
+
+    @pytest.mark.parametrize("name, rel_l2", [
+        ("inclined-crack", "0x1.dbaf4bb6105e9p-6"),
+        ("sneddon", "0x1.6602edf5a30adp-7"),
+        ("shear-throughgoing", "0x1.3cbddfc64ccd6p-13"),
+    ])
+    def test_rel_l2_bits(self, runs, name, rel_l2):
+        config, mesh, results, _ = runs[name]
+        got = presets.reference_error(name, config, mesh, results[-1])
+        assert got.hex() == rel_l2
 
 
 class TestCriterion6CrossingRegression:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
@@ -47,7 +48,7 @@ from fracfem.solver import (
     step_data,
 )
 
-from reactions import fresh_solve, reaction_forces
+from reactions import fresh_solve, reaction_forces, scaled_rhs
 
 MAT = MaterialParams(E=25e9, nu=0.25)
 FRIC30 = FrictionParams(cohesion=0.0, friction_angle=math.radians(30.0))
@@ -79,34 +80,35 @@ def small_inclined_setup(sigma=10e6, pressure=0.0):
 
 
 def make_system(mesh, cfg, codes=None):
+    """(system of ``codes``, all stick when None, as build_system returns
+    it, and its physical residual at U = 0)."""
     U = np.zeros(2 * mesh.n_nodes)
-    lam = np.zeros(2 * mesh.n_pairs)
     F, fixed, vals, free = step_data(mesh, cfg.bcs, None, 1)
     U[fixed] = vals
-    st_ = SolutionState(U=U, lam=lam,
-                        codes=stick_codes(mesh) if codes is None else codes)
     K = assemble_stiffness(mesh, cfg.material)
-    return build_system(mesh, cfg.material, cfg.friction, st_, K, F, fixed,
-                        free)
+    sys = build_system(mesh, cfg.material, cfg.friction,
+                       stick_codes(mesh) if codes is None else codes, K, fixed, free)
+    lam = np.zeros(2 * mesh.n_pairs)
+    return sys, SystemCache(K).residual(sys.blocks, F, U, lam, free)
 
 
 class TestBuildSystem:
     def test_all_open_reduces_to_elasticity(self):
         mesh, cfg = small_inclined_setup()
-        sys = make_system(mesh, cfg, codes=codes_of(mesh, OPEN))
+        sys, R = make_system(mesh, cfg, codes=codes_of(mesh, OPEN))
         pc = build_preconditioner(sys)
-        dx = fresh_solve(sys, pc)
+        dx = fresh_solve(sys, pc, R)
         d_lam = dx[sys.free.size :]
         np.testing.assert_allclose(d_lam, 0.0, atol=1e-12)
         # displacement part equals the plain elastic solve
         K = assemble_stiffness(mesh, cfg.material)
         K_red = full_stiffness(K)[sys.free][:, sys.free].tocsc()
-        du = spla.spsolve(K_red, -sys.R[: sys.free.size])
+        du = spla.spsolve(K_red, -R[: sys.free.size])
         np.testing.assert_allclose(dx[: sys.free.size], du, rtol=1e-8)
 
     def test_all_stick_jacobian_symmetric(self):
         mesh, cfg = small_inclined_setup()
-        sys = make_system(mesh, cfg)
+        sys, _ = make_system(mesh, cfg)
         # exactly: J's displacement block is K's upper triangle mirrored
         assert (sys.J != sys.J.T).nnz == 0
 
@@ -114,7 +116,7 @@ class TestBuildSystem:
         # square upper-left block, rectangular coupling blocks, zero
         # lower-right block in the all-stick state
         mesh, cfg = small_inclined_setup()
-        sys = make_system(mesh, cfg)
+        sys, _ = make_system(mesh, cfg)
         n, m = sys.free.size, 2 * mesh.n_pairs
         assert sys.J.shape == (n + m, n + m)
         lower_right = sys.J[n:, n:].toarray()
@@ -124,7 +126,7 @@ class TestBuildSystem:
 
     def test_dimensions(self):
         mesh, cfg = small_inclined_setup()
-        sys = make_system(mesh, cfg)
+        sys, _ = make_system(mesh, cfg)
         _, fixed, _, _ = step_data(mesh, cfg.bcs, None, 1)
         assert sys.free.size == 2 * mesh.n_nodes - len(fixed)
         assert sys.J.shape[0] == sys.free.size + 2 * mesh.n_pairs
@@ -133,13 +135,13 @@ class TestBuildSystem:
 class TestPreconditioner:
     def test_pythagorean_row(self):
         J = sp.csr_matrix(np.array([[3.0, 4.0], [0.0, 1.0]]))
-        sys = SaddleSystem(J=J, R=np.zeros(2), free=np.arange(2), blocks=None)
+        sys = SaddleSystem(J=J, free=np.arange(2), blocks=None)
         pc = build_preconditioner(sys)
         assert pc[0] == pytest.approx(5.0)
 
     def test_identity_maps_to_identity(self):
         J = sp.identity(4, format="csr")
-        sys = SaddleSystem(J=J, R=np.zeros(4), free=np.arange(4), blocks=None)
+        sys = SaddleSystem(J=J, free=np.arange(4), blocks=None)
         pc = build_preconditioner(sys)
         np.testing.assert_allclose(pc, 1.0)
         np.testing.assert_allclose(
@@ -152,7 +154,7 @@ class TestPreconditioner:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((12, 12)) * np.logspace(-6, 9, 12)[:, None]
         J = sp.csr_matrix(A)
-        sys = SaddleSystem(J=J, R=np.zeros(12), free=np.arange(12), blocks=None)
+        sys = SaddleSystem(J=J, free=np.arange(12), blocks=None)
         pc = build_preconditioner(sys)
         Jbar = sp.diags(1.0 / pc) @ J
         norms = np.sqrt(np.asarray(Jbar.multiply(Jbar).sum(axis=1)).ravel())
@@ -160,7 +162,7 @@ class TestPreconditioner:
 
     def test_zero_row_error_names_dof(self):
         J = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        sys = SaddleSystem(J=J, R=np.zeros(2), free=np.array([4, 5]), blocks=None)
+        sys = SaddleSystem(J=J, free=np.array([4, 5]), blocks=None)
         with pytest.raises(SingularRowError) as err:
             build_preconditioner(sys)
         assert "dof 5" in str(err.value)
@@ -176,8 +178,7 @@ class TestPreconditioner:
         J = sp.csr_matrix((np.array([1.0, *zero_row]), np.array([0, 0, 1]),
                            np.array([0, 1, 3])), shape=(2, 2))
         assert J.nnz == 3
-        sys = SaddleSystem(J=J, R=np.zeros(2), free=np.array([4, 5])[:n_disp],
-                           blocks=None)
+        sys = SaddleSystem(J=J, free=np.array([4, 5])[:n_disp], blocks=None)
         with pytest.raises(SingularRowError) as err:
             build_preconditioner(sys)
         assert str(err.value) == f"zero Jacobian row: {message}"
@@ -201,7 +202,7 @@ class TestPreconditioner:
         assert J.nnz == indices.size
         ref = _ref_row_norms(J)
         for A in (J, J.tocsc()):
-            sys = SaddleSystem(J=A, R=np.zeros(n), free=np.arange(n), blocks=None)
+            sys = SaddleSystem(J=A, free=np.arange(n), blocks=None)
             assert solver._same_bits(build_preconditioner(sys), ref)
 
     def test_row_norms_hold_one_array_of_squares(self):
@@ -224,7 +225,7 @@ class TestPreconditioner:
 
     def test_scaling_beats_unscaled_conditioning(self):
         mesh, cfg = small_inclined_setup()
-        sys = make_system(mesh, cfg)
+        sys, _ = make_system(mesh, cfg)
         pc = build_preconditioner(sys)
         Jbar = (sp.diags(1.0 / pc) @ sys.J).tocsr()
         assert _cond_estimate(Jbar) < _cond_estimate(sys.J)
@@ -255,14 +256,13 @@ def _cond_estimate(A, iters=40, seed=0):
 
 
 class TestLinearSolve:
-    def _sys(self, J, R):
-        return SaddleSystem(J=sp.csr_matrix(J), R=np.asarray(R, dtype=float),
-                            free=np.arange(len(R)), blocks=None)
+    def _sys(self, J):
+        return SaddleSystem(J=sp.csr_matrix(J), free=np.arange(len(J)), blocks=None)
 
     def test_diagonal_two_by_two(self):
-        sys = self._sys([[2.0, 0.0], [0.0, 4.0]], [2.0, 4.0])
+        sys = self._sys([[2.0, 0.0], [0.0, 4.0]])
         pc = build_preconditioner(sys)
-        dx = fresh_solve(sys, pc)
+        dx = fresh_solve(sys, pc, np.array([2.0, 4.0]))
         np.testing.assert_allclose(dx, [-1.0, -1.0], rtol=1e-14)
 
     def test_matches_unpreconditioned_elasticity(self):
@@ -275,28 +275,31 @@ class TestLinearSolve:
 
         cfg = RunConfig(name="t", material=MAT, friction=FRIC30, bcs=bcs,
                         solver=SolverConfig(), generator={"width": 1})
-        sys = make_system(mesh, cfg)
+        sys, R = make_system(mesh, cfg)
         pc = build_preconditioner(sys)
-        dx = fresh_solve(sys, pc)
-        direct = spla.spsolve(sys.J.tocsc(), -sys.R)
+        dx = fresh_solve(sys, pc, R)
+        direct = spla.spsolve(sys.J.tocsc(), -R)
         np.testing.assert_allclose(dx, direct, rtol=1e-7, atol=1e-16)
 
     def test_scaled_and_unscaled_solutions_agree(self):
         mesh, cfg = small_inclined_setup()
-        sys = make_system(mesh, cfg)
+        sys, R = make_system(mesh, cfg)
         pc = build_preconditioner(sys)
-        scaled = fresh_solve(sys, pc)
-        unscaled = spla.spsolve(sys.J.tocsc(), -sys.R)
+        # the multiplier rows of J are scaled by s, so are those of -R
+        s = sys.mult_scale
+        scaled = fresh_solve(sys, pc, R)
+        unscaled = spla.spsolve(sys.J.tocsc(), -np.concatenate(
+            [R[: sys.free.size], s * R[sys.free.size :]]))
         assert (
             np.linalg.norm(scaled - unscaled)
             <= 1e-8 * np.linalg.norm(unscaled)
         )
 
     def test_singular_system_reports(self):
-        sys = self._sys([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+        sys = self._sys([[1.0, 1.0], [1.0, 1.0]])
         pc = build_preconditioner(sys)
         with pytest.raises(LinearSolveError):
-            fresh_solve(sys, pc)
+            fresh_solve(sys, pc, np.array([1.0, 2.0]))
 
 
 class TestNewtonLoop:
@@ -628,8 +631,8 @@ class TestColdStart:
         ref = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver,
                           warm=stick_start(mesh), step=0)
         assert ref.converged
-        cache, system = cached_systems(mesh, cfg)
-        cache.solve(system(ref.codes))
+        cache, system, residual = cached_systems(mesh, cfg)
+        cache.solve(residual(system(ref.codes)))
         cache.check_rank()  # the restart ends on a well-posed system
         attempts = _attempts(monkeypatch)
         res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
@@ -642,14 +645,15 @@ class TestColdStart:
 
     def test_rank_check_sees_what_the_contract_does_not(self):
         mesh, cfg = _balanced_block()
-        cache, system = cached_systems(mesh, cfg)
-        cache.solve(system(stick_codes(mesh)))
+        cache, system, residual = cached_systems(mesh, cfg)
+        cache.solve(residual(system(stick_codes(mesh))))
         cache.check_rank()
         sys = system(codes_of(mesh, OPEN))
-        dx = fresh_solve(sys, build_preconditioner(sys))
+        R = residual(sys)
+        dx = fresh_solve(sys, build_preconditioner(sys), R)
         assert np.all(np.isfinite(dx))  # the 1e-10 contract holds
         with pytest.raises(LinearSolveError, match="nearly singular"):
-            cache.solve(sys)
+            cache.solve(R)
 
     def test_rank_probe_growth_keeps_its_bits(self, monkeypatch):
         # the probe drawn once and kept with its max, and the in-place abs,
@@ -697,14 +701,14 @@ class TestColdStart:
         # residual of the system whose solve failed, not the loop's before
         mesh, cfg = _fault_square(4, 0.0, 30.0, 10e6)
         norms = []
-        real = SystemCache.system
+        real = SystemCache.residual
 
-        def system(self, *args):
-            sys = real(self, *args)
-            norms.append(solver._norm(sys.R_phys))
-            return sys
+        def residual(self, *args):
+            R = real(self, *args)
+            norms.append(solver._norm(R))
+            return R
 
-        monkeypatch.setattr(SystemCache, "system", system)
+        monkeypatch.setattr(SystemCache, "residual", residual)
         res = newton_loop(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
         assert not res.converged and res.message.startswith("nearly singular")
         assert res.residual_norm == norms[-1] > cfg.solver.newton_tol
@@ -846,18 +850,22 @@ class TestColdStart:
 
 
 def cached_systems(mesh, cfg):
-    """(run cache, system builder from state codes) at U = 0 on ``mesh``,
-    the systems built through the cache as a run builds them."""
+    """(run cache, system builder from state codes, residual of a system)
+    at U = 0 on ``mesh``, the systems and residuals formed through the
+    cache as a run forms them."""
     F, fixed, vals, free = step_data(mesh, cfg.bcs, None, 1)
     U = np.zeros(2 * mesh.n_nodes)
     U[fixed] = vals
+    lam = np.zeros(2 * mesh.n_pairs)
     cache = SystemCache(assemble_stiffness(mesh, cfg.material))
 
     def system(codes):
-        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), codes=codes)
-        return cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed, free)
+        return cache.system(mesh, cfg.material, cfg.friction, codes, fixed, free)
 
-    return cache, system
+    def residual(sys):
+        return cache.residual(sys.blocks, F, U, lam, free)
+
+    return cache, system, residual
 
 
 def with_J(cache, sys):
@@ -933,8 +941,8 @@ class TestFactorReuse:
     def test_one_factorization_per_distinct_jacobian(self, monkeypatch):
         calls = self.count_splu(monkeypatch)
         keys = []
-        def key(self, sys):
-            J = with_J(self, sys).J
+        def key(self, R):
+            J = with_J(self, self.sys).J
             return b"|".join(
                 a.tobytes() for a in (J.indptr, J.indices, J.data, self.preconditioner())
             )
@@ -953,9 +961,9 @@ class TestFactorReuse:
         calls = self.count_splu(monkeypatch)
         real = SystemCache.solve
 
-        def refactor(self, sys):
+        def refactor(self, R):
             self.lu = None  # serve every solve as if its system were new
-            return real(self, sys)
+            return real(self, R)
 
         monkeypatch.setattr(SystemCache, "solve", refactor)
         fresh = self.ramped_run()
@@ -968,31 +976,33 @@ class TestFactorReuse:
         # the solver, the row norms and the row-scaled copies serve only the
         # assignment they were made for: a new one finds none of them
         mesh, cfg = small_inclined_setup()
-        cache, system = cached_systems(mesh, cfg)
+        cache, system, residual = cached_systems(mesh, cfg)
         calls = self.count_splu(monkeypatch)
         stick = stick_codes(mesh)
-        first = cache.solve(system(stick))
+        first = cache.solve(residual(system(stick)))
         lu = cache.lu
-        again = cache.solve(system(stick.copy()))
+        again = cache.solve(residual(system(stick.copy())))
         assert cache.lu is lu and len(calls) == 1
         np.testing.assert_array_equal(again, first)
         sys = system(codes_of(mesh, SLIP))
         assert all(x is None for x in (cache.lu, cache.Jbar, cache.pc))
-        cache.solve(sys)
+        cache.solve(residual(sys))
         assert len(calls) == 2 and cache.lu is not lu
 
     def test_repeated_system_served_by_identity(self, monkeypatch):
         mesh, cfg = small_inclined_setup()
-        cache, system = cached_systems(mesh, cfg)
+        cache, system, residual = cached_systems(mesh, cfg)
         calls = self.count_splu(monkeypatch)
-        first = cache.solve(system(stick_codes(mesh)))
+        first = cache.solve(residual(system(stick_codes(mesh))))
         sys = system(stick_codes(mesh))
+        assert sys is cache.sys  # the cache's own system, not a copy
+        R = residual(sys)
 
         def no_compare(*args):
             raise AssertionError("a repeated solve compares no arrays")
 
         monkeypatch.setattr(solver, "_same_bits", no_compare)
-        again = cache.solve(sys)
+        again = cache.solve(R)
         assert len(calls) == 1
         assert solver._same_bits is no_compare
         np.testing.assert_array_equal(again.view(np.uint64), first.view(np.uint64))
@@ -1004,12 +1014,11 @@ class TestFactorReuse:
         calls = self.count_splu(monkeypatch)
         solves = []
         for _ in range(2):
-            cache, system = cached_systems(mesh, cfg)
-            sys = system(stick_codes(mesh))
-            solves.append(cache.solve(sys))
+            cache, system, residual = cached_systems(mesh, cfg)
+            solves.append(cache.solve(residual(system(stick_codes(mesh)))))
             assert not is_bordered(cache)
-        ref = make_system(mesh, cfg)  # the same system, with its J
-        solves.append(fresh_solve(ref, build_preconditioner(ref)))
+        ref, R = make_system(mesh, cfg)  # the same system, with its J
+        solves.append(fresh_solve(ref, build_preconditioner(ref), R))
         assert len(calls) == 3
         for dx in solves[1:]:
             np.testing.assert_array_equal(dx.view(np.uint64), solves[0].view(np.uint64))
@@ -1021,8 +1030,8 @@ class TestFactorReuse:
         import tracemalloc
 
         mesh, cfg = _workload("crossing-multi")
-        cache, system = cached_systems(mesh, cfg)
-        cache.solve(system([OPEN] * mesh.n_pairs))
+        cache, system, residual = cached_systems(mesh, cfg)
+        cache.solve(residual(system(codes_of(mesh, OPEN))))
         Jbar = cache.Jbar
         assert Jbar.format == "csc"
         v = np.abs(np.random.default_rng(0).standard_normal(Jbar.shape[1]))
@@ -1085,15 +1094,16 @@ class TestBorderedUpdate:
 
     def setup_base(self, monkeypatch, friction=None):
         """(mesh, splu calls, cache holding the all-stick base, system
-        builder from state codes) on the coarse inclined crack."""
+        builder from state codes, residual of a system) on the coarse
+        inclined crack."""
         mesh, cfg = small_inclined_setup()
         if friction is not None:
             cfg = dataclasses.replace(cfg, friction=friction)
         calls = TestFactorReuse.count_splu(monkeypatch)
-        cache, system = cached_systems(mesh, cfg)
-        cache.solve(system(stick_codes(mesh)))
+        cache, system, residual = cached_systems(mesh, cfg)
+        cache.solve(residual(system(stick_codes(mesh))))
         assert len(calls) == 1 and not is_bordered(cache)
-        return mesh, calls, cache, system
+        return mesh, calls, cache, system, residual
 
     @pytest.mark.parametrize("name, loops, count", [
         ("crossing-multi", 4, 2), ("sneddon", 1, 1), ("shear-throughgoing", 1, 1),
@@ -1109,12 +1119,13 @@ class TestBorderedUpdate:
         assert zeros and not any(zeros)
 
     def test_bordered_solve_matches_fresh_factorization(self, monkeypatch):
-        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        mesh, calls, cache, system, residual = self.setup_base(monkeypatch)
         set_ups = set_up_solves(monkeypatch)
         stick = stick_codes(mesh)
         sys = system(self.flipped(stick, {2: OPEN, 4: SLIP}))
-        R = sys.R  # the solve drops it from the system
-        dx = cache.solve(sys)
+        R = residual(sys)
+        rhs = R.copy()
+        dx = cache.solve(rhs)
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
         # four unit columns and one J_NR column, each solved on its own
@@ -1125,30 +1136,32 @@ class TestBorderedUpdate:
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9]))
         np.testing.assert_array_equal(cache.lu.nz, [2])
         assert sys.J is None  # a bordered system's J is never formed
-        assert sys.R is None
-        ref = dataclasses.replace(with_J(cache, sys), R=R)
+        ref = with_J(cache, sys)
         assert solver._same_bits(pc, build_preconditioner(ref))
-        fresh = fresh_solve(ref, pc)
+        # the residual became the right-hand side in place, with the bits
+        # of the one formed on a copy
+        assert solver._same_bits(rhs, scaled_rhs(ref, R, pc))
+        fresh = fresh_solve(ref, pc, R)
         assert len(calls) == 2
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        assert _backward_error(_scaled(ref.J, pc), dx, -R / pc) <= 1e-10
+        assert _backward_error(_scaled(ref.J, pc), dx, rhs) <= 1e-10
 
         # one more pair opens: of the six J^-1 columns of the new border,
         # the base carries four from the last set-up, so its factor solves
         # the two new ones, then the one nonzero J_NR column, one at a time
         sys = system(self.flipped(stick, {2: OPEN, 4: SLIP, 6: OPEN}))
-        R = sys.R
-        dx = cache.solve(sys)
+        R = residual(sys)
+        dx = cache.solve(R.copy())
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 2
         assert set_ups[1:] == [[1, 1, 1]]
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([4, 5, 8, 9, 12, 13]))
         assert sorted(cache.base.carried) == cache.lu.R.tolist()
-        ref = dataclasses.replace(with_J(cache, sys), R=R)
+        ref = with_J(cache, sys)
         assert solver._same_bits(pc, build_preconditioner(ref))
-        fresh = fresh_solve(ref, pc)
+        fresh = fresh_solve(ref, pc, R)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        assert _backward_error(_scaled(ref.J, pc), dx, -R / pc) <= 1e-10
+        assert _backward_error(_scaled(ref.J, pc), dx, scaled_rhs(ref, R, pc)) <= 1e-10
 
     def test_frictionless_flip_borders_a_superset(self, monkeypatch):
         # with tan(phi) = 0 a stick -> slip flip leaves the normal column as
@@ -1156,37 +1169,37 @@ class TestBorderedUpdate:
         # pair's two dofs are bordered, and elimination on a superset of the
         # changed rows and columns is exact as well
         frictionless = FrictionParams(cohesion=1.0e6, friction_angle=0.0)
-        mesh, calls, cache, system = self.setup_base(monkeypatch, frictionless)
+        mesh, calls, cache, system, residual = self.setup_base(monkeypatch, frictionless)
         base = with_J(cache, system(stick_codes(mesh)))  # the base's system
         sys = system(self.flipped(stick_codes(mesh), {4: SLIP}))
-        R = sys.R  # the solve drops it from the system
-        dx = cache.solve(sys)
+        R = residual(sys)
+        dx = cache.solve(R.copy())
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
         nd = sys.free.size
         np.testing.assert_array_equal(cache.lu.R, nd + np.array([8, 9]))
-        sys = dataclasses.replace(with_J(cache, sys), R=R)
+        sys = with_J(cache, sys)
         diff = (sys.J - base.J).tocoo()
         changed = np.union1d(diff.row[diff.row >= nd], diff.col[diff.col >= nd])
         np.testing.assert_array_equal(changed, [nd + 9])
-        fresh = fresh_solve(sys, pc)
+        fresh = fresh_solve(sys, pc, R)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        assert _backward_error(_scaled(sys.J, pc), dx, -sys.R / pc) <= 1e-10
+        assert _backward_error(_scaled(sys.J, pc), dx, scaled_rhs(sys, R, pc)) <= 1e-10
 
     def test_changed_displacement_block_fails_the_contract(self, monkeypatch):
         # the bordered update takes the base's displacement block as the
         # system's; when it differs after all (here K changed in place after
         # the base is factored), the bordered solve misses the backward-error
         # contract on the true J and is repeated on a fresh factorization
-        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        mesh, calls, cache, system, residual = self.setup_base(monkeypatch)
         self.perturb_stiffness(cache, slice(None), lambda k: 1.5 * k)
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
-        ref = with_J(cache, sys)  # the J of the changed K
+        ref, R = with_J(cache, sys), residual(sys)  # the J of the changed K
         bordered = []
         _counted(monkeypatch, solver._Bordered, "solve", bordered)
-        dx = cache.solve(sys)
+        dx = cache.solve(R.copy())
         assert bordered and len(calls) == 2 and not is_bordered(cache)
-        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner(), R))
 
     @staticmethod
     def perturb_stiffness(cache, at, change):
@@ -1198,7 +1211,7 @@ class TestBorderedUpdate:
     def test_bordered_solver_failing_the_rank_probe_refactors(self, monkeypatch):
         # a bordered solver that the probe refuses is replaced by a fresh
         # factorization, whose probe alone can fail the solve
-        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        mesh, calls, cache, system, residual = self.setup_base(monkeypatch)
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
         real = SystemCache.check_rank
 
@@ -1208,29 +1221,29 @@ class TestBorderedUpdate:
             real(self)
 
         monkeypatch.setattr(SystemCache, "check_rank", probe)
-        ref = with_J(cache, sys)
-        dx = cache.solve(sys)
+        ref, R = with_J(cache, sys), residual(sys)
+        dx = cache.solve(R.copy())
         assert len(calls) == 2 and not is_bordered(cache)
-        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner(), R))
 
     def test_one_ulp_in_displacement_block_stays_bordered(self, monkeypatch):
         # a change the contract tolerates is served by the bordered solve
         # and its refinement on the true J, without a fresh factorization
-        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        mesh, calls, cache, system, residual = self.setup_base(monkeypatch)
         # one ulp in K_ff: the diagonal entry of the first free dof
         first = cache.K.indptr[cache.sys.free[0]]
         self.perturb_stiffness(cache, first, lambda k: np.nextafter(k, np.inf))
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
-        ref = with_J(cache, sys)  # the J of the changed K, and sys's R
-        dx = cache.solve(sys)
+        ref, R = with_J(cache, sys), residual(sys)  # of the changed K
+        dx = cache.solve(R.copy())
         pc = cache.preconditioner()
         assert is_bordered(cache) and len(calls) == 1
-        fresh = fresh_solve(ref, pc)
+        fresh = fresh_solve(ref, pc, R)
         assert np.linalg.norm(dx - fresh) <= 1e-12 * np.linalg.norm(fresh)
-        assert _backward_error(_scaled(ref.J, pc), dx, -ref.R / pc) <= 1e-10
+        assert _backward_error(_scaled(ref.J, pc), dx, scaled_rhs(ref, R, pc)) <= 1e-10
 
     def test_update_over_budget_refactors(self, monkeypatch):
-        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        mesh, calls, cache, system, residual = self.setup_base(monkeypatch)
         budget = cache.base.lu.nnz / 4
         sys = system(codes_of(mesh, SLIP))
         # every tangential row and normal column changes: the base is
@@ -1238,10 +1251,11 @@ class TestBorderedUpdate:
         assert sys.J.shape[0] * 2 * mesh.n_pairs > budget
         assert cache.base is None and cache.border_dofs is None
         ref = dataclasses.replace(sys, J=sys.J.copy())  # the solve scales J in place
-        dx = cache.solve(sys)
+        R = residual(sys)
+        dx = cache.solve(R.copy())
         assert len(calls) == 2 and not is_bordered(cache)
         assert np.array_equal(cache.base.codes, sys.codes)
-        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner(), R))
 
     def test_over_budget_miss_forms_no_difference(self, monkeypatch):
         # from all stick, sneddon's second loop opens all 19 pairs, 38
@@ -1471,10 +1485,10 @@ class TestBorderedUpdate:
                                  cfg.solver)
             assert res[-1].converged and seen == [(0, True), (0, True)]
             return
-        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        mesh, calls, cache, system, residual = self.setup_base(monkeypatch)
         stick = stick_codes(mesh)
         for flips in ({2: OPEN, 4: SLIP}, {2: OPEN, 4: SLIP, 6: OPEN}):
-            cache.solve(system(self.flipped(stick, flips)))
+            cache.solve(residual(system(self.flipped(stick, flips))))
         assert seen == [(1, True), (1, True)] and len(calls) == 1
 
     @pytest.mark.parametrize("bad", [1.0, np.nan])
@@ -1483,18 +1497,18 @@ class TestBorderedUpdate:
     ):
         # the fresh factorization's J is formed from the contact entries
         # of the bordered operator, which are built once for the system
-        mesh, calls, cache, system = self.setup_base(monkeypatch)
+        mesh, calls, cache, system, residual = self.setup_base(monkeypatch)
         monkeypatch.setattr(solver._Bordered, "solve",
                             lambda self, r: np.full_like(r, bad))
         entries = []
         _counted(monkeypatch, solver, "_contact_entries", entries)
         sys = system(self.flipped(stick_codes(mesh), {2: OPEN}))
-        R = sys.R  # the solve drops it from the system
-        dx = cache.solve(sys)
+        R = residual(sys)
+        dx = cache.solve(R.copy())
         assert len(calls) == 2 and not is_bordered(cache) and len(entries) == 1
-        ref = dataclasses.replace(with_J(cache, sys), R=R)
+        ref = with_J(cache, sys)
         assert np.array_equal(cache.base.codes, sys.codes)
-        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner()))
+        np.testing.assert_array_equal(dx, fresh_solve(ref, cache.preconditioner(), R))
 
 
 # ---------------------------------------------------------------------------
@@ -1520,8 +1534,7 @@ def _drawn_flip_systems(name, seed):
         codes1[p] = others[rng.integers(len(others))]
 
     def system(codes):
-        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), codes=codes)
-        return build_system(mesh, cfg.material, cfg.friction, st_, K, F, fixed, free)
+        return build_system(mesh, cfg.material, cfg.friction, codes, K, fixed, free)
 
     return system(codes0), system(codes1)
 
@@ -1691,8 +1704,7 @@ def _preset_systems(name):
     U[fixed] = vals
     systems = {}
     for mix, codes in _state_mixes(mesh.n_pairs, np.random.default_rng(5)).items():
-        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), codes=codes)
-        systems[mix] = build_system(mesh, cfg.material, cfg.friction, st_, K, F,
+        systems[mix] = build_system(mesh, cfg.material, cfg.friction, codes, K,
                                     fixed, free)
     return mesh, cfg, K, (F, fixed, free, U), systems
 
@@ -1711,12 +1723,10 @@ class TestSlicedAssembly:
         assert sys.J.format == "csc" and _same_csr(sys.J, ref)
         # through the run's cache
         cache = SystemCache(K)
-        st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs),
-                            codes=_state_mixes(mesh.n_pairs,
-                                               np.random.default_rng(5))[mix])
-        got = cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed, free)
+        codes = _state_mixes(mesh.n_pairs, np.random.default_rng(5))[mix]
+        got = cache.system(mesh, cfg.material, cfg.friction, codes, fixed, free)
         assert _same_csr(got.J, ref)
-        np.testing.assert_array_equal(got.R, sys.R)
+        np.testing.assert_array_equal(got.codes, sys.codes)
 
     @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
     @pytest.mark.parametrize("name", sorted(presets.PRESETS))
@@ -1735,7 +1745,9 @@ class TestSlicedAssembly:
         assert np.count_nonzero(got.data) == got.nnz
         if mix == "stick":
             before = sys.J.copy()
-            fresh_solve(sys, pc)
+            lam = np.zeros(2 * mesh.n_pairs)
+            R = SystemCache(K).residual(sys.blocks, F, U, lam, free)
+            fresh_solve(sys, pc, R)
             assert _same_csr(sys.J, before)
 
     @pytest.mark.parametrize("mix", ["stick", "slip", "mix"])
@@ -1763,9 +1775,7 @@ class TestSlicedAssembly:
         sys = systems[mix]
         if tan_phi == "zero":
             fric = FrictionParams(cohesion=cfg.friction.cohesion, friction_angle=0.0)
-            st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs),
-                                codes=sys.codes.copy())
-            sys = build_system(mesh, cfg.material, fric, st_, K, F, fixed, free)
+            sys = build_system(mesh, cfg.material, fric, sys.codes, K, fixed, free)
             D = sys.blocks.D  # only its identity rows' diagonal is left
             assert D.nnz == np.count_nonzero(D.diagonal())
         for m in (sys.blocks.C, sys.blocks.B_up, sys.blocks.D, sys.J):
@@ -1798,11 +1808,8 @@ class TestSlicedAssembly:
             BoundaryCondition(kind="neumann", side="top", traction=(0.0, -1e6)),
         ]
         K = assemble_stiffness(mesh, MAT)
-        F, fixed, vals, free = step_data(mesh, bcs, None, 1)
-        U = np.zeros(2 * mesh.n_nodes)
-        U[fixed] = vals
-        st_ = SolutionState(U=U, lam=np.zeros(0), codes=np.zeros(0, np.int8))
-        sys = build_system(mesh, MAT, FRIC30, st_, K, F, fixed, free)
+        _, fixed, _, free = step_data(mesh, bcs, None, 1)
+        sys = build_system(mesh, MAT, FRIC30, np.zeros(0, np.int8), K, fixed, free)
         assert sys.J.shape[0] == free.size and fixed.size and free.size
         assert _same_csr(sys.J, full_stiffness(K)[free][:, free].tocsc())
 
@@ -1940,7 +1947,10 @@ class TestSystemReuse:
         corner = int(np.argmax(mesh.nodes[:, 0] - mesh.nodes[:, 1]))
         real = solver.dirichlet_constraints
 
+        at = []  # the step whose data was formed last
+
         def more_fixed(mesh_, bcs, step=None, n_steps=1):
+            at.append(step)
             fixed, vals = real(mesh_, bcs, step=step, n_steps=n_steps)
             if step >= 4:
                 fixed, vals = np.append(fixed, 2 * corner), np.append(vals, 0.0)
@@ -1952,9 +1962,9 @@ class TestSystemReuse:
         steps = []
         real_build = solver.build_system
 
-        def build(mesh_, mat, fric, state, *args, **kwargs):
-            steps.append(state.step)
-            return real_build(mesh_, mat, fric, state, *args, **kwargs)
+        def build(*args, **kwargs):
+            steps.append(at[-1])
+            return real_build(*args, **kwargs)
 
         monkeypatch.setattr(solver, "build_system", build)
         reused = self.run(mesh, cfg)
@@ -1966,20 +1976,17 @@ class TestSystemReuse:
 
     def test_system_cache_keys_on_states_and_fixed(self):
         mesh, cfg = small_inclined_setup()
-        F, fixed, vals, free = step_data(mesh, cfg.bcs, None, 1)
-        U = np.zeros(2 * mesh.n_nodes)
-        U[fixed] = vals
+        _, fixed, _, free = step_data(mesh, cfg.bcs, None, 1)
         cache = SystemCache(assemble_stiffness(mesh, cfg.material))
 
         def system(codes, fixed_, free_):
-            st_ = SolutionState(U=U, lam=np.zeros(2 * mesh.n_pairs), codes=codes)
-            return cache.system(mesh, cfg.material, cfg.friction, st_, F, fixed_, free_)
+            return cache.system(mesh, cfg.material, cfg.friction, codes, fixed_, free_)
 
         stick = stick_codes(mesh)
         first = system(stick, fixed, free)
         pc = cache.preconditioner()
         again = system(stick.copy(), fixed.copy(), free)
-        assert again.J is first.J and again.blocks is first.blocks
+        assert again is first
         assert cache.preconditioner() is pc
         slip = system(codes_of(mesh, SLIP), fixed, free)
         assert slip.J is not first.J and cache.pc is None
@@ -2039,82 +2046,98 @@ class TestFreshFactorMemory:
 
     @pytest.mark.parametrize("name, fresh", WORKLOAD_FACTORIZATIONS)
     def test_what_is_alive_at_a_fresh_factorization(self, monkeypatch, name, fresh):
-        # at each splu neither the cache's system nor the one the state
-        # loop solves holds a residual, the cache holds no stiffness
-        # diagonal, the zero-cohesion blocks hold no cohesion load vector,
-        # and the free dofs are held in K's index dtype.  On sneddon what
-        # is left is Jbar (8.5 MiB), K (5.2 MiB), the mesh (1.8 MiB), four
-        # n-vectors of 0.44 MiB (U, F, pc and the right-hand side) and free
-        # at half that; holding the residuals, the diagonal and the
-        # cohesion load too reads 19.7 MiB.  No earlier loop's increment
-        # dx, nor the residual pair formed after its solve, is alive either
+        # at each splu the state loop's only vector of the system's size is
+        # the right-hand side, the residual it passed to the solve turned
+        # into it in place; the cache holds no stiffness diagonal, the
+        # zero-cohesion blocks hold no cohesion load vector, and the free
+        # dofs are held in K's index dtype.  On sneddon what is left is
+        # Jbar (8.5 MiB), K (5.2 MiB), the mesh (1.8 MiB), four n-vectors
+        # of 0.44 MiB (U, F, pc and the right-hand side) and free at half
+        # that; holding two residuals, the diagonal and the cohesion load
+        # too reads 19.7 MiB.  No earlier loop's increment dx, nor any
+        # residual but the right-hand side, is alive either, and every
+        # refined solve is handed the very residual the loop passed
         import tracemalloc
         import weakref
 
-        seen, solving, earlier = [], [], []
+        seen, solving, residuals, increments, in_place = [], [], [], [], []
         real_solve, real_residual = SystemCache.solve, SystemCache.residual
 
-        def solve(cache, sys):
-            solving.append((cache, sys))
-            dx = real_solve(cache, sys)
-            earlier.append(weakref.ref(dx))
+        def solve(cache, R):
+            solving.append((cache, weakref.ref(R)))
+            dx = real_solve(cache, R)
+            increments.append(weakref.ref(dx))
             return dx
 
         def residual(cache, *args):
-            pair = real_residual(cache, *args)
-            earlier.extend(weakref.ref(r) for r in pair)
-            return pair
+            R = real_residual(cache, *args)
+            residuals.append(weakref.ref(R))
+            return R
 
         monkeypatch.setattr(SystemCache, "solve", solve)
         monkeypatch.setattr(SystemCache, "residual", residual)
 
         def alive(Jbar):
-            cache, sys = solving[-1]
+            traced = tracemalloc.get_traced_memory()[0]
+            cache, rhs = solving[-1]
+            frame = pysys._getframe()
+            while frame.f_code.co_name != "_active_set":
+                frame = frame.f_back
+            loop_vectors = [
+                v for v in frame.f_locals.values()
+                if isinstance(v, np.ndarray) and v.shape == (Jbar.shape[0],)
+            ]
+            del frame
             return (
-                [getattr(s, f) is None for s in (cache.sys, sys) for f in ("R", "R_phys")],
+                [v is rhs() for v in loop_vectors],
+                [r() is rhs() for r in residuals if r() is not None],
+                sum(r() is not None for r in increments),
                 cache.diagonal is None,
                 np.ndim(cache.sys.blocks.f_slip),
-                sys.free.dtype == cache.K.indices.dtype == np.int32,
-                sum(ref() is not None for ref in earlier),
-                tracemalloc.get_traced_memory()[0],
+                cache.sys.free.dtype == cache.K.indices.dtype == np.int32,
+                traced,
             )
 
         _counted(monkeypatch, solver, "_splu", seen, alive)
+        _counted(monkeypatch, solver, "linear_solve", in_place,
+                 lambda Jbar, lu, rhs: rhs is solving[-1][1]())
         tracemalloc.start()
         try:
             mesh, cfg = _workload(name)
             res = run_load_steps(mesh, cfg.material, cfg.friction, cfg.bcs, cfg.solver)
         finally:
             tracemalloc.stop()
+        solves = sum(r.newton_iters for r in res)
         assert res[-1].converged and cfg.friction.cohesion == 0.0
-        assert len(seen) == fresh and len(earlier) >= 3 * sum(r.newton_iters for r in res)
-        for dropped, no_diagonal, f_slip_dims, free_as_K, earlier_alive, _ in seen:
-            assert dropped == [True] * 4 and no_diagonal and f_slip_dims == 0
-            assert free_as_K and earlier_alive == 0
+        assert len(seen) == fresh and len(increments) == solves
+        assert len(residuals) == 2 * solves and in_place == [True] * solves
+        for in_loop, live, dx_alive, no_diagonal, f_slip_dims, free_as_K, _ in seen:
+            assert in_loop == [True] and live == [True] and dx_alive == 0
+            assert no_diagonal and f_slip_dims == 0 and free_as_K
         if name == "sneddon":
             assert seen[0][-1] <= 18.5 * 2**20
 
     def test_which_systems_keep_J(self):
-        # no system keeps an unscaled J once its solver exists: the
-        # cache's system and the repeat of it that a state loop solves drop
-        # J at their fresh factorization, and it is the cache's Jbar then; a
+        # no system keeps an unscaled J once its solver exists: a repeated
+        # assignment is served by the cache's own system, which drops J at
+        # its fresh factorization, and it is the cache's Jbar then; a
         # bordered system never holds one, and the cache's Jbar is the
         # operator built with it; build_system's own system keeps its J
         mesh, cfg = small_inclined_setup()
-        cache, system = cached_systems(mesh, cfg)
+        cache, system, residual = cached_systems(mesh, cfg)
         first = system(stick_codes(mesh))
         again = system(stick_codes(mesh))  # a repeat, not yet solved
-        assert again is not first and again.J is first.J
+        assert again is first is cache.sys
         J = first.J
-        built = make_system(mesh, cfg)
-        cache.solve(again)
-        assert first.J is None and again.J is None and cache.sys.J is None
-        assert cache.Jbar is J and built.J is not None
+        built, _ = make_system(mesh, cfg)
+        cache.solve(residual(again))
+        assert first.J is None and cache.Jbar is J and built.J is not None
         sys = system(TestBorderedUpdate.flipped(stick_codes(mesh), {2: OPEN}))
         op = cache.Jbar
         assert sys.J is None and isinstance(op, solver._ScaledSaddle)
-        cache.solve(sys)
+        cache.solve(residual(sys))
         assert is_bordered(cache) and sys.J is None and cache.Jbar is op
+        assert system(sys.codes.copy()) is sys is cache.sys  # a solved repeat
 
     @pytest.mark.parametrize("name, kinds", [
         ("sneddon", [False]),
@@ -2239,8 +2262,8 @@ class TestFreshFactorMemory:
 
     def test_abs_product_equals_the_abs_copy_and_restores_Jbar(self):
         mesh, cfg = small_inclined_setup()
-        cache, system = cached_systems(mesh, cfg)
-        cache.solve(system(codes_of(mesh, SLIP)))
+        cache, system, residual = cached_systems(mesh, cfg)
+        cache.solve(residual(system(codes_of(mesh, SLIP))))
         # the cache's Jbar, and one with a negative zero and infinities
         odd = sp.csc_matrix((np.array([-0.0, 2.0, -np.inf, np.inf, -3.0]),
                              [0, 1, 0, 1, 2], [0, 2, 5]), shape=(3, 2))
@@ -2442,8 +2465,9 @@ class TestStateLabels:
 
 class TestBenchmarkWorkloads:
     """The benchmark's three workloads take the state loops, solves and
-    factorizations, and end in the contact states and residual norms,
-    recorded here, so that no roundoff change to K or J moves them unseen."""
+    factorizations, and end in the contact states, residual norms and
+    final fields recorded here, so that no roundoff change to K or J moves
+    them unseen."""
 
     # the final step's residual_norm, as the step table and summary.json
     # print it (the benchmark's hash covers only U and lam)
@@ -2451,6 +2475,13 @@ class TestBenchmarkWorkloads:
         "sneddon": "0x1.107cf4731c994p-21",
         "crossing-multi": "0x1.1902840a2eb1bp-18",
         "inclined-ramp": "0x1.b9cd96a13088bp-21",
+    }
+    # the digest of the final step's U and lam that perfbench/worker.py
+    # prints as the run's hash, to 12 hex digits
+    HASHES = {
+        "sneddon": "a4f095ea54e0",
+        "crossing-multi": "a0b27e2e8bbe",
+        "inclined-ramp": "b03131103185",
     }
 
     @pytest.mark.parametrize("name, loops, fresh, bordered, counts", [
@@ -2487,3 +2518,5 @@ class TestBenchmarkWorkloads:
             np.count_nonzero(hit) for hit in (np.abs(codes) == 1, codes == 0, codes == OPEN)
         ) == counts
         assert res[-1].residual_norm.hex() == self.RESIDUAL_NORMS[name]
+        digest = hashlib.sha256(res[-1].U.tobytes() + res[-1].lam.tobytes())
+        assert digest.hexdigest()[:12] == self.HASHES[name]
